@@ -30,7 +30,6 @@ from .ingestion import (
     path_to_entity,
     select_issues,
 )
-from .kernel import ACTIVE_LANE
 from .matching import (
     MatchEdge,
     MatchingProblem,
@@ -55,7 +54,6 @@ from .pipeline import RunConfig, run_pipeline
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACTIVE_LANE",
     "ArchitecturalChange",
     "ArchitecturalImpactList",
     "ArchitectureSnapshot",

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import click
 
-from . import kernel, report
+from . import __version__, report
 from .changes import analyze_changes
 from .decisions import (
     DEFAULT_TRACTABILITY_THRESHOLD,
@@ -60,7 +60,7 @@ def _emit(text: str, out: str | None):
 
 
 @click.group()
-@click.version_option(message=f"%(prog)s %(version)s (matching kernel: {kernel.ACTIVE_LANE})")
+@click.version_option(version=__version__, prog_name="archdd", message="%(prog)s %(version)s")
 def cli():
     """Mine architectural design decisions from a system's evolution history."""
 
@@ -150,13 +150,10 @@ def extract_decisions_cmd(changes_path, impact_path, tractability_threshold, out
 @cli.command("pipeline")
 @click.option("--config", "config_path", required=True, help="run configuration (JSON)")
 @click.option("--strict", is_flag=True, help="nonzero exit when any version pair fails")
-@click.option("--workers", type=int, default=1, show_default=True)
-def pipeline_cmd(config_path, strict, workers):
+def pipeline_cmd(config_path, strict):
     """Run the full pipeline over a version sequence."""
-    if workers < 1:
-        raise ConfigError("workers must be positive")
     config = RunConfig.from_file(config_path)
-    result = run_pipeline(config, strict=strict, workers=workers)
+    result = run_pipeline(config)
     click.echo(report.render_summary_table(result.summary))
     for failure in result.failures:
         click.echo(

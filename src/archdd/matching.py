@@ -10,7 +10,7 @@ component_b name) pairs is returned, so output is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import kernel
 from .errors import InvariantViolation
@@ -21,7 +21,7 @@ DUMMY_PREFIX = "__dummy_"
 
 @dataclass(frozen=True)
 class MatchEdge:
-    """One candidate (or chosen) pairing with its transformation cost."""
+    """One chosen pairing with its transformation cost."""
 
     component_a: str
     component_b: str
@@ -32,15 +32,14 @@ class MatchEdge:
 class MatchingProblem:
     """A balanced bipartite matching instance.
 
-    ``components_a`` and ``components_b`` are sorted by name and have equal
-    length; ``all_edges`` is the complete bipartite edge set. The solver
-    fills in ``chosen_edges``.
+    ``components_a`` and ``components_b`` have equal length n; ``costs`` is
+    the row-major n*n list with ``costs[i * n + j]`` the cost of pairing
+    ``components_a[i]`` with ``components_b[j]``.
     """
 
     components_a: list[Component]
     components_b: list[Component]
-    all_edges: list[MatchEdge]
-    chosen_edges: list[MatchEdge] | None = field(default=None)
+    costs: list[int]
 
 
 def balance(
@@ -81,41 +80,29 @@ def change_cost(c_a: Component, c_b: Component) -> int:
 def build_matching_problem(
     components_a: list[Component], components_b: list[Component]
 ) -> MatchingProblem:
-    """Balance both sides and price the complete bipartite edge set."""
+    """Balance both sides, sort each by name, and price every pair."""
     a, b = balance(components_a, components_b)
     a.sort(key=lambda c: c.name)
     b.sort(key=lambda c: c.name)
-    edges = [
-        MatchEdge(ca.name, cb.name, change_cost(ca, cb)) for ca in a for cb in b
-    ]
-    return MatchingProblem(components_a=a, components_b=b, all_edges=edges)
+    costs = [change_cost(ca, cb) for ca in a for cb in b]
+    return MatchingProblem(components_a=a, components_b=b, costs=costs)
 
 
 def min_cost_matching(problem: MatchingProblem) -> list[MatchEdge]:
     """Solve the assignment problem; returns the bijective minimum-cost edge set.
 
-    The result is the lexicographically smallest optimum and is stored on
-    ``problem.chosen_edges`` as well. Edges come back sorted by component_a
-    name.
+    Among equal-cost optima the result has the lexicographically smallest
+    column vector, i.e. the smallest component_b names when both sides are
+    sorted by name as ``build_matching_problem`` leaves them. Edges come back
+    in ``components_a`` order.
     """
-    a = sorted(problem.components_a, key=lambda c: c.name)
-    b = sorted(problem.components_b, key=lambda c: c.name)
+    a = problem.components_a
+    b = problem.components_b
     n = len(a)
     if n != len(b):
         raise InvariantViolation("matching problem is not balanced")
-    cost_by_pair = {(e.component_a, e.component_b): e.cost for e in problem.all_edges}
-    costs = []
-    for ca in a:
-        for cb in b:
-            try:
-                costs.append(cost_by_pair[(ca.name, cb.name)])
-            except KeyError:
-                raise InvariantViolation(
-                    f"edge set is not complete: missing ({ca.name!r}, {cb.name!r})"
-                ) from None
+    costs = problem.costs
     cols = kernel.lexmin_assignment(costs, n)
-    chosen = [
+    return [
         MatchEdge(a[i].name, b[j].name, costs[i * n + j]) for i, j in enumerate(cols)
     ]
-    problem.chosen_edges = chosen
-    return chosen

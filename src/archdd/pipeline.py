@@ -4,16 +4,13 @@ For every consecutive version pair: analyze changes, build the impact list
 for the pair's target version, connect both into the decision graph, and
 extract decisions. A failing pair is reported and skipped; the remaining
 pairs still run (strict mode turns any failure into a nonzero exit at the
-CLI). Pairs are independent pure computations, so a worker pool may process
-them concurrently; outputs are aggregated in version order either way.
+CLI). Pairs run one after another in version order.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from . import report
@@ -75,6 +72,9 @@ class RunConfig:
         for entry in raw_versions:
             if not isinstance(entry, dict) or "label" not in entry or "snapshot" not in entry:
                 raise ConfigError("each version needs `label` and `snapshot` fields")
+            for key in ("label", "snapshot"):
+                if not isinstance(entry[key], str):
+                    raise ConfigError(f"version `{key}` must be a string")
             label = entry["label"]
             if label in seen:
                 raise ConfigError(f"duplicate version label {label!r}")
@@ -83,6 +83,9 @@ class RunConfig:
         for key in ("issues", "commits"):
             if not isinstance(obj.get(key), str):
                 raise ConfigError(f"config needs a `{key}` file path")
+        for key in ("exclusions", "path_rules", "output_dir"):
+            if key in obj and not isinstance(obj[key], str):
+                raise ConfigError(f"config `{key}` must be a file path string")
         threshold = obj.get("tractability_threshold", DEFAULT_TRACTABILITY_THRESHOLD)
         if not isinstance(threshold, int) or threshold < 1:
             raise ConfigError("tractability_threshold must be a positive integer")
@@ -189,17 +192,12 @@ def _pair_to_obj(outcome: PairOutcome) -> dict:
     }
 
 
-def run_pipeline(
-    config: RunConfig, strict: bool = False, workers: int = 1, write: bool = True
-) -> PipelineResult:
+def run_pipeline(config: RunConfig, write: bool = True) -> PipelineResult:
     """Run the full pipeline; returns the aggregated result.
 
     With ``write`` enabled the structured run document plus text reports are
-    written under ``config.output_dir``. ``strict`` does not change what is
-    computed, only whether the CLI turns failures into a nonzero exit; the
-    flag is accepted here so callers can log accordingly.
+    written under ``config.output_dir``.
     """
-    del strict  # behavioural difference lives at the CLI boundary
     issues = load_issues(_read_text(config.issues_path, "issue export"))
     commits = load_commits(_read_text(config.commits_path, "commit log"))
     exclusions = (
@@ -220,45 +218,27 @@ def run_pipeline(
         except ArchddError as exc:
             snapshots[label] = exc
 
-    pairs = [
-        (config.versions[i][0], config.versions[i + 1][0])
-        for i in range(len(config.versions) - 1)
-    ]
-
-    def process(pair: tuple[str, str]):
-        from_label, to_label = pair
-        for label in pair:
-            if isinstance(snapshots[label], ArchddError):
-                raise snapshots[label]
-        return _process_pair(
-            snapshots[from_label],
-            snapshots[to_label],
-            issues,
-            commits,
-            rules,
-            exclusions,
-            config.tractability_threshold,
-            config.link_by_message,
-        )
-
-    results: list[PairOutcome | dict] = [None] * len(pairs)  # type: ignore[list-item]
-    if workers > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {index: pool.submit(process, pair) for index, pair in enumerate(pairs)}
-            for index, future in futures.items():
-                try:
-                    results[index] = future.result()
-                except ArchddError as exc:
-                    results[index] = _failure(pairs[index], exc)
-    else:
-        for index, pair in enumerate(pairs):
-            try:
-                results[index] = process(pair)
-            except ArchddError as exc:
-                results[index] = _failure(pair, exc)
-
-    outcomes = [r for r in results if isinstance(r, PairOutcome)]
-    failures = [r for r in results if isinstance(r, dict)]
+    outcomes: list[PairOutcome] = []
+    failures: list[dict] = []
+    for (from_label, _), (to_label, _) in zip(config.versions, config.versions[1:]):
+        try:
+            for label in (from_label, to_label):
+                if isinstance(snapshots[label], ArchddError):
+                    raise snapshots[label]
+            outcomes.append(
+                _process_pair(
+                    snapshots[from_label],
+                    snapshots[to_label],
+                    issues,
+                    commits,
+                    rules,
+                    exclusions,
+                    config.tractability_threshold,
+                    config.link_by_message,
+                )
+            )
+        except ArchddError as exc:
+            failures.append(_failure((from_label, to_label), exc))
     summary = report.build_run_summary([outcome.stats for outcome in outcomes])
 
     run_doc = {
@@ -328,11 +308,3 @@ def _write_outputs(config: RunConfig, result: PipelineResult, issues) -> list[Pa
     summary_path.write_text("\n".join(sections), encoding="utf-8")
 
     return [run_path, decisions_path, summary_path]
-
-
-def pair_coverage(outcome: PairOutcome) -> tuple[Fraction, Fraction]:
-    """(before-cleanup, after-cleanup) coverage for one pair."""
-    return (
-        outcome.stats.coverage_before_cleanup,
-        outcome.stats.coverage_after_cleanup,
-    )

@@ -131,6 +131,25 @@ def test_pipeline_strict_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+def test_pipeline_workers_option_removed(tmp_path, capsys):
+    config_path = write_mini_project(tmp_path)
+    code, _, err = run(capsys, "pipeline", "--config", str(config_path), "--workers", "2")
+    assert code == 1
+    assert "No such option" in err
+    assert "Traceback" not in err
+
+
+def test_pipeline_rejects_non_string_config_paths(tmp_path, capsys):
+    config_path = write_mini_project(tmp_path)
+    config_obj = json.loads(config_path.read_text())
+    config_obj["versions"][0]["snapshot"] = 5
+    config_path.write_text(json.dumps(config_obj))
+    code, _, err = run(capsys, "pipeline", "--config", str(config_path))
+    assert code == 1
+    assert err.startswith("error:") and "snapshot" in err
+    assert "Traceback" not in err
+
+
 def test_convert_log_roundtrip(tmp_path, capsys):
     raw = tmp_path / "raw.log"
     raw.write_text(
@@ -161,7 +180,7 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 1
     # version/help are success paths
     assert main(["--version"]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out == "archdd 0.1.0\n"
     assert main(["--help"]) == 0
     capsys.readouterr()
 

@@ -126,13 +126,6 @@ def test_pipeline_failure_isolation(tmp_path):
     assert "snapshot line 1" in result.failures[0]["error"]
 
 
-def test_pipeline_workers_match_serial(mini_project, tmp_path):
-    config = RunConfig.from_file(mini_project)
-    serial = run_pipeline(config, write=False)
-    threaded = run_pipeline(config, workers=4, write=False)
-    assert serial.run_doc == threaded.run_doc
-
-
 def test_config_validation(tmp_path):
     with pytest.raises(ConfigError):
         RunConfig.from_file(tmp_path / "missing.json")
@@ -157,3 +150,14 @@ def test_config_validation(tmp_path):
     )
     with pytest.raises(ConfigError):
         RunConfig.from_file(bad)
+
+
+@pytest.mark.parametrize(
+    "field", ["label", "snapshot", "exclusions", "path_rules", "output_dir"]
+)
+def test_config_rejects_non_string_fields(tmp_path, field):
+    obj = {"versions": [{"label": "a", "snapshot": "s"}], "issues": "i", "commits": "c"}
+    target = obj["versions"][0] if field in ("label", "snapshot") else obj
+    target[field] = 5
+    with pytest.raises(ConfigError, match=field):
+        RunConfig.from_obj(obj, base_dir=tmp_path)
