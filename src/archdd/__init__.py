@@ -16,7 +16,6 @@ from .decisions import (
     change_coverage,
     classify,
     find_decisions,
-    mark_tractability,
 )
 from .ingestion import (
     ArchitecturalImpactList,
@@ -31,11 +30,9 @@ from .ingestion import (
     select_issues,
 )
 from .matching import (
-    MatchEdge,
     MatchingProblem,
     balance,
     build_matching_problem,
-    change_cost,
     min_cost_matching,
 )
 from .model import (
@@ -66,7 +63,6 @@ __all__ = [
     "Delta",
     "DeltaKind",
     "IssueRecord",
-    "MatchEdge",
     "MatchingProblem",
     "PathRule",
     "RunConfig",
@@ -76,7 +72,6 @@ __all__ = [
     "build_decision_graph",
     "build_impact_list",
     "build_matching_problem",
-    "change_cost",
     "change_coverage",
     "classify",
     "entity_universe",
@@ -84,7 +79,6 @@ __all__ = [
     "get_change_instances",
     "load_commits",
     "load_issues",
-    "mark_tractability",
     "min_cost_matching",
     "parse_snapshot",
     "path_to_entity",

@@ -53,18 +53,13 @@ def analyze_changes(
     """Two-pass change analysis: match components, then extract deltas.
 
     Pass 1 balances the snapshots and solves the min-cost matching; pass 2
-    maps get_change_instances over the chosen edges and unions the results.
+    maps get_change_instances over the chosen pairs and unions the results.
     """
     problem = build_matching_problem(list(arch_a.components), list(arch_b.components))
-    chosen = min_cost_matching(problem)
-    by_name_a = {c.name: c for c in problem.components_a}
-    by_name_b = {c.name: c for c in problem.components_b}
     version_pair = (arch_a.version, arch_b.version)
     changes: set[ArchitecturalChange] = set()
-    for edge in chosen:
-        changes |= get_change_instances(
-            by_name_a[edge.component_a], by_name_b[edge.component_b], version_pair
-        )
+    for c_a, c_b in min_cost_matching(problem):
+        changes |= get_change_instances(c_a, c_b, version_pair)
     return frozenset(changes)
 
 

@@ -187,21 +187,13 @@ def convert_log_cmd(in_path, out):
 )
 def report_cmd(in_path, which):
     """Print a summary, kind-distribution, or coverage table from a run document."""
-    doc = _load_json(in_path, "run document")
-    if doc.get("kind") != "run" or doc.get("schema_version") != report.SCHEMA_VERSION:
-        raise ConfigError(f"{in_path} is not a supported run document")
-    summary = report.summary_from_obj(doc["summary"])
+    summary = report.parse_run_summary(_load_json(in_path, "run document"))
     if which == "summary":
         click.echo(report.render_summary_table(summary))
     elif which == "coverage":
         click.echo(report.render_coverage_table(summary))
     else:
-        decisions = [
-            report.decision_from_obj(entry)
-            for pair in doc.get("pairs", [])
-            for entry in pair["decisions"]
-        ]
-        click.echo(report.render_distribution_table(report.emit_distribution(decisions)))
+        click.echo(report.render_distribution_table(summary))
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,7 @@ by its issue and change counts.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -98,7 +98,11 @@ def decision_id(
 def build_decision_graph(
     impact: ArchitecturalImpactList, changes: frozenset[ArchitecturalChange]
 ) -> DecisionGraph:
-    """Connect each issue to every change whose delta entities it touched."""
+    """Connect each issue to every change whose delta entities it touched.
+
+    One entity -> change index over the deltas turns the issue x change
+    intersection test into a walk over each issue's entities.
+    """
     pairs = {change.version_pair for change in changes}
     if impact.version_pair[1] and any(pair[1] != impact.version_pair[1] for pair in pairs):
         raise InputError(
@@ -106,13 +110,16 @@ def build_decision_graph(
             f"target {sorted(pair[1] for pair in pairs)}"
         )
     version_pair = next(iter(pairs)) if len(pairs) == 1 else impact.version_pair
-    edges = set()
-    for issue_id, entities in impact.entries.items():
-        if not entities:
-            continue
-        for change in changes:
-            if entities & change.delta_entities:
-                edges.add((issue_id, change.id))
+    changes_of: dict[str, list[str]] = {}
+    for change in changes:
+        for delta in change.deltas:
+            changes_of.setdefault(delta.entity, []).append(change.id)
+    edges = {
+        (issue_id, change_id)
+        for issue_id, entities in impact.entries.items()
+        for entity in entities
+        for change_id in changes_of.get(entity, ())
+    }
     return DecisionGraph(
         version_pair=version_pair,
         issue_nodes=frozenset(impact.entries),
@@ -177,15 +184,6 @@ def find_decisions(
         )
     decisions.sort(key=lambda d: min(d.issue_ids))
     return decisions
-
-
-def mark_tractability(
-    decision: Decision, threshold: int = DEFAULT_TRACTABILITY_THRESHOLD
-) -> Decision:
-    """Re-derive the tractable flag against a custom threshold."""
-    if threshold < 1:
-        raise InvariantViolation("tractability threshold must be positive")
-    return replace(decision, tractable=len(decision.change_ids) <= threshold)
 
 
 def change_coverage(

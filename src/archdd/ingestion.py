@@ -89,7 +89,7 @@ class PathRule:
         sep_from, sep_to = self.separator_replacement
         if sep_from:
             name = name.replace(sep_from, sep_to)
-        if not name or any(ch.isspace() for ch in name):
+        if not name or name.split() != [name]:
             return None
         return name
 

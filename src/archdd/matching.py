@@ -19,15 +19,6 @@ from .model import Component
 DUMMY_PREFIX = "__dummy_"
 
 
-@dataclass(frozen=True)
-class MatchEdge:
-    """One chosen pairing with its transformation cost."""
-
-    component_a: str
-    component_b: str
-    cost: int
-
-
 @dataclass
 class MatchingProblem:
     """A balanced bipartite matching instance.
@@ -72,28 +63,40 @@ def balance(
     return a, b
 
 
-def change_cost(c_a: Component, c_b: Component) -> int:
-    """Number of deltas to transform c_a into c_b: |entities_a ^ entities_b|."""
-    return len(c_a.entities ^ c_b.entities)
-
-
 def build_matching_problem(
     components_a: list[Component], components_b: list[Component]
 ) -> MatchingProblem:
-    """Balance both sides, sort each by name, and price every pair."""
+    """Balance both sides, sort each by name, and price every pair.
+
+    Pairing A with B costs |A ^ B| = |A| + |B| - 2|A & B| deltas. Because
+    ``components_b`` partitions its entities, one entity -> column map prices
+    a whole row in a single pass over A's entities.
+    """
     a, b = balance(components_a, components_b)
     a.sort(key=lambda c: c.name)
     b.sort(key=lambda c: c.name)
-    costs = [change_cost(ca, cb) for ca in a for cb in b]
+    column = {entity: j for j, component in enumerate(b) for entity in component.entities}
+    sizes_b = [len(component.entities) for component in b]
+    if len(column) != sum(sizes_b):
+        raise InvariantViolation("components_b share an entity; they must partition it")
+    costs: list[int] = []
+    for component in a:
+        size_a = len(component.entities)
+        row = [size_a + size_b for size_b in sizes_b]
+        for entity in component.entities:
+            j = column.get(entity)
+            if j is not None:
+                row[j] -= 2
+        costs += row
     return MatchingProblem(components_a=a, components_b=b, costs=costs)
 
 
-def min_cost_matching(problem: MatchingProblem) -> list[MatchEdge]:
-    """Solve the assignment problem; returns the bijective minimum-cost edge set.
+def min_cost_matching(problem: MatchingProblem) -> list[tuple[Component, Component]]:
+    """Solve the assignment problem; returns the bijective minimum-cost pairing.
 
     Among equal-cost optima the result has the lexicographically smallest
     column vector, i.e. the smallest component_b names when both sides are
-    sorted by name as ``build_matching_problem`` leaves them. Edges come back
+    sorted by name as ``build_matching_problem`` leaves them. Pairs come back
     in ``components_a`` order.
     """
     a = problem.components_a
@@ -101,8 +104,5 @@ def min_cost_matching(problem: MatchingProblem) -> list[MatchEdge]:
     n = len(a)
     if n != len(b):
         raise InvariantViolation("matching problem is not balanced")
-    costs = problem.costs
-    cols = kernel.lexmin_assignment(costs, n)
-    return [
-        MatchEdge(a[i].name, b[j].name, costs[i * n + j]) for i, j in enumerate(cols)
-    ]
+    cols = kernel.lexmin_assignment(problem.costs, n)
+    return [(a[i], b[j]) for i, j in enumerate(cols)]

@@ -27,7 +27,7 @@ from .errors import InvariantViolation, PartitionViolation, SnapshotParseError
 def _check_name(name: str, what: str) -> str:
     if not isinstance(name, str) or not name:
         raise InvariantViolation(f"{what} name must be a non-empty string")
-    if any(ch.isspace() for ch in name):
+    if name.split() != [name]:
         raise InvariantViolation(f"{what} name must not contain whitespace: {name!r}")
     return name
 
@@ -107,10 +107,7 @@ def serialize_snapshot(snapshot: ArchitectureSnapshot) -> str:
 
 def entity_universe(snapshot: ArchitectureSnapshot) -> frozenset[str]:
     """Union of all component entity sets."""
-    universe: frozenset[str] = frozenset()
-    for component in snapshot.components:
-        universe |= component.entities
-    return universe
+    return frozenset().union(*(component.entities for component in snapshot.components))
 
 
 class DeltaKind(str, Enum):

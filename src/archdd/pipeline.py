@@ -279,14 +279,11 @@ def _write_outputs(config: RunConfig, result: PipelineResult, issues) -> list[Pa
         if not outcome.decisions:
             cards.append("(no decisions)")
         for decision in outcome.decisions:
-            cards.append(
-                report.render_decision(decision, issues_by_id, changes_by_id, fmt="text")
-            )
+            cards.append(report.render_decision(decision, issues_by_id, changes_by_id))
         cards.append("")
     decisions_path = out_dir / "decisions.txt"
     decisions_path.write_text("\n".join(cards), encoding="utf-8")
 
-    all_decisions = [d for outcome in result.outcomes for d in outcome.decisions]
     sections = [
         report.render_summary_table(result.summary),
         "",
@@ -294,7 +291,7 @@ def _write_outputs(config: RunConfig, result: PipelineResult, issues) -> list[Pa
         report.render_coverage_table(result.summary),
         "",
         "decision kinds",
-        report.render_distribution_table(report.emit_distribution(all_decisions)),
+        report.render_distribution_table(result.summary),
         "",
     ]
     if result.failures:

@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .decisions import Decision, DecisionKind, change_coverage
-from .errors import ConfigError
+from .decisions import Decision, DecisionKind
+from .errors import ConfigError, InvariantViolation
 from .ingestion import ArchitecturalImpactList, ImpactDiagnostics, IssueRecord
 from .model import ArchitecturalChange, ChangeKind, Delta, DeltaKind
 
@@ -58,6 +58,8 @@ def change_to_obj(change: ArchitecturalChange) -> dict:
 
 
 def change_from_obj(obj: dict) -> ArchitecturalChange:
+    if not isinstance(obj["id"], str):
+        raise TypeError(f"change id must be a string, got {obj['id']!r}")
     return ArchitecturalChange(
         id=obj["id"],
         kind=ChangeKind(obj["kind"]),
@@ -91,17 +93,6 @@ def decision_to_obj(decision: Decision) -> dict:
         "to_version": decision.version_pair[1],
         "tractable": decision.tractable,
     }
-
-
-def decision_from_obj(obj: dict) -> Decision:
-    return Decision(
-        id=obj["id"],
-        issue_ids=frozenset(obj["issue_ids"]),
-        change_ids=frozenset(obj["change_ids"]),
-        kind=DecisionKind(obj["kind"]),
-        version_pair=(obj["from_version"], obj["to_version"]),
-        tractable=obj["tractable"],
-    )
 
 
 def diagnostics_to_obj(diagnostics: ImpactDiagnostics) -> dict:
@@ -150,7 +141,12 @@ def impact_from_obj(obj: dict) -> ArchitecturalImpactList:
 # standalone documents
 
 
-def _check_doc(obj, kind: str) -> dict:
+def _parse_doc(obj, kind: str, parse):
+    """Check a ``kind`` document's header, then read its body with ``parse``.
+
+    Every structured document is read through here, so a missing field or a
+    value of the wrong shape becomes a one-line ConfigError, not a traceback.
+    """
     if not isinstance(obj, dict):
         raise ConfigError("document must be a JSON object")
     if obj.get("schema_version") != SCHEMA_VERSION:
@@ -160,7 +156,12 @@ def _check_doc(obj, kind: str) -> dict:
         )
     if obj.get("kind") != kind:
         raise ConfigError(f"expected a {kind!r} document, got {obj.get('kind')!r}")
-    return obj
+    try:
+        return parse(obj)
+    except KeyError as exc:
+        raise ConfigError(f"malformed {kind} document: missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError, InvariantViolation) as exc:
+        raise ConfigError(f"malformed {kind} document: {exc}") from None
 
 
 def changes_doc(version_pair: tuple[str, str], changes) -> dict:
@@ -174,9 +175,14 @@ def changes_doc(version_pair: tuple[str, str], changes) -> dict:
 
 
 def parse_changes_doc(obj: dict) -> tuple[tuple[str, str], frozenset[ArchitecturalChange]]:
-    obj = _check_doc(obj, "changes")
-    changes = frozenset(change_from_obj(entry) for entry in obj["changes"])
-    return (obj["from_version"], obj["to_version"]), changes
+    return _parse_doc(
+        obj,
+        "changes",
+        lambda doc: (
+            (doc["from_version"], doc["to_version"]),
+            frozenset(change_from_obj(entry) for entry in doc["changes"]),
+        ),
+    )
 
 
 def impact_doc(impact: ArchitecturalImpactList) -> dict:
@@ -187,7 +193,11 @@ def impact_doc(impact: ArchitecturalImpactList) -> dict:
 
 
 def parse_impact_doc(obj: dict) -> ArchitecturalImpactList:
-    return impact_from_obj(_check_doc(obj, "impact"))
+    return _parse_doc(obj, "impact", impact_from_obj)
+
+
+def parse_run_summary(obj: dict) -> RunSummary:
+    return _parse_doc(obj, "run", lambda doc: summary_from_obj(doc["summary"]))
 
 
 def decisions_doc(version_pair, decisions: list[Decision], coverage: Fraction) -> dict:
@@ -199,11 +209,6 @@ def decisions_doc(version_pair, decisions: list[Decision], coverage: Fraction) -
         "decisions": [decision_to_obj(d) for d in decisions],
         "coverage": _fraction_pair(coverage),
     }
-
-
-def parse_decisions_doc(obj: dict) -> list[Decision]:
-    obj = _check_doc(obj, "decisions")
-    return [decision_from_obj(entry) for entry in obj["decisions"]]
 
 
 # ---------------------------------------------------------------------------
@@ -332,18 +337,28 @@ def summary_to_obj(summary: RunSummary) -> dict:
     }
 
 
+_COUNT_FIELDS = (
+    "issues_in_decisions",
+    "change_count",
+    "decision_count",
+    "issue_links",
+    "change_links",
+    "covered_change_count",
+    "clean_change_count",
+)
+
+
 def stats_from_obj(obj: dict) -> PairStats:
+    counts = {key: obj[key] for key in _COUNT_FIELDS}
+    kinds = {kind.value: obj["kind_distribution"][kind.value] for kind in _KIND_ORDER}
+    for key, value in {**counts, **kinds}.items():
+        if type(value) is not int:
+            raise TypeError(f"{key} must be an integer, got {value!r}")
     return PairStats(
         from_version=obj.get("from_version"),
         to_version=obj.get("to_version"),
-        issues_in_decisions=obj["issues_in_decisions"],
-        change_count=obj["change_count"],
-        decision_count=obj["decision_count"],
-        issue_links=obj["issue_links"],
-        change_links=obj["change_links"],
-        kind_distribution=dict(obj["kind_distribution"]),
-        covered_change_count=obj["covered_change_count"],
-        clean_change_count=obj["clean_change_count"],
+        kind_distribution=kinds,
+        **counts,
     )
 
 
@@ -379,24 +394,8 @@ def render_decision(
     decision: Decision,
     issues_by_id: dict[str, IssueRecord],
     changes_by_id: dict[str, ArchitecturalChange],
-    fmt: str = "text",
-):
-    """One decision as a text card or as a structured object with full deltas."""
-    if fmt == "structured":
-        issues = []
-        for issue_id in sorted(decision.issue_ids):
-            issue = issues_by_id.get(issue_id)
-            issues.append({"id": issue_id, "summary": issue.summary if issue else ""})
-        changes = [
-            change_to_obj(changes_by_id[change_id])
-            for change_id in sorted(decision.change_ids)
-            if change_id in changes_by_id
-        ]
-        out = decision_to_obj(decision)
-        out["issues"] = issues
-        out["changes"] = changes
-        return out
-
+) -> str:
+    """One decision as a text card: header, then its issues and changes."""
     header = (
         f"[{decision.kind.value}] {decision.id} "
         f"({decision.version_pair[0]} -> {decision.version_pair[1]}, "
@@ -414,35 +413,6 @@ def render_decision(
         if change_id not in changes_by_id:
             lines.append(f"  change {change_id}")
     return "\n".join(lines)
-
-
-def emit_distribution(decisions: list[Decision]) -> list[dict]:
-    """Per-kind counts and proportions per version pair plus an overall row set."""
-    scopes: dict[str, list[Decision]] = {}
-    for decision in decisions:
-        label = f"{decision.version_pair[0]} -> {decision.version_pair[1]}"
-        scopes.setdefault(label, []).append(decision)
-    rows = []
-    for label in sorted(scopes):
-        rows.extend(_distribution_rows(label, scopes[label]))
-    rows.extend(_distribution_rows("overall", decisions))
-    return rows
-
-
-def _distribution_rows(scope: str, decisions: list[Decision]) -> list[dict]:
-    total = len(decisions)
-    rows = []
-    for kind in _KIND_ORDER:
-        count = sum(1 for d in decisions if d.kind is kind)
-        rows.append(
-            {
-                "scope": scope,
-                "kind": kind.value,
-                "count": count,
-                "proportion": (count / total) if total else 0.0,
-            }
-        )
-    return rows
 
 
 def _table(header: list[str], rows: list[list[str]]) -> str:
@@ -486,19 +456,19 @@ def render_summary_table(summary: RunSummary) -> str:
     return f"# {ISSUE_COUNT_CONVENTION}\n" + _table(header, rows)
 
 
-def render_distribution_table(rows: list[dict]) -> str:
-    scopes: dict[str, dict[str, dict]] = {}
-    for row in rows:
-        scopes.setdefault(row["scope"], {})[row["kind"]] = row
+def render_distribution_table(summary: RunSummary) -> str:
+    """Decision-kind counts and proportions per pair with decisions, then overall."""
+    scoped = sorted((s for s in summary.pairs if s.decision_count > 0), key=lambda s: s.scope)
     header = ["scope"] + [kind.value for kind in _KIND_ORDER]
-    table_rows = []
-    for scope, cells in scopes.items():
-        rendered = [scope]
+    rows = []
+    for stats in scoped + [summary.overall]:
+        total = stats.decision_count
+        row = [stats.scope]
         for kind in _KIND_ORDER:
-            cell = cells.get(kind.value, {"count": 0, "proportion": 0.0})
-            rendered.append(f"{cell['count']} ({cell['proportion']:.2f})")
-        table_rows.append(rendered)
-    return _table(header, table_rows)
+            count = stats.kind_distribution[kind.value]
+            row.append(f"{count} ({count / total if total else 0.0:.2f})")
+        rows.append(row)
+    return _table(header, rows)
 
 
 def render_coverage_table(summary: RunSummary) -> str:
@@ -523,7 +493,6 @@ __all__ = [
     "change_from_obj",
     "sort_changes",
     "decision_to_obj",
-    "decision_from_obj",
     "impact_to_obj",
     "impact_from_obj",
     "diagnostics_to_obj",
@@ -532,8 +501,8 @@ __all__ = [
     "parse_changes_doc",
     "impact_doc",
     "parse_impact_doc",
+    "parse_run_summary",
     "decisions_doc",
-    "parse_decisions_doc",
     "PairStats",
     "RunSummary",
     "build_pair_stats",
@@ -544,9 +513,7 @@ __all__ = [
     "summary_from_obj",
     "change_label",
     "render_decision",
-    "emit_distribution",
     "render_summary_table",
     "render_distribution_table",
     "render_coverage_table",
-    "change_coverage",
 ]

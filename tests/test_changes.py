@@ -91,7 +91,7 @@ def test_conservation_total_deltas_equal_matching_cost():
         problem = build_matching_problem(list(snap_a.components), list(snap_b.components))
         chosen = min_cost_matching(problem)
         changes = analyze_changes(snap_a, snap_b)
-        assert matching_cost(changes) == sum(edge.cost for edge in chosen)
+        assert matching_cost(changes) == sum(len(a.entities ^ b.entities) for a, b in chosen)
 
 
 def test_every_universe_difference_appears_exactly_once():

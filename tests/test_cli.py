@@ -191,3 +191,76 @@ def test_partition_violation_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "analyze-changes", "--arch-a", str(bad), "--arch-b", str(bad))
     assert code == 1
     assert "appears in both" in err
+
+
+def _structured_docs(tmp_path, capsys):
+    write_mini_project(tmp_path)
+    changes_path = tmp_path / "changes.json"
+    impact_path = tmp_path / "impact.json"
+    run(
+        capsys, "analyze-changes",
+        "--arch-a", str(tmp_path / "arch-1.0.0.rsf"),
+        "--arch-b", str(tmp_path / "arch-1.1.0.rsf"),
+        "--label-a", "1.0.0", "--label-b", "1.1.0",
+        "--format", "structured", "--out", str(changes_path),
+    )
+    run(
+        capsys, "build-impact",
+        "--issues", str(tmp_path / "issues.jsonl"),
+        "--commits", str(tmp_path / "commits.jsonl"),
+        "--version", "1.1.0",
+        "--out", str(impact_path),
+    )
+    return changes_path, impact_path
+
+
+def assert_one_line_input_error(code, err, what):
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith(f"error: malformed {what} document") and err.count("\n") == 1
+
+
+def test_report_rejects_malformed_run_documents(tmp_path, capsys):
+    config_path = write_mini_project(tmp_path)
+    run(capsys, "pipeline", "--config", str(config_path))
+    run_doc = json.loads((tmp_path / "out" / "run.json").read_text())
+    broken = tmp_path / "broken.json"
+
+    no_summary = {"schema_version": 1, "kind": "run"}
+    empty_overall = dict(run_doc, summary=dict(run_doc["summary"], overall={}))
+    text_count = json.loads(json.dumps(run_doc))
+    text_count["summary"]["pairs"][0]["decision_count"] = "2"
+    for doc in (no_summary, empty_overall, text_count, dict(run_doc, summary=5)):
+        broken.write_text(json.dumps(doc))
+        for which in ("summary", "distribution", "coverage"):
+            code, _, err = run(capsys, "report", "--in", str(broken), "--out", which)
+            assert_one_line_input_error(code, err, "run")
+
+
+def test_extract_decisions_rejects_malformed_documents(tmp_path, capsys):
+    changes_path, impact_path = _structured_docs(tmp_path, capsys)
+    changes_doc = json.loads(changes_path.read_text())
+    impact_doc = json.loads(impact_path.read_text())
+    broken = tmp_path / "broken.json"
+
+    no_kind = json.loads(json.dumps(changes_doc))
+    del no_kind["changes"][0]["kind"]
+    bad_entity = json.loads(json.dumps(changes_doc))
+    bad_entity["changes"][0]["deltas"][0]["entity"] = ""
+    number_id = json.loads(json.dumps(changes_doc))
+    number_id["changes"][0]["id"] = 5
+    for doc in (no_kind, bad_entity, number_id, dict(changes_doc, changes=5)):
+        broken.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "extract-decisions", "--changes", str(broken), "--impact", str(impact_path)
+        )
+        assert_one_line_input_error(code, err, "changes")
+
+    int_entry = json.loads(json.dumps(impact_doc))
+    int_entry["entries"]["APP-1"] = 5
+    for doc in (int_entry, dict(impact_doc, entries=[])):
+        broken.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "extract-decisions", "--changes", str(changes_path), "--impact", str(broken)
+        )
+        assert_one_line_input_error(code, err, "impact")

@@ -10,15 +10,16 @@ from archdd.decisions import (
     build_decision_graph,
     change_coverage,
     classify,
-    decision_id,
     drop_external_changes,
     find_decisions,
     is_external_change,
-    mark_tractability,
 )
 from archdd.errors import InvariantViolation
 from archdd.ingestion import ArchitecturalImpactList
+from archdd.changes import analyze_changes
 from archdd.model import ChangeKind, Delta, DeltaKind, new_change
+
+from conftest import random_snapshot
 
 
 def chg(component, entities, kind=ChangeKind.COMPONENT_MODIFIED, pair=("v1", "v2")):
@@ -56,6 +57,37 @@ def test_build_decision_graph_edge_rule():
     graph = build_decision_graph(imp, frozenset({c1, c2}))
     assert graph.edges == {("i1", c1.id), ("i3", c1.id), ("i3", c2.id)}
     assert "i2" in graph.issue_nodes  # isolated but present until orphan removal
+
+
+def dense_edges(impact_list, changes):
+    """Reference edge rule: test every issue against every change."""
+    return {
+        (issue_id, change.id)
+        for issue_id, entities in impact_list.entries.items()
+        for change in changes
+        if entities & change.delta_entities
+    }
+
+
+def test_build_decision_graph_equals_dense_scan():
+    rng = random.Random(2718)
+    pool = [f"e{i:02d}" for i in range(40)]
+    probe = pool + ["outside.x", "outside.y"]
+    total_edges = 0
+    for _ in range(60):
+        snap_a = random_snapshot(rng, "v1", pool, max_components=8)
+        snap_b = random_snapshot(rng, "v2", pool, max_components=8)
+        changes = analyze_changes(snap_a, snap_b)
+        entries = {
+            f"i{k:02d}": rng.sample(probe, rng.randint(0, 6)) for k in range(rng.randint(0, 12))
+        }
+        imp = impact(entries)
+        graph = build_decision_graph(imp, changes)
+        assert graph.edges == dense_edges(imp, changes)
+        assert graph.issue_nodes == frozenset(entries)
+        assert graph.change_nodes == frozenset(c.id for c in changes)
+        total_edges += len(graph.edges)
+    assert total_edges > 100
 
 
 def test_build_decision_graph_version_mismatch():
@@ -132,28 +164,6 @@ def test_classification_exhaustive_and_exclusive():
                 (False, True, False): DecisionKind.COMPOUND,
                 (False, False, True): DecisionKind.CROSSCUTTING,
             }[(simple, compound, crosscutting)]
-
-
-def make_decision(n_changes, threshold=5):
-    issue_ids = frozenset({"i1"})
-    change_ids = frozenset(f"c{k}" for k in range(n_changes))
-    return Decision(
-        id=decision_id(issue_ids, change_ids, ("a", "b")),
-        issue_ids=issue_ids,
-        change_ids=change_ids,
-        kind=classify(1, n_changes),
-        version_pair=("a", "b"),
-        tractable=n_changes <= threshold,
-    )
-
-
-def test_mark_tractability_boundary():
-    at_threshold = mark_tractability(make_decision(5), 5)
-    assert at_threshold.tractable
-    over = mark_tractability(make_decision(6), 5)
-    assert not over.tractable
-    relaxed = mark_tractability(make_decision(6), 10)
-    assert relaxed.tractable
 
 
 def test_decision_kind_consistency_enforced():

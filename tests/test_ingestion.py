@@ -94,6 +94,8 @@ def test_path_to_entity_java_default():
     assert path_to_entity("src/main/java/a/B.java") == "a.B"
     assert path_to_entity("README.md") is None
     assert path_to_entity("src/java/.java") is None  # empty derivation rejected
+    for space in (" ", "\t", "\u3000", "\x1c", "\xa0"):  # names cannot hold whitespace
+        assert path_to_entity(f"src/main/java/a/B{space}C.java") is None
 
 
 def test_path_to_entity_first_match_wins():

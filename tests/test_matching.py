@@ -8,7 +8,6 @@ from archdd.matching import (
     MatchingProblem,
     balance,
     build_matching_problem,
-    change_cost,
     min_cost_matching,
 )
 from archdd.model import Component
@@ -20,6 +19,11 @@ def comp(name, entities=""):
     return Component(name, frozenset(entities.split()))
 
 
+def delta_cost(c_a, c_b):
+    """Reference price of a pairing: the size of the entity symmetric difference."""
+    return len(c_a.entities ^ c_b.entities)
+
+
 def enumerate_best(components_a, components_b):
     """Exhaustive oracle: (min total, lex-min b-name vector in a-name order)."""
     a, b = balance(components_a, components_b)
@@ -27,7 +31,7 @@ def enumerate_best(components_a, components_b):
     b = sorted(b, key=lambda c: c.name)
     best = None
     for perm in itertools.permutations(range(len(b))):
-        total = sum(change_cost(a[i], b[j]) for i, j in enumerate(perm))
+        total = sum(delta_cost(a[i], b[j]) for i, j in enumerate(perm))
         names = tuple(b[j].name for j in perm)
         if best is None or (total, names) < best:
             best = (total, names)
@@ -37,8 +41,8 @@ def enumerate_best(components_a, components_b):
 def solve(components_a, components_b):
     problem = build_matching_problem(components_a, components_b)
     chosen = min_cost_matching(problem)
-    total = sum(edge.cost for edge in chosen)
-    names = tuple(edge.component_b for edge in chosen)  # already in a-name order
+    total = sum(delta_cost(c_a, c_b) for c_a, c_b in chosen)
+    names = tuple(c_b.name for _, c_b in chosen)  # already in a-name order
     return chosen, total, names
 
 
@@ -73,20 +77,32 @@ def test_balance_skips_colliding_dummy_names():
     assert balanced_a[1].name == "__dummy_1"
 
 
-def test_change_cost_examples():
-    assert change_cost(comp("x", "a b c"), comp("y", "b c d")) == 2
-    assert change_cost(comp("x", "a b"), comp("y", "a b")) == 0
-    assert change_cost(comp("x", "a b"), comp("dummy")) == 2
+def reference_costs(problem):
+    return [delta_cost(a, b) for a in problem.components_a for b in problem.components_b]
 
 
-def test_change_cost_symmetric():
+def test_costs_equal_symmetric_difference_reference():
+    problem = build_matching_problem(
+        [comp("x", "a b c"), comp("z", "e f")], [comp("y", "b c d"), comp("w", "e f")]
+    )
+    assert [c.name for c in problem.components_a] == ["x", "z"]
+    assert [c.name for c in problem.components_b] == ["w", "y"]
+    assert problem.costs == [5, 2, 0, 5]
     rng = random.Random(3)
-    pool = [f"e{i}" for i in range(12)]
-    for _ in range(100):
-        left = comp("x", " ".join(rng.sample(pool, rng.randint(0, 8))))
-        right = comp("y", " ".join(rng.sample(pool, rng.randint(0, 8))))
-        assert change_cost(left, right) == change_cost(right, left)
-        assert (change_cost(left, right) == 0) == (left.entities == right.entities)
+    pool = [f"e{i:02d}" for i in range(40)]
+    padded = 0
+    for _ in range(200):
+        snap_a = random_snapshot(rng, "a", pool, max_components=8)
+        snap_b = random_snapshot(rng, "b", pool, max_components=8)
+        problem = build_matching_problem(list(snap_a.components), list(snap_b.components))
+        padded += len(snap_a.components) != len(snap_b.components)
+        assert problem.costs == reference_costs(problem)
+    assert padded > 100  # most draws exercise empty dummy rows or columns
+
+
+def test_costs_reject_shared_entities_in_components_b():
+    with pytest.raises(InvariantViolation, match="share an entity"):
+        build_matching_problem([comp("A", "a")], [comp("B1", "a b"), comp("B2", "b")])
 
 
 def test_min_cost_matching_spec_example():
@@ -95,7 +111,7 @@ def test_min_cost_matching_spec_example():
         [comp("C1", "a b"), comp("C2", "c")], [comp("D1", "a b"), comp("D2", "c d")]
     )
     assert total == 1
-    pairs = {(e.component_a, e.component_b, e.cost) for e in chosen}
+    pairs = {(a.name, b.name, delta_cost(a, b)) for a, b in chosen}
     assert pairs == {("C1", "D1", 0), ("C2", "D2", 1)}
 
 
@@ -103,16 +119,16 @@ def test_min_cost_matching_identity():
     components = [comp("C1", "a b"), comp("C2", "c")]
     chosen, total, _ = solve(components, components)
     assert total == 0
-    assert all(edge.component_a == edge.component_b for edge in chosen)
+    assert all(a.name == b.name for a, b in chosen)
 
 
 def test_min_cost_matching_dummy_example():
     # A: C1={a}; B: D1={b}, D2={a} -> {(C1,D2,0),(dummy,D1,1)}
     chosen, total, _ = solve([comp("C1", "a")], [comp("D1", "b"), comp("D2", "a")])
     assert total == 1
-    by_b = {e.component_b: e for e in chosen}
-    assert by_b["D2"].component_a == "C1" and by_b["D2"].cost == 0
-    assert by_b["D1"].component_a.startswith("__dummy_") and by_b["D1"].cost == 1
+    by_b = {b.name: (a, b) for a, b in chosen}
+    assert by_b["D2"][0].name == "C1" and delta_cost(*by_b["D2"]) == 0
+    assert by_b["D1"][0].name.startswith("__dummy_") and delta_cost(*by_b["D1"]) == 1
 
 
 def test_matching_equals_exhaustive_oracle():

@@ -86,6 +86,11 @@ def test_name_validation():
         Component("c", frozenset({"a b"}))
     with pytest.raises(InvariantViolation):
         Component(" c", frozenset({"a"}))
+    for space in ("\t", "\u3000", "\x1c", "\xa0"):
+        with pytest.raises(InvariantViolation, match="whitespace"):
+            Component(f"c{space}d", frozenset({"a"}))
+        with pytest.raises(InvariantViolation, match="whitespace"):
+            Component("c", frozenset({f"a{space}"}))
 
 
 def test_snapshot_rejects_duplicate_component_names():

@@ -10,13 +10,10 @@ from archdd.report import (
     build_run_summary,
     canonical_json,
     changes_doc,
-    decision_from_obj,
     decision_to_obj,
     decisions_doc,
-    emit_distribution,
     impact_doc,
     parse_changes_doc,
-    parse_decisions_doc,
     parse_impact_doc,
     render_coverage_table,
     render_decision,
@@ -84,14 +81,11 @@ def test_decisions_doc_round_trip():
         decision({"i1", "i2"}, {"c1", "c2"}, DecisionKind.CROSSCUTTING, tractable=False),
     ]
     doc = decisions_doc(("v1", "v2"), decisions, Fraction(2, 3))
-    parsed = parse_decisions_doc(json.loads(canonical_json(doc)))
-    assert parsed == decisions
+    assert json.loads(canonical_json(doc)) == doc
+    assert doc["decisions"] == [decision_to_obj(d) for d in decisions]
+    assert doc["decisions"][1]["issue_ids"] == ["i1", "i2"]
+    assert doc["decisions"][1]["tractable"] is False
     assert doc["coverage"] == [2, 3]
-
-
-def test_decision_obj_round_trip_preserves_everything():
-    original = decision({"i1", "i2"}, {"c1"}, DecisionKind.COMPOUND, tractable=False)
-    assert decision_from_obj(decision_to_obj(original)) == original
 
 
 def test_render_decision_text():
@@ -102,30 +96,26 @@ def test_render_decision_text():
     changes = {c.id: c for c in sample_changes()}
     ids = sorted(changes)
     simple = decision({"i1"}, {ids[0]}, DecisionKind.SIMPLE)
-    card = render_decision(simple, issues, changes, fmt="text")
+    card = render_decision(simple, issues, changes)
     assert card.splitlines()[0].startswith("[simple]")
     assert "issue i1: first summary" in card
     assert "entities)" in card
 
     compound = decision({"i1", "i2"}, {ids[0]}, DecisionKind.COMPOUND)
-    card = render_decision(compound, issues, changes, fmt="text")
+    card = render_decision(compound, issues, changes)
     assert card.count("issue ") == 2
     assert card.count("change ") == 1
 
     crosscutting = decision({"i1", "i2"}, set(ids), DecisionKind.CROSSCUTTING)
-    card = render_decision(crosscutting, issues, changes, fmt="text")
+    card = render_decision(crosscutting, issues, changes)
     assert card.count("change ") == len(ids)
 
 
-def test_render_decision_structured_carries_full_deltas():
-    issues = {"i1": IssueRecord(id="i1", summary="s")}
-    changes = {c.id: c for c in sample_changes()}
-    target = next(iter(changes))
-    obj = render_decision(
-        decision({"i1"}, {target}, DecisionKind.SIMPLE), issues, changes, fmt="structured"
+def distribution_summary(*pairs):
+    """A run summary whose pairs hold the given {version_pair: decisions}."""
+    return build_run_summary(
+        [build_pair_stats(a, b, frozenset(), frozenset(), ds) for (a, b), ds in pairs]
     )
-    assert obj["issues"] == [{"id": "i1", "summary": "s"}]
-    assert obj["changes"][0]["deltas"]
 
 
 def test_emit_distribution_proportions():
@@ -134,18 +124,23 @@ def test_emit_distribution_proportions():
         decision({"i2"}, {"c2"}, DecisionKind.SIMPLE),
         decision({"i3"}, {"c3", "c4"}, DecisionKind.CROSSCUTTING),
     ]
-    rows = emit_distribution(decisions)
-    overall = {row["kind"]: row for row in rows if row["scope"] == "overall"}
-    assert overall["simple"]["count"] == 2
-    assert overall["simple"]["proportion"] == 2 / 3
-    assert overall["compound"]["proportion"] == 0.0
-    assert overall["crosscutting"]["proportion"] == 1 / 3
+    later = [decision({"i4"}, {"c5"}, DecisionKind.SIMPLE, pair=("v3", "v4"))]
+    summary = distribution_summary(
+        (("v3", "v4"), later), (("v1", "v2"), decisions), (("v2", "v3"), [])
+    )
+    rows = [line.split() for line in render_distribution_table(summary).splitlines()[1:]]
+    # pairs without decisions are left out; the rest sort by scope, then overall
+    assert [row[0] for row in rows] == ["v1", "v3", "overall"]
+    assert rows[0][3:] == ["2", "(0.67)", "0", "(0.00)", "1", "(0.33)"]
+    assert rows[1][3:] == ["1", "(1.00)", "0", "(0.00)", "0", "(0.00)"]
+    assert rows[2][1:] == ["3", "(0.75)", "0", "(0.00)", "1", "(0.25)"]
 
 
 def test_emit_distribution_empty():
-    rows = emit_distribution([])
-    assert {row["scope"] for row in rows} == {"overall"}
-    assert all(row["count"] == 0 and row["proportion"] == 0.0 for row in rows)
+    table = render_distribution_table(distribution_summary((("v1", "v2"), [])))
+    header, *rows = table.splitlines()
+    assert header.split() == ["scope", "simple", "compound", "crosscutting"]
+    assert rows == ["overall  0 (0.00)  0 (0.00)      0 (0.00)"]
 
 
 def test_pair_stats_identities():
@@ -184,4 +179,4 @@ def test_summary_round_trip_and_tables():
     table = render_summary_table(summary)
     assert "overall" in table and "v1 -> v2" in table
     assert render_coverage_table(summary).count("\n") >= 2
-    assert "simple" in render_distribution_table(emit_distribution(decisions))
+    assert "simple" in render_distribution_table(summary)
