@@ -22,6 +22,7 @@ from .ingestion import (
     CommitRecord,
     IssueRecord,
     PathRule,
+    add_message_links,
     apply_exclusions,
     build_impact_list,
     load_commits,
@@ -66,6 +67,7 @@ __all__ = [
     "MatchingProblem",
     "PathRule",
     "RunConfig",
+    "add_message_links",
     "analyze_changes",
     "apply_exclusions",
     "balance",

@@ -23,31 +23,14 @@ from .decisions import (
     find_decisions,
 )
 from .errors import ArchddError, ConfigError, InputError
-from .ingestion import (
-    DEFAULT_PATH_RULES,
-    build_impact_list,
-    convert_name_status_log,
-    load_commits,
-    load_exclusions,
-    load_issues,
-    load_path_rules,
-    select_issues,
-    serialize_commits,
-)
+from .ingestion import build_impact_list, convert_name_status_log, select_issues, serialize_commits
 from .model import parse_snapshot
-from .pipeline import RunConfig, run_pipeline
-
-
-def _read(path: str, what: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {what} {path}: {exc}") from None
+from .pipeline import RunConfig, load_issue_side, read_input, run_pipeline
 
 
 def _load_json(path: str, what: str) -> dict:
     try:
-        return json.loads(_read(path, what))
+        return json.loads(read_input(path, what))
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {what} {path}: {exc.msg}") from None
 
@@ -76,8 +59,8 @@ def analyze_changes_cmd(arch_a, arch_b, label_a, label_b, fmt, out):
     """Match two snapshots and list the architectural changes between them."""
     label_a = label_a or Path(arch_a).stem
     label_b = label_b or Path(arch_b).stem
-    snap_a = parse_snapshot(_read(arch_a, "snapshot"), label_a)
-    snap_b = parse_snapshot(_read(arch_b, "snapshot"), label_b)
+    snap_a = parse_snapshot(read_input(arch_a, "snapshot"), label_a)
+    snap_b = parse_snapshot(read_input(arch_b, "snapshot"), label_b)
     changes = analyze_changes(snap_a, snap_b)
     if fmt == "structured":
         _emit(report.canonical_json(report.changes_doc((label_a, label_b), changes)), out)
@@ -101,15 +84,8 @@ def analyze_changes_cmd(arch_a, arch_b, label_a, label_b, fmt, out):
 @click.option("--out", default=None)
 def build_impact_cmd(issues_path, commits_path, version, rules_path, exclusions_path, link_by_message, out):
     """Build the architectural impact list for one version."""
-    issues = load_issues(_read(issues_path, "issue export"))
-    commits = load_commits(_read(commits_path, "commit log"))
-    rules = (
-        load_path_rules(_read(rules_path, "path rules"))
-        if rules_path
-        else list(DEFAULT_PATH_RULES)
-    )
-    exclusions = (
-        load_exclusions(_read(exclusions_path, "exclusion list")) if exclusions_path else []
+    issues, commits, rules, exclusions = load_issue_side(
+        issues_path, commits_path, rules_path, exclusions_path, link_by_message
     )
     impact = build_impact_list(
         select_issues(issues, version),
@@ -117,7 +93,6 @@ def build_impact_cmd(issues_path, commits_path, version, rules_path, exclusions_
         rules=rules,
         exclusions=exclusions,
         version_pair=(None, version),
-        link_by_message=link_by_message,
     )
     _emit(report.canonical_json(report.impact_doc(impact)), out)
 
@@ -172,7 +147,7 @@ def pipeline_cmd(config_path, strict):
 @click.option("--out", default=None, help="commit log output (default: stdout)")
 def convert_log_cmd(in_path, out):
     """Convert raw name-status VCS log text to the commit-log format."""
-    text = _read(in_path, "raw log") if in_path else sys.stdin.read()
+    text = read_input(in_path, "raw log") if in_path else sys.stdin.read()
     _emit(serialize_commits(convert_name_status_log(text)), out)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fnmatch import fnmatchcase
 
 from .errors import ConfigError, RecordParseError
@@ -53,7 +53,7 @@ class CommitRecord:
 
     ``paths`` may be empty (merge commits); such commits contribute no
     entities. ``issue_keys`` holds issue ids referenced in the commit
-    message and is only used for opt-in fallback linking and diagnostics.
+    message and is only used for opt-in fallback linking (add_message_links).
     """
 
     id: str
@@ -181,9 +181,9 @@ def load_issues(text: str) -> list[IssueRecord]:
     return issues
 
 
-def load_commits(text: str) -> list[CommitRecord]:
-    """Parse a commit log in the JSON Lines commit format."""
-    commits = []
+def load_commits(text: str) -> dict[str, CommitRecord]:
+    """Parse a commit log into records keyed by commit id, in log order."""
+    commits: dict[str, CommitRecord] = {}
     first_line: dict[str, int] = {}
     for lineno, obj in _iter_jsonl(text):
         record = CommitRecord(
@@ -197,8 +197,24 @@ def load_commits(text: str) -> list[CommitRecord]:
                 f"duplicate commit id {record.id!r} (first seen on line {first_line[record.id]})",
             )
         first_line[record.id] = lineno
-        commits.append(record)
+        commits[record.id] = record
     return commits
+
+
+def add_message_links(
+    issues: list[IssueRecord], commits: dict[str, CommitRecord]
+) -> list[IssueRecord]:
+    """Add to each issue's ``commit_ids`` the commits whose messages cite its id."""
+    citing: dict[str, set[str]] = {}
+    for commit in commits.values():
+        for key in commit.issue_keys:
+            citing.setdefault(key, set()).add(commit.id)
+    return [
+        replace(issue, commit_ids=issue.commit_ids | citing[issue.id])
+        if issue.id in citing
+        else issue
+        for issue in issues
+    ]
 
 
 def select_issues(issues: list[IssueRecord], version: str) -> list[IssueRecord]:
@@ -260,6 +276,11 @@ def load_path_rules(text: str) -> list[PathRule]:
     for index, entry in enumerate(obj["rules"]):
         if not isinstance(entry, dict) or "match" not in entry:
             raise ConfigError(f"rule {index} must be an object with a `match` field")
+        if not isinstance(entry["match"], str) or not entry["match"]:
+            raise ConfigError(f"rule {index}: match must be a non-empty string")
+        for key in ("strip_prefix", "strip_suffix"):
+            if not isinstance(entry.get(key, ""), str):
+                raise ConfigError(f"rule {index}: {key} must be a string")
         replacement = entry.get("separator_replacement", ["/", "."])
         if (
             not isinstance(replacement, (list, tuple))
@@ -280,11 +301,10 @@ def load_path_rules(text: str) -> list[PathRule]:
 
 def build_impact_list(
     issues: list[IssueRecord],
-    commits: list[CommitRecord],
+    commits: dict[str, CommitRecord],
     rules=DEFAULT_PATH_RULES,
     exclusions=(),
     version_pair: tuple[str | None, str] = (None, ""),
-    link_by_message: bool = False,
 ) -> ArchitecturalImpactList:
     """Map each issue to the architectural entities its commits touched.
 
@@ -293,27 +313,17 @@ def build_impact_list(
     orphans during decision extraction). Commit ids that cannot be resolved
     against the log are collected as diagnostics, not errors.
     """
-    by_id = {commit.id: commit for commit in commits}
-    by_issue_key: dict[str, set[str]] = {}
-    if link_by_message:
-        for commit in commits:
-            for key in commit.issue_keys:
-                by_issue_key.setdefault(key, set()).add(commit.id)
-
     diagnostics = ImpactDiagnostics()
     skipped: set[str] = set()
     entries: dict[str, frozenset[str]] = {}
     for issue in issues:
-        commit_ids = set(issue.commit_ids)
-        if link_by_message:
-            commit_ids |= by_issue_key.get(issue.id, set())
         entities: set[str] = set()
-        for commit_id in sorted(commit_ids):
-            commit = by_id.get(commit_id)
+        for commit_id in issue.commit_ids:
+            commit = commits.get(commit_id)
             if commit is None:
                 diagnostics.orphaned_commit_refs.append((issue.id, commit_id))
                 continue
-            for path in sorted(commit.paths):
+            for path in commit.paths:
                 entity = path_to_entity(path, rules)
                 if entity is None:
                     skipped.add(path)

@@ -26,6 +26,7 @@ from .errors import ArchddError, ConfigError, InputError
 from .ingestion import (
     ArchitecturalImpactList,
     DEFAULT_PATH_RULES,
+    add_message_links,
     build_impact_list,
     load_commits,
     load_exclusions,
@@ -54,7 +55,7 @@ class RunConfig:
         path = Path(path)
         try:
             obj = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid config {path}: {exc.msg}") from None
@@ -87,8 +88,11 @@ class RunConfig:
             if key in obj and not isinstance(obj[key], str):
                 raise ConfigError(f"config `{key}` must be a file path string")
         threshold = obj.get("tractability_threshold", DEFAULT_TRACTABILITY_THRESHOLD)
-        if not isinstance(threshold, int) or threshold < 1:
+        if not isinstance(threshold, int) or isinstance(threshold, bool) or threshold < 1:
             raise ConfigError("tractability_threshold must be a positive integer")
+        link_by_message = obj.get("link_by_message", False)
+        if not isinstance(link_by_message, bool):
+            raise ConfigError("link_by_message must be true or false")
         return cls(
             versions=versions,
             issues_path=base_dir / obj["issues"],
@@ -96,7 +100,7 @@ class RunConfig:
             exclusions_path=base_dir / obj["exclusions"] if obj.get("exclusions") else None,
             rules_path=base_dir / obj["path_rules"] if obj.get("path_rules") else None,
             tractability_threshold=threshold,
-            link_by_message=bool(obj.get("link_by_message", False)),
+            link_by_message=link_by_message,
             output_dir=base_dir / obj.get("output_dir", "archdd-out"),
         )
 
@@ -124,11 +128,29 @@ class PipelineResult:
     written: list[Path] = field(default_factory=list)
 
 
-def _read_text(path: Path, what: str) -> str:
+def read_input(path: str | Path, what: str) -> str:
+    """Read a UTF-8 input file; any failure is an InputError naming the file."""
     try:
-        return path.read_text(encoding="utf-8")
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from None
+
+
+def load_issue_side(issues_path, commits_path, rules_path, exclusions_path, link_by_message):
+    """Read issues, commits, path rules and exclusions once; apply message-key links."""
+    issues = load_issues(read_input(issues_path, "issue export"))
+    commits = load_commits(read_input(commits_path, "commit log"))
+    if link_by_message:
+        issues = add_message_links(issues, commits)
+    rules = (
+        load_path_rules(read_input(rules_path, "path rules"))
+        if rules_path
+        else list(DEFAULT_PATH_RULES)
+    )
+    exclusions = (
+        load_exclusions(read_input(exclusions_path, "exclusion list")) if exclusions_path else []
+    )
+    return issues, commits, rules, exclusions
 
 
 def _process_pair(
@@ -139,7 +161,6 @@ def _process_pair(
     rules,
     exclusions,
     threshold: int,
-    link_by_message: bool,
 ) -> PairOutcome:
     version_pair = (snap_a.version, snap_b.version)
     changes = analyze_changes(snap_a, snap_b)
@@ -150,7 +171,6 @@ def _process_pair(
         rules=rules,
         exclusions=exclusions,
         version_pair=version_pair,
-        link_by_message=link_by_message,
     )
     graph = build_decision_graph(impact, changes)
     decisions = find_decisions(graph, tractability_threshold=threshold)
@@ -198,23 +218,15 @@ def run_pipeline(config: RunConfig, write: bool = True) -> PipelineResult:
     With ``write`` enabled the structured run document plus text reports are
     written under ``config.output_dir``.
     """
-    issues = load_issues(_read_text(config.issues_path, "issue export"))
-    commits = load_commits(_read_text(config.commits_path, "commit log"))
-    exclusions = (
-        load_exclusions(_read_text(config.exclusions_path, "exclusion list"))
-        if config.exclusions_path
-        else []
-    )
-    rules = (
-        load_path_rules(_read_text(config.rules_path, "path rules"))
-        if config.rules_path
-        else list(DEFAULT_PATH_RULES)
+    issues, commits, rules, exclusions = load_issue_side(
+        config.issues_path, config.commits_path, config.rules_path, config.exclusions_path,
+        config.link_by_message,
     )
 
     snapshots: dict[str, ArchitectureSnapshot | ArchddError] = {}
     for label, path in config.versions:
         try:
-            snapshots[label] = parse_snapshot(_read_text(path, "snapshot"), label)
+            snapshots[label] = parse_snapshot(read_input(path, "snapshot"), label)
         except ArchddError as exc:
             snapshots[label] = exc
 
@@ -234,7 +246,6 @@ def run_pipeline(config: RunConfig, write: bool = True) -> PipelineResult:
                     rules,
                     exclusions,
                     config.tractability_threshold,
-                    config.link_by_message,
                 )
             )
         except ArchddError as exc:

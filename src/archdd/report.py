@@ -127,11 +127,17 @@ def impact_to_obj(impact: ArchitecturalImpactList) -> dict:
     }
 
 
+def _entity_set(entities) -> frozenset[str]:
+    if not isinstance(entities, list) or not all(isinstance(e, str) and e for e in entities):
+        raise TypeError(f"impact entities must be non-empty strings, got {entities!r}")
+    return frozenset(entities)
+
+
 def impact_from_obj(obj: dict) -> ArchitecturalImpactList:
     return ArchitecturalImpactList(
         version_pair=(obj.get("from_version"), obj["to_version"]),
         entries={
-            issue_id: frozenset(entities) for issue_id, entities in obj["entries"].items()
+            issue_id: _entity_set(entities) for issue_id, entities in obj["entries"].items()
         },
         diagnostics=diagnostics_from_obj(obj.get("diagnostics", {})),
     )

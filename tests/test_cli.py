@@ -256,11 +256,87 @@ def test_extract_decisions_rejects_malformed_documents(tmp_path, capsys):
         )
         assert_one_line_input_error(code, err, "changes")
 
-    int_entry = json.loads(json.dumps(impact_doc))
-    int_entry["entries"]["APP-1"] = 5
-    for doc in (int_entry, dict(impact_doc, entries=[])):
+    bad_entries = [
+        dict(impact_doc, entries=dict(impact_doc["entries"], **{"APP-1": value}))
+        for value in (5, [5], [""], "app.core.Cache")
+    ]
+    for doc in (*bad_entries, dict(impact_doc, entries=[])):
         broken.write_text(json.dumps(doc))
         code, _, err = run(
             capsys, "extract-decisions", "--changes", str(changes_path), "--impact", str(broken)
         )
         assert_one_line_input_error(code, err, "impact")
+
+
+def test_non_utf8_inputs_are_one_line_errors(tmp_path, capsys):
+    config_path = write_mini_project(tmp_path)
+    latin = tmp_path / "latin1.txt"
+    latin.write_bytes(b"\xffcontain core app.core.Engine\n")
+    issues, commits = str(tmp_path / "issues.jsonl"), str(tmp_path / "commits.jsonl")
+    snapshot = str(tmp_path / "arch-1.0.0.rsf")
+    invocations = [
+        ("build-impact", "--issues", str(latin), "--commits", commits, "--version", "1.1.0"),
+        ("build-impact", "--issues", issues, "--commits", str(latin), "--version", "1.1.0"),
+        ("build-impact", "--issues", issues, "--commits", commits, "--version", "1.1.0",
+         "--rules", str(latin)),
+        ("build-impact", "--issues", issues, "--commits", commits, "--version", "1.1.0",
+         "--exclusions", str(latin)),
+        ("analyze-changes", "--arch-a", str(latin), "--arch-b", snapshot),
+        ("analyze-changes", "--arch-a", snapshot, "--arch-b", str(latin)),
+        ("report", "--in", str(latin), "--out", "summary"),
+        ("pipeline", "--config", str(latin)),
+    ]
+    for argv in invocations:
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert "Traceback" not in err
+        assert err.startswith("error: cannot read") and err.count("\n") == 1, err
+        assert str(latin) in err
+
+    config_obj = json.loads(config_path.read_text())
+    config_obj["issues"] = "latin1.txt"
+    config_path.write_text(json.dumps(config_obj))
+    code, _, err = run(capsys, "pipeline", "--config", str(config_path))
+    assert code == 1
+    assert err == f"error: cannot read issue export {latin}: " + (
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
+
+
+def test_pipeline_non_utf8_snapshot_fails_its_pairs(tmp_path, capsys):
+    config_path = write_mini_project(tmp_path)
+    (tmp_path / "arch-1.1.0.rsf").write_bytes(b"contain core \xff\n")
+    code, _, err = run(capsys, "pipeline", "--config", str(config_path), "--strict")
+    assert code == 1
+    assert "Traceback" not in err
+    assert "pair 1.0.0 -> 1.1.0 failed: cannot read snapshot" in err
+
+
+def test_build_impact_link_by_message(tmp_path, capsys):
+    issues = tmp_path / "issues.jsonl"
+    issues.write_text(
+        json.dumps({"id": "APP-1", "resolved": True, "merged": True, "versions": ["2"],
+                    "commits": ["c1"]}) + "\n"
+        + json.dumps({"id": "APP-2", "resolved": True, "merged": True, "versions": ["2"]})
+        + "\n"
+    )
+    commits = tmp_path / "commits.jsonl"
+    commits.write_text(
+        json.dumps({"id": "c1", "paths": ["src/main/java/app/A.java"]}) + "\n"
+        + json.dumps({"id": "c2", "paths": ["src/main/java/app/B.java", "docs/x.md"],
+                      "issue_keys": ["APP-1", "APP-2"]}) + "\n"
+    )
+    argv = ("build-impact", "--issues", str(issues), "--commits", str(commits),
+            "--version", "2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["entries"] == {"APP-1": ["app.A"], "APP-2": []}
+    assert doc["diagnostics"]["skipped_paths"] == []
+
+    code, out, _ = run(capsys, *argv, "--link-by-message")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["entries"] == {"APP-1": ["app.A", "app.B"], "APP-2": ["app.B"]}
+    assert doc["diagnostics"]["skipped_paths"] == ["docs/x.md"]
+    assert doc["diagnostics"]["orphaned_commit_refs"] == []

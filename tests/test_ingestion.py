@@ -9,6 +9,7 @@ from archdd.ingestion import (
     DEFAULT_PATH_RULES,
     IssueRecord,
     PathRule,
+    add_message_links,
     apply_exclusions,
     build_impact_list,
     convert_name_status_log,
@@ -148,10 +149,25 @@ def test_load_path_rules():
         load_path_rules(json.dumps({"rules": [{"match": "x", "separator_replacement": ["/"]}]}))
 
 
+@pytest.mark.parametrize(
+    "rule",
+    [
+        {"match": 5},
+        {"match": ""},
+        {"match": None},
+        {"match": ["src/"]},
+        {"match": "src/", "strip_prefix": 3},
+        {"match": "src/", "strip_suffix": [".java"]},
+        {"match": "src/", "strip_prefix": None},
+    ],
+)
+def test_load_path_rules_rejects_bad_fields(rule):
+    with pytest.raises(ConfigError, match="rule 0"):
+        load_path_rules(json.dumps({"rules": [rule]}))
+
+
 def commits_for(mapping):
-    return [
-        CommitRecord(id=cid, paths=frozenset(paths)) for cid, paths in mapping.items()
-    ]
+    return {cid: CommitRecord(id=cid, paths=frozenset(paths)) for cid, paths in mapping.items()}
 
 
 def test_build_impact_list_basic_union():
@@ -176,7 +192,7 @@ def test_build_impact_list_empty_and_missing_commits():
         issue("A-1"),
         issue("A-2", commit_ids=frozenset({"ghost"})),
     ]
-    impact = build_impact_list(issues, [], version_pair=("v1", "v2"))
+    impact = build_impact_list(issues, {}, version_pair=("v1", "v2"))
     assert impact.entries["A-1"] == frozenset()
     assert impact.entries["A-2"] == frozenset()
     assert impact.diagnostics.orphaned_commit_refs == [("A-2", "ghost")]
@@ -194,22 +210,131 @@ def test_build_impact_list_applies_exclusions_and_counts():
 
 
 def test_build_impact_list_link_by_message_fallback():
-    issues = [issue("A-1")]
-    commits = [CommitRecord(id="c9", paths=frozenset({"src/a/Z.java"}),
-                            issue_keys=frozenset({"A-1"}))]
+    issues = [issue("A-1"), issue("A-2", commit_ids=frozenset({"c1"}))]
+    commits = {
+        "c9": CommitRecord(id="c9", paths=frozenset({"src/a/Z.java"}),
+                           issue_keys=frozenset({"A-1", "A-2", "X-9"})),
+        "c1": CommitRecord(id="c1", paths=frozenset({"src/a/Y.java"})),
+    }
     default = build_impact_list(issues, commits, version_pair=("v1", "v2"))
-    assert default.entries["A-1"] == frozenset()
-    linked = build_impact_list(
-        issues, commits, version_pair=("v1", "v2"), link_by_message=True
-    )
-    assert linked.entries["A-1"] == frozenset({"a.Z"})
+    assert default.entries == {"A-1": frozenset(), "A-2": frozenset({"a.Y"})}
+    linked_issues = add_message_links(issues, commits)
+    assert [i.commit_ids for i in linked_issues] == [{"c9"}, {"c1", "c9"}]
+    assert issues[0].commit_ids == frozenset()  # the input records are left alone
+    linked = build_impact_list(linked_issues, commits, version_pair=("v1", "v2"))
+    assert linked.entries == {"A-1": frozenset({"a.Z"}), "A-2": frozenset({"a.Y", "a.Z"})}
+    uncited = [issue("A-3", commit_ids=frozenset({"c1"}))]
+    assert add_message_links(uncited, commits)[0] is uncited[0]
 
+
+def reference_impact_list(issues, commits, rules, exclusions, version_pair, link_by_message):
+    """Reference impact list that links by message key inside the call.
+
+    Takes the commit log as a list and builds the id map and the message-key
+    map on every call, so no link can leak from one call into the next.
+    """
+    by_id = {commit.id: commit for commit in commits}
+    by_issue_key = {}
+    if link_by_message:
+        for commit in commits:
+            for key in commit.issue_keys:
+                by_issue_key.setdefault(key, set()).add(commit.id)
+    orphaned, skipped, excluded, entries = [], set(), 0, {}
+    for record in issues:
+        commit_ids = set(record.commit_ids)
+        if link_by_message:
+            commit_ids |= by_issue_key.get(record.id, set())
+        entities = set()
+        for commit_id in sorted(commit_ids):
+            commit = by_id.get(commit_id)
+            if commit is None:
+                orphaned.append((record.id, commit_id))
+                continue
+            for path in sorted(commit.paths):
+                entity = path_to_entity(path, rules)
+                if entity is None:
+                    skipped.add(path)
+                else:
+                    entities.add(entity)
+        kept = apply_exclusions(frozenset(entities), exclusions)
+        excluded += len(entities) - len(kept)
+        entries[record.id] = kept
+    return entries, sorted(orphaned), sorted(skipped), excluded
+
+
+def random_issue_side(rng):
+    """A random issue export and commit log as JSON Lines text."""
+    packages = ["app.core", "app.io", "org.vendor.x", "org.vendorfoo"]
+    path_pool = [f"src/main/java/{p.replace('.', '/')}/C{i}.java"
+                 for p in packages for i in range(3)]
+    path_pool += ["docs/guide.md", "README", "src/main/java/.java"]
+    issue_ids = [f"APP-{k}" for k in range(rng.randint(0, 15))]
+    commit_ids = [f"c{k:03d}" for k in range(rng.randint(0, 20))]
+    ghosts = ["ghost1", "ghost2", "ghost3"]  # dangling refs; also keep the pools non-empty
+    commits = [
+        {
+            "id": cid,
+            "paths": rng.sample(path_pool, rng.randint(0, 4)),
+            "issue_keys": rng.sample(issue_ids + ["OTHER-1", "OTHER-2"], rng.randint(0, 2)),
+        }
+        for cid in commit_ids
+    ]
+    rng.shuffle(commits)
+    issues = [
+        {
+            "id": iid,
+            "resolved": rng.random() < 0.9,
+            "merged": rng.random() < 0.9,
+            "versions": rng.sample(["v1", "v2", "v3"], rng.randint(0, 2)),
+            "commits": rng.sample(commit_ids + ghosts, rng.randint(0, 3)),
+        }
+        for iid in issue_ids
+    ]
+    return (
+        "".join(json.dumps(obj) + "\n" for obj in issues),
+        "".join(json.dumps(obj) + "\n" for obj in commits),
+    )
+
+
+def test_message_links_at_load_match_per_call_reference():
+    rng = random.Random(4242)
+    relinked = 0
+    for _ in range(100):
+        issues_text, commits_text = random_issue_side(rng)
+        issues = load_issues(issues_text)
+        commits = load_commits(commits_text)
+        assert list(commits.values()) == [
+            CommitRecord(id=obj["id"], paths=obj["paths"], issue_keys=obj["issue_keys"])
+            for obj in map(json.loads, commits_text.splitlines())
+        ]
+        exclusions = rng.choice([[], ["org.vendor"], ["org.vendor.", "app.io"]])
+        linked = add_message_links(issues, commits)
+        for version in ("v1", "v2", "v3"):
+            entries_by_mode = []
+            for source, link_by_message in ((issues, False), (linked, True)):
+                impact = build_impact_list(
+                    select_issues(source, version), commits, DEFAULT_PATH_RULES,
+                    exclusions, ("v0", version),
+                )
+                entries, orphaned, skipped, excluded = reference_impact_list(
+                    select_issues(issues, version), list(commits.values()),
+                    DEFAULT_PATH_RULES, exclusions, ("v0", version), link_by_message,
+                )
+                assert impact.version_pair == ("v0", version)
+                assert list(impact.entries.items()) == list(entries.items())
+                assert impact.diagnostics.orphaned_commit_refs == orphaned
+                assert impact.diagnostics.skipped_paths == skipped
+                assert impact.diagnostics.excluded_entity_count == excluded
+                entries_by_mode.append(entries)
+            unlinked, relinked_entries = entries_by_mode
+            relinked += sum(unlinked[key] != relinked_entries[key] for key in unlinked)
+    assert relinked > 100  # message links change many entries, so both modes are exercised
 
 def test_build_impact_list_monotone_in_commits():
     rng = random.Random(8)
     paths = [f"src/p{i}/C{i}.java" for i in range(10)]
     base_commits = commits_for({"c1": rng.sample(paths, 4)})
-    extra_commits = base_commits + commits_for({"c2": rng.sample(paths, 4)})
+    extra_commits = base_commits | commits_for({"c2": rng.sample(paths, 4)})
     small = build_impact_list(
         [issue("A-1", commit_ids=frozenset({"c1"}))], base_commits, version_pair=("a", "b")
     )
@@ -223,9 +348,12 @@ def test_build_impact_list_monotone_in_commits():
 def test_load_commits_and_duplicates():
     text = '{"id": "c1", "paths": ["a"], "issue_keys": ["A-1"]}'
     commits = load_commits(text)
-    assert commits[0].paths == {"a"}
-    with pytest.raises(RecordParseError):
-        load_commits(text + "\n" + text)
+    assert commits == {"c1": CommitRecord(id="c1", paths={"a"}, issue_keys={"A-1"})}
+    second = '{"id": "c0", "paths": []}'
+    assert list(load_commits(text + "\n" + second)) == ["c1", "c0"]  # log order
+    with pytest.raises(RecordParseError, match="first seen on line 1") as excinfo:
+        load_commits(text + "\n" + second + "\n" + text)
+    assert excinfo.value.lineno == 3
     with pytest.raises(RecordParseError):
         load_commits('{"paths": []}')
 
@@ -265,7 +393,7 @@ def test_convert_name_status_log_bare_hash_style():
     assert [len(c.paths) for c in commits] == [1, 0]
     assert commits[0].issue_keys == {"HDFS-12", "HDFS-34"}
     round_tripped = load_commits(serialize_commits(commits))
-    assert round_tripped == commits
+    assert list(round_tripped.values()) == commits
 
 
 def test_default_rules_are_ordered_most_specific_first():

@@ -152,12 +152,21 @@ def test_config_validation(tmp_path):
         RunConfig.from_file(bad)
 
 
-@pytest.mark.parametrize(
-    "field", ["label", "snapshot", "exclusions", "path_rules", "output_dir"]
-)
+BAD_CONFIG_VALUES = {
+    "label": 5,
+    "snapshot": 5,
+    "exclusions": 5,
+    "path_rules": 5,
+    "output_dir": 5,
+    "link_by_message": "false",  # truthy, so coercing it would turn linking on
+    "tractability_threshold": True,  # a bool is an int, but not a count
+}
+
+
+@pytest.mark.parametrize("field", list(BAD_CONFIG_VALUES))
 def test_config_rejects_non_string_fields(tmp_path, field):
     obj = {"versions": [{"label": "a", "snapshot": "s"}], "issues": "i", "commits": "c"}
     target = obj["versions"][0] if field in ("label", "snapshot") else obj
-    target[field] = 5
+    target[field] = BAD_CONFIG_VALUES[field]
     with pytest.raises(ConfigError, match=field):
         RunConfig.from_obj(obj, base_dir=tmp_path)
