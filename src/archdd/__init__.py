@@ -41,8 +41,6 @@ from .model import (
     ArchitectureSnapshot,
     ChangeKind,
     Component,
-    Delta,
-    DeltaKind,
     entity_universe,
     parse_snapshot,
     serialize_snapshot,
@@ -61,8 +59,6 @@ __all__ = [
     "Decision",
     "DecisionGraph",
     "DecisionKind",
-    "Delta",
-    "DeltaKind",
     "IssueRecord",
     "MatchingProblem",
     "PathRule",

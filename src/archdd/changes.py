@@ -2,23 +2,15 @@
 
 A matched pair with disjoint, non-empty entity sets yields two changes (the
 old component was removed, the new one added) so that wholesale component
-turnover is distinguishable from in-place transformation. A pair sharing
-entities yields a single modification whose deltas are the symmetric
-difference. Equal pairs yield nothing.
+turnover is distinguishable from in-place transformation. A pair (A, B)
+sharing entities yields a single modification that removes A - B and adds
+B - A. Equal pairs yield nothing.
 """
 
 from __future__ import annotations
 
 from .matching import build_matching_problem, min_cost_matching
-from .model import (
-    ArchitectureSnapshot,
-    ArchitecturalChange,
-    ChangeKind,
-    Component,
-    Delta,
-    DeltaKind,
-    new_change,
-)
+from .model import ArchitectureSnapshot, ArchitecturalChange, Component, new_change
 
 
 def get_change_instances(
@@ -30,27 +22,21 @@ def get_change_instances(
     if entities_a == entities_b:
         return frozenset()
     if entities_a & entities_b:
-        deltas = frozenset(
-            {Delta(DeltaKind.REMOVE, e) for e in entities_a - entities_b}
-            | {Delta(DeltaKind.ADD, e) for e in entities_b - entities_a}
-        )
-        return frozenset(
-            {new_change(ChangeKind.COMPONENT_MODIFIED, c_a.name, c_b.name, deltas, version_pair)}
-        )
+        removed = entities_a - entities_b
+        added = entities_b - entities_a
+        return frozenset({new_change(c_a.name, c_b.name, removed, added, version_pair)})
     out = set()
     if entities_a:
-        removes = frozenset(Delta(DeltaKind.REMOVE, e) for e in entities_a)
-        out.add(new_change(ChangeKind.COMPONENT_REMOVED, c_a.name, None, removes, version_pair))
+        out.add(new_change(c_a.name, None, entities_a, frozenset(), version_pair))
     if entities_b:
-        adds = frozenset(Delta(DeltaKind.ADD, e) for e in entities_b)
-        out.add(new_change(ChangeKind.COMPONENT_ADDED, None, c_b.name, adds, version_pair))
+        out.add(new_change(None, c_b.name, frozenset(), entities_b, version_pair))
     return frozenset(out)
 
 
 def analyze_changes(
     arch_a: ArchitectureSnapshot, arch_b: ArchitectureSnapshot
 ) -> frozenset[ArchitecturalChange]:
-    """Two-pass change analysis: match components, then extract deltas.
+    """Two-pass change analysis: match components, then extract changes.
 
     Pass 1 balances the snapshots and solves the min-cost matching; pass 2
     maps get_change_instances over the chosen pairs and unions the results.
@@ -64,5 +50,5 @@ def analyze_changes(
 
 
 def matching_cost(changes: frozenset[ArchitecturalChange]) -> int:
-    """Total delta count across a change set (equals the matching's total cost)."""
-    return sum(len(change.deltas) for change in changes)
+    """Total entity count across a change set (equals the matching's total cost)."""
+    return sum(len(change.removed) + len(change.added) for change in changes)

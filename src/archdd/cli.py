@@ -8,7 +8,6 @@ invariant violation.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -23,16 +22,21 @@ from .decisions import (
     find_decisions,
 )
 from .errors import ArchddError, ConfigError, InputError
-from .ingestion import build_impact_list, convert_name_status_log, select_issues, serialize_commits
+from .ingestion import (
+    build_impact_list,
+    convert_name_status_log,
+    decode_json,
+    select_issues,
+    serialize_commits,
+)
 from .model import parse_snapshot
 from .pipeline import RunConfig, load_issue_side, read_input, run_pipeline
 
 
 def _load_json(path: str, what: str) -> dict:
-    try:
-        return json.loads(read_input(path, what))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {what} {path}: {exc.msg}") from None
+    return decode_json(
+        read_input(path, what), lambda msg: InputError(f"invalid JSON in {what} {path}: {msg}")
+    )
 
 
 def _emit(text: str, out: str | None):
@@ -68,9 +72,9 @@ def analyze_changes_cmd(arch_a, arch_b, label_a, label_b, fmt, out):
     lines = [f"changes {label_a} -> {label_b}: {len(changes)}"]
     for change in report.sort_changes(changes):
         lines.append(f"  {report.change_label(change)}")
-        for delta in sorted(change.deltas, key=lambda d: (d.entity, d.kind.value)):
-            sign = "+" if delta.kind.value == "add" else "-"
-            lines.append(f"    {sign} {delta.entity}")
+        for delta in report.change_to_obj(change)["deltas"]:
+            sign = "+" if delta["op"] == "add" else "-"
+            lines.append(f"    {sign} {delta['entity']}")
     _emit("\n".join(lines) + "\n", out)
 
 

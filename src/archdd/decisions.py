@@ -1,9 +1,9 @@
 """Decision extraction from the bipartite issues-changes graph.
 
 An edge connects an issue to a change when the issue's entities intersect
-the change's delta entities. After dropping orphans (degree-zero nodes),
-each connected component of the remaining graph is one decision, classified
-by its issue and change counts.
+the entities the change removed or added. Each connected component of the
+edges is one decision, so orphans (degree-zero nodes) never appear; a
+decision's kind follows from its issue and change counts.
 """
 
 from __future__ import annotations
@@ -42,23 +42,13 @@ def classify(issue_count: int, change_count: int) -> DecisionKind:
 
 @dataclass(frozen=True)
 class DecisionGraph:
-    """Bipartite graph: issue ids on one side, change ids on the other."""
+    """Bipartite graph as its (issue id, change id) edges; orphans have no edge."""
 
     version_pair: tuple[str | None, str]
-    issue_nodes: frozenset[str]
-    change_nodes: frozenset[str]
     edges: frozenset[tuple[str, str]]
 
     def __post_init__(self):
-        object.__setattr__(self, "issue_nodes", frozenset(self.issue_nodes))
-        object.__setattr__(self, "change_nodes", frozenset(self.change_nodes))
         object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
-        for issue_id, change_id in self.edges:
-            if issue_id not in self.issue_nodes or change_id not in self.change_nodes:
-                raise InvariantViolation(
-                    f"edge ({issue_id!r}, {change_id!r}) does not connect an issue "
-                    "node to a change node"
-                )
 
 
 @dataclass(frozen=True)
@@ -68,7 +58,6 @@ class Decision:
     id: str
     issue_ids: frozenset[str]
     change_ids: frozenset[str]
-    kind: DecisionKind
     version_pair: tuple[str | None, str]
     tractable: bool
 
@@ -76,13 +65,12 @@ class Decision:
         object.__setattr__(self, "issue_ids", frozenset(self.issue_ids))
         object.__setattr__(self, "change_ids", frozenset(self.change_ids))
         object.__setattr__(self, "version_pair", tuple(self.version_pair))
-        if not isinstance(self.kind, DecisionKind):
-            object.__setattr__(self, "kind", DecisionKind(self.kind))
-        if classify(len(self.issue_ids), len(self.change_ids)) is not self.kind:
-            raise InvariantViolation(
-                f"decision kind {self.kind.value!r} inconsistent with "
-                f"{len(self.issue_ids)} issues / {len(self.change_ids)} changes"
-            )
+        if not self.issue_ids or not self.change_ids:
+            raise InvariantViolation("a decision needs at least one issue and one change")
+
+    @property
+    def kind(self) -> DecisionKind:
+        return classify(len(self.issue_ids), len(self.change_ids))
 
 
 def decision_id(
@@ -98,10 +86,10 @@ def decision_id(
 def build_decision_graph(
     impact: ArchitecturalImpactList, changes: frozenset[ArchitecturalChange]
 ) -> DecisionGraph:
-    """Connect each issue to every change whose delta entities it touched.
+    """Connect each issue to every change that removed or added an entity it touched.
 
-    One entity -> change index over the deltas turns the issue x change
-    intersection test into a walk over each issue's entities.
+    One entity -> change index turns the issue x change intersection test
+    into a walk over each issue's entities.
     """
     pairs = {change.version_pair for change in changes}
     if impact.version_pair[1] and any(pair[1] != impact.version_pair[1] for pair in pairs):
@@ -112,20 +100,15 @@ def build_decision_graph(
     version_pair = next(iter(pairs)) if len(pairs) == 1 else impact.version_pair
     changes_of: dict[str, list[str]] = {}
     for change in changes:
-        for delta in change.deltas:
-            changes_of.setdefault(delta.entity, []).append(change.id)
+        for entity in change.delta_entities:
+            changes_of.setdefault(entity, []).append(change.id)
     edges = {
         (issue_id, change_id)
         for issue_id, entities in impact.entries.items()
         for entity in entities
         for change_id in changes_of.get(entity, ())
     }
-    return DecisionGraph(
-        version_pair=version_pair,
-        issue_nodes=frozenset(impact.entries),
-        change_nodes=frozenset(change.id for change in changes),
-        edges=frozenset(edges),
-    )
+    return DecisionGraph(version_pair=version_pair, edges=frozenset(edges))
 
 
 class _UnionFind:
@@ -177,7 +160,6 @@ def find_decisions(
                 id=decision_id(issue_ids, change_ids, graph.version_pair),
                 issue_ids=issue_ids,
                 change_ids=change_ids,
-                kind=classify(len(issue_ids), len(change_ids)),
                 version_pair=graph.version_pair,
                 tractable=len(change_ids) <= tractability_threshold,
             )
@@ -200,7 +182,7 @@ def change_coverage(
 
 
 def is_external_change(change: ArchitecturalChange, exclusions) -> bool:
-    """True when every delta entity falls under an excluded namespace."""
+    """True when every removed or added entity falls under an excluded namespace."""
     return not apply_exclusions(change.delta_entities, exclusions)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fnmatch import fnmatchcase
 
@@ -144,15 +145,31 @@ def _opt_str_array(obj, key, lineno):
     return value
 
 
+def decode_json(text: str, error: Callable[[str], Exception]):
+    """Decode one JSON text; raise ``error(message)`` for anything it cannot hold.
+
+    Besides syntax errors this covers integers past the interpreter's digit
+    limit, nesting past the recursion limit, and strings holding an unpaired
+    surrogate escape, which no UTF-8 output could write. Only a text with a
+    ``\\u`` escape can hold a surrogate, so only such a text is re-encoded.
+    """
+    try:
+        obj = json.loads(text)
+        if "\\u" in text:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        raise error("string holds an unpaired surrogate escape") from None
+    except (ValueError, RecursionError) as exc:
+        raise error(getattr(exc, "msg", str(exc))) from None
+    return obj
+
+
 def _iter_jsonl(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RecordParseError(lineno, f"invalid JSON: {exc.msg}") from None
+        obj = decode_json(line, lambda msg: RecordParseError(lineno, f"invalid JSON: {msg}"))
         if not isinstance(obj, dict):
             raise RecordParseError(lineno, "record must be a JSON object")
         yield lineno, obj
@@ -266,10 +283,7 @@ def load_exclusions(text: str) -> list[str]:
 
 def load_path_rules(text: str) -> list[PathRule]:
     """Parse a rules config: {"rules": [{match, strip_prefix, ...}, ...]}."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid rules file: {exc.msg}") from None
+    obj = decode_json(text, lambda msg: ConfigError(f"invalid rules file: {msg}"))
     if not isinstance(obj, dict) or not isinstance(obj.get("rules"), list):
         raise ConfigError("rules file must be an object with a `rules` array")
     rules = []

@@ -1,4 +1,4 @@
-"""Architecture domain model: entities, components, snapshots, deltas, changes.
+"""Architecture domain model: entities, components, snapshots, changes.
 
 A snapshot file is line-oriented UTF-8 text with one record per line:
 
@@ -110,100 +110,87 @@ def entity_universe(snapshot: ArchitectureSnapshot) -> frozenset[str]:
     return frozenset().union(*(component.entities for component in snapshot.components))
 
 
-class DeltaKind(str, Enum):
-    ADD = "add"
-    REMOVE = "remove"
-
-
-@dataclass(frozen=True)
-class Delta:
-    """A single entity-level addition or removal.
-
-    A relocation never appears as a kind of its own: it is one REMOVE delta
-    in the source match plus one ADD delta in the destination match.
-    """
-
-    kind: DeltaKind
-    entity: str
-
-    def __post_init__(self):
-        if not isinstance(self.kind, DeltaKind):
-            object.__setattr__(self, "kind", DeltaKind(self.kind))
-        _check_name(self.entity, "entity")
-
-
 class ChangeKind(str, Enum):
     COMPONENT_ADDED = "added"
     COMPONENT_REMOVED = "removed"
     COMPONENT_MODIFIED = "modified"
 
 
+def _change_kind(source: str | None, target: str | None) -> ChangeKind:
+    if source is None:
+        return ChangeKind.COMPONENT_ADDED
+    if target is None:
+        return ChangeKind.COMPONENT_REMOVED
+    return ChangeKind.COMPONENT_MODIFIED
+
+
 @dataclass(frozen=True)
 class ArchitecturalChange:
-    """A cohesive set of deltas produced by one matched component pair."""
+    """The entity-level difference of one matched component pair.
+
+    ``removed`` holds the entities that left the source component, ``added``
+    those that joined the target. A relocation never appears as a kind of its
+    own: it is one removal in the source match plus one addition in the
+    destination match.
+    """
 
     id: str
-    kind: ChangeKind
     source_component: str | None
     target_component: str | None
-    deltas: frozenset[Delta]
+    removed: frozenset[str]
+    added: frozenset[str]
     version_pair: tuple[str, str]
 
     def __post_init__(self):
-        if not isinstance(self.kind, ChangeKind):
-            object.__setattr__(self, "kind", ChangeKind(self.kind))
-        object.__setattr__(self, "deltas", frozenset(self.deltas))
+        object.__setattr__(self, "removed", frozenset(self.removed))
+        object.__setattr__(self, "added", frozenset(self.added))
         object.__setattr__(self, "version_pair", tuple(self.version_pair))
-        if not self.deltas:
-            raise InvariantViolation("a change must carry at least one delta")
-        kinds = {delta.kind for delta in self.deltas}
-        if self.kind is ChangeKind.COMPONENT_ADDED:
-            if kinds != {DeltaKind.ADD} or self.source_component is not None:
-                raise InvariantViolation("an added component carries only ADD deltas and no source")
-            if self.target_component is None:
-                raise InvariantViolation("an added component must name its target")
-        elif self.kind is ChangeKind.COMPONENT_REMOVED:
-            if kinds != {DeltaKind.REMOVE} or self.target_component is not None:
-                raise InvariantViolation(
-                    "a removed component carries only REMOVE deltas and no target"
-                )
-            if self.source_component is None:
-                raise InvariantViolation("a removed component must name its source")
-        else:
-            if self.source_component is None or self.target_component is None:
-                raise InvariantViolation("a modified component names both source and target")
+        if not (self.removed or self.added):
+            raise InvariantViolation("a change must carry at least one entity")
+        if self.removed and self.source_component is None:
+            raise InvariantViolation("a change that removes entities must name its source")
+        if self.added and self.target_component is None:
+            raise InvariantViolation("a change that adds entities must name its target")
+        for entity in self.delta_entities:
+            _check_name(entity, "entity")
+
+    @property
+    def kind(self) -> ChangeKind:
+        """No source: added; no target: removed; both: modified."""
+        return _change_kind(self.source_component, self.target_component)
 
     @property
     def delta_entities(self) -> frozenset[str]:
-        return frozenset(delta.entity for delta in self.deltas)
+        return self.removed | self.added
 
 
 def change_id(
-    kind: ChangeKind,
     source: str | None,
     target: str | None,
-    deltas: frozenset[Delta],
+    removed: frozenset[str],
+    added: frozenset[str],
     version_pair: tuple[str, str],
 ) -> str:
     """Content-addressed change identifier, stable across runs."""
+    kind = _change_kind(source, target)
     parts = [kind.value, source or "", target or "", version_pair[0], version_pair[1]]
-    parts.extend(sorted(f"{d.kind.value}:{d.entity}" for d in deltas))
+    parts.extend(sorted([f"remove:{e}" for e in removed] + [f"add:{e}" for e in added]))
     digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
     return "ch:" + digest[:12]
 
 
 def new_change(
-    kind: ChangeKind,
     source: str | None,
     target: str | None,
-    deltas: frozenset[Delta],
+    removed: frozenset[str],
+    added: frozenset[str],
     version_pair: tuple[str, str],
 ) -> ArchitecturalChange:
     return ArchitecturalChange(
-        id=change_id(kind, source, target, deltas, version_pair),
-        kind=kind,
+        id=change_id(source, target, removed, added, version_pair),
         source_component=source,
         target_component=target,
-        deltas=deltas,
+        removed=removed,
+        added=added,
         version_pair=version_pair,
     )

@@ -9,7 +9,6 @@ CLI). Pairs run one after another in version order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from .ingestion import (
     DEFAULT_PATH_RULES,
     add_message_links,
     build_impact_list,
+    decode_json,
     load_commits,
     load_exclusions,
     load_issues,
@@ -54,11 +54,10 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
         try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
+            text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid config {path}: {exc.msg}") from None
+        obj = decode_json(text, lambda msg: ConfigError(f"invalid config {path}: {msg}"))
         return cls.from_obj(obj, base_dir=path.parent)
 
     @classmethod

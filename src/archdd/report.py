@@ -16,7 +16,7 @@ from fractions import Fraction
 from .decisions import Decision, DecisionKind
 from .errors import ConfigError, InvariantViolation
 from .ingestion import ArchitecturalImpactList, ImpactDiagnostics, IssueRecord
-from .model import ArchitecturalChange, ChangeKind, Delta, DeltaKind
+from .model import ArchitecturalChange, ChangeKind
 
 SCHEMA_VERSION = 1
 
@@ -43,6 +43,7 @@ def _fraction_pair(value: Fraction | None):
 
 
 def change_to_obj(change: ArchitecturalChange) -> dict:
+    ops = [(e, "remove") for e in change.removed] + [(e, "add") for e in change.added]
     return {
         "id": change.id,
         "kind": change.kind.value,
@@ -50,26 +51,40 @@ def change_to_obj(change: ArchitecturalChange) -> dict:
         "target_component": change.target_component,
         "from_version": change.version_pair[0],
         "to_version": change.version_pair[1],
-        "deltas": [
-            {"op": delta.kind.value, "entity": delta.entity}
-            for delta in sorted(change.deltas, key=lambda d: (d.entity, d.kind.value))
-        ],
+        "deltas": [{"op": op, "entity": entity} for entity, op in sorted(ops)],
     }
 
 
+def _name(value, what: str, optional: bool = False):
+    """A document's label or component name: a string, or None where ``optional``."""
+    if not isinstance(value, str) and not (optional and value is None):
+        raise TypeError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def change_from_obj(obj: dict) -> ArchitecturalChange:
-    if not isinstance(obj["id"], str):
-        raise TypeError(f"change id must be a string, got {obj['id']!r}")
-    return ArchitecturalChange(
-        id=obj["id"],
-        kind=ChangeKind(obj["kind"]),
-        source_component=obj.get("source_component"),
-        target_component=obj.get("target_component"),
-        deltas=frozenset(
-            Delta(DeltaKind(d["op"]), d["entity"]) for d in obj["deltas"]
+    entities = {"remove": set(), "add": set()}
+    for delta in obj["deltas"]:
+        if delta["op"] not in entities:
+            raise ValueError(f"unknown delta op {delta['op']!r}")
+        entities[delta["op"]].add(delta["entity"])
+    change = ArchitecturalChange(
+        id=_name(obj["id"], "change id"),
+        source_component=_name(obj.get("source_component"), "source_component", True),
+        target_component=_name(obj.get("target_component"), "target_component", True),
+        removed=entities["remove"],
+        added=entities["add"],
+        version_pair=(
+            _name(obj["from_version"], "from_version"),
+            _name(obj["to_version"], "to_version"),
         ),
-        version_pair=(obj["from_version"], obj["to_version"]),
     )
+    if obj["kind"] != change.kind.value:
+        raise ValueError(
+            f"change {change.id} is {change.kind.value} by its endpoints, "
+            f"but declares kind {obj['kind']!r}"
+        )
+    return change
 
 
 def sort_changes(changes) -> list[ArchitecturalChange]:
@@ -135,7 +150,10 @@ def _entity_set(entities) -> frozenset[str]:
 
 def impact_from_obj(obj: dict) -> ArchitecturalImpactList:
     return ArchitecturalImpactList(
-        version_pair=(obj.get("from_version"), obj["to_version"]),
+        version_pair=(
+            _name(obj.get("from_version"), "from_version", True),
+            _name(obj["to_version"], "to_version"),
+        ),
         entries={
             issue_id: _entity_set(entities) for issue_id, entities in obj["entries"].items()
         },
@@ -383,8 +401,6 @@ def _format_avg(value: Fraction | None) -> str:
 
 
 def change_label(change: ArchitecturalChange) -> str:
-    adds = sum(1 for d in change.deltas if d.kind is DeltaKind.ADD)
-    removes = len(change.deltas) - adds
     if change.kind is ChangeKind.COMPONENT_ADDED:
         name = change.target_component
     elif change.kind is ChangeKind.COMPONENT_REMOVED:
@@ -393,7 +409,7 @@ def change_label(change: ArchitecturalChange) -> str:
         name = change.target_component
     else:
         name = f"{change.source_component} -> {change.target_component}"
-    return f"{name} {change.kind.value} (+{adds}/-{removes} entities)"
+    return f"{name} {change.kind.value} (+{len(change.added)}/-{len(change.removed)} entities)"
 
 
 def render_decision(

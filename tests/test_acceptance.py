@@ -6,6 +6,7 @@ code paths they check (exhaustive enumeration for the matcher, fixpoint
 reachability for connected components).
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -141,12 +142,7 @@ def test_connected_component_oracle():
         edges = {
             (i, c) for i in issues for c in changes if rng.random() < density
         }
-        graph = DecisionGraph(
-            version_pair=("va", "vb"),
-            issue_nodes=frozenset(issues),
-            change_nodes=frozenset(changes),
-            edges=frozenset(edges),
-        )
+        graph = DecisionGraph(version_pair=("va", "vb"), edges=frozenset(edges))
         decisions = find_decisions(graph)
         got = {
             frozenset(
@@ -196,15 +192,36 @@ def test_end_to_end_fixture_ledger(tmp_path):
     print(f"{PASS} end-to-end fixture ledger (1 simple, 1 crosscutting, {before}->{after})")
 
 
+# sha256 of the pipeline's outputs; a refactor that keeps the contract keeps these.
+MINI_GOLDEN = {
+    "run.json": "7b229969d26a4743d78e9e38466fb1f7364ac604022c36a0e56ab11e4adbe97a",
+    "summary.txt": "a14b9978eb57713da8558bc73d2dc719e1cf83c0755a61e4b3caa95b0959fe98",
+    "decisions.txt": "7a927a3599ea84a5c497c823da14e7a8fb4d302b75aa17dd42c68c4b8bdf4418",
+}
+SCALE_GOLDEN = {
+    "run.json": "5aa40ed32163185fee77185b764b80d6dda741ade3da959b4a9ce2bf06ea007d",
+    "summary.txt": "947dd3c46072a70dd6c56181fa8c34bd7d925c3df916a92315caa6170af230bf",
+    "decisions.txt": "e04cb6b5a114b2d0fd0a04d8ecd2f0db7bcd9116e2080c14f6ef407dfe5a1de1",
+}
+
+
+def output_digests(output_dir):
+    return {
+        name: hashlib.sha256((output_dir / name).read_bytes()).hexdigest()
+        for name in ("run.json", "summary.txt", "decisions.txt")
+    }
+
+
 def test_pipeline_determinism(tmp_path):
-    """Two pipeline runs on the fixture produce byte-identical structured output."""
+    """Two pipeline runs on the fixture produce byte-identical, golden output."""
     config = RunConfig.from_file(write_mini_project(tmp_path))
     run_pipeline(config)
     first = (config.output_dir / "run.json").read_bytes()
     run_pipeline(config)
     second = (config.output_dir / "run.json").read_bytes()
     assert first == second
-    print(f"{PASS} determinism (byte-identical run.json, {len(first)} bytes)")
+    assert output_digests(config.output_dir) == MINI_GOLDEN
+    print(f"{PASS} determinism (byte-identical, golden run.json, {len(first)} bytes)")
 
 
 def _write_scale_history(root, rng):
@@ -291,6 +308,7 @@ def test_scale_sanity(tmp_path):
     total_changes = sum(outcome.stats.change_count for outcome in result.outcomes)
     total_decisions = sum(outcome.stats.decision_count for outcome in result.outcomes)
     assert total_changes > 0 and total_decisions > 0
+    assert output_digests(config.output_dir) == SCALE_GOLDEN
     assert elapsed < 60.0, f"pipeline took {elapsed:.1f}s (budget 60s)"
     print(
         f"{PASS} scale sanity (49 pairs, {total_changes} changes, "

@@ -2,7 +2,7 @@ import random
 
 from archdd.changes import analyze_changes, get_change_instances, matching_cost
 from archdd.matching import build_matching_problem, min_cost_matching
-from archdd.model import ChangeKind, Component, DeltaKind, entity_universe
+from archdd.model import ChangeKind, Component, entity_universe
 from archdd.report import change_to_obj, canonical_json
 
 from conftest import random_snapshot, snap
@@ -13,7 +13,7 @@ def comp(name, entities=""):
 
 
 def delta_set(change):
-    return {(d.kind.value, d.entity) for d in change.deltas}
+    return {("remove", e) for e in change.removed} | {("add", e) for e in change.added}
 
 
 def test_disjoint_pair_yields_two_changes():
@@ -103,8 +103,8 @@ def test_every_universe_difference_appears_exactly_once():
         changes = analyze_changes(snap_a, snap_b)
         counts = {}
         for change in changes:
-            for delta in change.deltas:
-                counts[delta.entity] = counts.get(delta.entity, 0) + 1
+            for entity in [*change.removed, *change.added]:
+                counts[entity] = counts.get(entity, 0) + 1
         universe_a = entity_universe(snap_a)
         universe_b = entity_universe(snap_b)
         for entity in universe_a ^ universe_b:
@@ -123,7 +123,7 @@ def _mirror(changes):
                 flip_kind[change.kind.value],
                 change.target_component,
                 change.source_component,
-                frozenset((flip_op[d.kind.value], d.entity) for d in change.deltas),
+                frozenset((flip_op[op], entity) for op, entity in delta_set(change)),
             )
         )
     return out
@@ -140,7 +140,7 @@ def test_symmetry_on_tie_free_fixture():
             c.kind.value,
             c.source_component,
             c.target_component,
-            frozenset((d.kind.value, d.entity) for d in c.deltas),
+            frozenset(delta_set(c)),
         )
         for c in forward
     }

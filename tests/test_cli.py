@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from archdd.cli import main
@@ -41,6 +42,9 @@ def test_analyze_changes_structured_and_extract_chain(tmp_path, capsys):
         "--out", str(changes_path),
     )
     assert code == 0
+    assert hashlib.sha256(changes_path.read_bytes()).hexdigest() == (
+        "024758acb0930dc77db3ad9398d2c5ff2966664cf8424e75bade7de44b34a67a"
+    )
     code, _, _ = run(
         capsys,
         "build-impact",
@@ -249,7 +253,19 @@ def test_extract_decisions_rejects_malformed_documents(tmp_path, capsys):
     bad_entity["changes"][0]["deltas"][0]["entity"] = ""
     number_id = json.loads(json.dumps(changes_doc))
     number_id["changes"][0]["id"] = 5
-    for doc in (no_kind, bad_entity, number_id, dict(changes_doc, changes=5)):
+    flipped_kind = json.loads(json.dumps(changes_doc))
+    for change in flipped_kind["changes"]:
+        change["kind"] = "added" if change["kind"] == "modified" else "modified"
+    unknown_op = json.loads(json.dumps(changes_doc))
+    unknown_op["changes"][0]["deltas"][0]["op"] = "move"
+    number_version = json.loads(json.dumps(changes_doc))
+    number_version["changes"][0]["to_version"] = 5
+    number_component = json.loads(json.dumps(changes_doc))
+    number_component["changes"][0]["target_component"] = 5
+    for doc in (
+        no_kind, bad_entity, number_id, flipped_kind, unknown_op, number_version,
+        number_component, dict(changes_doc, changes=5),
+    ):
         broken.write_text(json.dumps(doc))
         code, _, err = run(
             capsys, "extract-decisions", "--changes", str(broken), "--impact", str(impact_path)
@@ -260,12 +276,47 @@ def test_extract_decisions_rejects_malformed_documents(tmp_path, capsys):
         dict(impact_doc, entries=dict(impact_doc["entries"], **{"APP-1": value}))
         for value in (5, [5], [""], "app.core.Cache")
     ]
-    for doc in (*bad_entries, dict(impact_doc, entries=[])):
+    for doc in (*bad_entries, dict(impact_doc, entries=[]), dict(impact_doc, to_version=5)):
         broken.write_text(json.dumps(doc))
         code, _, err = run(
             capsys, "extract-decisions", "--changes", str(changes_path), "--impact", str(broken)
         )
         assert_one_line_input_error(code, err, "impact")
+
+
+def test_json_inputs_reject_values_they_cannot_hold(tmp_path, capsys):
+    changes_path, impact_path = _structured_docs(tmp_path, capsys)
+    issues, commits = str(tmp_path / "issues.jsonl"), str(tmp_path / "commits.jsonl")
+    bad, out = tmp_path / "bad.json", str(tmp_path / "o.json")
+    impact_args = ("--version", "1.1.0", "--out", out)
+    invocations = [
+        ("build-impact", "--issues", str(bad), "--commits", commits, *impact_args),
+        ("build-impact", "--issues", issues, "--commits", str(bad), *impact_args),
+        ("build-impact", "--issues", issues, "--commits", commits, "--rules", str(bad),
+         *impact_args),
+        ("extract-decisions", "--changes", str(bad), "--impact", str(impact_path), "--out", out),
+        ("extract-decisions", "--changes", str(changes_path), "--impact", str(bad), "--out", out),
+        ("report", "--in", str(bad), "--out", "summary"),
+        ("pipeline", "--config", str(bad)),
+    ]
+    for content, message in (
+        ('{"id": "c100", "n": ' + "7" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+        ('{"id": "c100", "paths": ["src/main/java/app/\\ud800.java"]}', "unpaired surrogate"),
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+    ):
+        bad.write_text(content + "\n")
+        for argv in invocations:
+            code, _, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert "Traceback" not in err
+            assert message in err and err.count("\n") == 1, err
+        assert not (tmp_path / "o.json").exists()
+
+    # a valid surrogate pair decodes to one character and still loads
+    bad.write_text('{"id": "c100", "paths": ["src/main/java/app/\\ud83d\\ude00.java"]}\n')
+    code, _, _ = run(capsys, *invocations[1])
+    assert code == 0
+    assert json.loads((tmp_path / "o.json").read_text())["entries"]["APP-1"] == ["app.\U0001f600"]
 
 
 def test_non_utf8_inputs_are_one_line_errors(tmp_path, capsys):

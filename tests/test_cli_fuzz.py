@@ -1,9 +1,10 @@
-"""Fuzz the ingestion CLI: whatever lands in an input slot, exit 0 or 1 with one line.
+"""Fuzz the CLI: whatever lands in an input slot, exit 0 or 1 with one line.
 
-Each slot of ``build-impact`` gets raw bytes, arbitrary JSON, or a near-valid
-document whose fields now and then hold an arbitrary JSON value. Documents
-are kept mostly valid so that later slots (rules, exclusions) and the impact
-build itself are reached, not only the first parser.
+Every input slot of ``build-impact``, ``extract-decisions``, ``report``,
+``analyze-changes`` and ``pipeline`` gets raw bytes, arbitrary JSON, or a
+near-valid document whose fields now and then hold an arbitrary JSON value.
+Documents are kept mostly valid so that later slots and the stages behind
+the parsers are reached, not only the first parser.
 """
 
 import contextlib
@@ -12,10 +13,12 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from archdd.cli import main
+
+from conftest import write_mini_project
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
@@ -99,7 +102,33 @@ exclusion_files = st.lists(
 ).map(lambda lines: "\n".join(lines).encode())
 
 
-@settings(max_examples=300, deadline=None)
+HUGE_INTEGER = b'{"id": "c1", "n": ' + b"7" * 5000 + b"}\n"
+LONE_SURROGATE = b'{"id": "c1", "paths": ["src/a/\\ud800.java"]}\n'
+
+
+def run_cli(argv, slots, root, reports=()):
+    """Write each slot's bytes to a file under ``root``, run the CLI, check the outcome.
+
+    Lines that start with one of ``reports`` are progress or per-pair reports,
+    not errors, and are left out of the line count.
+    """
+    argv = list(argv)
+    for option, content in slots.items():
+        if content is not None:
+            path = root / option.strip("-")
+            path.write_bytes(content)
+            argv += [option, str(path)]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code in (0, 1), err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines(keepends=True) if not line.startswith(reports)]
+    assert len(errors) == code, err  # one line on failure, nothing on success
+
+
+@settings(max_examples=150, deadline=None)
 @given(
     issues=slot(jsonl(issue_records)),
     commits=slot(jsonl(commit_records)),
@@ -107,23 +136,189 @@ exclusion_files = st.lists(
     exclusions=st.none() | slot(exclusion_files),
     link_by_message=st.booleans(),
 )
+@example(issues=HUGE_INTEGER, commits=b"", rules=None, exclusions=None, link_by_message=False)
+@example(issues=b"", commits=LONE_SURROGATE, rules=None, exclusions=None, link_by_message=False)
 def test_build_impact_never_leaks_a_traceback(issues, commits, rules, exclusions, link_by_message):
-    stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         argv = ["build-impact", "--version", "2.0", "--out", str(root / "impact.json")]
-        slots = {"--issues": issues, "--commits": commits, "--rules": rules,
-                 "--exclusions": exclusions}
-        for option, content in slots.items():
-            if content is not None:
-                path = root / option.strip("-")
-                path.write_bytes(content)
-                argv += [option, str(path)]
         if link_by_message:
             argv.append("--link-by-message")
-        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
-    err = stderr.getvalue()
-    assert code in (0, 1), err
-    assert "Traceback" not in err
-    assert err.count("\n") == code, err  # one line on failure, nothing on success
+        slots = {"--issues": issues, "--commits": commits, "--rules": rules,
+                 "--exclusions": exclusions}
+        run_cli(argv, slots, root)
+
+
+ENTITIES = ["app.A", "app.B", "app.C"]
+VERSIONS = ["1.0", "2.0"]
+
+
+def documents(kind, body):
+    """A structured document: the header fields, then ``body``'s fields."""
+    header = {
+        "schema_version": maybe(st.just(1)),
+        "kind": maybe(st.just(kind)),
+        "from_version": maybe(st.just("1.0")),
+        "to_version": maybe(st.just("2.0")),
+    }
+    return st.fixed_dictionaries({**header, **body}).map(lambda obj: json.dumps(obj).encode())
+
+
+# Kinds and endpoints are drawn independently, so flipped kinds and null
+# endpoints are common; an entity drawn twice with both ops is both added and
+# removed; "move" is an unknown op.
+change_entries = st.fixed_dictionaries(
+    {
+        "id": maybe(st.sampled_from(["ch:1", "ch:2", "ch:3"])),
+        "kind": maybe(st.sampled_from(["added", "removed", "modified"])),
+        "source_component": maybe(st.sampled_from([None, "core", "io"])),
+        "target_component": maybe(st.sampled_from([None, "core", "web"])),
+        "from_version": maybe(st.sampled_from(VERSIONS)),
+        "to_version": maybe(st.sampled_from(VERSIONS)),
+        "deltas": maybe(
+            st.lists(
+                st.fixed_dictionaries(
+                    {
+                        "op": maybe(st.sampled_from(["add", "remove", "move"])),
+                        "entity": maybe(st.sampled_from(ENTITIES)),
+                    }
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        ),
+    }
+)
+changes_documents = documents(
+    "changes", {"changes": maybe(st.lists(maybe(change_entries), max_size=3))}
+)
+impact_documents = documents(
+    "impact",
+    {
+        "entries": maybe(
+            st.dictionaries(
+                st.sampled_from(["APP-1", "APP-2"]),
+                maybe(st.lists(st.sampled_from(ENTITIES), max_size=2)),
+                max_size=2,
+            )
+        ),
+        "diagnostics": maybe(st.just({"excluded_entity_count": 0})),
+    },
+)
+
+
+def changes_document(*entries):
+    return json.dumps(
+        {"schema_version": 1, "kind": "changes", "from_version": "1.0", "to_version": "2.0",
+         "changes": [{"id": f"ch:{i}", "kind": "added", "target_component": "web",
+                      "from_version": "1.0", "to_version": "2.0",
+                      "deltas": [{"op": "add", "entity": "app.A"}], **entry}
+                     for i, entry in enumerate(entries)]}
+    ).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(changes=slot(changes_documents), impact=slot(impact_documents))
+@example(changes=HUGE_INTEGER, impact=b"{}")
+@example(changes=LONE_SURROGATE, impact=b"{}")
+# versions of two types once reached a sort in build_decision_graph
+@example(
+    changes=changes_document({"to_version": 5}, {"to_version": "3.0"}),
+    impact=b'{"schema_version": 1, "kind": "impact", "to_version": "2.0", "entries": {}}',
+)
+def test_extract_decisions_never_leaks_a_traceback(changes, impact):
+    with tempfile.TemporaryDirectory() as tmp:
+        run_cli(["extract-decisions"], {"--changes": changes, "--impact": impact}, Path(tmp))
+
+
+COUNT_FIELDS = [
+    "issues_in_decisions", "change_count", "decision_count", "issue_links",
+    "change_links", "covered_change_count", "clean_change_count",
+]
+pair_stats = st.fixed_dictionaries(
+    {
+        **{name: maybe(st.integers(-2, 5)) for name in COUNT_FIELDS},
+        "kind_distribution": maybe(
+            st.fixed_dictionaries(
+                {k: maybe(st.integers(0, 3)) for k in ("simple", "compound", "crosscutting")}
+            )
+        ),
+    },
+    optional={"from_version": maybe(st.just("1.0")), "to_version": maybe(st.just("2.0"))},
+)
+run_documents = documents(
+    "run",
+    {"summary": maybe(st.fixed_dictionaries(
+        {"pairs": maybe(st.lists(maybe(pair_stats), max_size=2)), "overall": maybe(pair_stats)}
+    ))},
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    run_doc=slot(run_documents),
+    which=st.sampled_from(["summary", "distribution", "coverage"]),
+)
+@example(run_doc=HUGE_INTEGER, which="summary")
+@example(run_doc=LONE_SURROGATE, which="summary")
+def test_report_never_leaks_a_traceback(run_doc, which):
+    with tempfile.TemporaryDirectory() as tmp:
+        run_cli(["report", "--out", which], {"--in": run_doc}, Path(tmp))
+
+
+snapshot_files = st.lists(
+    st.tuples(
+        st.sampled_from(["contain", "contain", "contain", "link", ""]),
+        st.sampled_from(["core", "io", "web"]) | st.text(max_size=4),
+        st.sampled_from(ENTITIES) | st.text(max_size=4),
+    ),
+    max_size=5,
+).map(lambda rows: "".join(" ".join(row) + "\n" for row in rows).encode())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arch_a=mostly(snapshot_files, st.binary(max_size=30)),
+    arch_b=mostly(snapshot_files, st.binary(max_size=30)),
+    fmt=st.sampled_from(["text", "structured"]),
+)
+def test_analyze_changes_never_leaks_a_traceback(arch_a, arch_b, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        slots = {"--arch-a": arch_a, "--arch-b": arch_b}
+        run_cli(["analyze-changes", "--format", fmt], slots, Path(tmp))
+
+
+# Config paths come from fixed lists: a fuzzed output_dir could point anywhere.
+SNAPSHOTS = ["arch-1.0.0.rsf", "arch-1.1.0.rsf", "fuzz.rsf", "missing.rsf"]
+version_entries = st.fixed_dictionaries(
+    {
+        "label": maybe(st.sampled_from(["1.0.0", "1.1.0", "x"])),
+        "snapshot": maybe(st.sampled_from(SNAPSHOTS)),
+    }
+)
+config_files = st.fixed_dictionaries(
+    {
+        "versions": maybe(st.lists(maybe(version_entries), min_size=1, max_size=3)),
+        "issues": maybe(st.sampled_from(["issues.jsonl", "commits.jsonl", "missing"])),
+        "commits": maybe(st.sampled_from(["commits.jsonl", "fuzz.rsf"])),
+        "output_dir": mostly(st.sampled_from(["out", "out/sub"]), st.sampled_from([5, None, []])),
+    },
+    optional={
+        "exclusions": maybe(st.sampled_from(["exclusions.txt", "fuzz.rsf"])),
+        "tractability_threshold": maybe(st.integers(-1, 3)),
+        "link_by_message": maybe(st.booleans()),
+    },
+).map(lambda obj: json.dumps(obj).encode())
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=slot(config_files), snapshot=snapshot_files, strict=st.booleans())
+@example(config=HUGE_INTEGER, snapshot=b"", strict=False)
+@example(config=LONE_SURROGATE, snapshot=b"", strict=False)
+def test_pipeline_config_never_leaks_a_traceback(config, snapshot, strict):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_mini_project(root)
+        (root / "fuzz.rsf").write_bytes(snapshot)
+        argv = ["pipeline", "--strict"] if strict else ["pipeline"]
+        run_cli(argv, {"--config": config}, root, reports=("wrote ", "pair "))

@@ -17,20 +17,17 @@ from archdd.decisions import (
 from archdd.errors import InvariantViolation
 from archdd.ingestion import ArchitecturalImpactList
 from archdd.changes import analyze_changes
-from archdd.model import ChangeKind, Delta, DeltaKind, new_change
+from archdd.model import ChangeKind, new_change
 
 from conftest import random_snapshot
 
 
 def chg(component, entities, kind=ChangeKind.COMPONENT_MODIFIED, pair=("v1", "v2")):
-    if kind is ChangeKind.COMPONENT_ADDED:
-        deltas = frozenset(Delta(DeltaKind.ADD, e) for e in entities)
-        return new_change(kind, None, component, deltas, pair)
+    entities = frozenset(entities)
     if kind is ChangeKind.COMPONENT_REMOVED:
-        deltas = frozenset(Delta(DeltaKind.REMOVE, e) for e in entities)
-        return new_change(kind, component, None, deltas, pair)
-    deltas = frozenset(Delta(DeltaKind.ADD, e) for e in entities)
-    return new_change(kind, component, component, deltas, pair)
+        return new_change(component, None, entities, frozenset(), pair)
+    source = None if kind is ChangeKind.COMPONENT_ADDED else component
+    return new_change(source, component, frozenset(), entities, pair)
 
 
 def impact(entries, pair=("v1", "v2")):
@@ -39,15 +36,8 @@ def impact(entries, pair=("v1", "v2")):
     )
 
 
-def graph_of(edges, issues=(), changes=(), pair=("v1", "v2")):
-    issue_nodes = set(issues) | {i for i, _ in edges}
-    change_nodes = set(changes) | {c for _, c in edges}
-    return DecisionGraph(
-        version_pair=pair,
-        issue_nodes=frozenset(issue_nodes),
-        change_nodes=frozenset(change_nodes),
-        edges=frozenset(edges),
-    )
+def graph_of(edges, pair=("v1", "v2")):
+    return DecisionGraph(version_pair=pair, edges=frozenset(edges))
 
 
 def test_build_decision_graph_edge_rule():
@@ -56,7 +46,8 @@ def test_build_decision_graph_edge_rule():
     imp = impact({"i1": ["e1"], "i2": ["e9"], "i3": ["e1", "e2"]})
     graph = build_decision_graph(imp, frozenset({c1, c2}))
     assert graph.edges == {("i1", c1.id), ("i3", c1.id), ("i3", c2.id)}
-    assert "i2" in graph.issue_nodes  # isolated but present until orphan removal
+    # i2 touched no changed entity: an orphan, so no decision names it
+    assert all("i2" not in d.issue_ids for d in find_decisions(graph))
 
 
 def dense_edges(impact_list, changes):
@@ -84,8 +75,8 @@ def test_build_decision_graph_equals_dense_scan():
         imp = impact(entries)
         graph = build_decision_graph(imp, changes)
         assert graph.edges == dense_edges(imp, changes)
-        assert graph.issue_nodes == frozenset(entries)
-        assert graph.change_nodes == frozenset(c.id for c in changes)
+        assert {i for i, _ in graph.edges} <= set(entries)
+        assert {c for _, c in graph.edges} <= {c.id for c in changes}
         total_edges += len(graph.edges)
     assert total_edges > 100
 
@@ -96,16 +87,6 @@ def test_build_decision_graph_version_mismatch():
     c1 = chg("core", ["e1"], pair=("v1", "v2"))
     with pytest.raises(InputError):
         build_decision_graph(impact({"i1": ["e1"]}, pair=(None, "v9")), frozenset({c1}))
-
-
-def test_decision_graph_rejects_dangling_edges():
-    with pytest.raises(InvariantViolation):
-        DecisionGraph(
-            version_pair=("a", "b"),
-            issue_nodes=frozenset({"i1"}),
-            change_nodes=frozenset(),
-            edges=frozenset({("i1", "ch:x")}),
-        )
 
 
 def test_find_decisions_simple():
@@ -121,15 +102,14 @@ def test_find_decisions_compound():
 
 
 def test_find_decisions_crosscutting_and_orphans():
-    graph = graph_of(
-        {("i1", "c1"), ("i1", "c2"), ("i2", "c2")}, issues={"i3"}, changes={"c3"}
-    )
-    decisions = find_decisions(graph)
+    c1, c2, c3 = chg("a", ["e1"]), chg("b", ["e2"]), chg("c", ["e3"])
+    imp = impact({"i1": ["e1", "e2"], "i2": ["e2"], "i3": ["e9"]})  # i3 and c3 are orphans
+    decisions = find_decisions(build_decision_graph(imp, frozenset({c1, c2, c3})))
     assert len(decisions) == 1
     decision = decisions[0]
     assert decision.kind is DecisionKind.CROSSCUTTING
     assert decision.issue_ids == {"i1", "i2"}
-    assert decision.change_ids == {"c1", "c2"}
+    assert decision.change_ids == {c1.id, c2.id}
 
 
 def test_find_decisions_ordering_and_no_empty_sides():
@@ -166,16 +146,17 @@ def test_classification_exhaustive_and_exclusive():
             }[(simple, compound, crosscutting)]
 
 
-def test_decision_kind_consistency_enforced():
+def test_decision_kind_follows_counts_and_sides_are_non_empty():
+    def make(issue_ids, change_ids):
+        return Decision("d:x", frozenset(issue_ids), frozenset(change_ids), ("a", "b"), True)
+
+    assert make({"i1"}, {"c1"}).kind is DecisionKind.SIMPLE
+    assert make({"i1", "i2"}, {"c1"}).kind is DecisionKind.COMPOUND
+    assert make({"i1"}, {"c1", "c2"}).kind is DecisionKind.CROSSCUTTING
     with pytest.raises(InvariantViolation):
-        Decision(
-            id="d:x",
-            issue_ids=frozenset({"i1"}),
-            change_ids=frozenset({"c1"}),
-            kind=DecisionKind.CROSSCUTTING,
-            version_pair=("a", "b"),
-            tractable=True,
-        )
+        make(set(), {"c1"})
+    with pytest.raises(InvariantViolation):
+        make({"i1"}, set())
 
 
 def test_change_coverage_examples():
@@ -187,7 +168,6 @@ def test_change_coverage_examples():
             id="d:1",
             issue_ids=frozenset({"i1"}),
             change_ids=frozenset(c.id for c in covered),
-            kind=DecisionKind.CROSSCUTTING,
             version_pair=("v1", "v2"),
             tractable=True,
         )
@@ -199,7 +179,6 @@ def test_change_coverage_examples():
             id="d:2",
             issue_ids=frozenset({"i1"}),
             change_ids=all_ids,
-            kind=DecisionKind.CROSSCUTTING,
             version_pair=("v1", "v2"),
             tractable=False,
         )
@@ -220,7 +199,6 @@ def test_change_coverage_after_cleanup_fixture():
             id="d:3",
             issue_ids=frozenset({"i1"}),
             change_ids=frozenset(c.id for c in internal[:2]),
-            kind=DecisionKind.CROSSCUTTING,
             version_pair=("v1", "v2"),
             tractable=True,
         )
@@ -276,7 +254,7 @@ def test_connected_components_match_reachability_oracle():
             for c in changes
             if rng.random() < 0.12
         }
-        graph = graph_of(edges, issues=issues, changes=changes)
+        graph = graph_of(edges)
         decisions = find_decisions(graph)
         got = {
             frozenset({("i", i) for i in d.issue_ids} | {("c", c) for c in d.change_ids})
@@ -296,7 +274,7 @@ def test_coverage_monotone_in_edges():
     last = Fraction(0)
     for pair in all_pairs:
         edges.add(pair)
-        graph = graph_of(edges, issues=issues, changes={c.id for c in change_list})
+        graph = graph_of(edges)
         coverage = change_coverage(changes, find_decisions(graph))
         assert coverage >= last
         last = coverage

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,8 +8,6 @@ from archdd.model import (
     ArchitecturalChange,
     ChangeKind,
     Component,
-    Delta,
-    DeltaKind,
     entity_universe,
     new_change,
     parse_snapshot,
@@ -109,24 +108,29 @@ def test_snapshot_rejects_empty_components():
 
 
 def test_change_invariants():
-    adds = frozenset({Delta(DeltaKind.ADD, "a")})
-    removes = frozenset({Delta(DeltaKind.REMOVE, "a")})
-    change = new_change(ChangeKind.COMPONENT_ADDED, None, "C", adds, ("v1", "v2"))
-    assert change.delta_entities == {"a"}
+    pair = ("v1", "v2")
+    added = new_change(None, "C", frozenset(), frozenset({"a"}), pair)
+    assert added.delta_entities == {"a"}
+    assert added.kind is ChangeKind.COMPONENT_ADDED
+    assert new_change("C", None, {"a"}, frozenset(), pair).kind is ChangeKind.COMPONENT_REMOVED
+    assert new_change("C", "D", {"a"}, frozenset(), pair).kind is ChangeKind.COMPONENT_MODIFIED
+    with pytest.raises(InvariantViolation):  # removals without a source
+        new_change(None, "C", frozenset({"a"}), frozenset(), pair)
+    with pytest.raises(InvariantViolation):  # additions without a target
+        new_change("C", None, frozenset(), frozenset({"a"}), pair)
     with pytest.raises(InvariantViolation):
-        new_change(ChangeKind.COMPONENT_ADDED, None, "C", removes, ("v1", "v2"))
+        ArchitecturalChange("x", None, "C", frozenset(), frozenset(), ("a", "b"))
     with pytest.raises(InvariantViolation):
-        new_change(ChangeKind.COMPONENT_REMOVED, "C", None, adds, ("v1", "v2"))
-    with pytest.raises(InvariantViolation):
-        new_change(ChangeKind.COMPONENT_MODIFIED, None, "C", adds, ("v1", "v2"))
-    with pytest.raises(InvariantViolation):
-        ArchitecturalChange("x", ChangeKind.COMPONENT_ADDED, None, "C", frozenset(), ("a", "b"))
+        new_change("C", "C", frozenset(), frozenset({"a b"}), pair)
 
 
 def test_change_id_is_content_addressed():
-    deltas = frozenset({Delta(DeltaKind.ADD, "a"), Delta(DeltaKind.ADD, "b")})
-    one = new_change(ChangeKind.COMPONENT_ADDED, None, "C", deltas, ("v1", "v2"))
-    two = new_change(ChangeKind.COMPONENT_ADDED, None, "C", deltas, ("v1", "v2"))
-    other = new_change(ChangeKind.COMPONENT_ADDED, None, "D", deltas, ("v1", "v2"))
+    entities = frozenset({"a", "b"})
+    one = new_change(None, "C", frozenset(), entities, ("v1", "v2"))
+    two = new_change(None, "C", frozenset(), entities, ("v1", "v2"))
+    other = new_change(None, "D", frozenset(), entities, ("v1", "v2"))
     assert one.id == two.id
     assert one.id != other.id
+    # the hashed strings: kind, endpoints, versions, then sorted op:entity
+    parts = ["added", "", "C", "v1", "v2", "add:a", "add:b"]
+    assert one.id == "ch:" + hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:12]

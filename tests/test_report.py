@@ -31,14 +31,15 @@ from conftest import snap
 def decision(issues, changes, kind, tractable=True, pair=("v1", "v2")):
     issue_ids = frozenset(issues)
     change_ids = frozenset(changes)
-    return Decision(
+    made = Decision(
         id=decision_id(issue_ids, change_ids, pair),
         issue_ids=issue_ids,
         change_ids=change_ids,
-        kind=kind,
         version_pair=pair,
         tractable=tractable,
     )
+    assert made.kind is kind  # the kind follows from the counts
+    return made
 
 
 def sample_changes():
