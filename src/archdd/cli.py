@@ -39,6 +39,15 @@ def _load_json(path: str, what: str) -> dict:
     )
 
 
+def _label(value: str) -> str:
+    """A version label from an argument or a file name; its text goes into every output."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InputError(f"version label {value!r} is not valid UTF-8") from None
+    return value
+
+
 def _emit(text: str, out: str | None):
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -61,8 +70,8 @@ def cli():
 @click.option("--out", default=None, help="write output here instead of stdout")
 def analyze_changes_cmd(arch_a, arch_b, label_a, label_b, fmt, out):
     """Match two snapshots and list the architectural changes between them."""
-    label_a = label_a or Path(arch_a).stem
-    label_b = label_b or Path(arch_b).stem
+    label_a = _label(label_a or Path(arch_a).stem)
+    label_b = _label(label_b or Path(arch_b).stem)
     snap_a = parse_snapshot(read_input(arch_a, "snapshot"), label_a)
     snap_b = parse_snapshot(read_input(arch_b, "snapshot"), label_b)
     changes = analyze_changes(snap_a, snap_b)
@@ -88,6 +97,7 @@ def analyze_changes_cmd(arch_a, arch_b, label_a, label_b, fmt, out):
 @click.option("--out", default=None)
 def build_impact_cmd(issues_path, commits_path, version, rules_path, exclusions_path, link_by_message, out):
     """Build the architectural impact list for one version."""
+    version = _label(version)
     issues, commits, rules, exclusions = load_issue_side(
         issues_path, commits_path, rules_path, exclusions_path, link_by_message
     )

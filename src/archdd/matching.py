@@ -1,15 +1,18 @@
 """Component matching between two snapshots.
 
 Works in the style of an assignment problem: balance both component lists
-to equal length with empty dummy components, price every pair by the number
-of entity-level deltas needed to transform one component into the other,
-then pick the bijection with minimum total cost. Among equal-cost optima
-the matching that is lexicographically smallest on (component_a name,
-component_b name) pairs is returned, so output is deterministic.
+to equal length with empty dummy components, then pick the bijection that
+needs the fewest entity-level deltas to transform one side into the other.
+Pairing A with B costs |A| + |B| - 2|A & B| deltas, so the cheapest
+bijections are those that share the most entities in total; only the pairs
+that share an entity are recorded. Among equal-cost optima the matching
+that is lexicographically smallest on (component_a name, component_b name)
+pairs is returned, so output is deterministic.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import kernel
@@ -23,14 +26,15 @@ DUMMY_PREFIX = "__dummy_"
 class MatchingProblem:
     """A balanced bipartite matching instance.
 
-    ``components_a`` and ``components_b`` have equal length n; ``costs`` is
-    the row-major n*n list with ``costs[i * n + j]`` the cost of pairing
-    ``components_a[i]`` with ``components_b[j]``.
+    ``components_a`` and ``components_b`` have equal length n;
+    ``overlaps[i]`` maps each j with ``components_a[i]`` and
+    ``components_b[j]`` sharing entities to the number they share. Pairs
+    that share nothing are absent.
     """
 
     components_a: list[Component]
     components_b: list[Component]
-    costs: list[int]
+    overlaps: list[dict[int, int]]
 
 
 def balance(
@@ -66,29 +70,23 @@ def balance(
 def build_matching_problem(
     components_a: list[Component], components_b: list[Component]
 ) -> MatchingProblem:
-    """Balance both sides, sort each by name, and price every pair.
+    """Balance both sides, sort each by name, and count each row's overlaps.
 
-    Pairing A with B costs |A ^ B| = |A| + |B| - 2|A & B| deltas. Because
-    ``components_b`` partitions its entities, one entity -> column map prices
-    a whole row in a single pass over A's entities.
+    Because ``components_b`` partitions its entities, one entity -> column
+    map counts a whole row's overlaps in a single pass over A's entities.
     """
     a, b = balance(components_a, components_b)
     a.sort(key=lambda c: c.name)
     b.sort(key=lambda c: c.name)
     column = {entity: j for j, component in enumerate(b) for entity in component.entities}
-    sizes_b = [len(component.entities) for component in b]
-    if len(column) != sum(sizes_b):
+    if len(column) != sum(len(component.entities) for component in b):
         raise InvariantViolation("components_b share an entity; they must partition it")
-    costs: list[int] = []
+    overlaps = []
     for component in a:
-        size_a = len(component.entities)
-        row = [size_a + size_b for size_b in sizes_b]
-        for entity in component.entities:
-            j = column.get(entity)
-            if j is not None:
-                row[j] -= 2
-        costs += row
-    return MatchingProblem(components_a=a, components_b=b, costs=costs)
+        row = Counter(map(column.get, component.entities))
+        row.pop(None, None)
+        overlaps.append(row)
+    return MatchingProblem(components_a=a, components_b=b, overlaps=overlaps)
 
 
 def min_cost_matching(problem: MatchingProblem) -> list[tuple[Component, Component]]:
@@ -104,5 +102,5 @@ def min_cost_matching(problem: MatchingProblem) -> list[tuple[Component, Compone
     n = len(a)
     if n != len(b):
         raise InvariantViolation("matching problem is not balanced")
-    cols = kernel.lexmin_assignment(problem.costs, n)
+    cols = kernel.lexmin_assignment(problem.overlaps, n)
     return [(a[i], b[j]) for i, j in enumerate(cols)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -137,6 +138,14 @@ def write_mini_project(root):
     config_path = root / "config.json"
     config_path.write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
     return config_path
+
+
+def output_digests(output_dir):
+    """sha256 of each pipeline output file under ``output_dir``."""
+    return {
+        name: hashlib.sha256((output_dir / name).read_bytes()).hexdigest()
+        for name in ("run.json", "summary.txt", "decisions.txt")
+    }
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ code paths they check (exhaustive enumeration for the matcher, fixpoint
 reachability for connected components).
 """
 
-import hashlib
 import itertools
 import json
 import random
@@ -19,7 +18,7 @@ from archdd.matching import balance, build_matching_problem, min_cost_matching
 from archdd.model import ChangeKind
 from archdd.pipeline import RunConfig, run_pipeline
 
-from conftest import random_snapshot, write_mini_project
+from conftest import output_digests, random_snapshot, write_mini_project
 
 PASS = "ACCEPTANCE PASS:"
 
@@ -203,13 +202,6 @@ SCALE_GOLDEN = {
     "summary.txt": "947dd3c46072a70dd6c56181fa8c34bd7d925c3df916a92315caa6170af230bf",
     "decisions.txt": "e04cb6b5a114b2d0fd0a04d8ecd2f0db7bcd9116e2080c14f6ef407dfe5a1de1",
 }
-
-
-def output_digests(output_dir):
-    return {
-        name: hashlib.sha256((output_dir / name).read_bytes()).hexdigest()
-        for name in ("run.json", "summary.txt", "decisions.txt")
-    }
 
 
 def test_pipeline_determinism(tmp_path):

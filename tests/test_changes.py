@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from archdd.changes import analyze_changes, get_change_instances, matching_cost
 from archdd.matching import build_matching_problem, min_cost_matching
 from archdd.model import ChangeKind, Component, entity_universe
@@ -156,3 +158,53 @@ def test_analyze_changes_deterministic_serialization():
         ordered = sorted(changes, key=lambda c: c.id)
         docs.append(canonical_json([change_to_obj(c) for c in ordered]))
     assert docs[0] == docs[1]
+
+
+def drifted(rng, snapshot, version, share):
+    """``snapshot`` with a ``share`` of its entities moved, dropped, or replaced by new ones."""
+    names = [c.name for c in snapshot.components]
+    names += [f"new{k:03d}" for k in range(len(names) // 5 + 1)]
+    owner = {}
+    for component in snapshot.components:
+        for entity in component.entities:
+            roll = rng.random()
+            if roll >= share:
+                owner[entity] = component.name
+            elif roll < share / 2:
+                owner[entity] = rng.choice(names)
+            elif roll < 3 * share / 4:
+                owner[f"{entity}.{version}"] = rng.choice(names)
+    grouped = {}
+    for entity, name in owner.items():
+        grouped.setdefault(name, []).append(entity)
+    return snap(version, {name: " ".join(entities) for name, entities in grouped.items()})
+
+
+def scipy_optimum(snap_a, snap_b):
+    """Minimum total |A| + |B| - 2|A & B| by scipy, both sides padded with empty components."""
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    a = [c.entities for c in snap_a.components]
+    b = [c.entities for c in snap_b.components]
+    n = max(len(a), len(b))
+    a += [frozenset()] * (n - len(a))
+    b += [frozenset()] * (n - len(b))
+    cost = np.array([[len(x) + len(y) - 2 * len(x & y) for y in b] for x in a], dtype=np.int64)
+    rows, cols = optimize.linear_sum_assignment(cost)
+    return int(cost[rows, cols].sum())
+
+
+def test_matching_cost_equals_scipy_optimum():
+    """The change set's size is the optimum of an independent solver, up to 200 components."""
+    rng = random.Random(1704)
+    largest = 0
+    for trial in range(12):
+        pool = [f"e{i:04d}" for i in range(800)]
+        snap_a = random_snapshot(rng, "a", pool, max_components=200, max_entities=6)
+        if trial % 2:
+            snap_b = random_snapshot(rng, "b", pool, max_components=200, max_entities=6)
+        else:
+            snap_b = drifted(rng, snap_a, "b", share=rng.choice([0.05, 0.3, 0.9]))
+        largest = max(largest, len(snap_a.components), len(snap_b.components))
+        assert matching_cost(analyze_changes(snap_a, snap_b)) == scipy_optimum(snap_a, snap_b)
+    assert largest > 150

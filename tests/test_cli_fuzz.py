@@ -4,12 +4,15 @@ Every input slot of ``build-impact``, ``extract-decisions``, ``report``,
 ``analyze-changes`` and ``pipeline`` gets raw bytes, arbitrary JSON, or a
 near-valid document whose fields now and then hold an arbitrary JSON value.
 Documents are kept mostly valid so that later slots and the stages behind
-the parsers are reached, not only the first parser.
+the parsers are reached, not only the first parser. The version labels of
+``analyze-changes`` and ``build-impact`` come from arguments and file names,
+so those are drawn too, lone surrogates included.
 """
 
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 
 from archdd.cli import main
 
-from conftest import write_mini_project
+from conftest import MINI_SNAPSHOT_A, MINI_SNAPSHOT_B, write_mini_project
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
@@ -322,3 +325,48 @@ def test_pipeline_config_never_leaks_a_traceback(config, snapshot, strict):
         (root / "fuzz.rsf").write_bytes(snapshot)
         argv = ["pipeline", "--strict"] if strict else ["pipeline"]
         run_cli(argv, {"--config": config}, root, reports=("wrote ", "pair "))
+
+
+# An argument or file name that is not valid UTF-8 reaches Python as text
+# holding lone surrogates (b"\xff" becomes "\udcff").
+labels = st.text(
+    st.characters() | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF), max_size=8
+)
+file_stems = st.binary(max_size=12).filter(lambda name: b"/" not in name and b"\0" not in name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    label_a=st.none() | labels,
+    label_b=st.none() | labels,
+    stem=file_stems,
+    fmt=st.sampled_from(["text", "structured"]),
+)
+@example(label_a="\udcff", label_b=None, stem=b"a", fmt="structured")
+@example(label_a=None, label_b=None, stem=b"\xff", fmt="text")
+def test_analyze_changes_labels_never_leak_a_traceback(label_a, label_b, stem, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        arch_a = os.path.join(os.fsencode(tmp), stem + b".rsf")
+        with open(arch_a, "wb") as handle:
+            handle.write(MINI_SNAPSHOT_A.encode())
+        root = Path(tmp)
+        (root / "b.rsf").write_text(MINI_SNAPSHOT_B, encoding="utf-8")
+        argv = ["analyze-changes", "--arch-a", os.fsdecode(arch_a), "--arch-b", str(root / "b.rsf"),
+                "--format", fmt, "--out", str(root / "changes.out")]
+        for option, label in (("--label-a", label_a), ("--label-b", label_b)):
+            if label is not None:
+                argv.append(f"{option}={label}")
+        run_cli(argv, {}, root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(version=labels)
+@example(version="\udcff")
+def test_build_impact_version_never_leaks_a_traceback(version):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_mini_project(root)
+        argv = ["build-impact", "--issues", str(root / "issues.jsonl"),
+                "--commits", str(root / "commits.jsonl"), f"--version={version}",
+                "--out", str(root / "impact.json")]
+        run_cli(argv, {}, root)

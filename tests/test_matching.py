@@ -77,27 +77,40 @@ def test_balance_skips_colliding_dummy_names():
     assert balanced_a[1].name == "__dummy_1"
 
 
-def reference_costs(problem):
-    return [delta_cost(a, b) for a in problem.components_a for b in problem.components_b]
+def reference_overlaps(problem):
+    """Shared-entity counts of every pair, zeros included, row by row."""
+    return [
+        [len(a.entities & b.entities) for b in problem.components_b]
+        for a in problem.components_a
+    ]
+
+
+def padded(problem):
+    """The problem's sparse overlap rows padded with zeros to a full n x n table."""
+    n = len(problem.components_b)
+    return [[row.get(j, 0) for j in range(n)] for row in problem.overlaps]
 
 
 def test_costs_equal_symmetric_difference_reference():
+    # Only overlapping pairs are stored. Padded with zeros they must equal
+    # the reference counts, which fix each pair's delta cost |A| + |B| - 2|A & B|.
     problem = build_matching_problem(
         [comp("x", "a b c"), comp("z", "e f")], [comp("y", "b c d"), comp("w", "e f")]
     )
     assert [c.name for c in problem.components_a] == ["x", "z"]
     assert [c.name for c in problem.components_b] == ["w", "y"]
-    assert problem.costs == [5, 2, 0, 5]
+    assert problem.overlaps == [{1: 2}, {0: 2}]
     rng = random.Random(3)
     pool = [f"e{i:02d}" for i in range(40)]
-    padded = 0
+    padded_draws = 0
     for _ in range(200):
         snap_a = random_snapshot(rng, "a", pool, max_components=8)
         snap_b = random_snapshot(rng, "b", pool, max_components=8)
         problem = build_matching_problem(list(snap_a.components), list(snap_b.components))
-        padded += len(snap_a.components) != len(snap_b.components)
-        assert problem.costs == reference_costs(problem)
-    assert padded > 100  # most draws exercise empty dummy rows or columns
+        padded_draws += len(snap_a.components) != len(snap_b.components)
+        assert all(0 not in row.values() for row in problem.overlaps)
+        assert padded(problem) == reference_overlaps(problem)
+    assert padded_draws > 100  # most draws exercise empty dummy rows or columns
 
 
 def test_costs_reject_shared_entities_in_components_b():
@@ -153,6 +166,6 @@ def test_matching_is_deterministic():
 
 
 def test_min_cost_matching_rejects_unbalanced_problem():
-    problem = MatchingProblem(components_a=[comp("A", "a")], components_b=[], costs=[])
+    problem = MatchingProblem(components_a=[comp("A", "a")], components_b=[], overlaps=[{}])
     with pytest.raises(InvariantViolation):
         min_cost_matching(problem)

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from archdd.decisions import DecisionKind
 from archdd.errors import ConfigError
 from archdd.pipeline import RunConfig, run_pipeline
 
-from conftest import write_mini_project
+from conftest import output_digests, write_mini_project
 
 
 def test_mini_project_matches_hand_derived_ledger(mini_project):
@@ -77,6 +78,72 @@ def test_pipeline_reruns_byte_identical(mini_project):
     second_bytes = (config.output_dir / "run.json").read_bytes()
     assert first_bytes == second_bytes
     assert first.run_doc == second.run_doc
+
+
+def write_small_history(root):
+    """Six versions of ~30 drifting components, with issues, commits and message links."""
+    rng = random.Random(606)
+    entities = [f"app.p{i % 9}.C{i}" for i in range(300)]
+    owner = {entity: f"comp{rng.randrange(30):02d}" for entity in entities}
+    labels = [f"v{k}" for k in range(1, 7)]
+    issues, commits = [], []
+    for step, label in enumerate(labels):
+        if step:
+            moved = rng.sample(entities, 30)
+            for entity in moved:
+                owner[entity] = f"comp{rng.randrange(36):02d}"  # some components are new
+            for k in range(10):
+                issue_id = f"SM-{step * 10 + k}"
+                paths = [
+                    "src/main/java/" + entity.replace(".", "/") + ".java"
+                    for entity in rng.sample(moved, rng.randint(1, 3))
+                ] + ["docs/notes.md"] * (k % 3 == 0)
+                linked = k % 4 != 0  # the rest are reached only through the message key
+                issues.append({"id": issue_id, "resolved": True, "merged": True,
+                               "versions": [label],
+                               "commits": [f"c{step}{k}"] if linked else []})
+                commits.append({"id": f"c{step}{k}", "paths": paths, "issue_keys": [issue_id]})
+        (root / f"{label}.rsf").write_text(
+            "".join(f"contain {owner[entity]} {entity}\n" for entity in entities), encoding="utf-8"
+        )
+    for name, records in (("issues.jsonl", issues), ("commits.jsonl", commits)):
+        (root / name).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    (root / "exclusions.txt").write_text("app.p4\n", encoding="utf-8")
+    config = {
+        "versions": [{"label": label, "snapshot": f"{label}.rsf"} for label in labels],
+        "issues": "issues.jsonl",
+        "commits": "commits.jsonl",
+        "exclusions": "exclusions.txt",
+        "link_by_message": True,
+        "output_dir": "out",
+    }
+    config_path = root / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    return config_path
+
+
+@pytest.mark.parametrize("write_project", [write_mini_project, write_small_history])
+def test_outputs_ignore_input_line_order(tmp_path, write_project):
+    """Shuffling snapshot, issue and commit lines changes no output byte.
+
+    Guards the matching kernel, and every stage behind it, against any
+    dependence on the order components, issues or commits arrive in.
+    """
+    config = RunConfig.from_file(write_project(tmp_path))
+    result = run_pipeline(config)
+    assert result.outcomes and not result.failures
+    assert any(outcome.decisions for outcome in result.outcomes)
+    before = output_digests(config.output_dir)
+    rng = random.Random(11)
+    inputs = [path for _, path in config.versions] + [config.issues_path, config.commits_path]
+    for path in inputs:
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        shuffled = lines[:]
+        while len(lines) > 1 and shuffled == lines:
+            rng.shuffle(shuffled)
+        path.write_text("".join(shuffled), encoding="utf-8")
+    run_pipeline(config)
+    assert output_digests(config.output_dir) == before
 
 
 def test_pipeline_identical_snapshots_contribute_nothing(tmp_path):
