@@ -13,7 +13,6 @@ from .decisions import (
     DecisionGraph,
     DecisionKind,
     build_decision_graph,
-    change_coverage,
     classify,
     find_decisions,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "build_decision_graph",
     "build_impact_list",
     "build_matching_problem",
-    "change_coverage",
     "classify",
     "entity_universe",
     "find_decisions",

@@ -15,12 +15,7 @@ import click
 
 from . import __version__, report
 from .changes import analyze_changes
-from .decisions import (
-    DEFAULT_TRACTABILITY_THRESHOLD,
-    build_decision_graph,
-    change_coverage,
-    find_decisions,
-)
+from .decisions import DEFAULT_TRACTABILITY_THRESHOLD, build_decision_graph, find_decisions
 from .errors import ArchddError, ConfigError, InputError
 from .ingestion import (
     build_impact_list,
@@ -132,8 +127,9 @@ def extract_decisions_cmd(changes_path, impact_path, tractability_threshold, out
     impact = report.parse_impact_doc(_load_json(impact_path, "impact document"))
     graph = build_decision_graph(impact, changes)
     decisions = find_decisions(graph, tractability_threshold=tractability_threshold)
-    coverage = change_coverage(changes, decisions)
-    _emit(report.canonical_json(report.decisions_doc(version_pair, decisions, coverage)), out)
+    stats = report.build_pair_stats(*version_pair, changes, changes, decisions)
+    doc = report.decisions_doc(version_pair, decisions, stats.coverage_before_cleanup)
+    _emit(report.canonical_json(doc), out)
 
 
 @cli.command("pipeline")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .errors import InputError, InvariantViolation
 from .ingestion import ArchitecturalImpactList, apply_exclusions
@@ -166,19 +165,6 @@ def find_decisions(
         )
     decisions.sort(key=lambda d: min(d.issue_ids))
     return decisions
-
-
-def change_coverage(
-    changes: frozenset[ArchitecturalChange], decisions: list[Decision]
-) -> Fraction:
-    """Fraction of the given changes that belong to some decision (0/0 -> 1)."""
-    if not changes:
-        return Fraction(1)
-    covered: set[str] = set()
-    for decision in decisions:
-        covered |= decision.change_ids
-    present = {change.id for change in changes}
-    return Fraction(len(present & covered), len(present))
 
 
 def is_external_change(change: ArchitecturalChange, exclusions) -> bool:

@@ -175,47 +175,49 @@ def _iter_jsonl(text: str):
         yield lineno, obj
 
 
-def load_issues(text: str) -> list[IssueRecord]:
-    """Parse an issue export; unknown fields are ignored, duplicate ids rejected."""
-    issues = []
+def _load_records(text: str, what: str, build) -> dict:
+    """Records built by ``build(obj, lineno)``, keyed by id in file order; ids must not repeat."""
+    records = {}
     first_line: dict[str, int] = {}
     for lineno, obj in _iter_jsonl(text):
-        record = IssueRecord(
-            id=_require_str(obj, "id", lineno, required=True),
-            summary=_require_str(obj, "summary", lineno),
-            resolved=_opt_bool(obj, "resolved", lineno),
-            merged=_opt_bool(obj, "merged", lineno),
-            versions=frozenset(_opt_str_array(obj, "versions", lineno)),
-            commit_ids=frozenset(_opt_str_array(obj, "commits", lineno)),
-        )
+        record = build(obj, lineno)
         if record.id in first_line:
             raise RecordParseError(
                 lineno,
-                f"duplicate issue id {record.id!r} (first seen on line {first_line[record.id]})",
+                f"duplicate {what} id {record.id!r} (first seen on line {first_line[record.id]})",
             )
         first_line[record.id] = lineno
-        issues.append(record)
-    return issues
+        records[record.id] = record
+    return records
+
+
+def _issue_from_obj(obj: dict, lineno: int) -> IssueRecord:
+    return IssueRecord(
+        id=_require_str(obj, "id", lineno, required=True),
+        summary=_require_str(obj, "summary", lineno),
+        resolved=_opt_bool(obj, "resolved", lineno),
+        merged=_opt_bool(obj, "merged", lineno),
+        versions=frozenset(_opt_str_array(obj, "versions", lineno)),
+        commit_ids=frozenset(_opt_str_array(obj, "commits", lineno)),
+    )
+
+
+def _commit_from_obj(obj: dict, lineno: int) -> CommitRecord:
+    return CommitRecord(
+        id=_require_str(obj, "id", lineno, required=True),
+        paths=frozenset(_opt_str_array(obj, "paths", lineno)),
+        issue_keys=frozenset(_opt_str_array(obj, "issue_keys", lineno)),
+    )
+
+
+def load_issues(text: str) -> list[IssueRecord]:
+    """Parse an issue export; unknown fields are ignored, duplicate ids rejected."""
+    return list(_load_records(text, "issue", _issue_from_obj).values())
 
 
 def load_commits(text: str) -> dict[str, CommitRecord]:
     """Parse a commit log into records keyed by commit id, in log order."""
-    commits: dict[str, CommitRecord] = {}
-    first_line: dict[str, int] = {}
-    for lineno, obj in _iter_jsonl(text):
-        record = CommitRecord(
-            id=_require_str(obj, "id", lineno, required=True),
-            paths=frozenset(_opt_str_array(obj, "paths", lineno)),
-            issue_keys=frozenset(_opt_str_array(obj, "issue_keys", lineno)),
-        )
-        if record.id in first_line:
-            raise RecordParseError(
-                lineno,
-                f"duplicate commit id {record.id!r} (first seen on line {first_line[record.id]})",
-            )
-        first_line[record.id] = lineno
-        commits[record.id] = record
-    return commits
+    return _load_records(text, "commit", _commit_from_obj)
 
 
 def add_message_links(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import kernel
 from .errors import InvariantViolation
-from .model import Component
+from .model import Component, shared_entity
 
 DUMMY_PREFIX = "__dummy_"
 
@@ -78,9 +78,9 @@ def build_matching_problem(
     a, b = balance(components_a, components_b)
     a.sort(key=lambda c: c.name)
     b.sort(key=lambda c: c.name)
-    column = {entity: j for j, component in enumerate(b) for entity in component.entities}
-    if len(column) != sum(len(component.entities) for component in b):
+    if shared_entity(b) is not None:
         raise InvariantViolation("components_b share an entity; they must partition it")
+    column = {entity: j for j, component in enumerate(b) for entity in component.entities}
     overlaps = []
     for component in a:
         row = Counter(map(column.get, component.entities))

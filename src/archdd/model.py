@@ -18,6 +18,7 @@ module's job.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,7 +58,6 @@ class ArchitectureSnapshot:
         if not isinstance(self.version, str) or not self.version:
             raise InvariantViolation("snapshot version label must be a non-empty string")
         object.__setattr__(self, "components", tuple(self.components))
-        owner: dict[str, str] = {}
         seen_names: set[str] = set()
         for component in self.components:
             if component.name in seen_names:
@@ -70,10 +70,28 @@ class ArchitectureSnapshot:
                     f"component {component.name!r} in snapshot {self.version!r} is empty; "
                     "only balancing dummies may be empty"
                 )
-            for entity in component.entities:
-                if entity in owner:
-                    raise PartitionViolation(entity, owner[entity], component.name)
-                owner[entity] = component.name
+        conflict = shared_entity(self.components)
+        if conflict is not None:
+            raise PartitionViolation(*conflict)
+
+
+def shared_entity(components: Sequence[Component]) -> tuple[str, str, str] | None:
+    """An entity two of ``components`` share, with both owners; None for a partition.
+
+    Comparing the union's size with the summed sizes settles the common case
+    without an owner map. Only when they differ are the owners walked:
+    components in the order given, each one's entities in sorted order, so
+    the conflict named never depends on set iteration order.
+    """
+    total = sum(len(component.entities) for component in components)
+    if len(frozenset().union(*(component.entities for component in components))) == total:
+        return None
+    owner: dict[str, str] = {}
+    for component in components:
+        for entity in sorted(component.entities):
+            if entity in owner:
+                return entity, owner[entity], component.name
+            owner[entity] = component.name
 
 
 def parse_snapshot(text: str, version: str) -> ArchitectureSnapshot:

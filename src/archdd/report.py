@@ -16,7 +16,7 @@ from fractions import Fraction
 from .decisions import Decision, DecisionKind
 from .errors import ConfigError, InvariantViolation
 from .ingestion import ArchitecturalImpactList, ImpactDiagnostics, IssueRecord
-from .model import ArchitecturalChange, ChangeKind
+from .model import ArchitecturalChange, ChangeKind, _check_name
 
 SCHEMA_VERSION = 1
 
@@ -67,7 +67,7 @@ def change_from_obj(obj: dict) -> ArchitecturalChange:
     for delta in obj["deltas"]:
         if delta["op"] not in entities:
             raise ValueError(f"unknown delta op {delta['op']!r}")
-        entities[delta["op"]].add(delta["entity"])
+        entities[delta["op"]].add(_check_name(delta["entity"], "entity"))
     change = ArchitecturalChange(
         id=_name(obj["id"], "change id"),
         source_component=_name(obj.get("source_component"), "source_component", True),
@@ -198,15 +198,18 @@ def changes_doc(version_pair: tuple[str, str], changes) -> dict:
     }
 
 
+def _changes_from_obj(doc: dict) -> tuple[tuple[str, str], frozenset[ArchitecturalChange]]:
+    changes: dict[str, ArchitecturalChange] = {}
+    for entry in doc["changes"]:
+        change = change_from_obj(entry)
+        if change.id in changes:
+            raise ValueError(f"duplicate change id {change.id!r}")
+        changes[change.id] = change
+    return (doc["from_version"], doc["to_version"]), frozenset(changes.values())
+
+
 def parse_changes_doc(obj: dict) -> tuple[tuple[str, str], frozenset[ArchitecturalChange]]:
-    return _parse_doc(
-        obj,
-        "changes",
-        lambda doc: (
-            (doc["from_version"], doc["to_version"]),
-            frozenset(change_from_obj(entry) for entry in doc["changes"]),
-        ),
-    )
+    return _parse_doc(obj, "changes", _changes_from_obj)
 
 
 def impact_doc(impact: ArchitecturalImpactList) -> dict:
@@ -264,27 +267,24 @@ class PairStats:
 
     @property
     def avg_issues_per_decision(self) -> Fraction | None:
-        if self.decision_count == 0:
-            return None
-        return Fraction(self.issue_links, self.decision_count)
+        return _ratio(self.issue_links, self.decision_count, None)
 
     @property
     def avg_changes_per_decision(self) -> Fraction | None:
-        if self.decision_count == 0:
-            return None
-        return Fraction(self.change_links, self.decision_count)
+        return _ratio(self.change_links, self.decision_count, None)
 
     @property
     def coverage_before_cleanup(self) -> Fraction:
-        if self.change_count == 0:
-            return Fraction(1)
-        return Fraction(self.covered_change_count, self.change_count)
+        """Share of the pair's changes that some decision covers; 1 with no changes."""
+        return _ratio(self.covered_change_count, self.change_count, Fraction(1))
 
     @property
     def coverage_after_cleanup(self) -> Fraction:
-        if self.clean_change_count == 0:
-            return Fraction(1)
-        return Fraction(self.covered_change_count, self.clean_change_count)
+        return _ratio(self.covered_change_count, self.clean_change_count, Fraction(1))
+
+
+def _ratio(part: int, whole: int, empty: Fraction | None) -> Fraction | None:
+    return empty if whole == 0 else Fraction(part, whole)
 
 
 def build_pair_stats(
@@ -321,13 +321,8 @@ class RunSummary:
 def build_run_summary(pair_stats: list[PairStats]) -> RunSummary:
     overall = PairStats(from_version=None, to_version=None)
     for stats in pair_stats:
-        overall.issues_in_decisions += stats.issues_in_decisions
-        overall.change_count += stats.change_count
-        overall.decision_count += stats.decision_count
-        overall.issue_links += stats.issue_links
-        overall.change_links += stats.change_links
-        overall.covered_change_count += stats.covered_change_count
-        overall.clean_change_count += stats.clean_change_count
+        for key in _COUNT_FIELDS:
+            setattr(overall, key, getattr(overall, key) + getattr(stats, key))
         for kind, count in stats.kind_distribution.items():
             overall.kind_distribution[kind] += count
     return RunSummary(pairs=list(pair_stats), overall=overall)
@@ -338,13 +333,7 @@ def stats_to_obj(stats: PairStats) -> dict:
         "scope": stats.scope,
         "from_version": stats.from_version,
         "to_version": stats.to_version,
-        "issues_in_decisions": stats.issues_in_decisions,
-        "change_count": stats.change_count,
-        "decision_count": stats.decision_count,
-        "issue_links": stats.issue_links,
-        "change_links": stats.change_links,
-        "covered_change_count": stats.covered_change_count,
-        "clean_change_count": stats.clean_change_count,
+        **{key: getattr(stats, key) for key in _COUNT_FIELDS},
         "kind_distribution": dict(stats.kind_distribution),
         "avg_issues_per_decision": _fraction_pair(stats.avg_issues_per_decision),
         "avg_changes_per_decision": _fraction_pair(stats.avg_changes_per_decision),
@@ -361,6 +350,7 @@ def summary_to_obj(summary: RunSummary) -> dict:
     }
 
 
+# The integer fields of PairStats: summed into the overall row, written and read as is.
 _COUNT_FIELDS = (
     "issues_in_decisions",
     "change_count",

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +150,20 @@ def output_digests(output_dir):
         name: hashlib.sha256((output_dir / name).read_bytes()).hexdigest()
         for name in ("run.json", "summary.txt", "decisions.txt")
     }
+
+
+def run_cli_with_hash_seed(seed, *argv):
+    """Run ``python -m archdd.cli`` in a child process with ``PYTHONHASHSEED=seed``.
+
+    Set iteration order follows the hash seed, so two seeds tell whether an
+    output depends on it.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "archdd.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import json
 
 from archdd.cli import main
 
-from conftest import write_mini_project
+from conftest import run_cli_with_hash_seed, write_mini_project
 
 
 def run(capsys, *argv):
@@ -262,15 +262,19 @@ def test_extract_decisions_rejects_malformed_documents(tmp_path, capsys):
     number_version["changes"][0]["to_version"] = 5
     number_component = json.loads(json.dumps(changes_doc))
     number_component["changes"][0]["target_component"] = 5
+    repeated_id = json.loads(json.dumps(changes_doc))
+    for change in repeated_id["changes"][:2]:
+        change["id"] = "ch:1"
     for doc in (
         no_kind, bad_entity, number_id, flipped_kind, unknown_op, number_version,
-        number_component, dict(changes_doc, changes=5),
+        number_component, dict(changes_doc, changes=5), repeated_id,
     ):
         broken.write_text(json.dumps(doc))
         code, _, err = run(
             capsys, "extract-decisions", "--changes", str(broken), "--impact", str(impact_path)
         )
         assert_one_line_input_error(code, err, "changes")
+    assert err == "error: malformed changes document: duplicate change id 'ch:1'\n"
 
     bad_entries = [
         dict(impact_doc, entries=dict(impact_doc["entries"], **{"APP-1": value}))
@@ -282,6 +286,23 @@ def test_extract_decisions_rejects_malformed_documents(tmp_path, capsys):
             capsys, "extract-decisions", "--changes", str(changes_path), "--impact", str(broken)
         )
         assert_one_line_input_error(code, err, "impact")
+
+
+def test_changes_document_names_its_first_bad_entity(tmp_path, capsys):
+    """The entity named is the first bad one in document order, under any hash seed."""
+    changes_path, impact_path = _structured_docs(tmp_path, capsys)
+    doc = json.loads(changes_path.read_text())
+    doc["changes"][0]["deltas"] = [{"op": "add", "entity": e} for e in ("p q", "x y", "m n")]
+    changes_path.write_text(json.dumps(doc))
+    for seed in (1, 2):
+        child = run_cli_with_hash_seed(
+            seed, "extract-decisions", "--changes", str(changes_path), "--impact", str(impact_path)
+        )
+        assert child.returncode == 1
+        assert child.stderr == (
+            "error: malformed changes document: "
+            "entity name must not contain whitespace: 'p q'\n"
+        )
 
 
 def test_json_inputs_reject_values_they_cannot_hold(tmp_path, capsys):

@@ -8,7 +8,6 @@ from archdd.decisions import (
     DecisionGraph,
     DecisionKind,
     build_decision_graph,
-    change_coverage,
     classify,
     drop_external_changes,
     find_decisions,
@@ -18,6 +17,7 @@ from archdd.errors import InvariantViolation
 from archdd.ingestion import ArchitecturalImpactList
 from archdd.changes import analyze_changes
 from archdd.model import ChangeKind, new_change
+from archdd.report import build_pair_stats
 
 from conftest import random_snapshot
 
@@ -159,6 +159,10 @@ def test_decision_kind_follows_counts_and_sides_are_non_empty():
         make({"i1"}, set())
 
 
+def coverage(changes, decisions):
+    return build_pair_stats("v1", "v2", changes, changes, decisions).coverage_before_cleanup
+
+
 def test_change_coverage_examples():
     changes = frozenset(chg(f"comp{i}", [f"e{i}"]) for i in range(10))
     ordered = sorted(changes, key=lambda c: c.id)
@@ -172,7 +176,7 @@ def test_change_coverage_examples():
             tractable=True,
         )
     ]
-    assert change_coverage(changes, decisions) == Fraction(1, 5)  # 0.20
+    assert coverage(changes, decisions) == Fraction(1, 5)  # 0.20
     all_ids = frozenset(c.id for c in changes)
     full = [
         Decision(
@@ -183,8 +187,8 @@ def test_change_coverage_examples():
             tractable=False,
         )
     ]
-    assert change_coverage(changes, full) == Fraction(1)
-    assert change_coverage(frozenset(), []) == Fraction(1)
+    assert coverage(changes, full) == Fraction(1)
+    assert coverage(frozenset(), []) == Fraction(1)
 
 
 def test_change_coverage_after_cleanup_fixture():
@@ -203,8 +207,9 @@ def test_change_coverage_after_cleanup_fixture():
             tractable=True,
         )
     ]
-    assert change_coverage(changes, decisions) == Fraction(2, 10)
-    assert change_coverage(clean, decisions) == Fraction(2, 7)
+    stats = build_pair_stats("v1", "v2", changes, clean, decisions)
+    assert stats.coverage_before_cleanup == Fraction(2, 10)
+    assert stats.coverage_after_cleanup == Fraction(2, 7)
 
 
 def test_is_external_change_requires_all_entities_excluded():
@@ -275,9 +280,9 @@ def test_coverage_monotone_in_edges():
     for pair in all_pairs:
         edges.add(pair)
         graph = graph_of(edges)
-        coverage = change_coverage(changes, find_decisions(graph))
-        assert coverage >= last
-        last = coverage
+        covered = coverage(changes, find_decisions(graph))
+        assert covered >= last
+        last = covered
 
 
 def test_decision_ids_stable_across_runs():

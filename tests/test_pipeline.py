@@ -8,7 +8,7 @@ from archdd.decisions import DecisionKind
 from archdd.errors import ConfigError
 from archdd.pipeline import RunConfig, run_pipeline
 
-from conftest import output_digests, write_mini_project
+from conftest import output_digests, run_cli_with_hash_seed, write_mini_project
 
 
 def test_mini_project_matches_hand_derived_ledger(mini_project):
@@ -144,6 +144,74 @@ def test_outputs_ignore_input_line_order(tmp_path, write_project):
         path.write_text("".join(shuffled), encoding="utf-8")
     run_pipeline(config)
     assert output_digests(config.output_dir) == before
+
+
+def test_outputs_ignore_hash_seed(tmp_path):
+    """A snapshot whose components share two entities fails the same way under any seed."""
+    config_path = write_mini_project(tmp_path)
+    (tmp_path / "arch-1.2.0.rsf").write_text(
+        "contain C1 x\ncontain C1 y\ncontain C2 x\ncontain C2 y\n", encoding="utf-8"
+    )
+    config_obj = json.loads(config_path.read_text())
+    config_obj["versions"].append({"label": "1.2.0", "snapshot": "arch-1.2.0.rsf"})
+    config_path.write_text(json.dumps(config_obj))
+    outputs = []
+    for seed in (1, 2):
+        child = run_cli_with_hash_seed(seed, "pipeline", "--config", str(config_path))
+        assert child.returncode == 0, child.stderr
+        outputs.append({
+            name: (tmp_path / "out" / name).read_bytes()
+            for name in ("run.json", "summary.txt", "decisions.txt")
+        })
+    assert outputs[0] == outputs[1]
+    failures = json.loads(outputs[0]["run.json"])["failures"]
+    assert [failure["to_version"] for failure in failures] == ["1.2.0"]
+    assert failures[0]["error"].startswith(
+        "entity 'x' appears in both component 'C1' and component 'C2'"
+    )
+
+
+@pytest.mark.parametrize("write_project", [write_mini_project, write_small_history])
+def test_decisions_partition_the_issue_change_graph(tmp_path, write_project):
+    """Decisions are the connected components of the graph rebuilt from run.json."""
+    nx = pytest.importorskip("networkx")
+    config = RunConfig.from_file(write_project(tmp_path))
+    run_pipeline(config)
+    run_doc = json.loads((config.output_dir / "run.json").read_text(encoding="utf-8"))
+    assert any(pair["decisions"] for pair in run_doc["pairs"])
+    for pair in run_doc["pairs"]:
+        changes_of: dict[str, set[str]] = {}
+        for change in pair["changes"]:
+            for delta in change["deltas"]:
+                changes_of.setdefault(delta["entity"], set()).add(change["id"])
+        graph = nx.Graph()
+        for issue_id, entities in pair["impact"]["entries"].items():
+            for entity in entities:
+                for change_id in changes_of.get(entity, ()):
+                    graph.add_edge(("i", issue_id), ("c", change_id))
+        expected = set()
+        for nodes in nx.connected_components(graph):
+            issues = frozenset(name for side, name in nodes if side == "i")
+            changes = frozenset(name for side, name in nodes if side == "c")
+            kind = (
+                "crosscutting" if len(changes) >= 2
+                else "compound" if len(issues) >= 2
+                else "simple"
+            )
+            expected.add((issues, changes, kind))
+        got = [
+            (frozenset(d["issue_ids"]), frozenset(d["change_ids"]), d["kind"])
+            for d in pair["decisions"]
+        ]
+        assert set(got) == expected
+        issue_sets = [issues for issues, _, _ in got]
+        change_sets = [changes for _, changes, _ in got]
+        issue_union = frozenset().union(*issue_sets)
+        change_union = frozenset().union(*change_sets)
+        assert len(issue_union) == sum(map(len, issue_sets))
+        assert len(change_union) == sum(map(len, change_sets))
+        endpoints = {("i", i) for i in issue_union} | {("c", c) for c in change_union}
+        assert endpoints == set(graph.nodes)
 
 
 def test_pipeline_identical_snapshots_contribute_nothing(tmp_path):
