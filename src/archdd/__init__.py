@@ -10,7 +10,6 @@ changes into simple, compound, or crosscutting decisions.
 from .changes import analyze_changes, get_change_instances
 from .decisions import (
     Decision,
-    DecisionGraph,
     DecisionKind,
     build_decision_graph,
     classify,
@@ -56,7 +55,6 @@ __all__ = [
     "CommitRecord",
     "Component",
     "Decision",
-    "DecisionGraph",
     "DecisionKind",
     "IssueRecord",
     "MatchingProblem",

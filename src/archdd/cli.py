@@ -76,7 +76,7 @@ def analyze_changes_cmd(arch_a, arch_b, label_a, label_b, fmt, out):
     lines = [f"changes {label_a} -> {label_b}: {len(changes)}"]
     for change in report.sort_changes(changes):
         lines.append(f"  {report.change_label(change)}")
-        for delta in report.change_to_obj(change)["deltas"]:
+        for delta in report.change_to_obj(change, (label_a, label_b))["deltas"]:
             sign = "+" if delta["op"] == "add" else "-"
             lines.append(f"    {sign} {delta['entity']}")
     _emit("\n".join(lines) + "\n", out)
@@ -125,8 +125,13 @@ def extract_decisions_cmd(changes_path, impact_path, tractability_threshold, out
         _load_json(changes_path, "changes document")
     )
     impact = report.parse_impact_doc(_load_json(impact_path, "impact document"))
-    graph = build_decision_graph(impact, changes)
-    decisions = find_decisions(graph, tractability_threshold=tractability_threshold)
+    if impact.version_pair[1] != version_pair[1]:
+        raise InputError(
+            f"impact list is for version {impact.version_pair[1]!r} but changes "
+            f"target {version_pair[1]!r}"
+        )
+    edges = build_decision_graph(impact, changes)
+    decisions = find_decisions(edges, version_pair, tractability_threshold=tractability_threshold)
     stats = report.build_pair_stats(*version_pair, changes, changes, decisions)
     doc = report.decisions_doc(version_pair, decisions, stats.coverage_before_cleanup)
     _emit(report.canonical_json(doc), out)

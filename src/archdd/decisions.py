@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InputError, InvariantViolation
+from .errors import InvariantViolation
 from .ingestion import ArchitecturalImpactList, apply_exclusions
 from .model import ArchitecturalChange
 
@@ -40,30 +40,17 @@ def classify(issue_count: int, change_count: int) -> DecisionKind:
 
 
 @dataclass(frozen=True)
-class DecisionGraph:
-    """Bipartite graph as its (issue id, change id) edges; orphans have no edge."""
-
-    version_pair: tuple[str | None, str]
-    edges: frozenset[tuple[str, str]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
-
-
-@dataclass(frozen=True)
 class Decision:
     """One connected subgraph of the decision graph."""
 
     id: str
     issue_ids: frozenset[str]
     change_ids: frozenset[str]
-    version_pair: tuple[str | None, str]
     tractable: bool
 
     def __post_init__(self):
         object.__setattr__(self, "issue_ids", frozenset(self.issue_ids))
         object.__setattr__(self, "change_ids", frozenset(self.change_ids))
-        object.__setattr__(self, "version_pair", tuple(self.version_pair))
         if not self.issue_ids or not self.change_ids:
             raise InvariantViolation("a decision needs at least one issue and one change")
 
@@ -73,9 +60,9 @@ class Decision:
 
 
 def decision_id(
-    issue_ids: frozenset[str], change_ids: frozenset[str], version_pair
+    issue_ids: frozenset[str], change_ids: frozenset[str], version_pair: tuple[str, str]
 ) -> str:
-    parts = [version_pair[0] or "", version_pair[1] or ""]
+    parts = list(version_pair)
     parts.extend(sorted(issue_ids))
     parts.extend(sorted(change_ids))
     digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
@@ -84,30 +71,22 @@ def decision_id(
 
 def build_decision_graph(
     impact: ArchitecturalImpactList, changes: frozenset[ArchitecturalChange]
-) -> DecisionGraph:
+) -> frozenset[tuple[str, str]]:
     """Connect each issue to every change that removed or added an entity it touched.
 
     One entity -> change index turns the issue x change intersection test
     into a walk over each issue's entities.
     """
-    pairs = {change.version_pair for change in changes}
-    if impact.version_pair[1] and any(pair[1] != impact.version_pair[1] for pair in pairs):
-        raise InputError(
-            f"impact list is for version {impact.version_pair[1]!r} but changes "
-            f"target {sorted(pair[1] for pair in pairs)}"
-        )
-    version_pair = next(iter(pairs)) if len(pairs) == 1 else impact.version_pair
     changes_of: dict[str, list[str]] = {}
     for change in changes:
         for entity in change.delta_entities:
             changes_of.setdefault(entity, []).append(change.id)
-    edges = {
+    return frozenset(
         (issue_id, change_id)
         for issue_id, entities in impact.entries.items()
         for entity in entities
         for change_id in changes_of.get(entity, ())
-    }
-    return DecisionGraph(version_pair=version_pair, edges=frozenset(edges))
+    )
 
 
 class _UnionFind:
@@ -132,16 +111,17 @@ class _UnionFind:
 
 
 def find_decisions(
-    graph: DecisionGraph,
+    edges: frozenset[tuple[str, str]],
+    version_pair: tuple[str, str],
     tractability_threshold: int = DEFAULT_TRACTABILITY_THRESHOLD,
 ) -> list[Decision]:
-    """Drop orphaned nodes, split the rest into connected components.
+    """Split the edges into connected components, one decision each for ``version_pair``.
 
-    Each component becomes one decision. Output is ordered by the smallest
-    issue id in each component so repeated runs list decisions identically.
+    Output is ordered by the smallest issue id in each component so repeated
+    runs list decisions identically.
     """
     uf = _UnionFind()
-    for issue_id, change_id_ in graph.edges:
+    for issue_id, change_id_ in edges:
         uf.add(("i", issue_id))
         uf.add(("c", change_id_))
         uf.union(("i", issue_id), ("c", change_id_))
@@ -156,10 +136,9 @@ def find_decisions(
         change_ids = frozenset(changes)
         decisions.append(
             Decision(
-                id=decision_id(issue_ids, change_ids, graph.version_pair),
+                id=decision_id(issue_ids, change_ids, version_pair),
                 issue_ids=issue_ids,
                 change_ids=change_ids,
-                version_pair=graph.version_pair,
                 tractable=len(change_ids) <= tractability_threshold,
             )
         )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fnmatch import fnmatchcase
@@ -145,16 +146,31 @@ def _opt_str_array(obj, key, lineno):
     return value
 
 
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """An object's members as a dict; a repeated key would silently keep only its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        raise ValueError(f"repeated key {next(k for k, n in counts.items() if n > 1)!r}")
+    return obj
+
+
+# One decoder for every input: ``json.loads`` with a hook builds a new one per call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_json_object)
+
+
 def decode_json(text: str, error: Callable[[str], Exception]):
     """Decode one JSON text; raise ``error(message)`` for anything it cannot hold.
 
-    Besides syntax errors this covers integers past the interpreter's digit
+    Besides syntax errors this covers repeated keys, integers past the digit
     limit, nesting past the recursion limit, and strings holding an unpaired
     surrogate escape, which no UTF-8 output could write. Only a text with a
     ``\\u`` escape can hold a surrogate, so only such a text is re-encoded.
     """
     try:
-        obj = json.loads(text)
+        if text.startswith("\ufeff"):  # json.loads checks this; the bare decoder does not
+            raise ValueError("Unexpected UTF-8 BOM (decode using utf-8-sig)")
+        obj = _DECODER.decode(text)
         if "\\u" in text:
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError:

@@ -149,7 +149,8 @@ class ArchitecturalChange:
     ``removed`` holds the entities that left the source component, ``added``
     those that joined the target. A relocation never appears as a kind of its
     own: it is one removal in the source match plus one addition in the
-    destination match.
+    destination match. Its version pair is not stored: a change set always
+    stands for one pair, and only the id (see ``change_id``) hashes it.
     """
 
     id: str
@@ -157,12 +158,10 @@ class ArchitecturalChange:
     target_component: str | None
     removed: frozenset[str]
     added: frozenset[str]
-    version_pair: tuple[str, str]
 
     def __post_init__(self):
         object.__setattr__(self, "removed", frozenset(self.removed))
         object.__setattr__(self, "added", frozenset(self.added))
-        object.__setattr__(self, "version_pair", tuple(self.version_pair))
         if not (self.removed or self.added):
             raise InvariantViolation("a change must carry at least one entity")
         if self.removed and self.source_component is None:
@@ -210,5 +209,4 @@ def new_change(
         target_component=target,
         removed=removed,
         added=added,
-        version_pair=version_pair,
     )

@@ -171,8 +171,8 @@ def _process_pair(
         exclusions=exclusions,
         version_pair=version_pair,
     )
-    graph = build_decision_graph(impact, changes)
-    decisions = find_decisions(graph, tractability_threshold=threshold)
+    edges = build_decision_graph(impact, changes)
+    decisions = find_decisions(edges, version_pair, tractability_threshold=threshold)
     clean_changes = drop_external_changes(changes, exclusions)
     stats = report.build_pair_stats(
         snap_a.version, snap_b.version, changes, clean_changes, decisions
@@ -195,6 +195,7 @@ def _process_pair(
 
 
 def _pair_to_obj(outcome: PairOutcome) -> dict:
+    pair = (outcome.from_version, outcome.to_version)
     external = sorted(
         change.id for change in outcome.changes if change not in outcome.clean_changes
     )
@@ -202,20 +203,18 @@ def _pair_to_obj(outcome: PairOutcome) -> dict:
         "from_version": outcome.from_version,
         "to_version": outcome.to_version,
         "matching_cost": matching_cost(outcome.changes),
-        "changes": [report.change_to_obj(c) for c in report.sort_changes(outcome.changes)],
+        "changes": [report.change_to_obj(c, pair) for c in report.sort_changes(outcome.changes)],
         "external_change_ids": external,
         "impact": report.impact_to_obj(outcome.impact),
-        "decisions": [report.decision_to_obj(d) for d in outcome.decisions],
+        "decisions": [report.decision_to_obj(d, pair) for d in outcome.decisions],
         "entity_overlap": list(outcome.entity_overlap),
         "stats": report.stats_to_obj(outcome.stats),
     }
 
 
-def run_pipeline(config: RunConfig, write: bool = True) -> PipelineResult:
-    """Run the full pipeline; returns the aggregated result.
-
-    With ``write`` enabled the structured run document plus text reports are
-    written under ``config.output_dir``.
+def run_pipeline(config: RunConfig) -> PipelineResult:
+    """Run the full pipeline; write the run document and text reports under
+    ``config.output_dir`` and return the aggregated result.
     """
     issues, commits, rules, exclusions = load_issue_side(
         config.issues_path, config.commits_path, config.rules_path, config.exclusions_path,
@@ -265,8 +264,7 @@ def run_pipeline(config: RunConfig, write: bool = True) -> PipelineResult:
     result = PipelineResult(
         summary=summary, outcomes=outcomes, failures=failures, run_doc=run_doc
     )
-    if write:
-        result.written = _write_outputs(config, result, issues)
+    result.written = _write_outputs(config, result, issues)
     return result
 
 
@@ -284,12 +282,13 @@ def _write_outputs(config: RunConfig, result: PipelineResult, issues) -> list[Pa
 
     cards = []
     for outcome in result.outcomes:
+        pair = (outcome.from_version, outcome.to_version)
         cards.append(f"== {outcome.from_version} -> {outcome.to_version}")
         changes_by_id = {change.id: change for change in outcome.changes}
         if not outcome.decisions:
             cards.append("(no decisions)")
         for decision in outcome.decisions:
-            cards.append(report.render_decision(decision, issues_by_id, changes_by_id))
+            cards.append(report.render_decision(decision, pair, issues_by_id, changes_by_id))
         cards.append("")
     decisions_path = out_dir / "decisions.txt"
     decisions_path.write_text("\n".join(cards), encoding="utf-8")

@@ -42,15 +42,15 @@ def _fraction_pair(value: Fraction | None):
 # domain object <-> plain object
 
 
-def change_to_obj(change: ArchitecturalChange) -> dict:
+def change_to_obj(change: ArchitecturalChange, version_pair: tuple[str, str]) -> dict:
     ops = [(e, "remove") for e in change.removed] + [(e, "add") for e in change.added]
     return {
         "id": change.id,
         "kind": change.kind.value,
         "source_component": change.source_component,
         "target_component": change.target_component,
-        "from_version": change.version_pair[0],
-        "to_version": change.version_pair[1],
+        "from_version": version_pair[0],
+        "to_version": version_pair[1],
         "deltas": [{"op": op, "entity": entity} for entity, op in sorted(ops)],
     }
 
@@ -62,7 +62,8 @@ def _name(value, what: str, optional: bool = False):
     return value
 
 
-def change_from_obj(obj: dict) -> ArchitecturalChange:
+def change_from_obj(obj: dict, version_pair: tuple[str, str]) -> ArchitecturalChange:
+    """One change of a document whose header names ``version_pair``; its versions must match."""
     entities = {"remove": set(), "add": set()}
     for delta in obj["deltas"]:
         if delta["op"] not in entities:
@@ -74,11 +75,9 @@ def change_from_obj(obj: dict) -> ArchitecturalChange:
         target_component=_name(obj.get("target_component"), "target_component", True),
         removed=entities["remove"],
         added=entities["add"],
-        version_pair=(
-            _name(obj["from_version"], "from_version"),
-            _name(obj["to_version"], "to_version"),
-        ),
     )
+    if (obj["from_version"], obj["to_version"]) != version_pair:
+        raise ValueError(f"change {change.id} is not for the header's versions {version_pair}")
     if obj["kind"] != change.kind.value:
         raise ValueError(
             f"change {change.id} is {change.kind.value} by its endpoints, "
@@ -98,14 +97,14 @@ def sort_changes(changes) -> list[ArchitecturalChange]:
     )
 
 
-def decision_to_obj(decision: Decision) -> dict:
+def decision_to_obj(decision: Decision, version_pair: tuple[str, str]) -> dict:
     return {
         "id": decision.id,
         "kind": decision.kind.value,
         "issue_ids": sorted(decision.issue_ids),
         "change_ids": sorted(decision.change_ids),
-        "from_version": decision.version_pair[0],
-        "to_version": decision.version_pair[1],
+        "from_version": version_pair[0],
+        "to_version": version_pair[1],
         "tractable": decision.tractable,
     }
 
@@ -143,9 +142,9 @@ def impact_to_obj(impact: ArchitecturalImpactList) -> dict:
 
 
 def _entity_set(entities) -> frozenset[str]:
-    if not isinstance(entities, list) or not all(isinstance(e, str) and e for e in entities):
-        raise TypeError(f"impact entities must be non-empty strings, got {entities!r}")
-    return frozenset(entities)
+    if not isinstance(entities, list):
+        raise TypeError(f"impact entities must be a list, got {entities!r}")
+    return frozenset(_check_name(entity, "entity") for entity in entities)
 
 
 def impact_from_obj(obj: dict) -> ArchitecturalImpactList:
@@ -194,18 +193,19 @@ def changes_doc(version_pair: tuple[str, str], changes) -> dict:
         "kind": "changes",
         "from_version": version_pair[0],
         "to_version": version_pair[1],
-        "changes": [change_to_obj(c) for c in sort_changes(changes)],
+        "changes": [change_to_obj(c, version_pair) for c in sort_changes(changes)],
     }
 
 
 def _changes_from_obj(doc: dict) -> tuple[tuple[str, str], frozenset[ArchitecturalChange]]:
+    version_pair = tuple(_name(doc[key], key) for key in ("from_version", "to_version"))
     changes: dict[str, ArchitecturalChange] = {}
     for entry in doc["changes"]:
-        change = change_from_obj(entry)
+        change = change_from_obj(entry, version_pair)
         if change.id in changes:
             raise ValueError(f"duplicate change id {change.id!r}")
         changes[change.id] = change
-    return (doc["from_version"], doc["to_version"]), frozenset(changes.values())
+    return version_pair, frozenset(changes.values())
 
 
 def parse_changes_doc(obj: dict) -> tuple[tuple[str, str], frozenset[ArchitecturalChange]]:
@@ -233,7 +233,7 @@ def decisions_doc(version_pair, decisions: list[Decision], coverage: Fraction) -
         "kind": "decisions",
         "from_version": version_pair[0],
         "to_version": version_pair[1],
-        "decisions": [decision_to_obj(d) for d in decisions],
+        "decisions": [decision_to_obj(d, version_pair) for d in decisions],
         "coverage": _fraction_pair(coverage),
     }
 
@@ -404,13 +404,14 @@ def change_label(change: ArchitecturalChange) -> str:
 
 def render_decision(
     decision: Decision,
+    version_pair: tuple[str, str],
     issues_by_id: dict[str, IssueRecord],
     changes_by_id: dict[str, ArchitecturalChange],
 ) -> str:
     """One decision as a text card: header, then its issues and changes."""
     header = (
         f"[{decision.kind.value}] {decision.id} "
-        f"({decision.version_pair[0]} -> {decision.version_pair[1]}, "
+        f"({version_pair[0]} -> {version_pair[1]}, "
         f"{'tractable' if decision.tractable else 'not tractable'})"
     )
     lines = [header]

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from archdd.changes import analyze_changes, get_change_instances
-from archdd.decisions import DecisionGraph, DecisionKind, find_decisions
+from archdd.decisions import DecisionKind, find_decisions
 from archdd.matching import balance, build_matching_problem, min_cost_matching
 from archdd.model import ChangeKind
 from archdd.pipeline import RunConfig, run_pipeline
@@ -141,8 +141,7 @@ def test_connected_component_oracle():
         edges = {
             (i, c) for i in issues for c in changes if rng.random() < density
         }
-        graph = DecisionGraph(version_pair=("va", "vb"), edges=frozenset(edges))
-        decisions = find_decisions(graph)
+        decisions = find_decisions(frozenset(edges), ("va", "vb"))
         got = {
             frozenset(
                 {("i", i) for i in d.issue_ids} | {("c", c) for c in d.change_ids}
@@ -167,7 +166,7 @@ def test_connected_component_oracle():
 def test_end_to_end_fixture_ledger(tmp_path):
     """Mini project reproduces the hand-derived ledger exactly."""
     config = RunConfig.from_file(write_mini_project(tmp_path))
-    result = run_pipeline(config, write=False)
+    result = run_pipeline(config)
     assert not result.failures
     outcome = result.outcomes[0]
 

@@ -4,7 +4,7 @@ import pytest
 
 from archdd.changes import analyze_changes, get_change_instances, matching_cost
 from archdd.matching import build_matching_problem, min_cost_matching
-from archdd.model import ChangeKind, Component, entity_universe
+from archdd.model import ChangeKind, Component, change_id, entity_universe
 from archdd.report import change_to_obj, canonical_json
 
 from conftest import random_snapshot, snap
@@ -65,7 +65,7 @@ def test_analyze_changes_spec_example():
     assert change.kind is ChangeKind.COMPONENT_MODIFIED
     assert change.source_component == "C2" and change.target_component == "D2"
     assert delta_set(change) == {("add", "d")}
-    assert change.version_pair == ("v1", "v2")
+    assert change.id == change_id("C2", "D2", frozenset(), frozenset({"d"}), ("v1", "v2"))
 
 
 def test_analyze_changes_disjoint_singletons():
@@ -156,7 +156,7 @@ def test_analyze_changes_deterministic_serialization():
     for _ in range(2):
         changes = analyze_changes(snap_a, snap_b)
         ordered = sorted(changes, key=lambda c: c.id)
-        docs.append(canonical_json([change_to_obj(c) for c in ordered]))
+        docs.append(canonical_json([change_to_obj(c, ("v1", "v2")) for c in ordered]))
     assert docs[0] == docs[1]
 
 

@@ -265,20 +265,29 @@ def test_extract_decisions_rejects_malformed_documents(tmp_path, capsys):
     repeated_id = json.loads(json.dumps(changes_doc))
     for change in repeated_id["changes"][:2]:
         change["id"] = "ch:1"
+    # every change must be for the header's pair, which is the one the decisions are for
+    other_header = dict(changes_doc, from_version="9.0", to_version="9.1")
+    one_change_moved = json.loads(json.dumps(changes_doc))
+    one_change_moved["changes"][0]["from_version"] = "0.9"
+    number_header = dict(changes_doc, changes=[], from_version=5)
+    out = tmp_path / "o.json"
     for doc in (
         no_kind, bad_entity, number_id, flipped_kind, unknown_op, number_version,
-        number_component, dict(changes_doc, changes=5), repeated_id,
+        number_component, dict(changes_doc, changes=5), other_header, one_change_moved,
+        number_header, repeated_id,
     ):
         broken.write_text(json.dumps(doc))
         code, _, err = run(
-            capsys, "extract-decisions", "--changes", str(broken), "--impact", str(impact_path)
+            capsys, "extract-decisions", "--changes", str(broken), "--impact", str(impact_path),
+            "--out", str(out),
         )
         assert_one_line_input_error(code, err, "changes")
+        assert not out.exists()
     assert err == "error: malformed changes document: duplicate change id 'ch:1'\n"
 
     bad_entries = [
         dict(impact_doc, entries=dict(impact_doc["entries"], **{"APP-1": value}))
-        for value in (5, [5], [""], "app.core.Cache")
+        for value in (5, [5], [""], ["a b"], "app.core.Cache")
     ]
     for doc in (*bad_entries, dict(impact_doc, entries=[]), dict(impact_doc, to_version=5)):
         broken.write_text(json.dumps(doc))
@@ -286,6 +295,20 @@ def test_extract_decisions_rejects_malformed_documents(tmp_path, capsys):
             capsys, "extract-decisions", "--changes", str(changes_path), "--impact", str(broken)
         )
         assert_one_line_input_error(code, err, "impact")
+
+
+def test_extract_decisions_rejects_an_impact_list_for_another_version(tmp_path, capsys):
+    changes_path, impact_path = _structured_docs(tmp_path, capsys)
+    impact_doc = json.loads(impact_path.read_text())
+    impact_path.write_text(json.dumps(dict(impact_doc, to_version="9.9")))
+    out = tmp_path / "o.json"
+    code, _, err = run(
+        capsys, "extract-decisions", "--changes", str(changes_path), "--impact", str(impact_path),
+        "--out", str(out),
+    )
+    assert code == 1
+    assert err == "error: impact list is for version '9.9' but changes target '1.1.0'\n"
+    assert not out.exists()
 
 
 def test_changes_document_names_its_first_bad_entity(tmp_path, capsys):
@@ -321,6 +344,7 @@ def test_json_inputs_reject_values_they_cannot_hold(tmp_path, capsys):
         ("pipeline", "--config", str(bad)),
     ]
     for content, message in (
+        ('{"id": "c100", "id": "c101"}', "repeated key 'id'"),
         ('{"id": "c100", "n": ' + "7" * 5000 + "}", "Exceeds the limit (4300 digits)"),
         ('{"id": "c100", "paths": ["src/main/java/app/\\ud800.java"]}', "unpaired surrogate"),
         ("[" * 100_000, "maximum recursion depth exceeded"),

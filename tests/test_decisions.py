@@ -5,7 +5,6 @@ import pytest
 
 from archdd.decisions import (
     Decision,
-    DecisionGraph,
     DecisionKind,
     build_decision_graph,
     classify,
@@ -22,32 +21,31 @@ from archdd.report import build_pair_stats
 from conftest import random_snapshot
 
 
-def chg(component, entities, kind=ChangeKind.COMPONENT_MODIFIED, pair=("v1", "v2")):
+PAIR = ("v1", "v2")
+
+
+def chg(component, entities, kind=ChangeKind.COMPONENT_MODIFIED):
     entities = frozenset(entities)
     if kind is ChangeKind.COMPONENT_REMOVED:
-        return new_change(component, None, entities, frozenset(), pair)
+        return new_change(component, None, entities, frozenset(), PAIR)
     source = None if kind is ChangeKind.COMPONENT_ADDED else component
-    return new_change(source, component, frozenset(), entities, pair)
+    return new_change(source, component, frozenset(), entities, PAIR)
 
 
-def impact(entries, pair=("v1", "v2")):
+def impact(entries):
     return ArchitecturalImpactList(
-        version_pair=pair, entries={k: frozenset(v) for k, v in entries.items()}
+        version_pair=PAIR, entries={k: frozenset(v) for k, v in entries.items()}
     )
-
-
-def graph_of(edges, pair=("v1", "v2")):
-    return DecisionGraph(version_pair=pair, edges=frozenset(edges))
 
 
 def test_build_decision_graph_edge_rule():
     c1 = chg("core", ["e1"])
     c2 = chg("io", ["e2"])
     imp = impact({"i1": ["e1"], "i2": ["e9"], "i3": ["e1", "e2"]})
-    graph = build_decision_graph(imp, frozenset({c1, c2}))
-    assert graph.edges == {("i1", c1.id), ("i3", c1.id), ("i3", c2.id)}
+    edges = build_decision_graph(imp, frozenset({c1, c2}))
+    assert edges == {("i1", c1.id), ("i3", c1.id), ("i3", c2.id)}
     # i2 touched no changed entity: an orphan, so no decision names it
-    assert all("i2" not in d.issue_ids for d in find_decisions(graph))
+    assert all("i2" not in d.issue_ids for d in find_decisions(edges, PAIR))
 
 
 def dense_edges(impact_list, changes):
@@ -73,38 +71,30 @@ def test_build_decision_graph_equals_dense_scan():
             f"i{k:02d}": rng.sample(probe, rng.randint(0, 6)) for k in range(rng.randint(0, 12))
         }
         imp = impact(entries)
-        graph = build_decision_graph(imp, changes)
-        assert graph.edges == dense_edges(imp, changes)
-        assert {i for i, _ in graph.edges} <= set(entries)
-        assert {c for _, c in graph.edges} <= {c.id for c in changes}
-        total_edges += len(graph.edges)
+        edges = build_decision_graph(imp, changes)
+        assert edges == dense_edges(imp, changes)
+        assert {i for i, _ in edges} <= set(entries)
+        assert {c for _, c in edges} <= {c.id for c in changes}
+        total_edges += len(edges)
     assert total_edges > 100
 
 
-def test_build_decision_graph_version_mismatch():
-    from archdd.errors import InputError
-
-    c1 = chg("core", ["e1"], pair=("v1", "v2"))
-    with pytest.raises(InputError):
-        build_decision_graph(impact({"i1": ["e1"]}, pair=(None, "v9")), frozenset({c1}))
-
-
 def test_find_decisions_simple():
-    decisions = find_decisions(graph_of({("i1", "c1")}))
+    decisions = find_decisions(frozenset({("i1", "c1")}), PAIR)
     assert len(decisions) == 1
     assert decisions[0].kind is DecisionKind.SIMPLE
     assert decisions[0].issue_ids == {"i1"} and decisions[0].change_ids == {"c1"}
 
 
 def test_find_decisions_compound():
-    decisions = find_decisions(graph_of({("i1", "c1"), ("i2", "c1")}))
+    decisions = find_decisions(frozenset({("i1", "c1"), ("i2", "c1")}), PAIR)
     assert [d.kind for d in decisions] == [DecisionKind.COMPOUND]
 
 
 def test_find_decisions_crosscutting_and_orphans():
     c1, c2, c3 = chg("a", ["e1"]), chg("b", ["e2"]), chg("c", ["e3"])
     imp = impact({"i1": ["e1", "e2"], "i2": ["e2"], "i3": ["e9"]})  # i3 and c3 are orphans
-    decisions = find_decisions(build_decision_graph(imp, frozenset({c1, c2, c3})))
+    decisions = find_decisions(build_decision_graph(imp, frozenset({c1, c2, c3})), PAIR)
     assert len(decisions) == 1
     decision = decisions[0]
     assert decision.kind is DecisionKind.CROSSCUTTING
@@ -113,8 +103,7 @@ def test_find_decisions_crosscutting_and_orphans():
 
 
 def test_find_decisions_ordering_and_no_empty_sides():
-    graph = graph_of({("i9", "c1"), ("i2", "c2"), ("i5", "c3")})
-    decisions = find_decisions(graph)
+    decisions = find_decisions(frozenset({("i9", "c1"), ("i2", "c2"), ("i5", "c3")}), PAIR)
     assert [min(d.issue_ids) for d in decisions] == ["i2", "i5", "i9"]
     for decision in decisions:
         assert decision.issue_ids and decision.change_ids
@@ -148,7 +137,7 @@ def test_classification_exhaustive_and_exclusive():
 
 def test_decision_kind_follows_counts_and_sides_are_non_empty():
     def make(issue_ids, change_ids):
-        return Decision("d:x", frozenset(issue_ids), frozenset(change_ids), ("a", "b"), True)
+        return Decision("d:x", frozenset(issue_ids), frozenset(change_ids), True)
 
     assert make({"i1"}, {"c1"}).kind is DecisionKind.SIMPLE
     assert make({"i1", "i2"}, {"c1"}).kind is DecisionKind.COMPOUND
@@ -172,7 +161,6 @@ def test_change_coverage_examples():
             id="d:1",
             issue_ids=frozenset({"i1"}),
             change_ids=frozenset(c.id for c in covered),
-            version_pair=("v1", "v2"),
             tractable=True,
         )
     ]
@@ -183,7 +171,6 @@ def test_change_coverage_examples():
             id="d:2",
             issue_ids=frozenset({"i1"}),
             change_ids=all_ids,
-            version_pair=("v1", "v2"),
             tractable=False,
         )
     ]
@@ -203,7 +190,6 @@ def test_change_coverage_after_cleanup_fixture():
             id="d:3",
             issue_ids=frozenset({"i1"}),
             change_ids=frozenset(c.id for c in internal[:2]),
-            version_pair=("v1", "v2"),
             tractable=True,
         )
     ]
@@ -259,8 +245,7 @@ def test_connected_components_match_reachability_oracle():
             for c in changes
             if rng.random() < 0.12
         }
-        graph = graph_of(edges)
-        decisions = find_decisions(graph)
+        decisions = find_decisions(frozenset(edges), PAIR)
         got = {
             frozenset({("i", i) for i in d.issue_ids} | {("c", c) for c in d.change_ids})
             for d in decisions
@@ -279,15 +264,14 @@ def test_coverage_monotone_in_edges():
     last = Fraction(0)
     for pair in all_pairs:
         edges.add(pair)
-        graph = graph_of(edges)
-        covered = coverage(changes, find_decisions(graph))
+        covered = coverage(changes, find_decisions(frozenset(edges), PAIR))
         assert covered >= last
         last = covered
 
 
 def test_decision_ids_stable_across_runs():
-    graph = graph_of({("i1", "c1"), ("i2", "c1")})
-    first = find_decisions(graph)
-    second = find_decisions(graph)
+    edges = frozenset({("i1", "c1"), ("i2", "c1")})
+    first = find_decisions(edges, PAIR)
+    second = find_decisions(edges, PAIR)
     assert [d.id for d in first] == [d.id for d in second]
     assert first[0].id.startswith("d:")

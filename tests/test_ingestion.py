@@ -59,6 +59,10 @@ def test_load_issues_reports_line_numbers_and_duplicates():
     with pytest.raises(RecordParseError) as excinfo:
         load_issues(good + "\n" + good)
     assert "duplicate issue id" in str(excinfo.value)
+    # a repeated key would keep only its last value: the record would load as X-2
+    with pytest.raises(RecordParseError, match="repeated key 'id'") as excinfo:
+        load_issues(good + '\n{"id": "X-1", "id": "X-2"}')
+    assert excinfo.value.lineno == 2
 
 
 def test_load_issues_ignores_unknown_fields_and_defaults():
@@ -356,6 +360,8 @@ def test_load_commits_and_duplicates():
     assert excinfo.value.lineno == 3
     with pytest.raises(RecordParseError):
         load_commits('{"paths": []}')
+    with pytest.raises(RecordParseError, match="repeated key 'paths'"):
+        load_commits('{"id": "c1", "paths": ["a"], "paths": []}')
 
 
 def test_convert_name_status_log_commit_header_style():

@@ -119,7 +119,7 @@ def test_change_invariants():
     with pytest.raises(InvariantViolation):  # additions without a target
         new_change("C", None, frozenset(), frozenset({"a"}), pair)
     with pytest.raises(InvariantViolation):
-        ArchitecturalChange("x", None, "C", frozenset(), frozenset(), ("a", "b"))
+        ArchitecturalChange("x", None, "C", frozenset(), frozenset())
     with pytest.raises(InvariantViolation):
         new_change("C", "C", frozenset(), frozenset({"a b"}), pair)
 

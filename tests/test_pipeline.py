@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from archdd.cli import main
 from archdd.decisions import DecisionKind
 from archdd.errors import ConfigError
 from archdd.pipeline import RunConfig, run_pipeline
@@ -13,7 +14,7 @@ from conftest import output_digests, run_cli_with_hash_seed, write_mini_project
 
 def test_mini_project_matches_hand_derived_ledger(mini_project):
     config = RunConfig.from_file(mini_project)
-    result = run_pipeline(config, write=False)
+    result = run_pipeline(config)
     assert not result.failures
     assert len(result.outcomes) == 1
     outcome = result.outcomes[0]
@@ -146,6 +147,41 @@ def test_outputs_ignore_input_line_order(tmp_path, write_project):
     assert output_digests(config.output_dir) == before
 
 
+def _decision_rows(decisions):
+    keys = ("id", "kind", "issue_ids", "change_ids", "from_version", "to_version")
+    return [{key: decision[key] for key in keys} for decision in decisions]
+
+
+@pytest.mark.parametrize("write_project", [write_mini_project, write_small_history])
+def test_stage_commands_agree_with_the_pipeline(tmp_path, write_project):
+    """Each pair run through the three stage commands gives run.json's change ids and decisions."""
+    config = RunConfig.from_file(write_project(tmp_path))
+    run_pipeline(config)
+    pairs = json.loads((config.output_dir / "run.json").read_text(encoding="utf-8"))["pairs"]
+    assert len(pairs) == len(config.versions) - 1
+    assert any(pair["decisions"] for pair in pairs)
+    issue_side = ["--issues", str(config.issues_path), "--commits", str(config.commits_path)]
+    if config.exclusions_path:
+        issue_side += ["--exclusions", str(config.exclusions_path)]
+    if config.link_by_message:
+        issue_side.append("--link-by-message")
+    changes, impact, decisions = (tmp_path / name for name in ("c.json", "i.json", "d.json"))
+    for pair, (label_a, path_a), (label_b, path_b) in zip(
+        pairs, config.versions, config.versions[1:]
+    ):
+        assert main(["analyze-changes", "--arch-a", str(path_a), "--arch-b", str(path_b),
+                     "--label-a", label_a, "--label-b", label_b, "--format", "structured",
+                     "--out", str(changes)]) == 0
+        assert main(["build-impact", *issue_side, "--version", label_b,
+                     "--out", str(impact)]) == 0
+        assert main(["extract-decisions", "--changes", str(changes), "--impact", str(impact),
+                     "--out", str(decisions)]) == 0
+        changes_doc = json.loads(changes.read_text(encoding="utf-8"))
+        assert [c["id"] for c in changes_doc["changes"]] == [c["id"] for c in pair["changes"]]
+        decisions_doc = json.loads(decisions.read_text(encoding="utf-8"))
+        assert _decision_rows(decisions_doc["decisions"]) == _decision_rows(pair["decisions"])
+
+
 def test_outputs_ignore_hash_seed(tmp_path):
     """A snapshot whose components share two entities fails the same way under any seed."""
     config_path = write_mini_project(tmp_path)
@@ -223,7 +259,7 @@ def test_pipeline_identical_snapshots_contribute_nothing(tmp_path):
     ]
     path = tmp_path / "config2.json"
     path.write_text(json.dumps(config_obj))
-    result = run_pipeline(RunConfig.from_file(path), write=False)
+    result = run_pipeline(RunConfig.from_file(path))
     outcome = result.outcomes[0]
     assert outcome.changes == frozenset()
     assert outcome.decisions == []
@@ -239,7 +275,7 @@ def test_pipeline_three_versions_two_pairs(tmp_path):
     config_obj["versions"].append({"label": "1.2.0", "snapshot": "arch-1.2.0.rsf"})
     path = tmp_path / "config3.json"
     path.write_text(json.dumps(config_obj))
-    result = run_pipeline(RunConfig.from_file(path), write=False)
+    result = run_pipeline(RunConfig.from_file(path))
     assert len(result.outcomes) == 2
     assert [(o.from_version, o.to_version) for o in result.outcomes] == [
         ("1.0.0", "1.1.0"),
@@ -254,7 +290,7 @@ def test_pipeline_failure_isolation(tmp_path):
     config_obj["versions"].append({"label": "1.2.0", "snapshot": "arch-bad.rsf"})
     path = tmp_path / "config4.json"
     path.write_text(json.dumps(config_obj))
-    result = run_pipeline(RunConfig.from_file(path), write=False)
+    result = run_pipeline(RunConfig.from_file(path))
     assert len(result.outcomes) == 1  # the good pair still ran
     assert len(result.failures) == 1
     assert result.failures[0]["from_version"] == "1.1.0"

@@ -1,6 +1,10 @@
 import json
 from fractions import Fraction
 
+import pytest
+
+import archdd
+from archdd import report
 from archdd.changes import analyze_changes
 from archdd.decisions import Decision, DecisionKind, decision_id
 from archdd.ingestion import ArchitecturalImpactList, ImpactDiagnostics, IssueRecord
@@ -35,7 +39,6 @@ def decision(issues, changes, kind, tractable=True, pair=("v1", "v2")):
         id=decision_id(issue_ids, change_ids, pair),
         issue_ids=issue_ids,
         change_ids=change_ids,
-        version_pair=pair,
         tractable=tractable,
     )
     assert made.kind is kind  # the kind follows from the counts
@@ -83,7 +86,7 @@ def test_decisions_doc_round_trip():
     ]
     doc = decisions_doc(("v1", "v2"), decisions, Fraction(2, 3))
     assert json.loads(canonical_json(doc)) == doc
-    assert doc["decisions"] == [decision_to_obj(d) for d in decisions]
+    assert doc["decisions"] == [decision_to_obj(d, ("v1", "v2")) for d in decisions]
     assert doc["decisions"][1]["issue_ids"] == ["i1", "i2"]
     assert doc["decisions"][1]["tractable"] is False
     assert doc["coverage"] == [2, 3]
@@ -97,18 +100,18 @@ def test_render_decision_text():
     changes = {c.id: c for c in sample_changes()}
     ids = sorted(changes)
     simple = decision({"i1"}, {ids[0]}, DecisionKind.SIMPLE)
-    card = render_decision(simple, issues, changes)
+    card = render_decision(simple, ("v1", "v2"), issues, changes)
     assert card.splitlines()[0].startswith("[simple]")
     assert "issue i1: first summary" in card
     assert "entities)" in card
 
     compound = decision({"i1", "i2"}, {ids[0]}, DecisionKind.COMPOUND)
-    card = render_decision(compound, issues, changes)
+    card = render_decision(compound, ("v1", "v2"), issues, changes)
     assert card.count("issue ") == 2
     assert card.count("change ") == 1
 
     crosscutting = decision({"i1", "i2"}, set(ids), DecisionKind.CROSSCUTTING)
-    card = render_decision(crosscutting, issues, changes)
+    card = render_decision(crosscutting, ("v1", "v2"), issues, changes)
     assert card.count("change ") == len(ids)
 
 
@@ -181,3 +184,8 @@ def test_summary_round_trip_and_tables():
     assert "overall" in table and "v1 -> v2" in table
     assert render_coverage_table(summary).count("\n") >= 2
     assert "simple" in render_distribution_table(summary)
+
+
+@pytest.mark.parametrize("module", [archdd, report], ids=lambda module: module.__name__)
+def test_every_exported_name_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
