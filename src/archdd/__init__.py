@@ -7,7 +7,13 @@ issues to the entities their commits touched, and groups linked issues and
 changes into simple, compound, or crosscutting decisions.
 """
 
-from .changes import analyze_changes, get_change_instances
+from .changes import (
+    analyze_changes,
+    balance,
+    build_matching_problem,
+    get_change_instances,
+    min_cost_matching,
+)
 from .decisions import (
     Decision,
     DecisionKind,
@@ -27,12 +33,6 @@ from .ingestion import (
     load_issues,
     path_to_entity,
     select_issues,
-)
-from .matching import (
-    MatchingProblem,
-    balance,
-    build_matching_problem,
-    min_cost_matching,
 )
 from .model import (
     ArchitecturalChange,
@@ -57,7 +57,6 @@ __all__ = [
     "Decision",
     "DecisionKind",
     "IssueRecord",
-    "MatchingProblem",
     "PathRule",
     "RunConfig",
     "add_message_links",

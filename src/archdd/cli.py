@@ -36,6 +36,8 @@ def _load_json(path: str, what: str) -> dict:
 
 def _label(value: str) -> str:
     """A version label from an argument or a file name; its text goes into every output."""
+    if not value:
+        raise InputError("version label must not be empty")
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:
@@ -65,8 +67,8 @@ def cli():
 @click.option("--out", default=None, help="write output here instead of stdout")
 def analyze_changes_cmd(arch_a, arch_b, label_a, label_b, fmt, out):
     """Match two snapshots and list the architectural changes between them."""
-    label_a = _label(label_a or Path(arch_a).stem)
-    label_b = _label(label_b or Path(arch_b).stem)
+    label_a = _label(Path(arch_a).stem if label_a is None else label_a)
+    label_b = _label(Path(arch_b).stem if label_b is None else label_b)
     snap_a = parse_snapshot(read_input(arch_a, "snapshot"), label_a)
     snap_b = parse_snapshot(read_input(arch_b, "snapshot"), label_b)
     changes = analyze_changes(snap_a, snap_b)
@@ -162,7 +164,7 @@ def pipeline_cmd(config_path, strict):
 @click.option("--out", default=None, help="commit log output (default: stdout)")
 def convert_log_cmd(in_path, out):
     """Convert raw name-status VCS log text to the commit-log format."""
-    text = read_input(in_path, "raw log") if in_path else sys.stdin.read()
+    text = read_input(in_path or None, "raw log")
     _emit(serialize_commits(convert_name_status_log(text)), out)
 
 

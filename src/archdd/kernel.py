@@ -34,15 +34,14 @@ from heapq import heappop, heappush, merge
 from itertools import islice
 
 
-def lexmin_assignment(overlaps, n):
+def lexmin_assignment(overlaps):
     """Return the lexicographically-smallest optimal column index per row.
 
     ``overlaps[i]`` maps column j to the positive number of entities row i
-    shares with it; pairs that share nothing are left out.
+    shares with it; pairs that share nothing are left out. There are as many
+    columns as rows.
     """
-    n = int(n)
-    if len(overlaps) != n:
-        raise ValueError(f"expected {n} overlap rows, got {len(overlaps)}")
+    n = len(overlaps)
     row_dual = [max(row.values(), default=0) for row in overlaps]
     col_dual = [0] * n
     match_row = [-1] * n

@@ -9,6 +9,7 @@ CLI). Pairs run one after another in version order.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,6 +77,8 @@ class RunConfig:
                 if not isinstance(entry[key], str):
                     raise ConfigError(f"version `{key}` must be a string")
             label = entry["label"]
+            if not label:
+                raise ConfigError("version `label` must not be empty")
             if label in seen:
                 raise ConfigError(f"duplicate version label {label!r}")
             seen.add(label)
@@ -127,12 +130,18 @@ class PipelineResult:
     written: list[Path] = field(default_factory=list)
 
 
-def read_input(path: str | Path, what: str) -> str:
-    """Read a UTF-8 input file; any failure is an InputError naming the file."""
+def read_input(path: str | Path | None, what: str) -> str:
+    """Read a UTF-8 input file, or standard input when ``path`` is None.
+
+    Any failure, undecodable bytes included, is an InputError naming the source.
+    """
     try:
+        if path is None:
+            return sys.stdin.buffer.read().decode("utf-8")
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {what} {path}: {exc}") from None
+        source = "<stdin>" if path is None else path
+        raise InputError(f"cannot read {what} {source}: {exc}") from None
 
 
 def load_issue_side(issues_path, commits_path, rules_path, exclusions_path, link_by_message):

@@ -416,15 +416,10 @@ def render_decision(
     )
     lines = [header]
     for issue_id in sorted(decision.issue_ids):
-        issue = issues_by_id.get(issue_id)
-        summary = f": {issue.summary}" if issue is not None and issue.summary else ""
-        lines.append(f"  issue {issue_id}{summary}")
-    known = [changes_by_id[cid] for cid in decision.change_ids if cid in changes_by_id]
-    for change in sort_changes(known):
+        summary = issues_by_id[issue_id].summary
+        lines.append(f"  issue {issue_id}: {summary}" if summary else f"  issue {issue_id}")
+    for change in sort_changes([changes_by_id[cid] for cid in decision.change_ids]):
         lines.append(f"  change {change_label(change)}")
-    for change_id in sorted(decision.change_ids):
-        if change_id not in changes_by_id:
-            lines.append(f"  change {change_id}")
     return "\n".join(lines)
 
 

@@ -12,9 +12,8 @@ import random
 import time
 from fractions import Fraction
 
-from archdd.changes import analyze_changes, get_change_instances
+from archdd.changes import analyze_changes, balance, get_change_instances, min_cost_matching
 from archdd.decisions import DecisionKind, find_decisions
-from archdd.matching import balance, build_matching_problem, min_cost_matching
 from archdd.model import ChangeKind
 from archdd.pipeline import RunConfig, run_pipeline
 
@@ -55,8 +54,7 @@ def test_matching_optimality_against_enumeration():
     started = time.perf_counter()
     checked = 0
     for snap_a, snap_b in _matching_corpus():
-        problem = build_matching_problem(list(snap_a.components), list(snap_b.components))
-        chosen = min_cost_matching(problem)
+        chosen = min_cost_matching(snap_a, snap_b)
         total = sum(_delta_cost(c_a, c_b) for c_a, c_b in chosen)
         assert total == _exhaustive_minimum(
             list(snap_a.components), list(snap_b.components)
@@ -73,8 +71,7 @@ def test_change_instance_conformance():
     violations = 0
     pairs_checked = 0
     for snap_a, snap_b in _matching_corpus(seed=777):
-        problem = build_matching_problem(list(snap_a.components), list(snap_b.components))
-        chosen = min_cost_matching(problem)
+        chosen = min_cost_matching(snap_a, snap_b)
         for c_a, c_b in chosen:
             changes = get_change_instances(c_a, c_b, ("va", "vb"))
             emitted = set()

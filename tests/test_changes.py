@@ -2,8 +2,12 @@ import random
 
 import pytest
 
-from archdd.changes import analyze_changes, get_change_instances, matching_cost
-from archdd.matching import build_matching_problem, min_cost_matching
+from archdd.changes import (
+    analyze_changes,
+    get_change_instances,
+    matching_cost,
+    min_cost_matching,
+)
 from archdd.model import ChangeKind, Component, change_id, entity_universe
 from archdd.report import change_to_obj, canonical_json
 
@@ -90,8 +94,7 @@ def test_conservation_total_deltas_equal_matching_cost():
     for _ in range(40):
         snap_a = random_snapshot(rng, "a", pool)
         snap_b = random_snapshot(rng, "b", pool)
-        problem = build_matching_problem(list(snap_a.components), list(snap_b.components))
-        chosen = min_cost_matching(problem)
+        chosen = min_cost_matching(snap_a, snap_b)
         changes = analyze_changes(snap_a, snap_b)
         assert matching_cost(changes) == sum(len(a.entities ^ b.entities) for a, b in chosen)
 

@@ -1,5 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from archdd.cli import main
 
@@ -166,6 +172,87 @@ def test_convert_log_roundtrip(tmp_path, capsys):
     record = json.loads(out)
     assert record["paths"] == ["src/a/B.java"]
     assert record["issue_keys"] == ["APP-7"]
+
+
+def convert_log_from_stdin(data, *argv, **env):
+    """Run ``convert-log`` in a child process with ``data`` as its standard input."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "archdd.cli", "convert-log", *argv],
+        input=data, env=dict(os.environ, PYTHONPATH=str(src), **env),
+        capture_output=True, timeout=120,
+    )
+
+
+# Strict UTF-8 stdin raised a UnicodeDecodeError; surrogateescape (the C.UTF-8
+# locale's default) let b"\xff" through as "\udcff" into the commit log.
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-8:surrogateescape"])
+def test_convert_log_rejects_undecodable_stdin(encoding):
+    result = convert_log_from_stdin(
+        b"commit abcdef1\nM\tsrc/\xff.java\n", PYTHONIOENCODING=encoding
+    )
+    assert result.returncode == 1
+    assert result.stdout == b""
+    err = result.stderr.decode()
+    assert err.startswith("error: cannot read raw log <stdin>: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_convert_log_stdin_matches_in_file(tmp_path):
+    raw = (
+        "commit 6a1f2d3c4b5e6f708192a3b4c5d6e7f801920304\r\n"
+        "    APP-7 fix retry in the caf\u00e9 module\r\n"
+        "M\tsrc/a/B.java\n"
+        "R100\tsrc/caf\u00e9/Old.java\tsrc/caf\u00e9/New.java\n"
+    ).encode("utf-8")
+    (tmp_path / "raw.log").write_bytes(raw)
+    from_stdin = convert_log_from_stdin(raw)
+    from_file = convert_log_from_stdin(b"", "--in", str(tmp_path / "raw.log"))
+    assert from_stdin.returncode == from_file.returncode == 0
+    assert from_stdin.stdout == from_file.stdout
+    assert "src/caf\u00e9/New.java" in json.loads(from_stdin.stdout)["paths"]
+
+
+def test_pipeline_rejects_empty_config_label(tmp_path, capsys):
+    config_path = write_mini_project(tmp_path)
+    config_obj = json.loads(config_path.read_text())
+    config_obj["versions"][0]["label"] = ""
+    config_path.write_text(json.dumps(config_obj))
+    code, out, err = run(capsys, "pipeline", "--config", str(config_path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: version `label` must not be empty\n"
+
+
+def test_build_impact_rejects_empty_version(tmp_path, capsys):
+    write_mini_project(tmp_path)
+    impact_path = tmp_path / "impact.json"
+    code, out, err = run(
+        capsys,
+        "build-impact",
+        "--issues", str(tmp_path / "issues.jsonl"),
+        "--commits", str(tmp_path / "commits.jsonl"),
+        "--version", "",
+        "--out", str(impact_path),
+    )
+    assert code == 1
+    assert err == "error: version label must not be empty\n"
+    assert not impact_path.exists()
+
+
+def test_analyze_changes_rejects_empty_label(tmp_path, capsys):
+    # An empty --label-a is rejected, not replaced by the file stem.
+    write_mini_project(tmp_path)
+    code, out, err = run(
+        capsys,
+        "analyze-changes",
+        "--arch-a", str(tmp_path / "arch-1.0.0.rsf"),
+        "--arch-b", str(tmp_path / "arch-1.1.0.rsf"),
+        "--label-a", "",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: version label must not be empty\n"
 
 
 def test_exit_codes(tmp_path, capsys):

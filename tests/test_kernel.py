@@ -10,13 +10,12 @@ import itertools
 import random
 import sys
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from archdd.changes import build_matching_problem
 from archdd.kernel import lexmin_assignment
-from archdd.matching import build_matching_problem
-from archdd.model import Component
+from archdd.model import ArchitectureSnapshot, Component
 
 INF = 1 << 62
 
@@ -148,42 +147,35 @@ def _dense_augment(root, allowed, match_row, match_col, fixed_col, visited):
     return False
 
 
-def dense_costs(problem):
+def dense_costs(a, b, overlaps):
     """The n*n delta costs |A| + |B| - 2|A & B| that the dense kernel priced."""
-    sizes_b = [len(c.entities) for c in problem.components_b]
+    sizes_b = [len(c.entities) for c in b]
     costs = []
-    for component, row in zip(problem.components_a, problem.overlaps):
+    for component, row in zip(a, overlaps):
         size_a = len(component.entities)
         costs += [size_a + size_b - 2 * row.get(j, 0) for j, size_b in enumerate(sizes_b)]
     return costs
 
 
 def assert_agrees_with_oracle(components_a, components_b):
-    problem = build_matching_problem(components_a, components_b)
-    n = len(problem.components_a)
-    cols = lexmin_assignment(problem.overlaps, n)
-    assert cols == dense_lexmin(dense_costs(problem), n)
+    a, b, overlaps = build_matching_problem(
+        ArchitectureSnapshot("a", components_a), ArchitectureSnapshot("b", components_b)
+    )
+    assert lexmin_assignment(overlaps) == dense_lexmin(dense_costs(a, b, overlaps), len(a))
 
 
 def test_empty_and_singleton():
-    assert lexmin_assignment([], 0) == []
-    assert lexmin_assignment([{}], 1) == [0]
-    assert lexmin_assignment([{0: 7}], 1) == [0]
-
-
-def test_size_mismatch_rejected():
-    with pytest.raises(ValueError):
-        lexmin_assignment([{0: 1}, {1: 1}, {}], 2)
+    assert lexmin_assignment([]) == []
+    assert lexmin_assignment([{}]) == [0]
+    assert lexmin_assignment([{0: 7}]) == [0]
 
 
 def test_constant_matrix_is_identity():
     # no overlap at all, or every pair overlapping equally, is maximally
     # tied; lex-min must be the identity
     for n in (1, 2, 5, 9):
-        assert lexmin_assignment([{} for _ in range(n)], n) == list(range(n))
-        assert lexmin_assignment([dict.fromkeys(range(n), 3) for _ in range(n)], n) == list(
-            range(n)
-        )
+        assert lexmin_assignment([{} for _ in range(n)]) == list(range(n))
+        assert lexmin_assignment([dict.fromkeys(range(n), 3) for _ in range(n)]) == list(range(n))
 
 
 def test_handles_moderate_sizes():
@@ -193,7 +185,7 @@ def test_handles_moderate_sizes():
         {j: rng.randint(1, 30) for j in rng.sample(range(n), rng.randint(0, 6))}
         for _ in range(n)
     ]
-    cols = lexmin_assignment(overlaps, n)
+    cols = lexmin_assignment(overlaps)
     assert sorted(cols) == list(range(n))
     top = max(w for row in overlaps for w in row.values())
     costs = [top - overlaps[i].get(j, 0) for i in range(n) for j in range(n)]
@@ -303,12 +295,12 @@ def call_with_headroom(frames, fn, *args):
 def test_long_augmenting_path_leaves_recursion_limit_alone():
     n = 500
     limit = sys.getrecursionlimit()
-    cols = lexmin_assignment(reversed_cycle(n), n)
+    cols = lexmin_assignment(reversed_cycle(n))
     assert cols == [0] + [n - i for i in range(1, n)]
     assert sys.getrecursionlimit() == limit
 
 
 def test_long_augmenting_path_needs_no_deep_stack():
     n = 300
-    cols = call_with_headroom(100, lexmin_assignment, reversed_cycle(n), n)
+    cols = call_with_headroom(100, lexmin_assignment, reversed_cycle(n))
     assert cols == [0] + [n - i for i in range(1, n)]

@@ -1,16 +1,8 @@
 import itertools
 import random
 
-import pytest
-
-from archdd.errors import InvariantViolation
-from archdd.matching import (
-    MatchingProblem,
-    balance,
-    build_matching_problem,
-    min_cost_matching,
-)
-from archdd.model import Component
+from archdd.changes import analyze_changes, balance, build_matching_problem, min_cost_matching
+from archdd.model import ArchitectureSnapshot, Component
 
 from conftest import random_snapshot, snap
 
@@ -38,9 +30,15 @@ def enumerate_best(components_a, components_b):
     return best
 
 
+def kinds(changes):
+    """Each change as (kind, source component, target component)."""
+    return {(c.kind.value, c.source_component, c.target_component) for c in changes}
+
+
 def solve(components_a, components_b):
-    problem = build_matching_problem(components_a, components_b)
-    chosen = min_cost_matching(problem)
+    chosen = min_cost_matching(
+        ArchitectureSnapshot("a", components_a), ArchitectureSnapshot("b", components_b)
+    )
     total = sum(delta_cost(c_a, c_b) for c_a, c_b in chosen)
     names = tuple(c_b.name for _, c_b in chosen)  # already in a-name order
     return chosen, total, names
@@ -77,45 +75,37 @@ def test_balance_skips_colliding_dummy_names():
     assert balanced_a[1].name == "__dummy_1"
 
 
-def reference_overlaps(problem):
+def reference_overlaps(a, b):
     """Shared-entity counts of every pair, zeros included, row by row."""
-    return [
-        [len(a.entities & b.entities) for b in problem.components_b]
-        for a in problem.components_a
-    ]
+    return [[len(c_a.entities & c_b.entities) for c_b in b] for c_a in a]
 
 
-def padded(problem):
-    """The problem's sparse overlap rows padded with zeros to a full n x n table."""
-    n = len(problem.components_b)
-    return [[row.get(j, 0) for j in range(n)] for row in problem.overlaps]
+def padded(overlaps):
+    """Sparse overlap rows padded with zeros to a full n x n table."""
+    n = len(overlaps)
+    return [[row.get(j, 0) for j in range(n)] for row in overlaps]
 
 
 def test_costs_equal_symmetric_difference_reference():
     # Only overlapping pairs are stored. Padded with zeros they must equal
     # the reference counts, which fix each pair's delta cost |A| + |B| - 2|A & B|.
-    problem = build_matching_problem(
-        [comp("x", "a b c"), comp("z", "e f")], [comp("y", "b c d"), comp("w", "e f")]
+    a, b, overlaps = build_matching_problem(
+        snap("a", {"x": "a b c", "z": "e f"}), snap("b", {"y": "b c d", "w": "e f"})
     )
-    assert [c.name for c in problem.components_a] == ["x", "z"]
-    assert [c.name for c in problem.components_b] == ["w", "y"]
-    assert problem.overlaps == [{1: 2}, {0: 2}]
+    assert [c.name for c in a] == ["x", "z"]
+    assert [c.name for c in b] == ["w", "y"]
+    assert overlaps == [{1: 2}, {0: 2}]
     rng = random.Random(3)
     pool = [f"e{i:02d}" for i in range(40)]
     padded_draws = 0
     for _ in range(200):
         snap_a = random_snapshot(rng, "a", pool, max_components=8)
         snap_b = random_snapshot(rng, "b", pool, max_components=8)
-        problem = build_matching_problem(list(snap_a.components), list(snap_b.components))
+        a, b, overlaps = build_matching_problem(snap_a, snap_b)
         padded_draws += len(snap_a.components) != len(snap_b.components)
-        assert all(0 not in row.values() for row in problem.overlaps)
-        assert padded(problem) == reference_overlaps(problem)
+        assert all(0 not in row.values() for row in overlaps)
+        assert padded(overlaps) == reference_overlaps(a, b)
     assert padded_draws > 100  # most draws exercise empty dummy rows or columns
-
-
-def test_costs_reject_shared_entities_in_components_b():
-    with pytest.raises(InvariantViolation, match="share an entity"):
-        build_matching_problem([comp("A", "a")], [comp("B1", "a b"), comp("B2", "b")])
 
 
 def test_min_cost_matching_spec_example():
@@ -142,6 +132,22 @@ def test_min_cost_matching_dummy_example():
     by_b = {b.name: (a, b) for a, b in chosen}
     assert by_b["D2"][0].name == "C1" and delta_cost(*by_b["D2"]) == 0
     assert by_b["D1"][0].name.startswith("__dummy_") and delta_cost(*by_b["D1"]) == 1
+    # Dummies join the name tie-break under their reserved names. Both
+    # pairings of p={e1}, q={e2} -> r={e1,e2} cost 2; `__dummy_0` sorts
+    # before `r`, so p takes the dummy (removed) and q takes r (modified).
+    lower = (snap("a", {"p": "e1", "q": "e2"}), snap("b", {"r": "e1 e2"}))
+    assert [(a.name, b.name) for a, b in min_cost_matching(*lower)] == [
+        ("p", "__dummy_0"),
+        ("q", "r"),
+    ]
+    assert kinds(analyze_changes(*lower)) == {("removed", "p", None), ("modified", "q", "r")}
+    # `R` sorts before `__dummy_0`, so P takes R.
+    upper = (snap("a", {"P": "e1", "Q": "e2"}), snap("b", {"R": "e1 e2"}))
+    assert [(a.name, b.name) for a, b in min_cost_matching(*upper)] == [
+        ("P", "R"),
+        ("Q", "__dummy_0"),
+    ]
+    assert kinds(analyze_changes(*upper)) == {("modified", "P", "R"), ("removed", "Q", None)}
 
 
 def test_matching_equals_exhaustive_oracle():
@@ -163,9 +169,3 @@ def test_matching_is_deterministic():
     snap_b = snap("b", {"D1": "a c", "D2": "b d", "D3": "f"})
     runs = [solve(list(snap_a.components), list(snap_b.components)) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
-
-
-def test_min_cost_matching_rejects_unbalanced_problem():
-    problem = MatchingProblem(components_a=[comp("A", "a")], components_b=[], overlaps=[{}])
-    with pytest.raises(InvariantViolation):
-        min_cost_matching(problem)

@@ -6,6 +6,7 @@ import pytest
 from archdd.errors import InvariantViolation, PartitionViolation, SnapshotParseError
 from archdd.model import (
     ArchitecturalChange,
+    ArchitectureSnapshot,
     ChangeKind,
     Component,
     entity_universe,
@@ -28,6 +29,12 @@ def test_parse_partition_violation_names_both_components():
         parse_snapshot("contain C1 a\ncontain C2 a", "v1")
     assert excinfo.value.entity == "a"
     assert set(excinfo.value.components) == {"C1", "C2"}
+    # A snapshot built directly, not parsed, is checked the same way.
+    with pytest.raises(PartitionViolation) as excinfo:
+        ArchitectureSnapshot(
+            "v1", (Component("B1", frozenset({"a", "b"})), Component("B2", frozenset({"b"})))
+        )
+    assert excinfo.value.components == ("B1", "B2")
 
 
 def test_parse_empty_file():
@@ -95,14 +102,10 @@ def test_name_validation():
 def test_snapshot_rejects_duplicate_component_names():
     with pytest.raises(InvariantViolation):
         snap_components = (Component("C", frozenset({"a"})), Component("C", frozenset({"b"})))
-        from archdd.model import ArchitectureSnapshot
-
         ArchitectureSnapshot("v", snap_components)
 
 
 def test_snapshot_rejects_empty_components():
-    from archdd.model import ArchitectureSnapshot
-
     with pytest.raises(InvariantViolation):
         ArchitectureSnapshot("v", (Component("C", frozenset()),))
 
