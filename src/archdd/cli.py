@@ -46,7 +46,7 @@ def _label(value: str) -> str:
 
 
 def _emit(text: str, out: str | None):
-    if out:
+    if out is not None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         click.echo(text, nl=False)
@@ -99,13 +99,9 @@ def build_impact_cmd(issues_path, commits_path, version, rules_path, exclusions_
         issues_path, commits_path, rules_path, exclusions_path, link_by_message
     )
     impact = build_impact_list(
-        select_issues(issues, version),
-        commits,
-        rules=rules,
-        exclusions=exclusions,
-        version_pair=(None, version),
+        select_issues(issues, version), commits, rules=rules, exclusions=exclusions
     )
-    _emit(report.canonical_json(report.impact_doc(impact)), out)
+    _emit(report.canonical_json(report.impact_doc(impact, (None, version))), out)
 
 
 @cli.command("extract-decisions")
@@ -126,11 +122,10 @@ def extract_decisions_cmd(changes_path, impact_path, tractability_threshold, out
     version_pair, changes = report.parse_changes_doc(
         _load_json(changes_path, "changes document")
     )
-    impact = report.parse_impact_doc(_load_json(impact_path, "impact document"))
-    if impact.version_pair[1] != version_pair[1]:
+    impact_pair, impact = report.parse_impact_doc(_load_json(impact_path, "impact document"))
+    if impact_pair[1] != version_pair[1]:
         raise InputError(
-            f"impact list is for version {impact.version_pair[1]!r} but changes "
-            f"target {version_pair[1]!r}"
+            f"impact list is for version {impact_pair[1]!r} but changes target {version_pair[1]!r}"
         )
     edges = build_decision_graph(impact, changes)
     decisions = find_decisions(edges, version_pair, tractability_threshold=tractability_threshold)
@@ -164,7 +159,7 @@ def pipeline_cmd(config_path, strict):
 @click.option("--out", default=None, help="commit log output (default: stdout)")
 def convert_log_cmd(in_path, out):
     """Convert raw name-status VCS log text to the commit-log format."""
-    text = read_input(in_path or None, "raw log")
+    text = read_input(in_path, "raw log")
     _emit(serialize_commits(convert_name_status_log(text)), out)
 
 

@@ -116,17 +116,16 @@ class ImpactDiagnostics:
 class ArchitecturalImpactList:
     """Per-version mapping from qualifying issues to the entities they touched."""
 
-    version_pair: tuple[str | None, str]
     entries: dict[str, frozenset[str]]
     diagnostics: ImpactDiagnostics = field(default_factory=ImpactDiagnostics)
 
 
-def _require_str(obj, key, lineno, *, required=False, default=""):
+def _require_str(obj, key, lineno, *, required=False):
     value = obj.get(key, None)
     if value is None:
         if required:
             raise RecordParseError(lineno, f"missing required field {key!r}")
-        return default
+        return ""
     if not isinstance(value, str) or (required and not value):
         raise RecordParseError(lineno, f"field {key!r} must be a non-empty string")
     return value
@@ -336,7 +335,6 @@ def build_impact_list(
     commits: dict[str, CommitRecord],
     rules=DEFAULT_PATH_RULES,
     exclusions=(),
-    version_pair: tuple[str | None, str] = (None, ""),
 ) -> ArchitecturalImpactList:
     """Map each issue to the architectural entities its commits touched.
 
@@ -367,9 +365,7 @@ def build_impact_list(
 
     diagnostics.orphaned_commit_refs.sort()
     diagnostics.skipped_paths = sorted(skipped)
-    return ArchitecturalImpactList(
-        version_pair=version_pair, entries=entries, diagnostics=diagnostics
-    )
+    return ArchitecturalImpactList(entries=entries, diagnostics=diagnostics)
 
 
 def convert_name_status_log(text: str) -> list[CommitRecord]:

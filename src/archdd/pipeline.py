@@ -152,11 +152,13 @@ def load_issue_side(issues_path, commits_path, rules_path, exclusions_path, link
         issues = add_message_links(issues, commits)
     rules = (
         load_path_rules(read_input(rules_path, "path rules"))
-        if rules_path
+        if rules_path is not None
         else list(DEFAULT_PATH_RULES)
     )
     exclusions = (
-        load_exclusions(read_input(exclusions_path, "exclusion list")) if exclusions_path else []
+        load_exclusions(read_input(exclusions_path, "exclusion list"))
+        if exclusions_path is not None
+        else []
     )
     return issues, commits, rules, exclusions
 
@@ -173,13 +175,7 @@ def _process_pair(
     version_pair = (snap_a.version, snap_b.version)
     changes = analyze_changes(snap_a, snap_b)
     selected = select_issues(issues, snap_b.version)
-    impact = build_impact_list(
-        selected,
-        commits,
-        rules=rules,
-        exclusions=exclusions,
-        version_pair=version_pair,
-    )
+    impact = build_impact_list(selected, commits, rules=rules, exclusions=exclusions)
     edges = build_decision_graph(impact, changes)
     decisions = find_decisions(edges, version_pair, tractability_threshold=threshold)
     clean_changes = drop_external_changes(changes, exclusions)
@@ -214,7 +210,7 @@ def _pair_to_obj(outcome: PairOutcome) -> dict:
         "matching_cost": matching_cost(outcome.changes),
         "changes": [report.change_to_obj(c, pair) for c in report.sort_changes(outcome.changes)],
         "external_change_ids": external,
-        "impact": report.impact_to_obj(outcome.impact),
+        "impact": report.impact_to_obj(outcome.impact, pair),
         "decisions": [report.decision_to_obj(d, pair) for d in outcome.decisions],
         "entity_overlap": list(outcome.entity_overlap),
         "stats": report.stats_to_obj(outcome.stats),

@@ -42,24 +42,36 @@ def _fraction_pair(value: Fraction | None):
 # domain object <-> plain object
 
 
+def _header(version_pair: tuple[str | None, str | None], kind: str | None = None) -> dict:
+    """A pair's version fields; a standalone ``kind`` document's header adds its schema and kind."""
+    header = {"from_version": version_pair[0], "to_version": version_pair[1]}
+    if kind is not None:
+        header.update(schema_version=SCHEMA_VERSION, kind=kind)
+    return header
+
+
 def change_to_obj(change: ArchitecturalChange, version_pair: tuple[str, str]) -> dict:
     ops = [(e, "remove") for e in change.removed] + [(e, "add") for e in change.added]
     return {
+        **_header(version_pair),
         "id": change.id,
         "kind": change.kind.value,
         "source_component": change.source_component,
         "target_component": change.target_component,
-        "from_version": version_pair[0],
-        "to_version": version_pair[1],
         "deltas": [{"op": op, "entity": entity} for entity, op in sorted(ops)],
     }
 
 
 def _name(value, what: str, optional: bool = False):
-    """A document's label or component name: a string, or None where ``optional``."""
-    if not isinstance(value, str) and not (optional and value is None):
-        raise TypeError(f"{what} must be a string, got {value!r}")
+    """A document's version label or id: a non-empty string, or None where ``optional``."""
+    if not (isinstance(value, str) and value) and not (optional and value is None):
+        raise TypeError(f"{what} must be a non-empty string, got {value!r}")
     return value
+
+
+def _component(value) -> str | None:
+    """A change endpoint: absent, or a component name that a snapshot could hold."""
+    return None if value is None else _check_name(value, "component")
 
 
 def change_from_obj(obj: dict, version_pair: tuple[str, str]) -> ArchitecturalChange:
@@ -71,8 +83,8 @@ def change_from_obj(obj: dict, version_pair: tuple[str, str]) -> ArchitecturalCh
         entities[delta["op"]].add(_check_name(delta["entity"], "entity"))
     change = ArchitecturalChange(
         id=_name(obj["id"], "change id"),
-        source_component=_name(obj.get("source_component"), "source_component", True),
-        target_component=_name(obj.get("target_component"), "target_component", True),
+        source_component=_component(obj.get("source_component")),
+        target_component=_component(obj.get("target_component")),
         removed=entities["remove"],
         added=entities["add"],
     )
@@ -90,7 +102,7 @@ def sort_changes(changes) -> list[ArchitecturalChange]:
     return sorted(
         changes,
         key=lambda c: (
-            c.target_component or c.source_component or "",
+            c.target_component or c.source_component,
             c.kind.value,
             c.id,
         ),
@@ -99,45 +111,30 @@ def sort_changes(changes) -> list[ArchitecturalChange]:
 
 def decision_to_obj(decision: Decision, version_pair: tuple[str, str]) -> dict:
     return {
+        **_header(version_pair),
         "id": decision.id,
         "kind": decision.kind.value,
         "issue_ids": sorted(decision.issue_ids),
         "change_ids": sorted(decision.change_ids),
-        "from_version": version_pair[0],
-        "to_version": version_pair[1],
         "tractable": decision.tractable,
     }
 
 
-def diagnostics_to_obj(diagnostics: ImpactDiagnostics) -> dict:
+def impact_to_obj(impact: ArchitecturalImpactList, version_pair: tuple[str | None, str]) -> dict:
+    diagnostics = impact.diagnostics
     return {
-        "orphaned_commit_refs": [
-            {"issue": issue_id, "commit": commit_id}
-            for issue_id, commit_id in sorted(diagnostics.orphaned_commit_refs)
-        ],
-        "skipped_paths": sorted(diagnostics.skipped_paths),
-        "excluded_entity_count": diagnostics.excluded_entity_count,
-    }
-
-
-def diagnostics_from_obj(obj: dict) -> ImpactDiagnostics:
-    return ImpactDiagnostics(
-        orphaned_commit_refs=[
-            (ref["issue"], ref["commit"]) for ref in obj.get("orphaned_commit_refs", [])
-        ],
-        skipped_paths=list(obj.get("skipped_paths", [])),
-        excluded_entity_count=obj.get("excluded_entity_count", 0),
-    )
-
-
-def impact_to_obj(impact: ArchitecturalImpactList) -> dict:
-    return {
-        "from_version": impact.version_pair[0],
-        "to_version": impact.version_pair[1],
+        **_header(version_pair),
         "entries": {
             issue_id: sorted(entities) for issue_id, entities in impact.entries.items()
         },
-        "diagnostics": diagnostics_to_obj(impact.diagnostics),
+        "diagnostics": {
+            "orphaned_commit_refs": [
+                {"issue": issue_id, "commit": commit_id}
+                for issue_id, commit_id in sorted(diagnostics.orphaned_commit_refs)
+            ],
+            "skipped_paths": sorted(diagnostics.skipped_paths),
+            "excluded_entity_count": diagnostics.excluded_entity_count,
+        },
     }
 
 
@@ -147,16 +144,26 @@ def _entity_set(entities) -> frozenset[str]:
     return frozenset(_check_name(entity, "entity") for entity in entities)
 
 
-def impact_from_obj(obj: dict) -> ArchitecturalImpactList:
-    return ArchitecturalImpactList(
-        version_pair=(
-            _name(obj.get("from_version"), "from_version", True),
-            _name(obj["to_version"], "to_version"),
-        ),
+def impact_from_obj(obj: dict) -> tuple[tuple[str | None, str], ArchitecturalImpactList]:
+    """The version pair and impact list that ``impact_to_obj`` wrote."""
+    version_pair = (
+        _name(obj.get("from_version"), "from_version", True),
+        _name(obj["to_version"], "to_version"),
+    )
+    diagnostics = obj.get("diagnostics", {})
+    return version_pair, ArchitecturalImpactList(
         entries={
-            issue_id: _entity_set(entities) for issue_id, entities in obj["entries"].items()
+            _name(issue_id, "issue id"): _entity_set(entities)
+            for issue_id, entities in obj["entries"].items()
         },
-        diagnostics=diagnostics_from_obj(obj.get("diagnostics", {})),
+        diagnostics=ImpactDiagnostics(
+            orphaned_commit_refs=[
+                (ref["issue"], ref["commit"])
+                for ref in diagnostics.get("orphaned_commit_refs", [])
+            ],
+            skipped_paths=list(diagnostics.get("skipped_paths", [])),
+            excluded_entity_count=diagnostics.get("excluded_entity_count", 0),
+        ),
     )
 
 
@@ -189,10 +196,7 @@ def _parse_doc(obj, kind: str, parse):
 
 def changes_doc(version_pair: tuple[str, str], changes) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "changes",
-        "from_version": version_pair[0],
-        "to_version": version_pair[1],
+        **_header(version_pair, "changes"),
         "changes": [change_to_obj(c, version_pair) for c in sort_changes(changes)],
     }
 
@@ -212,14 +216,11 @@ def parse_changes_doc(obj: dict) -> tuple[tuple[str, str], frozenset[Architectur
     return _parse_doc(obj, "changes", _changes_from_obj)
 
 
-def impact_doc(impact: ArchitecturalImpactList) -> dict:
-    out = impact_to_obj(impact)
-    out["schema_version"] = SCHEMA_VERSION
-    out["kind"] = "impact"
-    return out
+def impact_doc(impact: ArchitecturalImpactList, version_pair: tuple[str | None, str]) -> dict:
+    return {**impact_to_obj(impact, version_pair), **_header(version_pair, "impact")}
 
 
-def parse_impact_doc(obj: dict) -> ArchitecturalImpactList:
+def parse_impact_doc(obj: dict) -> tuple[tuple[str | None, str], ArchitecturalImpactList]:
     return _parse_doc(obj, "impact", impact_from_obj)
 
 
@@ -229,10 +230,7 @@ def parse_run_summary(obj: dict) -> RunSummary:
 
 def decisions_doc(version_pair, decisions: list[Decision], coverage: Fraction) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "decisions",
-        "from_version": version_pair[0],
-        "to_version": version_pair[1],
+        **_header(version_pair, "decisions"),
         "decisions": [decision_to_obj(d, version_pair) for d in decisions],
         "coverage": _fraction_pair(coverage),
     }
@@ -330,9 +328,8 @@ def build_run_summary(pair_stats: list[PairStats]) -> RunSummary:
 
 def stats_to_obj(stats: PairStats) -> dict:
     return {
+        **_header((stats.from_version, stats.to_version)),
         "scope": stats.scope,
-        "from_version": stats.from_version,
-        "to_version": stats.to_version,
         **{key: getattr(stats, key) for key in _COUNT_FIELDS},
         "kind_distribution": dict(stats.kind_distribution),
         "avg_issues_per_decision": _fraction_pair(stats.avg_issues_per_decision),
@@ -386,7 +383,8 @@ def summary_from_obj(obj: dict) -> RunSummary:
 # rendering
 
 
-def _format_avg(value: Fraction | None) -> str:
+def _format_ratio(value: Fraction | None) -> str:
+    """A ratio cell: two decimal places, ``-`` when there is no ratio."""
     return "-" if value is None else f"{float(value):.2f}"
 
 
@@ -423,74 +421,57 @@ def render_decision(
     return "\n".join(lines)
 
 
-def _table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [len(cell) for cell in header]
-    for row in rows:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
+def _table(first_header: str, rows: list[PairStats], columns) -> str:
+    """Each row's scope under ``first_header``, then one cell per ``(header, cell)`` column."""
+    table = [[first_header] + [header for header, _ in columns]]
+    table += [[stats.scope] + [cell(stats) for _, cell in columns] for stats in rows]
+    widths = [max(len(row[index]) for row in table) for index in range(len(table[0]))]
     lines = []
-    for row in [header] + rows:
-        padded = [cell.ljust(widths[0]) if i == 0 else cell.rjust(widths[i])
-                  for i, cell in enumerate(row)]
+    for row in table:
+        padded = [row[0].ljust(widths[0])]
+        padded += [cell.rjust(width) for cell, width in zip(row[1:], widths[1:])]
         lines.append("  ".join(padded).rstrip())
     return "\n".join(lines)
 
 
-def render_summary_table(summary: RunSummary) -> str:
-    header = [
-        "pair",
-        "iss-in-dec",
-        "changes",
-        "decisions",
-        "avg-iss/dec",
-        "avg-chg/dec",
-        "cov-before",
-        "cov-after",
+def _coverage_columns(before: str, after: str) -> list:
+    return [
+        (before, lambda stats: _format_ratio(stats.coverage_before_cleanup)),
+        (after, lambda stats: _format_ratio(stats.coverage_after_cleanup)),
     ]
-    rows = []
-    for stats in list(summary.pairs) + [summary.overall]:
-        rows.append(
-            [
-                stats.scope,
-                str(stats.issues_in_decisions),
-                str(stats.change_count),
-                str(stats.decision_count),
-                _format_avg(stats.avg_issues_per_decision),
-                _format_avg(stats.avg_changes_per_decision),
-                f"{float(stats.coverage_before_cleanup):.2f}",
-                f"{float(stats.coverage_after_cleanup):.2f}",
-            ]
-        )
-    return f"# {ISSUE_COUNT_CONVENTION}\n" + _table(header, rows)
+
+
+def render_summary_table(summary: RunSummary) -> str:
+    columns = [
+        ("iss-in-dec", lambda stats: str(stats.issues_in_decisions)),
+        ("changes", lambda stats: str(stats.change_count)),
+        ("decisions", lambda stats: str(stats.decision_count)),
+        ("avg-iss/dec", lambda stats: _format_ratio(stats.avg_issues_per_decision)),
+        ("avg-chg/dec", lambda stats: _format_ratio(stats.avg_changes_per_decision)),
+        *_coverage_columns("cov-before", "cov-after"),
+    ]
+    rows = [*summary.pairs, summary.overall]
+    return f"# {ISSUE_COUNT_CONVENTION}\n" + _table("pair", rows, columns)
+
+
+def _kind_cell(kind: str):
+    def cell(stats: PairStats) -> str:
+        count = stats.kind_distribution[kind]
+        return f"{count} ({_format_ratio(_ratio(count, stats.decision_count, Fraction(0)))})"
+
+    return cell
 
 
 def render_distribution_table(summary: RunSummary) -> str:
     """Decision-kind counts and proportions per pair with decisions, then overall."""
     scoped = sorted((s for s in summary.pairs if s.decision_count > 0), key=lambda s: s.scope)
-    header = ["scope"] + [kind.value for kind in _KIND_ORDER]
-    rows = []
-    for stats in scoped + [summary.overall]:
-        total = stats.decision_count
-        row = [stats.scope]
-        for kind in _KIND_ORDER:
-            count = stats.kind_distribution[kind.value]
-            row.append(f"{count} ({count / total if total else 0.0:.2f})")
-        rows.append(row)
-    return _table(header, rows)
+    columns = [(kind.value, _kind_cell(kind.value)) for kind in _KIND_ORDER]
+    return _table("scope", scoped + [summary.overall], columns)
 
 
 def render_coverage_table(summary: RunSummary) -> str:
-    header = ["pair", "before-cleanup", "after-cleanup"]
-    rows = []
-    for stats in list(summary.pairs) + [summary.overall]:
-        rows.append(
-            [
-                stats.scope,
-                f"{float(stats.coverage_before_cleanup):.2f}",
-                f"{float(stats.coverage_after_cleanup):.2f}",
-            ]
-        )
-    return _table(header, rows)
+    rows = [*summary.pairs, summary.overall]
+    return _table("pair", rows, _coverage_columns("before-cleanup", "after-cleanup"))
 
 
 __all__ = [
@@ -503,8 +484,6 @@ __all__ = [
     "decision_to_obj",
     "impact_to_obj",
     "impact_from_obj",
-    "diagnostics_to_obj",
-    "diagnostics_from_obj",
     "changes_doc",
     "parse_changes_doc",
     "impact_doc",

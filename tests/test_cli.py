@@ -78,6 +78,39 @@ def test_analyze_changes_structured_and_extract_chain(tmp_path, capsys):
     assert doc["coverage"] == [3, 4]
 
 
+# sha256 of each stage document on the mini fixture; a refactor that keeps the contract keeps these.
+STAGE_GOLDEN = {
+    "changes.json": "024758acb0930dc77db3ad9398d2c5ff2966664cf8424e75bade7de44b34a67a",
+    "impact.json": "40695d79076b96d4a65643b8c10fbb326a866c0a6e51d0430479ce6879ce6e8a",
+    "impact-excl.json": "0c82f702c312c92852fa8e0147d0b419c9f0e9a55f1f91117901b7135b951b8e",
+    "decisions.json": "ac67dc80589b689fc98db6038d90056fb2ac7947ed32383523b77ce9f3b066f6",
+    "decisions-excl.json": "7f729ce17194f9df38afca15eb5a3f9b51c25bd7d2684561ed6be3f8575bc631",
+}
+
+
+def test_stage_documents_keep_their_bytes(tmp_path, capsys):
+    write_mini_project(tmp_path)
+    issue_side = ("--issues", str(tmp_path / "issues.jsonl"),
+                  "--commits", str(tmp_path / "commits.jsonl"), "--version", "1.1.0")
+    exclusions = ("--exclusions", str(tmp_path / "exclusions.txt"))
+    invocations = {
+        "changes.json": ("analyze-changes", "--arch-a", str(tmp_path / "arch-1.0.0.rsf"),
+                         "--arch-b", str(tmp_path / "arch-1.1.0.rsf"), "--label-a", "1.0.0",
+                         "--label-b", "1.1.0", "--format", "structured"),
+        "impact.json": ("build-impact", *issue_side),
+        "impact-excl.json": ("build-impact", *issue_side, *exclusions),
+        "decisions.json": ("extract-decisions", "--changes", str(tmp_path / "changes.json"),
+                           "--impact", str(tmp_path / "impact.json")),
+        "decisions-excl.json": ("extract-decisions", "--changes", str(tmp_path / "changes.json"),
+                                "--impact", str(tmp_path / "impact-excl.json")),
+    }
+    digests = {}
+    for name, argv in invocations.items():
+        assert run(capsys, *argv, "--out", str(tmp_path / name))[0] == 0, name
+        digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digests == STAGE_GOLDEN
+
+
 def test_extract_decisions_threshold_flag(tmp_path, capsys):
     write_mini_project(tmp_path)
     changes_path = tmp_path / "changes.json"
@@ -211,6 +244,36 @@ def test_convert_log_stdin_matches_in_file(tmp_path):
     assert from_stdin.returncode == from_file.returncode == 0
     assert from_stdin.stdout == from_file.stdout
     assert "src/caf\u00e9/New.java" in json.loads(from_stdin.stdout)["paths"]
+
+
+def test_convert_log_reads_no_stdin_for_an_empty_in_path():
+    result = convert_log_from_stdin(b"commit abcdef1\nM\tsrc/a/B.java\n", "--in", "")
+    assert result.returncode == 1
+    assert result.stdout == b""
+    err = result.stderr.decode()
+    assert err.startswith("error: cannot read raw log ") and len(err.splitlines()) == 1
+
+
+def test_empty_path_options_are_errors(tmp_path, capsys):
+    """An empty --out, --rules or --exclusions names no file; it is not the default."""
+    changes_path, impact_path = _structured_docs(tmp_path, capsys)
+    (tmp_path / "raw.log").write_text("commit abcdef1\nM\tsrc/a/B.java\n")
+    issue_side = ("build-impact", "--issues", str(tmp_path / "issues.jsonl"),
+                  "--commits", str(tmp_path / "commits.jsonl"), "--version", "1.1.0")
+    for argv in (
+        ("analyze-changes", "--arch-a", str(tmp_path / "arch-1.0.0.rsf"),
+         "--arch-b", str(tmp_path / "arch-1.1.0.rsf"), "--out", ""),
+        (*issue_side, "--out", ""),
+        (*issue_side, "--rules", ""),
+        (*issue_side, "--exclusions", ""),
+        ("extract-decisions", "--changes", str(changes_path), "--impact", str(impact_path),
+         "--out", ""),
+        ("convert-log", "--in", str(tmp_path / "raw.log"), "--out", ""),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_pipeline_rejects_empty_config_label(tmp_path, capsys):
@@ -352,6 +415,13 @@ def test_extract_decisions_rejects_malformed_documents(tmp_path, capsys):
     repeated_id = json.loads(json.dumps(changes_doc))
     for change in repeated_id["changes"][:2]:
         change["id"] = "ch:1"
+    empty_version = json.loads(json.dumps(changes_doc).replace('"1.1.0"', '""'))
+    empty_id = json.loads(json.dumps(changes_doc))
+    empty_id["changes"][0]["id"] = ""
+    empty_source = json.loads(json.dumps(changes_doc))
+    empty_source["changes"][0]["source_component"] = ""
+    spaced_target = json.loads(json.dumps(changes_doc))
+    spaced_target["changes"][0]["target_component"] = "a b"
     # every change must be for the header's pair, which is the one the decisions are for
     other_header = dict(changes_doc, from_version="9.0", to_version="9.1")
     one_change_moved = json.loads(json.dumps(changes_doc))
@@ -361,7 +431,7 @@ def test_extract_decisions_rejects_malformed_documents(tmp_path, capsys):
     for doc in (
         no_kind, bad_entity, number_id, flipped_kind, unknown_op, number_version,
         number_component, dict(changes_doc, changes=5), other_header, one_change_moved,
-        number_header, repeated_id,
+        number_header, empty_version, empty_id, empty_source, spaced_target, repeated_id,
     ):
         broken.write_text(json.dumps(doc))
         code, _, err = run(
@@ -376,7 +446,11 @@ def test_extract_decisions_rejects_malformed_documents(tmp_path, capsys):
         dict(impact_doc, entries=dict(impact_doc["entries"], **{"APP-1": value}))
         for value in (5, [5], [""], ["a b"], "app.core.Cache")
     ]
-    for doc in (*bad_entries, dict(impact_doc, entries=[]), dict(impact_doc, to_version=5)):
+    empty_issue_id = dict(impact_doc, entries=dict(impact_doc["entries"], **{"": ["app.util.Log"]}))
+    for doc in (
+        *bad_entries, empty_issue_id, dict(impact_doc, entries=[]), dict(impact_doc, to_version=5),
+        dict(impact_doc, to_version=""), dict(impact_doc, from_version=""),
+    ):
         broken.write_text(json.dumps(doc))
         code, _, err = run(
             capsys, "extract-decisions", "--changes", str(changes_path), "--impact", str(broken)

@@ -33,9 +33,7 @@ def chg(component, entities, kind=ChangeKind.COMPONENT_MODIFIED):
 
 
 def impact(entries):
-    return ArchitecturalImpactList(
-        version_pair=PAIR, entries={k: frozenset(v) for k, v in entries.items()}
-    )
+    return ArchitecturalImpactList(entries={k: frozenset(v) for k, v in entries.items()})
 
 
 def test_build_decision_graph_edge_rule():

@@ -177,7 +177,7 @@ def commits_for(mapping):
 def test_build_impact_list_basic_union():
     issues = [issue("A-1", commit_ids=frozenset({"c1"}))]
     commits = commits_for({"c1": ["src/a/X.java", "src/a/Y.java"]})
-    impact = build_impact_list(issues, commits, version_pair=("v1", "v2"))
+    impact = build_impact_list(issues, commits)
     assert impact.entries == {"A-1": frozenset({"a.X", "a.Y"})}
 
 
@@ -187,7 +187,7 @@ def test_build_impact_list_shared_commit_overlap():
         issue("A-1", commit_ids=frozenset({"c1"})),
         issue("A-2", commit_ids=frozenset({"c1"})),
     ]
-    impact = build_impact_list(issues, shared, version_pair=("v1", "v2"))
+    impact = build_impact_list(issues, shared)
     assert impact.entries["A-1"] == impact.entries["A-2"] == frozenset({"a.X"})
 
 
@@ -196,7 +196,7 @@ def test_build_impact_list_empty_and_missing_commits():
         issue("A-1"),
         issue("A-2", commit_ids=frozenset({"ghost"})),
     ]
-    impact = build_impact_list(issues, {}, version_pair=("v1", "v2"))
+    impact = build_impact_list(issues, {})
     assert impact.entries["A-1"] == frozenset()
     assert impact.entries["A-2"] == frozenset()
     assert impact.diagnostics.orphaned_commit_refs == [("A-2", "ghost")]
@@ -205,9 +205,7 @@ def test_build_impact_list_empty_and_missing_commits():
 def test_build_impact_list_applies_exclusions_and_counts():
     issues = [issue("A-1", commit_ids=frozenset({"c1"}))]
     commits = commits_for({"c1": ["src/a/X.java", "src/ext/jetty/S.java", "docs/readme.md"]})
-    impact = build_impact_list(
-        issues, commits, exclusions=["ext.jetty"], version_pair=("v1", "v2")
-    )
+    impact = build_impact_list(issues, commits, exclusions=["ext.jetty"])
     assert impact.entries["A-1"] == frozenset({"a.X"})
     assert impact.diagnostics.excluded_entity_count == 1
     assert impact.diagnostics.skipped_paths == ["docs/readme.md"]
@@ -220,18 +218,18 @@ def test_build_impact_list_link_by_message_fallback():
                            issue_keys=frozenset({"A-1", "A-2", "X-9"})),
         "c1": CommitRecord(id="c1", paths=frozenset({"src/a/Y.java"})),
     }
-    default = build_impact_list(issues, commits, version_pair=("v1", "v2"))
+    default = build_impact_list(issues, commits)
     assert default.entries == {"A-1": frozenset(), "A-2": frozenset({"a.Y"})}
     linked_issues = add_message_links(issues, commits)
     assert [i.commit_ids for i in linked_issues] == [{"c9"}, {"c1", "c9"}]
     assert issues[0].commit_ids == frozenset()  # the input records are left alone
-    linked = build_impact_list(linked_issues, commits, version_pair=("v1", "v2"))
+    linked = build_impact_list(linked_issues, commits)
     assert linked.entries == {"A-1": frozenset({"a.Z"}), "A-2": frozenset({"a.Y", "a.Z"})}
     uncited = [issue("A-3", commit_ids=frozenset({"c1"}))]
     assert add_message_links(uncited, commits)[0] is uncited[0]
 
 
-def reference_impact_list(issues, commits, rules, exclusions, version_pair, link_by_message):
+def reference_impact_list(issues, commits, rules, exclusions, link_by_message):
     """Reference impact list that links by message key inside the call.
 
     Takes the commit log as a list and builds the id map and the message-key
@@ -317,14 +315,12 @@ def test_message_links_at_load_match_per_call_reference():
             entries_by_mode = []
             for source, link_by_message in ((issues, False), (linked, True)):
                 impact = build_impact_list(
-                    select_issues(source, version), commits, DEFAULT_PATH_RULES,
-                    exclusions, ("v0", version),
+                    select_issues(source, version), commits, DEFAULT_PATH_RULES, exclusions
                 )
                 entries, orphaned, skipped, excluded = reference_impact_list(
                     select_issues(issues, version), list(commits.values()),
-                    DEFAULT_PATH_RULES, exclusions, ("v0", version), link_by_message,
+                    DEFAULT_PATH_RULES, exclusions, link_by_message,
                 )
-                assert impact.version_pair == ("v0", version)
                 assert list(impact.entries.items()) == list(entries.items())
                 assert impact.diagnostics.orphaned_commit_refs == orphaned
                 assert impact.diagnostics.skipped_paths == skipped
@@ -339,12 +335,9 @@ def test_build_impact_list_monotone_in_commits():
     paths = [f"src/p{i}/C{i}.java" for i in range(10)]
     base_commits = commits_for({"c1": rng.sample(paths, 4)})
     extra_commits = base_commits | commits_for({"c2": rng.sample(paths, 4)})
-    small = build_impact_list(
-        [issue("A-1", commit_ids=frozenset({"c1"}))], base_commits, version_pair=("a", "b")
-    )
+    small = build_impact_list([issue("A-1", commit_ids=frozenset({"c1"}))], base_commits)
     large = build_impact_list(
-        [issue("A-1", commit_ids=frozenset({"c1", "c2"}))], extra_commits,
-        version_pair=("a", "b"),
+        [issue("A-1", commit_ids=frozenset({"c1", "c2"}))], extra_commits
     )
     assert small.entries["A-1"] <= large.entries["A-1"]
 

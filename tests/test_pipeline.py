@@ -147,6 +147,21 @@ def test_outputs_ignore_input_line_order(tmp_path, write_project):
     assert output_digests(config.output_dir) == before
 
 
+@pytest.mark.parametrize("write_project", [write_mini_project, write_small_history])
+def test_report_prints_the_sections_of_summary_txt(tmp_path, capsys, write_project):
+    config = RunConfig.from_file(write_project(tmp_path))
+    run_pipeline(config)
+    run_json = str(config.output_dir / "run.json")
+    printed = {}
+    for which in ("summary", "coverage", "distribution"):
+        assert main(["report", "--in", run_json, "--out", which]) == 0
+        printed[which] = capsys.readouterr().out
+    assert (config.output_dir / "summary.txt").read_text(encoding="utf-8") == (
+        printed["summary"] + "\ncoverage\n" + printed["coverage"]
+        + "\ndecision kinds\n" + printed["distribution"]
+    )
+
+
 def _decision_rows(decisions):
     keys = ("id", "kind", "issue_ids", "change_ids", "from_version", "to_version")
     return [{key: decision[key] for key in keys} for decision in decisions]

@@ -63,7 +63,6 @@ def test_changes_doc_round_trip():
 
 def test_impact_doc_round_trip():
     impact = ArchitecturalImpactList(
-        version_pair=(None, "v2"),
         entries={"A-1": frozenset({"x", "y"}), "A-2": frozenset()},
         diagnostics=ImpactDiagnostics(
             orphaned_commit_refs=[("A-1", "ghost")],
@@ -71,12 +70,12 @@ def test_impact_doc_round_trip():
             excluded_entity_count=3,
         ),
     )
-    text = canonical_json(impact_doc(impact))
-    parsed = parse_impact_doc(json.loads(text))
+    text = canonical_json(impact_doc(impact, (None, "v2")))
+    pair, parsed = parse_impact_doc(json.loads(text))
+    assert pair == (None, "v2")
     assert parsed.entries == impact.entries
-    assert parsed.version_pair == impact.version_pair
     assert parsed.diagnostics.orphaned_commit_refs == [("A-1", "ghost")]
-    assert canonical_json(impact_doc(parsed)) == text
+    assert canonical_json(impact_doc(parsed, pair)) == text
 
 
 def test_decisions_doc_round_trip():
