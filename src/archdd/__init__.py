@@ -29,6 +29,7 @@ from .ingestion import (
     add_message_links,
     apply_exclusions,
     build_impact_list,
+    build_impact_lists,
     load_commits,
     load_issues,
     path_to_entity,
@@ -65,6 +66,7 @@ __all__ = [
     "balance",
     "build_decision_graph",
     "build_impact_list",
+    "build_impact_lists",
     "build_matching_problem",
     "classify",
     "entity_universe",

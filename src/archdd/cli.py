@@ -45,6 +45,17 @@ def _label(value: str) -> str:
     return value
 
 
+def _nonempty_path(ctx, param, value: str | None) -> str | None:
+    """An empty path names no file, and does not stand for the option's default either."""
+    if value == "":
+        raise InputError(f"{param.opts[0]} must not be empty")
+    return value
+
+
+def _path_option(*decls, **kwargs):
+    return click.option(*decls, callback=_nonempty_path, **kwargs)
+
+
 def _emit(text: str, out: str | None):
     if out is not None:
         Path(out).write_text(text, encoding="utf-8")
@@ -59,12 +70,12 @@ def cli():
 
 
 @cli.command("analyze-changes")
-@click.option("--arch-a", required=True, help="snapshot file for the older version")
-@click.option("--arch-b", required=True, help="snapshot file for the newer version")
+@_path_option("--arch-a", required=True, help="snapshot file for the older version")
+@_path_option("--arch-b", required=True, help="snapshot file for the newer version")
 @click.option("--label-a", default=None, help="version label for --arch-a (default: file stem)")
 @click.option("--label-b", default=None, help="version label for --arch-b (default: file stem)")
 @click.option("--format", "fmt", type=click.Choice(["text", "structured"]), default="text")
-@click.option("--out", default=None, help="write output here instead of stdout")
+@_path_option("--out", default=None, help="write output here instead of stdout")
 def analyze_changes_cmd(arch_a, arch_b, label_a, label_b, fmt, out):
     """Match two snapshots and list the architectural changes between them."""
     label_a = _label(Path(arch_a).stem if label_a is None else label_a)
@@ -85,13 +96,13 @@ def analyze_changes_cmd(arch_a, arch_b, label_a, label_b, fmt, out):
 
 
 @cli.command("build-impact")
-@click.option("--issues", "issues_path", required=True, help="issue export (JSON Lines)")
-@click.option("--commits", "commits_path", required=True, help="commit log (JSON Lines)")
+@_path_option("--issues", "issues_path", required=True, help="issue export (JSON Lines)")
+@_path_option("--commits", "commits_path", required=True, help="commit log (JSON Lines)")
 @click.option("--version", "version", required=True, help="target version label")
-@click.option("--rules", "rules_path", default=None, help="path-rule config (JSON)")
-@click.option("--exclusions", "exclusions_path", default=None, help="namespace exclusion list")
+@_path_option("--rules", "rules_path", default=None, help="path-rule config (JSON)")
+@_path_option("--exclusions", "exclusions_path", default=None, help="namespace exclusion list")
 @click.option("--link-by-message", is_flag=True, help="also attach commits whose messages cite the issue key")
-@click.option("--out", default=None)
+@_path_option("--out", default=None)
 def build_impact_cmd(issues_path, commits_path, version, rules_path, exclusions_path, link_by_message, out):
     """Build the architectural impact list for one version."""
     version = _label(version)
@@ -105,8 +116,8 @@ def build_impact_cmd(issues_path, commits_path, version, rules_path, exclusions_
 
 
 @cli.command("extract-decisions")
-@click.option("--changes", "changes_path", required=True, help="structured changes document")
-@click.option("--impact", "impact_path", required=True, help="impact document")
+@_path_option("--changes", "changes_path", required=True, help="structured changes document")
+@_path_option("--impact", "impact_path", required=True, help="impact document")
 @click.option(
     "--tractability-threshold",
     type=int,
@@ -114,7 +125,7 @@ def build_impact_cmd(issues_path, commits_path, version, rules_path, exclusions_
     show_default=True,
     help="max changes a decision may carry and still count as tractable",
 )
-@click.option("--out", default=None)
+@_path_option("--out", default=None)
 def extract_decisions_cmd(changes_path, impact_path, tractability_threshold, out):
     """Connect issues to changes and extract classified decisions."""
     if tractability_threshold < 1:
@@ -135,7 +146,7 @@ def extract_decisions_cmd(changes_path, impact_path, tractability_threshold, out
 
 
 @cli.command("pipeline")
-@click.option("--config", "config_path", required=True, help="run configuration (JSON)")
+@_path_option("--config", "config_path", required=True, help="run configuration (JSON)")
 @click.option("--strict", is_flag=True, help="nonzero exit when any version pair fails")
 def pipeline_cmd(config_path, strict):
     """Run the full pipeline over a version sequence."""
@@ -155,8 +166,8 @@ def pipeline_cmd(config_path, strict):
 
 
 @cli.command("convert-log")
-@click.option("--in", "in_path", default=None, help="raw name-status log (default: stdin)")
-@click.option("--out", default=None, help="commit log output (default: stdout)")
+@_path_option("--in", "in_path", default=None, help="raw name-status log (default: stdin)")
+@_path_option("--out", default=None, help="commit log output (default: stdout)")
 def convert_log_cmd(in_path, out):
     """Convert raw name-status VCS log text to the commit-log format."""
     text = read_input(in_path, "raw log")
@@ -164,7 +175,7 @@ def convert_log_cmd(in_path, out):
 
 
 @cli.command("report")
-@click.option("--in", "in_path", required=True, help="structured run document")
+@_path_option("--in", "in_path", required=True, help="structured run document")
 @click.option(
     "--out",
     "which",

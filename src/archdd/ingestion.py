@@ -11,6 +11,13 @@ Input formats (all UTF-8):
 * path rules -- JSON object with an ordered ``rules`` array of
   ``{match, strip_prefix, strip_suffix, separator_replacement}``.
 
+JSON Lines are read one line at a time, blank lines skipped, so every
+error names its line. Records are slotted and frozen; every empty array
+field is one shared empty set, and issues that list the same versions share
+one versions set. ``build_impact_lists`` builds a whole run's impact lists
+from one index of qualifying issues, and decides each distinct path and
+each entity's exclusion once.
+
 The default path rules target Java-style source trees and are overridable;
 everything else in this module treats names as opaque strings.
 """
@@ -23,6 +30,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fnmatch import fnmatchcase
+from functools import partial
 
 from .errors import ConfigError, RecordParseError
 
@@ -32,8 +40,11 @@ ISSUE_KEY_RE = re.compile(r"[A-Z][A-Z0-9]*-\d+")
 # `org.apachefoo`.
 _BOUNDARY_CHARS = (".", "/", "$")
 
+# Every empty set field of a loaded record is this one set.
+_NO_STRINGS: frozenset[str] = frozenset()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class IssueRecord:
     """One tracker item from an issue export."""
 
@@ -41,15 +52,15 @@ class IssueRecord:
     summary: str = ""
     resolved: bool = False
     merged: bool = False
-    versions: frozenset[str] = frozenset()
-    commit_ids: frozenset[str] = frozenset()
+    versions: frozenset[str] = _NO_STRINGS
+    commit_ids: frozenset[str] = _NO_STRINGS
 
     def __post_init__(self):
         object.__setattr__(self, "versions", frozenset(self.versions))
         object.__setattr__(self, "commit_ids", frozenset(self.commit_ids))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommitRecord:
     """One commit with its changed file paths.
 
@@ -59,8 +70,8 @@ class CommitRecord:
     """
 
     id: str
-    paths: frozenset[str] = frozenset()
-    issue_keys: frozenset[str] = frozenset()
+    paths: frozenset[str] = _NO_STRINGS
+    issue_keys: frozenset[str] = _NO_STRINGS
 
     def __post_init__(self):
         object.__setattr__(self, "paths", frozenset(self.paths))
@@ -75,9 +86,14 @@ class PathRule:
     strip_prefix: str = ""
     strip_suffix: str = ""
     separator_replacement: tuple[str, str] = ("/", ".")
+    # A pattern with a glob character is matched as a glob, else as a prefix.
+    _glob: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_glob", any(ch in self.match for ch in "*?["))
 
     def matches(self, path: str) -> bool:
-        if any(ch in self.match for ch in "*?["):
+        if self._glob:
             return fnmatchcase(path, self.match)
         return path.startswith(self.match)
 
@@ -138,11 +154,13 @@ def _opt_bool(obj, key, lineno):
     return value
 
 
-def _opt_str_array(obj, key, lineno):
-    value = obj.get(key, [])
-    if not isinstance(value, list) or any(not isinstance(item, str) for item in value):
+def _opt_str_set(obj, key, lineno) -> frozenset[str]:
+    value = obj.get(key, _NO_STRINGS)
+    if value is _NO_STRINGS:
+        return value
+    if not isinstance(value, list) or not set(map(type, value)) <= {str}:
         raise RecordParseError(lineno, f"field {key!r} must be an array of strings")
-    return value
+    return frozenset(value) if value else _NO_STRINGS
 
 
 def _json_object(pairs: list[tuple[str, object]]) -> dict:
@@ -179,7 +197,10 @@ def decode_json(text: str, error: Callable[[str], Exception]):
     return obj
 
 
-def _iter_jsonl(text: str):
+def _load_records(text: str, what: str, build) -> dict:
+    """Records built by ``build(obj, lineno)``, keyed by id in file order; ids must not repeat."""
+    records = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -187,14 +208,6 @@ def _iter_jsonl(text: str):
         obj = decode_json(line, lambda msg: RecordParseError(lineno, f"invalid JSON: {msg}"))
         if not isinstance(obj, dict):
             raise RecordParseError(lineno, "record must be a JSON object")
-        yield lineno, obj
-
-
-def _load_records(text: str, what: str, build) -> dict:
-    """Records built by ``build(obj, lineno)``, keyed by id in file order; ids must not repeat."""
-    records = {}
-    first_line: dict[str, int] = {}
-    for lineno, obj in _iter_jsonl(text):
         record = build(obj, lineno)
         if record.id in first_line:
             raise RecordParseError(
@@ -206,28 +219,31 @@ def _load_records(text: str, what: str, build) -> dict:
     return records
 
 
-def _issue_from_obj(obj: dict, lineno: int) -> IssueRecord:
+def _issue_from_obj(obj: dict, lineno: int, version_sets: dict) -> IssueRecord:
+    """Fields are checked in order; ``version_sets`` maps each versions set to its first copy."""
     return IssueRecord(
         id=_require_str(obj, "id", lineno, required=True),
         summary=_require_str(obj, "summary", lineno),
         resolved=_opt_bool(obj, "resolved", lineno),
         merged=_opt_bool(obj, "merged", lineno),
-        versions=frozenset(_opt_str_array(obj, "versions", lineno)),
-        commit_ids=frozenset(_opt_str_array(obj, "commits", lineno)),
+        versions=version_sets.setdefault(v := _opt_str_set(obj, "versions", lineno), v),
+        commit_ids=_opt_str_set(obj, "commits", lineno),
     )
 
 
 def _commit_from_obj(obj: dict, lineno: int) -> CommitRecord:
     return CommitRecord(
         id=_require_str(obj, "id", lineno, required=True),
-        paths=frozenset(_opt_str_array(obj, "paths", lineno)),
-        issue_keys=frozenset(_opt_str_array(obj, "issue_keys", lineno)),
+        paths=_opt_str_set(obj, "paths", lineno),
+        issue_keys=_opt_str_set(obj, "issue_keys", lineno),
     )
 
 
 def load_issues(text: str) -> list[IssueRecord]:
     """Parse an issue export; unknown fields are ignored, duplicate ids rejected."""
-    return list(_load_records(text, "issue", _issue_from_obj).values())
+    # Many issues list the same versions; each distinct set is kept once.
+    build = partial(_issue_from_obj, version_sets={})
+    return list(_load_records(text, "issue", build).values())
 
 
 def load_commits(text: str) -> dict[str, CommitRecord]:
@@ -251,13 +267,19 @@ def add_message_links(
     ]
 
 
+def _issues_by_version(issues: list[IssueRecord]) -> dict[str, list[IssueRecord]]:
+    """Each version's qualifying issues (resolved and merged), in export order."""
+    index: dict[str, list[IssueRecord]] = {}
+    for issue in issues:
+        if issue.resolved and issue.merged:
+            for version in issue.versions:
+                index.setdefault(version, []).append(issue)
+    return index
+
+
 def select_issues(issues: list[IssueRecord], version: str) -> list[IssueRecord]:
     """Keep issues that are resolved, merged, and belong to ``version``."""
-    return [
-        issue
-        for issue in issues
-        if issue.resolved and issue.merged and version in issue.versions
-    ]
+    return _issues_by_version(issues).get(version, [])
 
 
 def path_to_entity(path: str, rules=DEFAULT_PATH_RULES) -> str | None:
@@ -330,6 +352,52 @@ def load_path_rules(text: str) -> list[PathRule]:
     return rules
 
 
+class _EntityMap:
+    """Path-to-entity and exclusion verdicts, each distinct path and entity decided once."""
+
+    def __init__(self, rules, exclusions):
+        self.rules = rules
+        self.exclusions = exclusions
+        self.entity_of: dict[str, str | None] = {}  # None: no rule derives an entity
+        self.tested: set[str] = set()
+        self.excluded: set[str] = set()
+
+    def impact_list(self, issues, commits: dict[str, CommitRecord]) -> ArchitecturalImpactList:
+        diagnostics = ImpactDiagnostics()
+        entity_of, rules = self.entity_of, self.rules
+        skipped: set[str] = set()
+        entries: dict[str, frozenset[str]] = {}
+        for issue in issues:
+            entities: set[str] = set()
+            for commit_id in issue.commit_ids:
+                commit = commits.get(commit_id)
+                if commit is None:
+                    diagnostics.orphaned_commit_refs.append((issue.id, commit_id))
+                    continue
+                for path in commit.paths:
+                    if path in entity_of:
+                        entity = entity_of[path]
+                    else:
+                        entity = entity_of[path] = path_to_entity(path, rules)
+                    if entity is None:
+                        skipped.add(path)
+                    else:
+                        entities.add(entity)
+            if self.exclusions:
+                for entity in entities - self.tested:
+                    if _is_excluded(entity, self.exclusions):
+                        self.excluded.add(entity)
+                self.tested |= entities
+                dropped = entities & self.excluded
+                diagnostics.excluded_entity_count += len(dropped)
+                entities -= dropped
+            entries[issue.id] = frozenset(entities)
+
+        diagnostics.orphaned_commit_refs.sort()
+        diagnostics.skipped_paths = sorted(skipped)
+        return ArchitecturalImpactList(entries=entries, diagnostics=diagnostics)
+
+
 def build_impact_list(
     issues: list[IssueRecord],
     commits: dict[str, CommitRecord],
@@ -343,29 +411,27 @@ def build_impact_list(
     orphans during decision extraction). Commit ids that cannot be resolved
     against the log are collected as diagnostics, not errors.
     """
-    diagnostics = ImpactDiagnostics()
-    skipped: set[str] = set()
-    entries: dict[str, frozenset[str]] = {}
-    for issue in issues:
-        entities: set[str] = set()
-        for commit_id in issue.commit_ids:
-            commit = commits.get(commit_id)
-            if commit is None:
-                diagnostics.orphaned_commit_refs.append((issue.id, commit_id))
-                continue
-            for path in commit.paths:
-                entity = path_to_entity(path, rules)
-                if entity is None:
-                    skipped.add(path)
-                else:
-                    entities.add(entity)
-        kept = apply_exclusions(frozenset(entities), exclusions)
-        diagnostics.excluded_entity_count += len(entities) - len(kept)
-        entries[issue.id] = kept
+    return _EntityMap(rules, exclusions).impact_list(issues, commits)
 
-    diagnostics.orphaned_commit_refs.sort()
-    diagnostics.skipped_paths = sorted(skipped)
-    return ArchitecturalImpactList(entries=entries, diagnostics=diagnostics)
+
+def build_impact_lists(
+    issues: list[IssueRecord],
+    commits: dict[str, CommitRecord],
+    versions,
+    rules=DEFAULT_PATH_RULES,
+    exclusions=(),
+) -> dict[str, ArchitecturalImpactList]:
+    """Each version's impact list, as ``build_impact_list(select_issues(issues, v), ...)``.
+
+    One index of qualifying issues serves every version, and each distinct
+    path and entity meets the rules and exclusions once for the whole call.
+    """
+    selected = _issues_by_version(issues)
+    entity_map = _EntityMap(rules, exclusions)
+    return {
+        version: entity_map.impact_list(selected.get(version, []), commits)
+        for version in versions
+    }
 
 
 def convert_name_status_log(text: str) -> list[CommitRecord]:

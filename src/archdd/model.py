@@ -5,9 +5,10 @@ A snapshot file is line-oriented UTF-8 text with one record per line:
     contain <component-name> <entity-name>
 
 Fields are separated by whitespace; names therefore cannot contain
-whitespace themselves. Lines starting with ``#`` and blank lines are
-ignored. Duplicate identical records are tolerated (set semantics), but an
-entity listed under two different components is a hard error because the
+whitespace themselves. Lines are split as ``str.splitlines`` splits them.
+Blank lines and lines whose first field starts with ``#`` are ignored.
+Duplicate identical records are tolerated (set semantics), but an entity
+listed under two different components is a hard error because the
 downstream matching cost assumes components partition the entity set.
 
 Component and entity names are opaque strings; nothing in this module
@@ -33,6 +34,21 @@ def _check_name(name: str, what: str) -> str:
     return name
 
 
+def _check_names(names: frozenset[str], what: str) -> None:
+    """``_check_name`` for each of ``names``, at set speed for valid names.
+
+    Valid names come back unchanged when joined with spaces and split again;
+    only a mismatch walks them one by one to name the first bad one.
+    """
+    try:
+        if " ".join(names).split() == list(names):
+            return
+    except TypeError:
+        pass
+    for name in names:
+        _check_name(name, what)
+
+
 @dataclass(frozen=True)
 class Component:
     """A named set of entities. Empty only for balancing dummies."""
@@ -43,8 +59,7 @@ class Component:
     def __post_init__(self):
         _check_name(self.name, "component")
         object.__setattr__(self, "entities", frozenset(self.entities))
-        for entity in self.entities:
-            _check_name(entity, "entity")
+        _check_names(self.entities, "entity")
 
 
 @dataclass(frozen=True)
@@ -95,18 +110,26 @@ def shared_entity(components: Sequence[Component]) -> tuple[str, str, str] | Non
 
 
 def parse_snapshot(text: str, version: str) -> ArchitectureSnapshot:
-    """Parse snapshot-file content into a validated ArchitectureSnapshot."""
+    """Parse snapshot-file content into a validated ArchitectureSnapshot.
+
+    Splitting a line on whitespace also strips it, so a blank line has no
+    fields and a comment's first field starts with ``#``. One loop both
+    groups the records and names the first line that is not one.
+    """
     grouped: dict[str, set[str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 3 or tokens[0] != "contain":
+    group_of = grouped.get
+    for lineno, fields in enumerate(map(str.split, text.splitlines()), start=1):
+        if len(fields) == 3 and fields[0] == "contain":
+            group = group_of(fields[1])
+            if group is None:
+                grouped[fields[1]] = {fields[2]}
+            else:
+                group.add(fields[2])
+        elif fields and not fields[0].startswith("#"):
+            line = text.splitlines()[lineno - 1].strip()
             raise SnapshotParseError(
-                lineno, f"expected `contain <component> <entity>`, got {raw.strip()!r}"
+                lineno, f"expected `contain <component> <entity>`, got {line!r}"
             )
-        grouped.setdefault(tokens[1], set()).add(tokens[2])
     components = tuple(
         Component(name, frozenset(entities)) for name, entities in sorted(grouped.items())
     )
@@ -168,8 +191,7 @@ class ArchitecturalChange:
             raise InvariantViolation("a change that removes entities must name its source")
         if self.added and self.target_component is None:
             raise InvariantViolation("a change that adds entities must name its target")
-        for entity in self.delta_entities:
-            _check_name(entity, "entity")
+        _check_names(self.delta_entities, "entity")
 
     @property
     def kind(self) -> ChangeKind:

@@ -1,10 +1,11 @@
 """End-to-end orchestration over a version sequence.
 
-For every consecutive version pair: analyze changes, build the impact list
-for the pair's target version, connect both into the decision graph, and
-extract decisions. A failing pair is reported and skipped; the remaining
-pairs still run (strict mode turns any failure into a nonzero exit at the
-CLI). Pairs run one after another in version order.
+Every target version's impact list is built once, up front. Then for every
+consecutive version pair: analyze changes, connect them and the impact list
+of the pair's target version into the decision graph, and extract
+decisions. A failing pair is reported and skipped; the remaining pairs
+still run (strict mode turns any failure into a nonzero exit at the CLI).
+Pairs run one after another in version order.
 """
 
 from __future__ import annotations
@@ -27,13 +28,12 @@ from .ingestion import (
     ArchitecturalImpactList,
     DEFAULT_PATH_RULES,
     add_message_links,
-    build_impact_list,
+    build_impact_lists,
     decode_json,
     load_commits,
     load_exclusions,
     load_issues,
     load_path_rules,
-    select_issues,
 )
 from .model import ArchitecturalChange, ArchitectureSnapshot, entity_universe, parse_snapshot
 
@@ -166,16 +166,12 @@ def load_issue_side(issues_path, commits_path, rules_path, exclusions_path, link
 def _process_pair(
     snap_a: ArchitectureSnapshot,
     snap_b: ArchitectureSnapshot,
-    issues,
-    commits,
-    rules,
+    impact: ArchitecturalImpactList,
     exclusions,
     threshold: int,
 ) -> PairOutcome:
     version_pair = (snap_a.version, snap_b.version)
     changes = analyze_changes(snap_a, snap_b)
-    selected = select_issues(issues, snap_b.version)
-    impact = build_impact_list(selected, commits, rules=rules, exclusions=exclusions)
     edges = build_decision_graph(impact, changes)
     decisions = find_decisions(edges, version_pair, tractability_threshold=threshold)
     clean_changes = drop_external_changes(changes, exclusions)
@@ -225,6 +221,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         config.issues_path, config.commits_path, config.rules_path, config.exclusions_path,
         config.link_by_message,
     )
+    targets = [label for label, _ in config.versions[1:]]
+    impacts = build_impact_lists(issues, commits, targets, rules, exclusions)
 
     snapshots: dict[str, ArchitectureSnapshot | ArchddError] = {}
     for label, path in config.versions:
@@ -244,9 +242,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                 _process_pair(
                     snapshots[from_label],
                     snapshots[to_label],
-                    issues,
-                    commits,
-                    rules,
+                    impacts[to_label],
                     exclusions,
                     config.tractability_threshold,
                 )

@@ -138,10 +138,38 @@ def impact_to_obj(impact: ArchitecturalImpactList, version_pair: tuple[str | Non
     }
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _entity_set(entities) -> frozenset[str]:
-    if not isinstance(entities, list):
-        raise TypeError(f"impact entities must be a list, got {entities!r}")
+    entities = _list(entities, "impact entities")
     return frozenset(_check_name(entity, "entity") for entity in entities)
+
+
+def _strings(values, what: str) -> list[str]:
+    for value in _list(values, what):
+        if not isinstance(value, str):
+            raise TypeError(f"{what} must hold strings, got {value!r}")
+    return values
+
+
+def _diagnostics_from_obj(obj: dict) -> ImpactDiagnostics:
+    """Diagnostics as ``impact_to_obj`` writes them; a commit id or path may be any string."""
+    count = obj.get("excluded_entity_count", 0)
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        raise TypeError(f"excluded_entity_count must be a non-negative integer, got {count!r}")
+    refs = _list(obj.get("orphaned_commit_refs", []), "orphaned_commit_refs")
+    return ImpactDiagnostics(
+        orphaned_commit_refs=list(zip(
+            [_name(ref["issue"], "orphaned ref issue") for ref in refs],
+            _strings([ref["commit"] for ref in refs], "orphaned ref commits"),
+        )),
+        skipped_paths=list(_strings(obj.get("skipped_paths", []), "skipped_paths")),
+        excluded_entity_count=count,
+    )
 
 
 def impact_from_obj(obj: dict) -> tuple[tuple[str | None, str], ArchitecturalImpactList]:
@@ -150,20 +178,12 @@ def impact_from_obj(obj: dict) -> tuple[tuple[str | None, str], ArchitecturalImp
         _name(obj.get("from_version"), "from_version", True),
         _name(obj["to_version"], "to_version"),
     )
-    diagnostics = obj.get("diagnostics", {})
     return version_pair, ArchitecturalImpactList(
         entries={
             _name(issue_id, "issue id"): _entity_set(entities)
             for issue_id, entities in obj["entries"].items()
         },
-        diagnostics=ImpactDiagnostics(
-            orphaned_commit_refs=[
-                (ref["issue"], ref["commit"])
-                for ref in diagnostics.get("orphaned_commit_refs", [])
-            ],
-            skipped_paths=list(diagnostics.get("skipped_paths", [])),
-            excluded_entity_count=diagnostics.get("excluded_entity_count", 0),
-        ),
+        diagnostics=_diagnostics_from_obj(obj.get("diagnostics", {})),
     )
 
 

@@ -6,7 +6,8 @@ near-valid document whose fields now and then hold an arbitrary JSON value.
 Documents are kept mostly valid so that later slots and the stages behind
 the parsers are reached, not only the first parser. The version labels of
 ``analyze-changes`` and ``build-impact`` come from arguments and file names,
-so those are drawn too, lone surrogates included.
+so those are drawn too, lone surrogates included. An empty path option is
+named in its error, whatever the subcommand.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from archdd.cli import main
+from archdd.cli import cli, main
 
 from conftest import MINI_SNAPSHOT_A, MINI_SNAPSHOT_B, write_mini_project
 
@@ -370,3 +371,41 @@ def test_build_impact_version_never_leaks_a_traceback(version):
                 "--commits", str(root / "commits.jsonl"), f"--version={version}",
                 "--out", str(root / "impact.json")]
         run_cli(argv, {}, root)
+
+
+# Every path option of every subcommand, and the other options each one needs.
+PATH_OPTIONS = {
+    "analyze-changes": ["--arch-a", "--arch-b", "--out"],
+    "build-impact": ["--issues", "--commits", "--rules", "--exclusions", "--out"],
+    "extract-decisions": ["--changes", "--impact", "--out"],
+    "pipeline": ["--config"],
+    "convert-log": ["--in", "--out"],
+    "report": ["--in"],
+}
+OTHER_ARGUMENTS = {"build-impact": ["--version", "2.0"], "report": ["--out", "summary"]}
+
+
+def test_path_options_are_the_checked_options():
+    assert sorted(cli.commands) == sorted(PATH_OPTIONS)
+    for name, command in cli.commands.items():
+        checked = [param.opts[0] for param in command.params if param.callback is not None]
+        assert sorted(checked) == sorted(PATH_OPTIONS[name]), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_empty_path_options_are_named(data, tmp_path_factory):
+    command = data.draw(st.sampled_from(sorted(PATH_OPTIONS)))
+    order = data.draw(st.permutations(PATH_OPTIONS[command]))
+    empty = data.draw(st.lists(st.sampled_from(order), min_size=1, unique=True))
+    root = tmp_path_factory.mktemp("paths")
+    argv = [command, *OTHER_ARGUMENTS.get(command, [])]
+    for option in order:
+        argv += [option, "" if option in empty else str(root / option.strip("-"))]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    first = next(option for option in order if option in empty)  # options are read in order
+    assert (code, out.getvalue()) == (1, "")
+    assert stderr.getvalue() == f"error: {first} must not be empty\n"
+    assert list(root.iterdir()) == []

@@ -1,8 +1,10 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from archdd import ingestion
 from archdd.errors import ConfigError, RecordParseError
 from archdd.ingestion import (
     CommitRecord,
@@ -12,6 +14,7 @@ from archdd.ingestion import (
     add_message_links,
     apply_exclusions,
     build_impact_list,
+    build_impact_lists,
     convert_name_status_log,
     load_commits,
     load_exclusions,
@@ -287,7 +290,7 @@ def random_issue_side(rng):
             "id": iid,
             "resolved": rng.random() < 0.9,
             "merged": rng.random() < 0.9,
-            "versions": rng.sample(["v1", "v2", "v3"], rng.randint(0, 2)),
+            "versions": rng.sample(["v1", "v2", "v3"], rng.randint(0, 3)),
             "commits": rng.sample(commit_ids + ghosts, rng.randint(0, 3)),
         }
         for iid in issue_ids
@@ -298,9 +301,21 @@ def random_issue_side(rng):
     )
 
 
+# A prefix rule and a glob rule ahead of a second prefix rule, so a path
+# can fall to a later rule or to none.
+MIXED_RULES = (
+    PathRule("src/main/java/app/", "src/main/java/", ".java"),
+    PathRule("src/*/org/*.java", "src/main/java/", ".java"),
+    PathRule("docs/", "docs/", ".md"),
+)
+
+
 def test_message_links_at_load_match_per_call_reference():
+    """Per-run impact lists (one issue index, each path and entity decided once)
+    equal a plain per-version scan plus the per-call reference."""
     rng = random.Random(4242)
-    relinked = 0
+    versions = ["v1", "v2", "v3", "v4"]  # no issue lists v4
+    relinked = multi_version = shared_paths = 0
     for _ in range(100):
         issues_text, commits_text = random_issue_side(rng)
         issues = load_issues(issues_text)
@@ -310,25 +325,69 @@ def test_message_links_at_load_match_per_call_reference():
             for obj in map(json.loads, commits_text.splitlines())
         ]
         exclusions = rng.choice([[], ["org.vendor"], ["org.vendor.", "app.io"]])
+        rules = rng.choice([DEFAULT_PATH_RULES, MIXED_RULES])
         linked = add_message_links(issues, commits)
-        for version in ("v1", "v2", "v3"):
-            entries_by_mode = []
-            for source, link_by_message in ((issues, False), (linked, True)):
-                impact = build_impact_list(
-                    select_issues(source, version), commits, DEFAULT_PATH_RULES, exclusions
+        selected = {
+            version: [i for i in issues if i.resolved and i.merged and version in i.versions]
+            for version in versions
+        }
+        multi_version += sum(len(i.versions) > 1 for i in selected["v1"])
+        paths_by_version = [
+            {path for i in selected[v] for c in i.commit_ids if c in commits
+             for path in commits[c].paths}
+            for v in versions
+        ]
+        shared_paths += len(paths_by_version[0] & paths_by_version[1])
+        entries_by_mode = []
+        for source, link_by_message in ((issues, False), (linked, True)):
+            impacts = build_impact_lists(source, commits, versions, rules, exclusions)
+            assert list(impacts) == versions
+            entries_by_version = {}
+            for version in versions:
+                assert select_issues(issues, version) == selected[version]
+                per_call = build_impact_list(
+                    select_issues(source, version), commits, rules, exclusions
                 )
                 entries, orphaned, skipped, excluded = reference_impact_list(
-                    select_issues(issues, version), list(commits.values()),
-                    DEFAULT_PATH_RULES, exclusions, link_by_message,
+                    selected[version], list(commits.values()), rules, exclusions,
+                    link_by_message,
                 )
-                assert list(impact.entries.items()) == list(entries.items())
-                assert impact.diagnostics.orphaned_commit_refs == orphaned
-                assert impact.diagnostics.skipped_paths == skipped
-                assert impact.diagnostics.excluded_entity_count == excluded
-                entries_by_mode.append(entries)
-            unlinked, relinked_entries = entries_by_mode
-            relinked += sum(unlinked[key] != relinked_entries[key] for key in unlinked)
+                for impact in (impacts[version], per_call):
+                    assert list(impact.entries.items()) == list(entries.items())
+                    assert impact.diagnostics.orphaned_commit_refs == orphaned
+                    assert impact.diagnostics.skipped_paths == skipped
+                    assert impact.diagnostics.excluded_entity_count == excluded
+                entries_by_version[version] = entries
+            entries_by_mode.append(entries_by_version)
+        unlinked, relinked_entries = entries_by_mode
+        relinked += sum(
+            unlinked[v][key] != relinked_entries[v][key] for v in versions for key in unlinked[v]
+        )
     assert relinked > 100  # message links change many entries, so both modes are exercised
+    assert multi_version > 100 and shared_paths > 100
+
+
+def test_build_impact_lists_decides_each_path_and_entity_once(monkeypatch):
+    tested = Counter()  # first argument of each call: a path, or an entity
+
+    def counted(real):
+        return lambda first, *rest: tested.update([first]) or real(first, *rest)
+
+    for name in ("path_to_entity", "_is_excluded"):
+        monkeypatch.setattr(ingestion, name, counted(getattr(ingestion, name)))
+    commits = commits_for(
+        {"c1": ["src/a/X.java", "docs/x.md"], "c2": ["src/a/X.java", "src/v/Y.java"]}
+    )
+    issues = [
+        issue("A-1", versions=frozenset({"v1", "v2"}), commit_ids=frozenset({"c1"})),
+        issue("A-2", versions=frozenset({"v2", "v3"}), commit_ids=frozenset({"c1", "c2"})),
+    ]
+    impacts = build_impact_lists(issues, commits, ["v1", "v2", "v3"], exclusions=["v"])
+    assert impacts["v2"].entries == {"A-1": {"a.X"}, "A-2": {"a.X"}}
+    assert impacts["v3"].diagnostics.excluded_entity_count == 1
+    paths = {"src/a/X.java", "docs/x.md", "src/v/Y.java"}
+    assert tested == Counter(paths | {"a.X", "v.Y"})  # each path and each entity once
+
 
 def test_build_impact_list_monotone_in_commits():
     rng = random.Random(8)
@@ -340,6 +399,29 @@ def test_build_impact_list_monotone_in_commits():
         [issue("A-1", commit_ids=frozenset({"c1", "c2"}))], extra_commits
     )
     assert small.entries["A-1"] <= large.entries["A-1"]
+
+
+def test_joined_array_counterexample_fails_at_line_one():
+    # Joined into one array, these three invalid lines would decode as three objects.
+    text = '{"a": [{}\n{}]}\n{}, {}\n'
+    for load in (load_issues, load_commits):
+        with pytest.raises(RecordParseError) as excinfo:
+            load(text)
+        assert excinfo.value.lineno == 1
+        assert str(excinfo.value) == "record line 1: invalid JSON: Expecting ',' delimiter"
+
+
+def test_loaded_records_share_empty_and_version_sets():
+    issues = load_issues(
+        '{"id": "A-1", "versions": ["v1", "v2"]}\n'
+        '{"id": "A-2", "versions": ["v2", "v1"], "commits": []}\n'
+        '{"id": "A-3"}\n'
+    )
+    assert issues[0].versions is issues[1].versions
+    assert issues[1].commit_ids is issues[2].commit_ids is issues[2].versions
+    commits = load_commits('{"id": "c1"}\n{"id": "c2", "paths": [], "issue_keys": []}\n')
+    assert commits["c1"].paths is commits["c2"].paths is commits["c2"].issue_keys
+    assert not hasattr(issues[0], "__dict__") and not hasattr(commits["c1"], "__dict__")
 
 
 def test_load_commits_and_duplicates():

@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from archdd.errors import InvariantViolation, PartitionViolation, SnapshotParseError
 from archdd.model import (
@@ -137,3 +139,72 @@ def test_change_id_is_content_addressed():
     # the hashed strings: kind, endpoints, versions, then sorted op:entity
     parts = ["added", "", "C", "v1", "v2", "add:a", "add:b"]
     assert one.id == "ch:" + hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:12]
+
+
+def reference_parse_snapshot(text: str, version: str) -> ArchitectureSnapshot:
+    """The plain line loop that parse_snapshot must agree with, kept as the oracle."""
+    grouped: dict[str, set[str]] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 3 or tokens[0] != "contain":
+            raise SnapshotParseError(
+                lineno, f"expected `contain <component> <entity>`, got {raw.strip()!r}"
+            )
+        grouped.setdefault(tokens[1], set()).add(tokens[2])
+    components = tuple(
+        Component(name, frozenset(entities)) for name, entities in sorted(grouped.items())
+    )
+    return ArchitectureSnapshot(version, components)
+
+
+def parse_outcome(parse, text):
+    """The components a parser yields, or the type, message and line of its error."""
+    try:
+        snapshot = parse(text, "v1")
+    except (SnapshotParseError, PartitionViolation) as exc:
+        return type(exc), str(exc), getattr(exc, "lineno", None)
+    return [(c.name, c.entities) for c in snapshot.components]
+
+
+FIELDS = ["contain", "C1", "C2", "e1", "e2", "#", "#contain", "#e1", "contain#"]
+SPACES = [" ", "  ", "\t", "\x1f", "\xa0", "\u3000"]
+# Every line boundary str.splitlines knows; \x0b and \x0c also count as spaces for split.
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+record_lines = st.tuples(
+    st.sampled_from(["C1", "C2", "#a"]), st.sampled_from(["e1", "e2", "e3", "#b"])
+).map(lambda names: f"contain {names[0]} {names[1]}")
+# 0 to 4 fields, joined and led by one drawn space, trailed by another.
+any_lines = st.tuples(
+    st.sampled_from(SPACES), st.lists(st.sampled_from(FIELDS), max_size=4), st.sampled_from(SPACES)
+).map(lambda parts: parts[0] + parts[0].join(parts[1]) + parts[2])
+mostly_records = st.one_of(record_lines, record_lines, record_lines, any_lines)
+snapshot_texts = st.lists(
+    st.tuples(mostly_records, st.sampled_from(BREAKS)), max_size=8
+).map(lambda lines: "".join(line + brk for line, brk in lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=snapshot_texts, tail=st.sampled_from(["", "contain C1 e1", "contain C1", " \t"]))
+@example(text="contain a\nb contain c d\n", tail="")
+@example(text="#contain a b\ncontain #a b\r\n\tcontain\tC1\te1 \n", tail="")
+@example(text="contain C1 e1\x85contain C2 e1 ", tail="")
+@example(text="contain C1 e1\x0bcontain C1\x0ce2\n\ncontain C1 e1\n", tail="contain C1 e1 e2")
+def test_parse_snapshot_matches_the_line_loop(text, tail):
+    text += tail
+    assert parse_outcome(parse_snapshot, text) == parse_outcome(reference_parse_snapshot, text)
+
+
+def test_bulk_split_counterexample_fails_at_line_one():
+    # The tokens come in threes, each triple starts with `contain`, and there
+    # are as many triples as non-blank lines, yet no line is a record.
+    text = "contain a\nb contain c d\n"
+    with pytest.raises(SnapshotParseError) as excinfo:
+        parse_snapshot(text, "v1")
+    assert excinfo.value.lineno == 1
+    assert str(excinfo.value) == (
+        "snapshot line 1: expected `contain <component> <entity>`, got 'contain a'"
+    )
