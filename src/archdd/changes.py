@@ -9,6 +9,14 @@ entity are recorded. Among equal-cost optima the matching that is
 lexicographically smallest on (component_a name, component_b name) pairs is
 returned, so output is deterministic.
 
+Consecutive versions keep most components unchanged, so components with
+identical entity sets are paired before the assignment kernel runs, and the
+kernel sees only the rest. Every optimum holds such a pair (A, B): both
+sides partition their entities, so if A went to some X and B to some Y
+instead, neither pair would share an entity, and swapping to (A, B) and
+(Y, X) would raise the total overlap by |A| > 0. With the pair fixed in
+every optimum, the tie-break over the rest is unchanged too.
+
 A matched pair with disjoint, non-empty entity sets yields two changes (the
 old component was removed, the new one added) so that wholesale component
 turnover is distinguishable from in-place transformation. A pair (A, B)
@@ -59,15 +67,34 @@ def balance(
 
 def build_matching_problem(
     arch_a: ArchitectureSnapshot, arch_b: ArchitectureSnapshot
-) -> tuple[list[Component], list[Component], list[dict[int, int]]]:
-    """Balance both sides, sort each by name, and count each row's overlaps.
+) -> tuple[
+    list[tuple[Component, Component]], list[Component], list[Component], list[dict[int, int]]
+]:
+    """Pair identical components, then set up the assignment for the rest.
 
-    Returns ``(a, b, overlaps)``: ``overlaps[i]`` maps each j with ``a[i]``
-    and ``b[j]`` sharing entities to the number they share. Because a
-    snapshot partitions its entities, one entity -> column map counts a
-    whole row's overlaps in a single pass over the row's entities.
+    Returns ``(fixed, a, b, overlaps)``. ``fixed`` pairs each component of
+    ``arch_a`` with the component of ``arch_b`` that holds exactly the same
+    entities. ``a`` and ``b`` are the other components, balanced with
+    dummies and sorted by name, and ``overlaps[i]`` maps each j with
+    ``a[i]`` and ``b[j]`` sharing entities to the number they share.
+    Balancing runs on the full lists, so dummy names avoid every real name;
+    a fixed pair takes one component from each side, so the rest stay
+    balanced. Because a snapshot partitions its entities, one entity ->
+    column map counts a whole row's overlaps in a single pass over the
+    row's entities.
     """
+    twin = {component.entities: component for component in arch_b.components}
+    fixed = []
+    for component in arch_a.components:
+        other = twin.get(component.entities)
+        if other is not None:
+            fixed.append((component, other))
     a, b = balance(arch_a.components, arch_b.components)
+    if fixed:
+        fixed_a = {c_a.name for c_a, _ in fixed}
+        fixed_b = {c_b.name for _, c_b in fixed}
+        a = [component for component in a if component.name not in fixed_a]
+        b = [component for component in b if component.name not in fixed_b]
     a.sort(key=lambda c: c.name)
     b.sort(key=lambda c: c.name)
     column = {entity: j for j, component in enumerate(b) for entity in component.entities}
@@ -76,7 +103,7 @@ def build_matching_problem(
         row = Counter(map(column.get, component.entities))
         row.pop(None, None)
         overlaps.append(row)
-    return a, b, overlaps
+    return fixed, a, b, overlaps
 
 
 def min_cost_matching(
@@ -86,11 +113,15 @@ def min_cost_matching(
 
     Among equal-cost optima the result has the lexicographically smallest
     column vector, i.e. the smallest component_b names when both sides,
-    dummies included, are sorted by name. Pairs come back in component_a
-    name order.
+    dummies included, are sorted by name. Every optimum holds the fixed
+    pairs, so the kernel solves only the rest: its lexicographic order is
+    the full problem's order with the fixed rows and columns left out.
+    Pairs come back in component_a name order.
     """
-    a, b, overlaps = build_matching_problem(arch_a, arch_b)
-    return [(a[i], b[j]) for i, j in enumerate(kernel.lexmin_assignment(overlaps))]
+    fixed, a, b, overlaps = build_matching_problem(arch_a, arch_b)
+    pairs = fixed + [(a[i], b[j]) for i, j in enumerate(kernel.lexmin_assignment(overlaps))]
+    pairs.sort(key=lambda pair: pair[0].name)
+    return pairs
 
 
 def get_change_instances(

@@ -76,9 +76,9 @@ class RunConfig:
             for key in ("label", "snapshot"):
                 if not isinstance(entry[key], str):
                     raise ConfigError(f"version `{key}` must be a string")
+                if not entry[key]:
+                    raise ConfigError(f"version `{key}` must not be empty")
             label = entry["label"]
-            if not label:
-                raise ConfigError("version `label` must not be empty")
             if label in seen:
                 raise ConfigError(f"duplicate version label {label!r}")
             seen.add(label)
@@ -89,6 +89,9 @@ class RunConfig:
         for key in ("exclusions", "path_rules", "output_dir"):
             if key in obj and not isinstance(obj[key], str):
                 raise ConfigError(f"config `{key}` must be a file path string")
+        for key in ("issues", "commits", "exclusions", "path_rules", "output_dir"):
+            if obj.get(key) == "":
+                raise ConfigError(f"config `{key}` must not be empty")
         threshold = obj.get("tractability_threshold", DEFAULT_TRACTABILITY_THRESHOLD)
         if not isinstance(threshold, int) or isinstance(threshold, bool) or threshold < 1:
             raise ConfigError("tractability_threshold must be a positive integer")
@@ -99,8 +102,8 @@ class RunConfig:
             versions=versions,
             issues_path=base_dir / obj["issues"],
             commits_path=base_dir / obj["commits"],
-            exclusions_path=base_dir / obj["exclusions"] if obj.get("exclusions") else None,
-            rules_path=base_dir / obj["path_rules"] if obj.get("path_rules") else None,
+            exclusions_path=base_dir / obj["exclusions"] if "exclusions" in obj else None,
+            rules_path=base_dir / obj["path_rules"] if "path_rules" in obj else None,
             tractability_threshold=threshold,
             link_by_message=link_by_message,
             output_dir=base_dir / obj.get("output_dir", "archdd-out"),

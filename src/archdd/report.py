@@ -29,7 +29,58 @@ _KIND_ORDER = (DecisionKind.SIMPLE, DecisionKind.COMPOUND, DecisionKind.CROSSCUT
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """``obj`` as JSON text with sorted keys, a two-space indent and a final newline.
+
+    The result equals ``json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False) + "\\n"``. ``indent=2`` makes ``json.dumps`` walk the
+    tree in pure Python; this writer joins at C speed instead: keys and
+    strings go through ``json.encoder.encode_basestring`` (the C function
+    ``json.dumps`` calls for them), a list of strings is joined in one call,
+    and every other scalar goes through ``json.dumps``. Keys must be strings.
+    A value JSON cannot hold, such as a set, raises TypeError.
+    """
+    parts: list[str] = []
+    _write_json(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+_quote = json.encoder.encode_basestring
+
+
+def _write_json(value, newline: str, parts: list[str]) -> None:
+    """Append ``value``'s text to ``parts``; ``newline`` breaks a line at its depth."""
+    if isinstance(value, str):
+        parts.append(_quote(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        try:
+            parts.append("[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]")
+            return
+        except TypeError:  # not all strings
+            pass
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _write_json(item, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            parts.append(separator + _quote(key) + ": ")
+            _write_json(value[key], inner, parts)
+            separator = "," + inner
+        parts.append(newline + "}")
+    else:
+        parts.append(json.dumps(value))
 
 
 def _fraction_pair(value: Fraction | None):

@@ -158,7 +158,7 @@ def dense_costs(a, b, overlaps):
 
 
 def assert_agrees_with_oracle(components_a, components_b):
-    a, b, overlaps = build_matching_problem(
+    _, a, b, overlaps = build_matching_problem(
         ArchitectureSnapshot("a", components_a), ArchitectureSnapshot("b", components_b)
     )
     assert lexmin_assignment(overlaps) == dense_lexmin(dense_costs(a, b, overlaps), len(a))

@@ -1,7 +1,18 @@
 import itertools
 import random
+from collections import Counter
 
-from archdd.changes import analyze_changes, balance, build_matching_problem, min_cost_matching
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from archdd import kernel
+from archdd.changes import (
+    analyze_changes,
+    balance,
+    build_matching_problem,
+    get_change_instances,
+    min_cost_matching,
+)
 from archdd.model import ArchitectureSnapshot, Component
 
 from conftest import random_snapshot, snap
@@ -87,22 +98,27 @@ def padded(overlaps):
 
 
 def test_costs_equal_symmetric_difference_reference():
-    # Only overlapping pairs are stored. Padded with zeros they must equal
-    # the reference counts, which fix each pair's delta cost |A| + |B| - 2|A & B|.
-    a, b, overlaps = build_matching_problem(
+    # Identical components are paired up front. Of the rest, only overlapping
+    # pairs are stored. Padded with zeros they must equal the reference
+    # counts, which fix each pair's delta cost |A| + |B| - 2|A & B|.
+    fixed, a, b, overlaps = build_matching_problem(
         snap("a", {"x": "a b c", "z": "e f"}), snap("b", {"y": "b c d", "w": "e f"})
     )
-    assert [c.name for c in a] == ["x", "z"]
-    assert [c.name for c in b] == ["w", "y"]
-    assert overlaps == [{1: 2}, {0: 2}]
+    assert [(c_a.name, c_b.name) for c_a, c_b in fixed] == [("z", "w")]
+    assert [c.name for c in a] == ["x"]
+    assert [c.name for c in b] == ["y"]
+    assert overlaps == [{0: 2}]
     rng = random.Random(3)
     pool = [f"e{i:02d}" for i in range(40)]
     padded_draws = 0
     for _ in range(200):
         snap_a = random_snapshot(rng, "a", pool, max_components=8)
         snap_b = random_snapshot(rng, "b", pool, max_components=8)
-        a, b, overlaps = build_matching_problem(snap_a, snap_b)
+        fixed, a, b, overlaps = build_matching_problem(snap_a, snap_b)
         padded_draws += len(snap_a.components) != len(snap_b.components)
+        assert all(c_a.entities == c_b.entities for c_a, c_b in fixed)
+        assert len(fixed) + len(a) == max(len(snap_a.components), len(snap_b.components))
+        assert not {c.entities for c in a} & {c.entities for c in b if c.entities}
         assert all(0 not in row.values() for row in overlaps)
         assert padded(overlaps) == reference_overlaps(a, b)
     assert padded_draws > 100  # most draws exercise empty dummy rows or columns
@@ -169,3 +185,118 @@ def test_matching_is_deterministic():
     snap_b = snap("b", {"D1": "a c", "D2": "b d", "D3": "f"})
     runs = [solve(list(snap_a.components), list(snap_b.components)) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
+
+
+def unfixed_min_cost_matching(arch_a, arch_b):
+    """Oracle: the matcher that hands every component, twins included, to the kernel."""
+    a, b = balance(arch_a.components, arch_b.components)
+    a.sort(key=lambda c: c.name)
+    b.sort(key=lambda c: c.name)
+    column = {entity: j for j, component in enumerate(b) for entity in component.entities}
+    overlaps = []
+    for component in a:
+        row = Counter(map(column.get, component.entities))
+        row.pop(None, None)
+        overlaps.append(row)
+    return [(a[i], b[j]) for i, j in enumerate(kernel.lexmin_assignment(overlaps))]
+
+
+# Upper-case names sort before the `__dummy_<k>` names and lower-case ones
+# after them; real components named like dummies push the dummies' names on.
+NAME_POOL = ("__dummy_0", "__dummy_3", "A", "B", "K", "P", "Z", "a", "b", "k", "p", "z", "_q")
+EDITS = ("copy",) * 6 + ("rename",) * 3 + ("move", "split", "merge", "drop")
+
+
+@st.composite
+def steady_pairs(draw):
+    """Two snapshots, most of whose components are copied verbatim or renamed.
+
+    A few components lose an entity to another one, split, merge into the
+    previous one or disappear, and a few new ones appear, so either side may
+    be the shorter one.
+    """
+    fresh = (f"e{k}" for k in itertools.count())
+    names = draw(st.lists(st.sampled_from(NAME_POOL), min_size=1, max_size=10, unique=True))
+    older = [[name, [next(fresh) for _ in range(draw(st.integers(1, 4)))]] for name in names]
+    newer = []
+    for name, entities in older:
+        edit = draw(st.sampled_from(EDITS))
+        entities = list(entities)
+        if edit == "drop":
+            continue
+        if edit == "merge" and newer:
+            newer[-1][1] += entities
+            continue
+        if edit == "split" and len(entities) > 1:
+            cut = draw(st.integers(1, len(entities) - 1))
+            newer.append([None, entities[cut:]])
+            del entities[cut:]
+        if edit == "move" and len(entities) > 1 and newer:
+            draw(st.sampled_from(newer))[1].append(entities.pop())
+        newer.append([None if edit == "rename" else name, entities])
+    for _ in range(draw(st.integers(0, 2))):
+        newer.append([None, [next(fresh) for _ in range(draw(st.integers(1, 3)))]])
+    taken = {name for name, _ in newer}
+    spare = itertools.chain(
+        draw(st.permutations([n for n in NAME_POOL if n not in taken])),
+        (f"N{k}" for k in itertools.count()),
+    )
+    for entry in newer:
+        if entry[0] is None:
+            entry[0] = next(spare)
+    sides = [
+        ArchitectureSnapshot(version, tuple(Component(n, frozenset(e)) for n, e in side))
+        for version, side in (("v1", older), ("v2", newer))
+    ]
+    if draw(st.booleans()):
+        sides.reverse()
+    return sides
+
+
+def pair_names(pairs):
+    return [(c_a.name, c_b.name) for c_a, c_b in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=steady_pairs())
+def test_fixed_pairs_agree_with_the_unfixed_matcher(pair):
+    arch_a, arch_b = pair
+    expected = unfixed_min_cost_matching(arch_a, arch_b)
+    assert pair_names(min_cost_matching(arch_a, arch_b)) == pair_names(expected)
+    version_pair = (arch_a.version, arch_b.version)
+    expected_ids = {
+        change.id
+        for c_a, c_b in expected
+        for change in get_change_instances(c_a, c_b, version_pair)
+    }
+    assert {change.id for change in analyze_changes(arch_a, arch_b)} == expected_ids
+
+
+def test_kernel_sees_only_the_components_that_moved_entities(monkeypatch):
+    # m moved entities touch at most 2m components of the older version; every
+    # other component has an identical twin, so at most 2m rows reach the kernel.
+    rows = []
+    lexmin = kernel.lexmin_assignment
+
+    def traced(overlaps):
+        rows.append(len(overlaps))
+        return lexmin(overlaps)
+
+    monkeypatch.setattr(kernel, "lexmin_assignment", traced)
+    rng = random.Random(12)
+    for m in range(6):
+        for _ in range(20):
+            groups = {
+                f"c{k:02d}": [f"e{k}.{i}" for i in range(rng.randint(1, 5))] for k in range(40)
+            }
+            older = snap("a", {name: " ".join(entities) for name, entities in groups.items()})
+            moved = 0
+            for _ in range(m):
+                source, target = rng.sample(sorted(groups), 2)
+                if groups[source]:
+                    groups[target].append(groups[source].pop())
+                    moved += 1
+            newer = snap("b", {name: " ".join(group) for name, group in groups.items() if group})
+            rows.clear()
+            min_cost_matching(older, newer)
+            assert len(rows) == 1 and rows[0] <= 2 * moved

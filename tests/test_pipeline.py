@@ -356,3 +356,16 @@ def test_config_rejects_non_string_fields(tmp_path, field):
     target[field] = BAD_CONFIG_VALUES[field]
     with pytest.raises(ConfigError, match=field):
         RunConfig.from_obj(obj, base_dir=tmp_path)
+
+
+@pytest.mark.parametrize(
+    "field", ["issues", "commits", "snapshot", "exclusions", "path_rules", "output_dir"]
+)
+def test_config_rejects_empty_paths(tmp_path, field):
+    # An empty path would name the config's directory, or silently mean
+    # "no exclusions" or "the default rules".
+    obj = {"versions": [{"label": "a", "snapshot": "s"}], "issues": "i", "commits": "c"}
+    target = obj["versions"][0] if field == "snapshot" else obj
+    target[field] = ""
+    with pytest.raises(ConfigError, match=f"^(config|version) `{field}` must not be empty$"):
+        RunConfig.from_obj(obj, base_dir=tmp_path)

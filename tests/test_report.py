@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import archdd
 from archdd import report
@@ -89,6 +91,45 @@ def test_decisions_doc_round_trip():
     assert doc["decisions"][1]["issue_ids"] == ["i1", "i2"]
     assert doc["decisions"][1]["tractable"] is False
     assert doc["coverage"] == [2, 3]
+
+
+# Characters JSON escapes or passes through: quote, backslash, control
+# characters, U+2028, non-ASCII and a non-BMP character.
+SPECIAL_CHARACTERS = ('"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u2028", "é", "\U0001f600")
+JSON_TEXT = st.text(st.one_of(st.sampled_from(SPECIAL_CHARACTERS), st.characters()), max_size=8)
+JSON_SCALARS = st.one_of(
+    JSON_TEXT,
+    st.integers(),
+    st.integers(min_value=2**64),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(JSON_TEXT, max_size=4),
+        st.dictionaries(JSON_TEXT, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=JSON_TREES)
+def test_canonical_json_equals_indented_json_dumps(tree):
+    expected = json.dumps(tree, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert canonical_json(tree) == expected
+
+
+@pytest.mark.parametrize("value", [{1, 2}, {"a": ["b", frozenset()]}, ["a", object()], (b"x",)])
+def test_canonical_json_rejects_what_json_cannot_hold(value):
+    with pytest.raises(TypeError):
+        json.dumps(value)
+    with pytest.raises(TypeError):
+        canonical_json(value)
 
 
 def test_render_decision_text():
