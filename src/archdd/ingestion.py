@@ -12,11 +12,20 @@ Input formats (all UTF-8):
   ``{match, strip_prefix, strip_suffix, separator_replacement}``.
 
 JSON Lines are read one line at a time, blank lines skipped, so every
-error names its line. Records are slotted and frozen; every empty array
-field is one shared empty set, and issues that list the same versions share
-one versions set. ``build_impact_lists`` builds a whole run's impact lists
-from one index of qualifying issues, and decides each distinct path and
-each entity's exclusion once.
+error names its line. Each stripped line is decoded by the stock C scanner
+with no hook, and its dict is kept when a guard proves the checked
+``decode_json`` would return the same one: the object spans the line, the
+line has one colon per key (no repeated key, no nested member) and no
+``\\u`` escape (no surrogate). Only lines that fail the guard or the scanner
+reach ``decode_json``, which keeps the repeated-key, surrogate, digit-limit
+and nesting checks and raises the same line-numbered error as before. A
+record whose fields pass one typed test is filled in directly; any other
+goes through the field readers, which name the first bad field. Records are
+slotted and frozen; every empty array field is one shared empty set, and
+issues that list the same versions share one versions set.
+``build_impact_lists`` builds a whole run's impact lists from one index of
+qualifying issues, and decides each distinct path and each entity's
+exclusion once.
 
 The default path rules target Java-style source trees and are overridable;
 everything else in this module treats names as opaque strings.
@@ -28,9 +37,8 @@ import json
 import re
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from fnmatch import fnmatchcase
-from functools import partial
 
 from .errors import ConfigError, RecordParseError
 
@@ -174,6 +182,10 @@ def _json_object(pairs: list[tuple[str, object]]) -> dict:
 
 # One decoder for every input: ``json.loads`` with a hook builds a new one per call.
 _DECODER = json.JSONDecoder(object_pairs_hook=_json_object)
+# The stock C scanner, with no hook; ``_objects`` decides when its dict can stand.
+_scan = json.JSONDecoder().scan_once
+# A missing array field reads as this empty array; it is never modified.
+_NO_ARRAY: list = []
 
 
 def decode_json(text: str, error: Callable[[str], Exception]):
@@ -197,26 +209,50 @@ def decode_json(text: str, error: Callable[[str], Exception]):
     return obj
 
 
-def _load_records(text: str, what: str, build) -> dict:
-    """Records built by ``build(obj, lineno)``, keyed by id in file order; ids must not repeat."""
-    records = {}
-    first_line: dict[str, int] = {}
+def _objects(text: str):
+    """``(lineno, dict)`` for each non-blank line, in file order.
+
+    The stock scanner decodes each stripped line with no hook. Its dict is
+    kept only when the line provably decodes the same way under
+    ``decode_json``: the object spans the whole line, the line has as many
+    colons as the dict has keys, and it has no ``\\u`` escape (so no
+    surrogate). Every member of every object needs a colon, and a colon in
+    a string only adds one, so equal counts leave no repeated key and no
+    nested object with a member. Every other line goes through
+    ``decode_json``, which returns the same dict or raises the
+    line-numbered error.
+    """
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+        line = raw.strip()  # strip removes every JSON whitespace character
         if not line:
             continue
-        obj = decode_json(line, lambda msg: RecordParseError(lineno, f"invalid JSON: {msg}"))
-        if not isinstance(obj, dict):
-            raise RecordParseError(lineno, "record must be a JSON object")
-        record = build(obj, lineno)
-        if record.id in first_line:
-            raise RecordParseError(
-                lineno,
-                f"duplicate {what} id {record.id!r} (first seen on line {first_line[record.id]})",
-            )
-        first_line[record.id] = lineno
-        records[record.id] = record
-    return records
+        try:
+            obj, end = _scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if (
+            end != len(line)
+            or type(obj) is not dict
+            or line.count(":") != len(obj)
+            or "\\u" in line
+        ):
+            obj = decode_json(line, lambda msg: RecordParseError(lineno, f"invalid JSON: {msg}"))
+            if not isinstance(obj, dict):
+                raise RecordParseError(lineno, "record must be a JSON object")
+        yield lineno, obj
+
+
+def _slot_setters(cls) -> tuple:
+    """Each field's slot setter: the loaders fill a record whose fields they
+    have already checked and coerced without the frozen ``__init__`` and
+    its coercing ``__post_init__``."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+def _duplicate(what: str, key: str, lineno: int, first_line: dict) -> RecordParseError:
+    return RecordParseError(
+        lineno, f"duplicate {what} id {key!r} (first seen on line {first_line[key]})"
+    )
 
 
 def _issue_from_obj(obj: dict, lineno: int, version_sets: dict) -> IssueRecord:
@@ -240,15 +276,86 @@ def _commit_from_obj(obj: dict, lineno: int) -> CommitRecord:
 
 
 def load_issues(text: str) -> list[IssueRecord]:
-    """Parse an issue export; unknown fields are ignored, duplicate ids rejected."""
-    # Many issues list the same versions; each distinct set is kept once.
-    build = partial(_issue_from_obj, version_sets={})
-    return list(_load_records(text, "issue", build).values())
+    """Parse an issue export; unknown fields are ignored, duplicate ids rejected.
+
+    A record whose fields pass one typed test is built directly; any other
+    goes through ``_issue_from_obj``, which names the first bad field.
+    """
+    set_id, set_summary, set_resolved, set_merged, set_versions, set_commit_ids = (
+        _slot_setters(IssueRecord)
+    )
+    records: list[IssueRecord] = []
+    first_line: dict[str, int] = {}
+    version_sets: dict[frozenset[str], frozenset[str]] = {}  # each distinct set kept once
+    for lineno, obj in _objects(text):
+        get = obj.get
+        key = get("id")
+        summary = get("summary", "")
+        resolved = get("resolved", False)
+        merged = get("merged", False)
+        versions = get("versions", _NO_ARRAY)
+        commit_ids = get("commits", _NO_ARRAY)
+        typed = (
+            type(key) is str and key != "" and type(summary) is str
+            and type(resolved) is bool and type(merged) is bool
+            and type(versions) is list and type(commit_ids) is list
+        )
+        if typed:
+            try:
+                "".join(versions), "".join(commit_ids)  # TypeError on a non-string element
+            except TypeError:
+                typed = False
+        if typed:
+            record = object.__new__(IssueRecord)
+            set_id(record, key)
+            set_summary(record, summary)
+            set_resolved(record, resolved)
+            set_merged(record, merged)
+            versions = frozenset(versions) if versions else _NO_STRINGS
+            set_versions(record, version_sets.setdefault(versions, versions))
+            set_commit_ids(record, frozenset(commit_ids) if commit_ids else _NO_STRINGS)
+        else:
+            record = _issue_from_obj(obj, lineno, version_sets)
+            key = record.id
+        if key in first_line:
+            raise _duplicate("issue", key, lineno, first_line)
+        first_line[key] = lineno
+        records.append(record)
+    return records
 
 
 def load_commits(text: str) -> dict[str, CommitRecord]:
-    """Parse a commit log into records keyed by commit id, in log order."""
-    return _load_records(text, "commit", _commit_from_obj)
+    """Parse a commit log into records keyed by commit id, in log order.
+
+    Records are built as in ``load_issues``; ``_commit_from_obj`` checks the rest.
+    """
+    set_id, set_paths, set_issue_keys = _slot_setters(CommitRecord)
+    records: dict[str, CommitRecord] = {}
+    first_line: dict[str, int] = {}
+    for lineno, obj in _objects(text):
+        get = obj.get
+        key = get("id")
+        paths = get("paths", _NO_ARRAY)
+        issue_keys = get("issue_keys", _NO_ARRAY)
+        typed = type(key) is str and key != "" and type(paths) is list and type(issue_keys) is list
+        if typed:
+            try:
+                "".join(paths), "".join(issue_keys)  # TypeError on a non-string element
+            except TypeError:
+                typed = False
+        if typed:
+            record = object.__new__(CommitRecord)
+            set_id(record, key)
+            set_paths(record, frozenset(paths) if paths else _NO_STRINGS)
+            set_issue_keys(record, frozenset(issue_keys) if issue_keys else _NO_STRINGS)
+        else:
+            record = _commit_from_obj(obj, lineno)
+            key = record.id
+        if key in first_line:
+            raise _duplicate("commit", key, lineno, first_line)
+        first_line[key] = lineno
+        records[key] = record
+    return records
 
 
 def add_message_links(
@@ -260,7 +367,10 @@ def add_message_links(
         for key in commit.issue_keys:
             citing.setdefault(key, set()).add(commit.id)
     return [
-        replace(issue, commit_ids=issue.commit_ids | citing[issue.id])
+        IssueRecord(
+            issue.id, issue.summary, issue.resolved, issue.merged, issue.versions,
+            issue.commit_ids | citing[issue.id],
+        )
         if issue.id in citing
         else issue
         for issue in issues

@@ -78,6 +78,8 @@ class RunConfig:
                     raise ConfigError(f"version `{key}` must be a string")
                 if not entry[key]:
                     raise ConfigError(f"version `{key}` must not be empty")
+            if "\0" in entry["snapshot"]:
+                raise ConfigError("config `snapshot` must not contain a NUL character")
             label = entry["label"]
             if label in seen:
                 raise ConfigError(f"duplicate version label {label!r}")
@@ -92,6 +94,8 @@ class RunConfig:
         for key in ("issues", "commits", "exclusions", "path_rules", "output_dir"):
             if obj.get(key) == "":
                 raise ConfigError(f"config `{key}` must not be empty")
+            if "\0" in obj.get(key, ""):
+                raise ConfigError(f"config `{key}` must not contain a NUL character")
         threshold = obj.get("tractability_threshold", DEFAULT_TRACTABILITY_THRESHOLD)
         if not isinstance(threshold, int) or isinstance(threshold, bool) or threshold < 1:
             raise ConfigError("tractability_threshold must be a positive integer")
@@ -136,13 +140,14 @@ class PipelineResult:
 def read_input(path: str | Path | None, what: str) -> str:
     """Read a UTF-8 input file, or standard input when ``path`` is None.
 
-    Any failure, undecodable bytes included, is an InputError naming the source.
+    Any failure, undecodable bytes and a path the OS cannot take (a NUL
+    byte) included, is an InputError naming the source.
     """
     try:
         if path is None:
             return sys.stdin.buffer.read().decode("utf-8")
         return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         source = "<stdin>" if path is None else path
         raise InputError(f"cannot read {what} {source}: {exc}") from None
 

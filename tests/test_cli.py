@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from archdd.cli import main
+from archdd.errors import InputError
+from archdd.pipeline import read_input
 
 from conftest import run_cli_with_hash_seed, write_mini_project
 
@@ -191,6 +193,27 @@ def test_pipeline_rejects_non_string_config_paths(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:") and "snapshot" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field", ["issues", "commits", "snapshot", "exclusions", "path_rules", "output_dir"]
+)
+def test_pipeline_rejects_nul_in_config_paths(tmp_path, capsys, field):
+    # The OS cannot take a path with a NUL byte: reading or mkdir raised ValueError.
+    config_path = write_mini_project(tmp_path)
+    config_obj = json.loads(config_path.read_text())
+    target = config_obj["versions"][1] if field == "snapshot" else config_obj
+    target[field] = "nope/\u0000"
+    config_path.write_text(json.dumps(config_obj))
+    code, out, err = run(capsys, "pipeline", "--config", str(config_path))
+    assert code == 1 and out == ""
+    assert err == f"error: config `{field}` must not contain a NUL character\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_read_input_maps_a_nul_path_to_input_error():
+    with pytest.raises(InputError, match="^cannot read snapshot nope/\x00: embedded null byte$"):
+        read_input("nope/\u0000", "snapshot")
 
 
 def test_convert_log_roundtrip(tmp_path, capsys):

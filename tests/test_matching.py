@@ -5,7 +5,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from archdd import kernel
+from archdd import changes, kernel
 from archdd.changes import (
     analyze_changes,
     balance,
@@ -300,3 +300,34 @@ def test_kernel_sees_only_the_components_that_moved_entities(monkeypatch):
             rows.clear()
             min_cost_matching(older, newer)
             assert len(rows) == 1 and rows[0] <= 2 * moved
+
+
+def test_identical_pairs_never_reach_get_change_instances(monkeypatch):
+    # A pair whose two components hold the same entities yields no change, so
+    # analyze_changes hands only the kernel's pairs to get_change_instances.
+    visited = []
+    extract = changes.get_change_instances
+
+    def traced(c_a, c_b, version_pair):
+        visited.append(c_a.entities == c_b.entities)
+        return extract(c_a, c_b, version_pair)
+
+    monkeypatch.setattr(changes, "get_change_instances", traced)
+    rng = random.Random(21)
+    twins = 0
+    for _ in range(60):
+        groups = {f"c{k:02d}": [f"e{k}.{i}" for i in range(rng.randint(1, 4))] for k in range(12)}
+        older = snap("a", {name: " ".join(entities) for name, entities in groups.items()})
+        for _ in range(rng.randint(0, 4)):
+            source, target = rng.sample(sorted(groups), 2)
+            if groups[source]:
+                groups[target].append(groups[source].pop())
+        groups[f"n{rng.randint(0, 9)}"] = [f"fresh{rng.randint(0, 99)}"]
+        newer = snap("b", {name: " ".join(group) for name, group in groups.items() if group})
+        pairs = min_cost_matching(older, newer)
+        twins += sum(c_a.entities == c_b.entities for c_a, c_b in pairs)
+        expected = frozenset().union(*(extract(c_a, c_b, ("a", "b")) for c_a, c_b in pairs))
+        visited.clear()
+        assert analyze_changes(older, newer) == expected
+        assert visited and not any(visited)
+    assert twins > 300
