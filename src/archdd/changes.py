@@ -106,14 +106,6 @@ def build_matching_problem(
     return fixed, a, b, overlaps
 
 
-def _matched_pairs(
-    arch_a: ArchitectureSnapshot, arch_b: ArchitectureSnapshot
-) -> tuple[list[tuple[Component, Component]], list[tuple[Component, Component]]]:
-    """The fixed (identical) pairs and the kernel's pairs, kept apart."""
-    fixed, a, b, overlaps = build_matching_problem(arch_a, arch_b)
-    return fixed, [(a[i], b[j]) for i, j in enumerate(kernel.lexmin_assignment(overlaps))]
-
-
 def min_cost_matching(
     arch_a: ArchitectureSnapshot, arch_b: ArchitectureSnapshot
 ) -> list[tuple[Component, Component]]:
@@ -126,8 +118,8 @@ def min_cost_matching(
     the full problem's order with the fixed rows and columns left out.
     Pairs come back in component_a name order.
     """
-    fixed, moved = _matched_pairs(arch_a, arch_b)
-    pairs = fixed + moved
+    fixed, a, b, overlaps = build_matching_problem(arch_a, arch_b)
+    pairs = fixed + [(a[i], b[j]) for i, j in enumerate(kernel.lexmin_assignment(overlaps))]
     pairs.sort(key=lambda pair: pair[0].name)
     return pairs
 
@@ -158,14 +150,14 @@ def analyze_changes(
     """Two-pass change analysis: match components, then extract changes.
 
     Pass 1 solves the min-cost matching; pass 2 maps get_change_instances
-    over the kernel's pairs and unions the results. The fixed pairs hold
-    identical entity sets and yield nothing, so they are not visited.
+    over the chosen pairs and unions the results. A pair holding identical
+    entity sets yields nothing, so it is not handed on.
     """
     version_pair = (arch_a.version, arch_b.version)
     changes: set[ArchitecturalChange] = set()
-    _, moved = _matched_pairs(arch_a, arch_b)
-    for c_a, c_b in moved:
-        changes |= get_change_instances(c_a, c_b, version_pair)
+    for c_a, c_b in min_cost_matching(arch_a, arch_b):
+        if c_a.entities != c_b.entities:
+            changes |= get_change_instances(c_a, c_b, version_pair)
     return frozenset(changes)
 
 

@@ -14,15 +14,17 @@ Input formats (all UTF-8):
 JSON Lines are read one line at a time, blank lines skipped, so every
 error names its line. Each stripped line is decoded by the stock C scanner
 with no hook, and its dict is kept when a guard proves the checked
-``decode_json`` would return the same one: the object spans the line, the
-line has one colon per key (no repeated key, no nested member) and no
-``\\u`` escape (no surrogate). Only lines that fail the guard or the scanner
+``decode_json`` would return the same one: the object spans the line, a
+count of its colons leaves no room for a repeated key or a nested member,
+and it has no ``\\ud`` or ``\\uD`` escape (no surrogate). A colon, a brace
+or another ``\\u`` escape inside a string does not by itself send a line
+to the checked decoder. Only lines that fail the guard or the scanner
 reach ``decode_json``, which keeps the repeated-key, surrogate, digit-limit
-and nesting checks and raises the same line-numbered error as before. A
-record whose fields pass one typed test is filled in directly; any other
-goes through the field readers, which name the first bad field. Records are
-slotted and frozen; every empty array field is one shared empty set, and
-issues that list the same versions share one versions set.
+and nesting checks and raises the same line-numbered error as before. Each
+record's fields are then checked in order with exact type tests, the first
+bad field named, and the record is filled in directly. Records are slotted
+and frozen; every empty array field is one shared empty set, and issues
+that list the same versions share one versions set.
 ``build_impact_lists`` builds a whole run's impact lists from one index of
 qualifying issues, and decides each distinct path and each entity's
 exclusion once.
@@ -144,33 +146,6 @@ class ArchitecturalImpactList:
     diagnostics: ImpactDiagnostics = field(default_factory=ImpactDiagnostics)
 
 
-def _require_str(obj, key, lineno, *, required=False):
-    value = obj.get(key, None)
-    if value is None:
-        if required:
-            raise RecordParseError(lineno, f"missing required field {key!r}")
-        return ""
-    if not isinstance(value, str) or (required and not value):
-        raise RecordParseError(lineno, f"field {key!r} must be a non-empty string")
-    return value
-
-
-def _opt_bool(obj, key, lineno):
-    value = obj.get(key, False)
-    if not isinstance(value, bool):
-        raise RecordParseError(lineno, f"field {key!r} must be a boolean")
-    return value
-
-
-def _opt_str_set(obj, key, lineno) -> frozenset[str]:
-    value = obj.get(key, _NO_STRINGS)
-    if value is _NO_STRINGS:
-        return value
-    if not isinstance(value, list) or not set(map(type, value)) <= {str}:
-        raise RecordParseError(lineno, f"field {key!r} must be an array of strings")
-    return frozenset(value) if value else _NO_STRINGS
-
-
 def _json_object(pairs: list[tuple[str, object]]) -> dict:
     """An object's members as a dict; a repeated key would silently keep only its last value."""
     obj = dict(pairs)
@@ -214,27 +189,34 @@ def _objects(text: str):
 
     The stock scanner decodes each stripped line with no hook. Its dict is
     kept only when the line provably decodes the same way under
-    ``decode_json``: the object spans the whole line, the line has as many
-    colons as the dict has keys, and it has no ``\\u`` escape (so no
-    surrogate). Every member of every object needs a colon, and a colon in
-    a string only adds one, so equal counts leave no repeated key and no
-    nested object with a member. Every other line goes through
-    ``decode_json``, which returns the same dict or raises the
-    line-numbered error.
+    ``decode_json``: the object spans the whole line, no key repeats, no
+    nested object has a member, and no string holds a surrogate. Every
+    member needs a colon, so a line with as many colons as the dict has
+    keys has no repeat and no nested member. A colon inside a string breaks
+    that count; then, if no quote is followed by a space or tab, every key
+    is followed directly by its colon, and as many ``":`` as keys proves
+    the same. A surrogate needs a ``\\ud`` or ``\\uD`` escape; such lines
+    are not scanned. Every other line goes through ``decode_json``, which
+    returns the same dict or raises the line-numbered error.
     """
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()  # strip removes every JSON whitespace character
         if not line:
             continue
-        try:
-            obj, end = _scan(line, 0)
-        except (StopIteration, ValueError, RecursionError):
+        if "\\u" in line and ("\\ud" in line or "\\uD" in line):
             end = -1
+        else:
+            try:
+                obj, end = _scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
         if (
             end != len(line)
             or type(obj) is not dict
-            or line.count(":") != len(obj)
-            or "\\u" in line
+            or (
+                line.count(":") != len(obj)
+                and ('" ' in line or '"\t' in line or line.count('":') != len(obj))
+            )
         ):
             obj = decode_json(line, lambda msg: RecordParseError(lineno, f"invalid JSON: {msg}"))
             if not isinstance(obj, dict):
@@ -249,37 +231,41 @@ def _slot_setters(cls) -> tuple:
     return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
+def _record_id(obj: dict, lineno: int) -> str:
+    key = obj.get("id")
+    if type(key) is str and key:
+        return key
+    if key is None:
+        raise RecordParseError(lineno, "missing required field 'id'")
+    raise RecordParseError(lineno, "field 'id' must be a non-empty string")
+
+
+def _str_set(value, key: str, lineno: int) -> frozenset[str]:
+    """An array-of-strings field as a set; every empty one is ``_NO_STRINGS``."""
+    if type(value) is list:
+        if not value:
+            return _NO_STRINGS
+        try:
+            "".join(value)  # TypeError on a non-string element
+        except TypeError:
+            pass
+        else:
+            return frozenset(value)
+    raise RecordParseError(lineno, f"field {key!r} must be an array of strings")
+
+
 def _duplicate(what: str, key: str, lineno: int, first_line: dict) -> RecordParseError:
     return RecordParseError(
         lineno, f"duplicate {what} id {key!r} (first seen on line {first_line[key]})"
     )
 
 
-def _issue_from_obj(obj: dict, lineno: int, version_sets: dict) -> IssueRecord:
-    """Fields are checked in order; ``version_sets`` maps each versions set to its first copy."""
-    return IssueRecord(
-        id=_require_str(obj, "id", lineno, required=True),
-        summary=_require_str(obj, "summary", lineno),
-        resolved=_opt_bool(obj, "resolved", lineno),
-        merged=_opt_bool(obj, "merged", lineno),
-        versions=version_sets.setdefault(v := _opt_str_set(obj, "versions", lineno), v),
-        commit_ids=_opt_str_set(obj, "commits", lineno),
-    )
-
-
-def _commit_from_obj(obj: dict, lineno: int) -> CommitRecord:
-    return CommitRecord(
-        id=_require_str(obj, "id", lineno, required=True),
-        paths=_opt_str_set(obj, "paths", lineno),
-        issue_keys=_opt_str_set(obj, "issue_keys", lineno),
-    )
-
-
 def load_issues(text: str) -> list[IssueRecord]:
     """Parse an issue export; unknown fields are ignored, duplicate ids rejected.
 
-    A record whose fields pass one typed test is built directly; any other
-    goes through ``_issue_from_obj``, which names the first bad field.
+    Fields are checked in order, and the first bad one is named; a missing
+    or ``null`` summary reads as "". Issues that list the same versions
+    share one versions set.
     """
     set_id, set_summary, set_resolved, set_merged, set_versions, set_commit_ids = (
         _slot_setters(IssueRecord)
@@ -289,37 +275,30 @@ def load_issues(text: str) -> list[IssueRecord]:
     version_sets: dict[frozenset[str], frozenset[str]] = {}  # each distinct set kept once
     for lineno, obj in _objects(text):
         get = obj.get
-        key = get("id")
-        summary = get("summary", "")
+        key = _record_id(obj, lineno)
+        summary = get("summary")
+        if type(summary) is not str:
+            if summary is not None:
+                raise RecordParseError(lineno, "field 'summary' must be a non-empty string")
+            summary = ""
         resolved = get("resolved", False)
+        if type(resolved) is not bool:
+            raise RecordParseError(lineno, "field 'resolved' must be a boolean")
         merged = get("merged", False)
-        versions = get("versions", _NO_ARRAY)
-        commit_ids = get("commits", _NO_ARRAY)
-        typed = (
-            type(key) is str and key != "" and type(summary) is str
-            and type(resolved) is bool and type(merged) is bool
-            and type(versions) is list and type(commit_ids) is list
-        )
-        if typed:
-            try:
-                "".join(versions), "".join(commit_ids)  # TypeError on a non-string element
-            except TypeError:
-                typed = False
-        if typed:
-            record = object.__new__(IssueRecord)
-            set_id(record, key)
-            set_summary(record, summary)
-            set_resolved(record, resolved)
-            set_merged(record, merged)
-            versions = frozenset(versions) if versions else _NO_STRINGS
-            set_versions(record, version_sets.setdefault(versions, versions))
-            set_commit_ids(record, frozenset(commit_ids) if commit_ids else _NO_STRINGS)
-        else:
-            record = _issue_from_obj(obj, lineno, version_sets)
-            key = record.id
+        if type(merged) is not bool:
+            raise RecordParseError(lineno, "field 'merged' must be a boolean")
+        versions = _str_set(get("versions", _NO_ARRAY), "versions", lineno)
+        commit_ids = _str_set(get("commits", _NO_ARRAY), "commits", lineno)
         if key in first_line:
             raise _duplicate("issue", key, lineno, first_line)
         first_line[key] = lineno
+        record = object.__new__(IssueRecord)
+        set_id(record, key)
+        set_summary(record, summary)
+        set_resolved(record, resolved)
+        set_merged(record, merged)
+        set_versions(record, version_sets.setdefault(versions, versions))
+        set_commit_ids(record, commit_ids)
         records.append(record)
     return records
 
@@ -327,33 +306,23 @@ def load_issues(text: str) -> list[IssueRecord]:
 def load_commits(text: str) -> dict[str, CommitRecord]:
     """Parse a commit log into records keyed by commit id, in log order.
 
-    Records are built as in ``load_issues``; ``_commit_from_obj`` checks the rest.
+    Fields are checked as in ``load_issues``.
     """
     set_id, set_paths, set_issue_keys = _slot_setters(CommitRecord)
     records: dict[str, CommitRecord] = {}
     first_line: dict[str, int] = {}
     for lineno, obj in _objects(text):
         get = obj.get
-        key = get("id")
-        paths = get("paths", _NO_ARRAY)
-        issue_keys = get("issue_keys", _NO_ARRAY)
-        typed = type(key) is str and key != "" and type(paths) is list and type(issue_keys) is list
-        if typed:
-            try:
-                "".join(paths), "".join(issue_keys)  # TypeError on a non-string element
-            except TypeError:
-                typed = False
-        if typed:
-            record = object.__new__(CommitRecord)
-            set_id(record, key)
-            set_paths(record, frozenset(paths) if paths else _NO_STRINGS)
-            set_issue_keys(record, frozenset(issue_keys) if issue_keys else _NO_STRINGS)
-        else:
-            record = _commit_from_obj(obj, lineno)
-            key = record.id
+        key = _record_id(obj, lineno)
+        paths = _str_set(get("paths", _NO_ARRAY), "paths", lineno)
+        issue_keys = _str_set(get("issue_keys", _NO_ARRAY), "issue_keys", lineno)
         if key in first_line:
             raise _duplicate("commit", key, lineno, first_line)
         first_line[key] = lineno
+        record = object.__new__(CommitRecord)
+        set_id(record, key)
+        set_paths(record, paths)
+        set_issue_keys(record, issue_keys)
         records[key] = record
     return records
 

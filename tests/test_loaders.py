@@ -168,10 +168,10 @@ def assert_loads_like_reference(text):
 # splitlines breaks a line at though JSON does not.
 GOOD_PIECES = (
     "A-1", "c1", "v1", "v2", "", " ", "x:y", ":", "{", "}", "{}", '{\\"k\\": 1}',
-    "\\u0041", "\\u00e9", "\\ud83d\\ude00", "\\\\u", "\\\"", "\\\\", "\\n", "\\/",
-    "\u00e9 raw", "\ufeff",
+    "\\u0041", "\\u00e9", "\\ud83d\\ude00", "\\uD83D\\uDE00", "\\ud7ff", "\\\\ud",
+    "\\\\u", "\\\"", '\\" ', '\\":', "\\\\", "\\n", "\\/", "\u00e9 raw", "\ufeff",
 )
-BAD_PIECES = ("\\ud800", "\\udc00x", "\x01", "\\x", "\\u12", "\u2028")
+BAD_PIECES = ("\\ud800", "\\uDC00x", "\x01", "\\x", "\\u12", "\u2028")
 KEYS = (
     '"id"', '"summary"', '"resolved"', '"merged"', '"versions"', '"commits"',
     '"paths"', '"issue_keys"', '"x"', '"a:b"', '"{"', '"}"',
@@ -310,6 +310,14 @@ def test_loaders_equal_the_reference(text):
         '{"id": "A-1", "x": {}, "y": [{}, {}]}',  # empty nested objects
         '{"id": "A-1", "commits": null}',
         '{"id": "", "paths": ["a"]}',
+        '{"summary": "x"}',
+        '{"id": 7}',
+        '{"id": "A-1", "summary": 3}',
+        '{"id": "A-1", "resolved": null}',
+        '{"id": "A-1", "merged": 1}',
+        '{"id": "A-1", "resolved": "yes", "versions": 5}',  # the first bad field is named
+        '{"id": "A-1", "x": 1, "x" :2}',  # a repeat spaced off its colon
+        '{"id": "A-1",\t"x":1,"x"\t:2}',
     ],
 )
 def test_hand_picked_lines_equal_the_reference(line):
@@ -322,20 +330,15 @@ def test_hand_picked_lines_equal_the_reference(line):
 
 @pytest.fixture
 def checked_calls(monkeypatch):
-    """Counts of calls to the checked decoder and to the checked record builders."""
+    """The number of calls to the checked decoder."""
     calls = Counter()
+    real = ingestion.decode_json
 
-    def counted(name):
-        real = getattr(ingestion, name)
+    def counted(*args, **kwargs):
+        calls["decode_json"] += 1
+        return real(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(ingestion, name, wrapper)
-
-    for name in ("decode_json", "_issue_from_obj", "_commit_from_obj"):
-        counted(name)
+    monkeypatch.setattr(ingestion, "decode_json", counted)
     return calls
 
 
@@ -371,22 +374,25 @@ def test_clean_files_never_reach_the_checked_decoder(checked_calls):
 @pytest.mark.parametrize(
     "line, checked",
     [
-        ('{"id": "A-1", "resolved": true, "resolved": false}', "decode_json"),  # repeated key
-        ('{"id": "A-1", "x": {"y": 1}}', "decode_json"),  # nested object
-        ('{"id": "A-1", "summary": "see: A-2"}', "decode_json"),  # colon in a string
-        ('{"id": "A-1", "summary": "caf\\u00e9"}', "decode_json"),  # \u escape
-        ('{"id": "A-1", "summary": null}', "_issue_from_obj"),  # null summary
-        ('{"id": "A-1", "paths": null}', "_commit_from_obj"),  # null array
+        ('{"id": "A-1", "resolved": true, "resolved": false}', 1),  # repeated key
+        ('{"id": "A-1", "x": {"y": 1}}', 1),  # nested object
+        ('{"id": "A-1", "summary": "say \\"no\\": A-2"}', 1),  # quote and colon in a string
+        ('{"id" : "A-1", "summary": "x: y"}', 1),  # space before a colon, colon in a string
+        ('{"id":\t"A-1",\t"summary":"a\\" b: c"}', 1),  # quote and space, colon in a string
+        ('{"id" : "A-1",\t"summary"\t:\t"x"}', 0),  # spaced colons
+        ('{"id": "A-1", "summary": "\\ud83d\\ude00"}', 1),  # surrogate pair
+        ('{"id": "A-1", "summary": "\\uD7FF"}', 1),  # an escape that might be a surrogate
+        ('{"id": "A-1", "summary": "see: A-2 {x}"}', 0),  # colon and braces in a string
+        ('{"id": "A-1", "summary": "caf\\u00e9"}', 0),  # \u escape, no surrogate
+        ('{"id":"A-1","summary":null,"versions":[]}', 0),  # null summary, compact
+        ('{"id": "A-1", "x": {}}', 0),  # empty nested object
     ],
 )
-def test_each_fallback_shape_reaches_the_checked_path(checked_calls, line, checked):
-    issues_text, commits_text = clean_side(5)
+def test_each_line_shape_takes_its_path(checked_calls, line, checked):
+    issues_text, _ = clean_side(5)
     text = issues_text + line + "\n"
-    load = load_commits if checked == "_commit_from_obj" else load_issues
-    reference = reference_load_commits if load is load_commits else reference_load_issues
-    expected = outcome(reference, text)
-    assert outcome(load, text) == expected
-    assert checked_calls == Counter({checked: 1})
+    assert outcome(load_issues, text) == outcome(reference_load_issues, text)
+    assert checked_calls == Counter({"decode_json": checked} if checked else {})
 
 
 def test_loaded_records_are_frozen_and_hash():

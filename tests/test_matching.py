@@ -304,7 +304,7 @@ def test_kernel_sees_only_the_components_that_moved_entities(monkeypatch):
 
 def test_identical_pairs_never_reach_get_change_instances(monkeypatch):
     # A pair whose two components hold the same entities yields no change, so
-    # analyze_changes hands only the kernel's pairs to get_change_instances.
+    # analyze_changes hands only the pairs that differ to get_change_instances.
     visited = []
     extract = changes.get_change_instances
 
@@ -331,3 +331,19 @@ def test_identical_pairs_never_reach_get_change_instances(monkeypatch):
         assert analyze_changes(older, newer) == expected
         assert visited and not any(visited)
     assert twins > 300
+
+
+def test_analyze_changes_matches_through_min_cost_matching(monkeypatch):
+    # The pipeline's matching time is measured under this name.
+    calls = []
+    match = changes.min_cost_matching
+
+    def traced(arch_a, arch_b):
+        calls.append((arch_a.version, arch_b.version))
+        return match(arch_a, arch_b)
+
+    monkeypatch.setattr(changes, "min_cost_matching", traced)
+    older = snap("a", {"c1": "x y", "c2": "z"})
+    newer = snap("b", {"c1": "x y", "c3": "z w"})
+    assert analyze_changes(older, newer)
+    assert calls == [("a", "b")]
