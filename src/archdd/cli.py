@@ -81,7 +81,7 @@ def analyze_changes_cmd(arch_a, arch_b, label_a, label_b, fmt, out):
     label_a = _label(Path(arch_a).stem if label_a is None else label_a)
     label_b = _label(Path(arch_b).stem if label_b is None else label_b)
     snap_a = parse_snapshot(read_input(arch_a, "snapshot"), label_a)
-    snap_b = parse_snapshot(read_input(arch_b, "snapshot"), label_b)
+    snap_b = parse_snapshot(read_input(arch_b, "snapshot"), label_b, base=snap_a)
     changes = analyze_changes(snap_a, snap_b)
     if fmt == "structured":
         _emit(report.canonical_json(report.changes_doc((label_a, label_b), changes)), out)

@@ -11,6 +11,15 @@ Duplicate identical records are tolerated (set semantics), but an entity
 listed under two different components is a hard error because the
 downstream matching cost assumes components partition the entity set.
 
+Consecutive versions share most of their lines, so a text is read as a diff
+against the snapshot of the version before it: only the lines the two texts
+do not share are split, only the components those lines name are rebuilt,
+and every other ``Component`` object is shared between the two snapshots.
+Reading without a base is the same diff against an empty text. A snapshot
+serves as a base only if each of its distinct record lines names a distinct
+record. Otherwise ``contain a x`` and ``contain a x `` could both hold ``x``
+in ``a``, and dropping one of them next version would wrongly drop ``x``.
+
 Component and entity names are opaque strings; nothing in this module
 interprets them. Deriving entity names from file paths is the ingestion
 module's job.
@@ -20,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import InvariantViolation, PartitionViolation, SnapshotParseError
@@ -68,6 +77,9 @@ class ArchitectureSnapshot:
 
     version: str
     components: tuple[Component, ...]
+    # The distinct lines of the text this snapshot was parsed from, kept only
+    # when it can serve as the next version's diff base (see parse_snapshot).
+    _lines: frozenset[str] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.version, str) or not self.version:
@@ -109,31 +121,82 @@ def shared_entity(components: Sequence[Component]) -> tuple[str, str, str] | Non
             owner[entity] = component.name
 
 
-def parse_snapshot(text: str, version: str) -> ArchitectureSnapshot:
-    """Parse snapshot-file content into a validated ArchitectureSnapshot.
+_EMPTY: frozenset[str] = frozenset()
 
-    Splitting a line on whitespace also strips it, so a blank line has no
-    fields and a comment's first field starts with ``#``. One loop both
-    groups the records and names the first line that is not one.
+
+def _group_records(lines: frozenset[str]) -> tuple[dict[str, set[str]], int, set[str]]:
+    """The records among ``lines`` grouped by component, the number of lines
+    that are records, and the lines that are neither records, blank lines nor
+    comments.
     """
     grouped: dict[str, set[str]] = {}
     group_of = grouped.get
-    for lineno, fields in enumerate(map(str.split, text.splitlines()), start=1):
+    records = 0
+    malformed = set()
+    for line in lines:
+        fields = line.split()
         if len(fields) == 3 and fields[0] == "contain":
+            records += 1
             group = group_of(fields[1])
             if group is None:
                 grouped[fields[1]] = {fields[2]}
             else:
                 group.add(fields[2])
         elif fields and not fields[0].startswith("#"):
-            line = text.splitlines()[lineno - 1].strip()
-            raise SnapshotParseError(
-                lineno, f"expected `contain <component> <entity>`, got {line!r}"
-            )
-    components = tuple(
-        Component(name, frozenset(entities)) for name, entities in sorted(grouped.items())
-    )
-    return ArchitectureSnapshot(version, components)
+            malformed.add(line)
+    return grouped, records, malformed
+
+
+def parse_snapshot(
+    text: str, version: str, base: ArchitectureSnapshot | None = None
+) -> ArchitectureSnapshot:
+    """Parse snapshot-file content into a validated ArchitectureSnapshot.
+
+    ``base`` is the last snapshot of the version chain that parsed cleanly.
+    The text is read as a diff against the lines ``base`` was parsed from:
+    the base's records on lines this text lacks leave their components, the
+    records on lines new to this text join theirs, and the components no
+    such line names are reused as they are. A base that cannot serve (None,
+    built directly, or one whose record lines are not one per record) counts
+    as an empty text. Splitting a line on whitespace also strips it, so a
+    blank line has no fields and a comment's first field starts with ``#``.
+    Only a new line can be malformed; if one is, the text is walked once to
+    name the first.
+    """
+    lines = text.splitlines()
+    line_set = frozenset(lines)
+    base_lines = None if base is None else base._lines
+    if base_lines is None:
+        base_lines, components, record_lines = _EMPTY, (), 0
+    else:
+        # A base's distinct record lines number as many as its entities.
+        components = base.components
+        record_lines = sum(len(component.entities) for component in components)
+
+    removed, removed_lines, _ = _group_records(base_lines - line_set)
+    added, added_lines, malformed = _group_records(line_set - base_lines)
+    if malformed:
+        lineno, line = next(
+            (lineno, line) for lineno, line in enumerate(lines, start=1) if line in malformed
+        )
+        raise SnapshotParseError(
+            lineno, f"expected `contain <component> <entity>`, got {line.strip()!r}"
+        )
+    record_lines += added_lines - removed_lines
+
+    by_name = {component.name: component for component in components}
+    for name in removed.keys() | added.keys():
+        old = by_name.pop(name, None)
+        kept = _EMPTY if old is None else old.entities.difference(removed.get(name, ()))
+        entities = kept.union(added.get(name, ()))
+        if entities:
+            by_name[name] = Component(name, entities)
+    snapshot = ArchitectureSnapshot(version, tuple(by_name[name] for name in sorted(by_name)))
+    # Distinct record lines name distinct records exactly when they number
+    # as many as the entities; only then can this snapshot be a diff base.
+    if record_lines == sum(len(component.entities) for component in snapshot.components):
+        object.__setattr__(snapshot, "_lines", line_set)
+    return snapshot
 
 
 def serialize_snapshot(snapshot: ArchitectureSnapshot) -> str:

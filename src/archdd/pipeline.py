@@ -1,16 +1,21 @@
 """End-to-end orchestration over a version sequence.
 
-Every target version's impact list is built once, up front. Then for every
-consecutive version pair: analyze changes, connect them and the impact list
-of the pair's target version into the decision graph, and extract
-decisions. A failing pair is reported and skipped; the remaining pairs
-still run (strict mode turns any failure into a nonzero exit at the CLI).
-Pairs run one after another in version order.
+Every target version's impact list is built once, up front. The snapshots
+are streamed: each version's file is read and parsed in order, as a diff
+against the last snapshot that parsed cleanly, and each consecutive pair
+runs as soon as its target is parsed: analyze changes, connect them and
+the impact list of the pair's target version into the decision graph, and
+extract decisions. So at most the pair's two snapshots and the diff base
+are held at once. A failing pair is reported and skipped; a snapshot that
+fails to read or parse fails both pairs it belongs to, and the remaining
+pairs still run (strict mode turns any failure into a nonzero exit at the
+CLI).
 """
 
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -221,6 +226,22 @@ def _pair_to_obj(outcome: PairOutcome) -> dict:
     }
 
 
+def _read_snapshots(
+    versions: list[tuple[str, Path]],
+) -> Iterator[tuple[str, ArchitectureSnapshot | ArchddError]]:
+    """Yield each version's label with its snapshot, or the error that kept
+    it from being read or parsed. Each snapshot is parsed as a diff against
+    the last one that parsed cleanly.
+    """
+    base = None
+    for label, path in versions:
+        try:
+            snapshot = base = parse_snapshot(read_input(path, "snapshot"), label, base=base)
+        except ArchddError as exc:
+            snapshot = exc
+        yield label, snapshot
+
+
 def run_pipeline(config: RunConfig) -> PipelineResult:
     """Run the full pipeline; write the run document and text reports under
     ``config.output_dir`` and return the aggregated result.
@@ -232,31 +253,24 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     targets = [label for label, _ in config.versions[1:]]
     impacts = build_impact_lists(issues, commits, targets, rules, exclusions)
 
-    snapshots: dict[str, ArchitectureSnapshot | ArchddError] = {}
-    for label, path in config.versions:
-        try:
-            snapshots[label] = parse_snapshot(read_input(path, "snapshot"), label)
-        except ArchddError as exc:
-            snapshots[label] = exc
-
     outcomes: list[PairOutcome] = []
     failures: list[dict] = []
-    for (from_label, _), (to_label, _) in zip(config.versions, config.versions[1:]):
+    snapshots = _read_snapshots(config.versions)
+    from_label, snap_a = next(snapshots)
+    for to_label, snap_b in snapshots:
         try:
-            for label in (from_label, to_label):
-                if isinstance(snapshots[label], ArchddError):
-                    raise snapshots[label]
+            if isinstance(snap_a, ArchddError):
+                raise snap_a
+            if isinstance(snap_b, ArchddError):
+                raise snap_b
             outcomes.append(
                 _process_pair(
-                    snapshots[from_label],
-                    snapshots[to_label],
-                    impacts[to_label],
-                    exclusions,
-                    config.tractability_threshold,
+                    snap_a, snap_b, impacts[to_label], exclusions, config.tractability_threshold
                 )
             )
         except ArchddError as exc:
             failures.append(_failure((from_label, to_label), exc))
+        from_label, snap_a = to_label, snap_b
     summary = report.build_run_summary([outcome.stats for outcome in outcomes])
 
     run_doc = {

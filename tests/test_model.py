@@ -208,3 +208,45 @@ def test_bulk_split_counterexample_fails_at_line_one():
     assert str(excinfo.value) == (
         "snapshot line 1: expected `contain <component> <entity>`, got 'contain a'"
     )
+
+
+def chain_outcomes(texts):
+    """Each text's outcome, parsed with the last text that parsed cleanly as its base."""
+    base, outcomes = None, []
+    for text in texts:
+        try:
+            snapshot = parse_snapshot(text, "v1", base=base)
+        except (SnapshotParseError, PartitionViolation) as exc:
+            outcomes.append((type(exc), str(exc), getattr(exc, "lineno", None)))
+        else:
+            outcomes.append([(c.name, c.entities) for c in snapshot.components])
+            base = snapshot
+    return outcomes
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(snapshot_texts, min_size=2, max_size=4))
+# Two lines name one record; dropping one must keep it (the base guard).
+@example(texts=["contain C1 e1\ncontain C1 e1 \n", "contain C1 e1 \n"])
+@example(texts=["contain C1 e1\n", "contain C1\ncontain C1 e2\n", "contain C1 e2\n"])  # bad middle
+@example(texts=["contain C1 e1\ncontain C2 e2\n", "contain C1 e1\n"])  # C2 empties
+@example(texts=["contain C1 e1\n", "contain C1 e1\ncontain C2 e2\n"])  # C2 is new
+# Comment and blank lines come and go.
+@example(texts=["# c\n\ncontain C1 e1\n", "contain C1 e1\n#contain C1 e2\n \n", "#\ncontain C1 e1"])
+# A partition violation mid-chain, then a text that resolves it.
+@example(texts=["contain C1 e1\n", "contain C1 e1\ncontain C2 e1\n", "contain C2 e1\n"])
+def test_chained_parse_matches_the_line_loop(texts):
+    expected = [parse_outcome(reference_parse_snapshot, text) for text in texts]
+    assert chain_outcomes(texts) == expected
+
+
+def test_diff_read_shares_unchanged_components():
+    first = parse_snapshot("contain C1 a\ncontain C2 b\ncontain C3 c\n", "v1")
+    second = parse_snapshot("contain C1 a\ncontain C2 b\ncontain C3 d\n", "v2", base=first)
+    assert all(new is old for new, old in zip(second.components[:2], first.components))
+    assert second.components[2] == Component("C3", frozenset({"d"}))
+    # A base that lists one record twice cannot serve; the next read starts afresh.
+    twins = parse_snapshot("contain C1 a\ncontain C1 a \n", "v3", base=second)
+    again = parse_snapshot("contain C1 a \n", "v4", base=twins)
+    assert [c.entities for c in again.components] == [frozenset({"a"})]
+    assert again.components[0] is not twins.components[0]

@@ -1,9 +1,12 @@
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from archdd import pipeline
 from archdd.cli import main
 from archdd.decisions import DecisionKind
 from archdd.errors import ConfigError
@@ -310,6 +313,67 @@ def test_pipeline_failure_isolation(tmp_path):
     assert len(result.failures) == 1
     assert result.failures[0]["from_version"] == "1.1.0"
     assert "snapshot line 1" in result.failures[0]["error"]
+
+
+def test_streamed_chain_matches_a_baseless_parse(tmp_path, monkeypatch):
+    # 1.2.0 has a bad line and 1.3.0's file is missing: each fails both of its pairs.
+    write_mini_project(tmp_path)
+    good = (tmp_path / "arch-1.1.0.rsf").read_text()
+    (tmp_path / "arch-1.2.0.rsf").write_text(good + "contain only-two-tokens\n")
+    (tmp_path / "arch-1.4.0.rsf").write_text(good + "contain core app.core.Planner\n")
+    (tmp_path / "arch-1.5.0.rsf").write_text(
+        good.replace("contain io app.util.Log\n", "") + "contain core app.core.Planner \n"
+    )
+    config_obj = json.loads((tmp_path / "config.json").read_text())
+    labels = ["1.0.0", "1.1.0", "1.2.0", "1.3.0", "1.4.0", "1.5.0"]
+    config_obj["versions"] = [{"label": v, "snapshot": f"arch-{v}.rsf"} for v in labels]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(config_obj))
+
+    parse = pipeline.parse_snapshot
+    calls, refs = [], {}
+
+    def tracked(text, version, base=None):
+        # Only the previous version's snapshot and the diff base may still be alive.
+        gc.collect()
+        alive = {label for label, ref in refs.items() if ref() is not None}
+        previous = labels[labels.index(version) - 1]
+        assert alive <= {previous, base and base.version}
+        calls.append((version, base and base.version))
+        snapshot = parse(text, version, base=base)
+        refs[version] = weakref.ref(snapshot)
+        return snapshot
+
+    monkeypatch.setattr(pipeline, "parse_snapshot", tracked)
+    assert main(["pipeline", "--config", str(path), "--strict"]) == 1
+    streamed = run_pipeline(RunConfig.from_file(path))
+    gc.collect()
+    assert all(ref() is None for ref in refs.values())
+    # Each readable file is parsed once per run; a failed parse never becomes a base.
+    per_run = [("1.0.0", None), ("1.1.0", "1.0.0"), ("1.2.0", "1.1.0"), ("1.4.0", "1.1.0"),
+               ("1.5.0", "1.4.0")]
+    assert calls == per_run * 2
+    missing = tmp_path / "arch-1.3.0.rsf"
+    bad_line = (
+        "snapshot line 9: expected `contain <component> <entity>`, got 'contain only-two-tokens'"
+    )
+    assert streamed.failures == [
+        {"from_version": "1.1.0", "to_version": "1.2.0", "error": bad_line},
+        {"from_version": "1.2.0", "to_version": "1.3.0", "error": bad_line},
+        {"from_version": "1.3.0", "to_version": "1.4.0",
+         "error": f"cannot read snapshot {missing}: [Errno 2] No such file or directory: "
+                  f"'{missing}'"},
+    ]
+    assert [(o.from_version, o.to_version) for o in streamed.outcomes] == [
+        ("1.0.0", "1.1.0"), ("1.4.0", "1.5.0")
+    ]
+
+    monkeypatch.setattr(pipeline, "parse_snapshot", lambda text, label, base: parse(text, label))
+    config = RunConfig.from_file(path)
+    config.output_dir = tmp_path / "baseless"
+    baseless = run_pipeline(config)
+    assert baseless.failures == streamed.failures
+    assert output_digests(config.output_dir) == output_digests(tmp_path / "out")
 
 
 def test_config_validation(tmp_path):
