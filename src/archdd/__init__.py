@@ -28,12 +28,10 @@ from .ingestion import (
     PathRule,
     add_message_links,
     apply_exclusions,
-    build_impact_list,
     build_impact_lists,
     load_commits,
     load_issues,
     path_to_entity,
-    select_issues,
 )
 from .model import (
     ArchitecturalChange,
@@ -65,7 +63,6 @@ __all__ = [
     "apply_exclusions",
     "balance",
     "build_decision_graph",
-    "build_impact_list",
     "build_impact_lists",
     "build_matching_problem",
     "classify",
@@ -77,7 +74,6 @@ __all__ = [
     "min_cost_matching",
     "parse_snapshot",
     "path_to_entity",
-    "select_issues",
     "serialize_snapshot",
     "run_pipeline",
     "__version__",

@@ -18,10 +18,9 @@ from .changes import analyze_changes
 from .decisions import DEFAULT_TRACTABILITY_THRESHOLD, build_decision_graph, find_decisions
 from .errors import ArchddError, ConfigError, InputError
 from .ingestion import (
-    build_impact_list,
+    build_impact_lists,
     convert_name_status_log,
     decode_json,
-    select_issues,
     serialize_commits,
 )
 from .model import parse_snapshot
@@ -109,9 +108,7 @@ def build_impact_cmd(issues_path, commits_path, version, rules_path, exclusions_
     issues, commits, rules, exclusions = load_issue_side(
         issues_path, commits_path, rules_path, exclusions_path, link_by_message
     )
-    impact = build_impact_list(
-        select_issues(issues, version), commits, rules=rules, exclusions=exclusions
-    )
+    impact = build_impact_lists(issues, commits, [version], rules, exclusions)[version]
     _emit(report.canonical_json(report.impact_doc(impact, (None, version))), out)
 
 

@@ -346,21 +346,6 @@ def add_message_links(
     ]
 
 
-def _issues_by_version(issues: list[IssueRecord]) -> dict[str, list[IssueRecord]]:
-    """Each version's qualifying issues (resolved and merged), in export order."""
-    index: dict[str, list[IssueRecord]] = {}
-    for issue in issues:
-        if issue.resolved and issue.merged:
-            for version in issue.versions:
-                index.setdefault(version, []).append(issue)
-    return index
-
-
-def select_issues(issues: list[IssueRecord], version: str) -> list[IssueRecord]:
-    """Keep issues that are resolved, merged, and belong to ``version``."""
-    return _issues_by_version(issues).get(version, [])
-
-
 def path_to_entity(path: str, rules=DEFAULT_PATH_RULES) -> str | None:
     """Apply the first matching rule; None when no rule matches or derivation is empty."""
     for rule in rules:
@@ -431,22 +416,37 @@ def load_path_rules(text: str) -> list[PathRule]:
     return rules
 
 
-class _EntityMap:
-    """Path-to-entity and exclusion verdicts, each distinct path and entity decided once."""
+def build_impact_lists(
+    issues: list[IssueRecord],
+    commits: dict[str, CommitRecord],
+    versions,
+    rules=DEFAULT_PATH_RULES,
+    exclusions=(),
+) -> dict[str, ArchitecturalImpactList]:
+    """Each version's impact list: its qualifying issues mapped to the
+    architectural entities their commits touched.
 
-    def __init__(self, rules, exclusions):
-        self.rules = rules
-        self.exclusions = exclusions
-        self.entity_of: dict[str, str | None] = {}  # None: no rule derives an entity
-        self.tested: set[str] = set()
-        self.excluded: set[str] = set()
-
-    def impact_list(self, issues, commits: dict[str, CommitRecord]) -> ArchitecturalImpactList:
+    An issue qualifies for a version when it is resolved, merged and lists
+    that version. Issues whose commits yield no entities stay in the list
+    with empty sets (they become orphans during decision extraction). Commit
+    ids that cannot be resolved against the log are collected as
+    diagnostics, not errors. Each distinct path and entity meets the rules
+    and the exclusions once for the whole call.
+    """
+    selected: dict[str, list[IssueRecord]] = {}
+    for issue in issues:
+        if issue.resolved and issue.merged:
+            for version in issue.versions:
+                selected.setdefault(version, []).append(issue)
+    entity_of: dict[str, str | None] = {}  # None: no rule derives an entity
+    tested: set[str] = set()
+    excluded: set[str] = set()
+    impacts: dict[str, ArchitecturalImpactList] = {}
+    for version in versions:
         diagnostics = ImpactDiagnostics()
-        entity_of, rules = self.entity_of, self.rules
         skipped: set[str] = set()
         entries: dict[str, frozenset[str]] = {}
-        for issue in issues:
+        for issue in selected.get(version, ()):
             entities: set[str] = set()
             for commit_id in issue.commit_ids:
                 commit = commits.get(commit_id)
@@ -462,55 +462,19 @@ class _EntityMap:
                         skipped.add(path)
                     else:
                         entities.add(entity)
-            if self.exclusions:
-                for entity in entities - self.tested:
-                    if _is_excluded(entity, self.exclusions):
-                        self.excluded.add(entity)
-                self.tested |= entities
-                dropped = entities & self.excluded
+            if exclusions:
+                for entity in entities - tested:
+                    if _is_excluded(entity, exclusions):
+                        excluded.add(entity)
+                tested |= entities
+                dropped = entities & excluded
                 diagnostics.excluded_entity_count += len(dropped)
                 entities -= dropped
             entries[issue.id] = frozenset(entities)
-
         diagnostics.orphaned_commit_refs.sort()
         diagnostics.skipped_paths = sorted(skipped)
-        return ArchitecturalImpactList(entries=entries, diagnostics=diagnostics)
-
-
-def build_impact_list(
-    issues: list[IssueRecord],
-    commits: dict[str, CommitRecord],
-    rules=DEFAULT_PATH_RULES,
-    exclusions=(),
-) -> ArchitecturalImpactList:
-    """Map each issue to the architectural entities its commits touched.
-
-    ``issues`` should already be filtered by select_issues. Issues whose
-    commits yield no entities stay in the list with empty sets (they become
-    orphans during decision extraction). Commit ids that cannot be resolved
-    against the log are collected as diagnostics, not errors.
-    """
-    return _EntityMap(rules, exclusions).impact_list(issues, commits)
-
-
-def build_impact_lists(
-    issues: list[IssueRecord],
-    commits: dict[str, CommitRecord],
-    versions,
-    rules=DEFAULT_PATH_RULES,
-    exclusions=(),
-) -> dict[str, ArchitecturalImpactList]:
-    """Each version's impact list, as ``build_impact_list(select_issues(issues, v), ...)``.
-
-    One index of qualifying issues serves every version, and each distinct
-    path and entity meets the rules and exclusions once for the whole call.
-    """
-    selected = _issues_by_version(issues)
-    entity_map = _EntityMap(rules, exclusions)
-    return {
-        version: entity_map.impact_list(selected.get(version, []), commits)
-        for version in versions
-    }
+        impacts[version] = ArchitecturalImpactList(entries=entries, diagnostics=diagnostics)
+    return impacts
 
 
 def convert_name_status_log(text: str) -> list[CommitRecord]:
@@ -519,7 +483,9 @@ def convert_name_status_log(text: str) -> list[CommitRecord]:
     Accepts the common layouts: blocks introduced either by a ``commit
     <hash>`` line or by a bare hash line (as produced with a ``%H`` pretty
     format), followed by message lines and tab-separated name-status rows.
-    Rename/copy rows contribute both the old and the new path.
+    Only an unindented line can open a block, so an indented message line
+    that quotes a hash stays part of its commit's message. Rename/copy rows
+    contribute both the old and the new path.
     """
     commits: list[CommitRecord] = []
     current_id: str | None = None
@@ -543,15 +509,16 @@ def convert_name_status_log(text: str) -> list[CommitRecord]:
         stripped = line.strip()
         if not stripped:
             continue
-        parts = stripped.split()
-        if len(parts) >= 2 and parts[0] == "commit" and bare_hash.match(parts[1]):
-            flush()
-            current_id = parts[1]
-            continue
-        if bare_hash.match(stripped):
-            flush()
-            current_id = stripped
-            continue
+        if not line[0].isspace():  # message lines are indented and never open a commit
+            parts = stripped.split()
+            if len(parts) >= 2 and parts[0] == "commit" and bare_hash.match(parts[1]):
+                flush()
+                current_id = parts[1]
+                continue
+            if bare_hash.match(stripped):
+                flush()
+                current_id = stripped
+                continue
         if current_id is None:
             continue
         match = name_status.match(line)

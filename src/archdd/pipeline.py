@@ -6,24 +6,25 @@ against the last snapshot that parsed cleanly, and each consecutive pair
 runs as soon as its target is parsed: analyze changes, connect them and
 the impact list of the pair's target version into the decision graph, and
 extract decisions. So at most the pair's two snapshots and the diff base
-are held at once. A failing pair is reported and skipped; a snapshot that
-fails to read or parse fails both pairs it belongs to, and the remaining
-pairs still run (strict mode turns any failure into a nonzero exit at the
-CLI).
+are held at once. A finished pair leaves behind only its summary row, its
+``run.json`` entry and its rendered ``decisions.txt`` cards; its change
+sets, impact list and decisions are not kept.
+A failing pair is reported and skipped; a snapshot that fails to read or
+parse fails both pairs it belongs to, and the remaining pairs still run
+(strict mode turns any failure into a nonzero exit at the CLI).
 """
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import report
 from .changes import analyze_changes, matching_cost
 from .decisions import (
     DEFAULT_TRACTABILITY_THRESHOLD,
-    Decision,
     build_decision_graph,
     drop_external_changes,
     find_decisions,
@@ -40,7 +41,7 @@ from .ingestion import (
     load_issues,
     load_path_rules,
 )
-from .model import ArchitecturalChange, ArchitectureSnapshot, entity_universe, parse_snapshot
+from .model import ArchitectureSnapshot, entity_universe, parse_snapshot
 
 
 @dataclass
@@ -120,26 +121,10 @@ class RunConfig:
 
 
 @dataclass
-class PairOutcome:
-    """Everything computed for one successful version pair."""
-
-    from_version: str
-    to_version: str
-    changes: frozenset[ArchitecturalChange]
-    clean_changes: frozenset[ArchitecturalChange]
-    impact: ArchitecturalImpactList
-    decisions: list[Decision]
-    stats: report.PairStats
-    entity_overlap: tuple[int, int]
-
-
-@dataclass
 class PipelineResult:
     summary: report.RunSummary
-    outcomes: list[PairOutcome]
     failures: list[dict]
-    run_doc: dict
-    written: list[Path] = field(default_factory=list)
+    written: list[Path]
 
 
 def read_input(path: str | Path | None, what: str) -> str:
@@ -176,54 +161,55 @@ def load_issue_side(issues_path, commits_path, rules_path, exclusions_path, link
     return issues, commits, rules, exclusions
 
 
-def _process_pair(
-    snap_a: ArchitectureSnapshot,
-    snap_b: ArchitectureSnapshot,
+def _run_pair(
+    snap_a: ArchitectureSnapshot | ArchddError,
+    snap_b: ArchitectureSnapshot | ArchddError,
     impact: ArchitecturalImpactList,
     exclusions,
     threshold: int,
-) -> PairOutcome:
-    version_pair = (snap_a.version, snap_b.version)
-    changes = analyze_changes(snap_a, snap_b)
-    edges = build_decision_graph(impact, changes)
-    decisions = find_decisions(edges, version_pair, tractability_threshold=threshold)
-    clean_changes = drop_external_changes(changes, exclusions)
-    stats = report.build_pair_stats(
-        snap_a.version, snap_b.version, changes, clean_changes, decisions
-    )
-    mapped: set[str] = set()
-    for entities in impact.entries.values():
-        mapped |= entities
-    universe = entity_universe(snap_b)
-    overlap = (len(mapped & universe), len(mapped))
-    return PairOutcome(
-        from_version=snap_a.version,
-        to_version=snap_b.version,
-        changes=changes,
-        clean_changes=clean_changes,
-        impact=impact,
-        decisions=decisions,
-        stats=stats,
-        entity_overlap=overlap,
-    )
+    issues_by_id: dict,
+) -> tuple[report.PairStats, dict, str] | ArchddError:
+    """Analyze one version pair and return what it leaves behind: its
+    summary row, its ``run.json`` entry and its ``decisions.txt`` cards.
 
-
-def _pair_to_obj(outcome: PairOutcome) -> dict:
-    pair = (outcome.from_version, outcome.to_version)
-    external = sorted(
-        change.id for change in outcome.changes if change not in outcome.clean_changes
-    )
-    return {
-        "from_version": outcome.from_version,
-        "to_version": outcome.to_version,
-        "matching_cost": matching_cost(outcome.changes),
-        "changes": [report.change_to_obj(c, pair) for c in report.sort_changes(outcome.changes)],
-        "external_change_ids": external,
-        "impact": report.impact_to_obj(outcome.impact, pair),
-        "decisions": [report.decision_to_obj(d, pair) for d in outcome.decisions],
-        "entity_overlap": list(outcome.entity_overlap),
-        "stats": report.stats_to_obj(outcome.stats),
-    }
+    A snapshot that failed, or an error the analysis raised, is returned
+    instead. Rendering runs outside the ``try``, so an error there
+    propagates rather than failing the pair.
+    """
+    for snapshot in (snap_a, snap_b):
+        if isinstance(snapshot, ArchddError):
+            return snapshot
+    pair = (snap_a.version, snap_b.version)
+    try:
+        changes = analyze_changes(snap_a, snap_b)
+        edges = build_decision_graph(impact, changes)
+        decisions = find_decisions(edges, pair, tractability_threshold=threshold)
+        clean_changes = drop_external_changes(changes, exclusions)
+        stats = report.build_pair_stats(*pair, changes, clean_changes, decisions)
+        mapped = set().union(*impact.entries.values())
+        overlap = [len(mapped & entity_universe(snap_b)), len(mapped)]
+    except ArchddError as exc:
+        return exc
+    else:
+        entry = {
+            "from_version": pair[0],
+            "to_version": pair[1],
+            "matching_cost": matching_cost(changes),
+            "changes": [report.change_to_obj(c, pair) for c in report.sort_changes(changes)],
+            "external_change_ids": sorted(c.id for c in changes if c not in clean_changes),
+            "impact": report.impact_to_obj(impact, pair),
+            "decisions": [report.decision_to_obj(d, pair) for d in decisions],
+            "entity_overlap": overlap,
+            "stats": report.stats_to_obj(stats),
+        }
+        changes_by_id = {change.id: change for change in changes}
+        cards = [f"== {pair[0]} -> {pair[1]}"]
+        if not decisions:
+            cards.append("(no decisions)")
+        for decision in decisions:
+            cards.append(report.render_decision(decision, pair, issues_by_id, changes_by_id))
+        cards.append("")
+        return stats, entry, "\n".join(cards)
 
 
 def _read_snapshots(
@@ -252,83 +238,69 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     )
     targets = [label for label, _ in config.versions[1:]]
     impacts = build_impact_lists(issues, commits, targets, rules, exclusions)
+    issues_by_id = {issue.id: issue for issue in issues}
 
-    outcomes: list[PairOutcome] = []
+    rows: list[report.PairStats] = []
+    pairs: list[dict] = []
+    cards: list[str] = []
     failures: list[dict] = []
     snapshots = _read_snapshots(config.versions)
     from_label, snap_a = next(snapshots)
     for to_label, snap_b in snapshots:
-        try:
-            if isinstance(snap_a, ArchddError):
-                raise snap_a
-            if isinstance(snap_b, ArchddError):
-                raise snap_b
-            outcomes.append(
-                _process_pair(
-                    snap_a, snap_b, impacts[to_label], exclusions, config.tractability_threshold
-                )
-            )
-        except ArchddError as exc:
-            failures.append(_failure((from_label, to_label), exc))
+        done = _run_pair(
+            snap_a, snap_b, impacts.pop(to_label), exclusions, config.tractability_threshold,
+            issues_by_id,
+        )
+        if isinstance(done, ArchddError):
+            failures.append(_failure((from_label, to_label), done))
+        else:
+            stats, entry, pair_cards = done
+            rows.append(stats)
+            pairs.append(entry)
+            cards.append(pair_cards)
         from_label, snap_a = to_label, snap_b
-    summary = report.build_run_summary([outcome.stats for outcome in outcomes])
+    summary = report.build_run_summary(rows)
 
-    run_doc = {
+    document = {
         "schema_version": report.SCHEMA_VERSION,
         "kind": "run",
         "issue_count_convention": report.ISSUE_COUNT_CONVENTION,
         "tractability_threshold": config.tractability_threshold,
         "versions": [label for label, _ in config.versions],
-        "pairs": [_pair_to_obj(outcome) for outcome in outcomes],
+        "pairs": pairs,
         "failures": failures,
         "summary": report.summary_to_obj(summary),
     }
-
-    result = PipelineResult(
-        summary=summary, outcomes=outcomes, failures=failures, run_doc=run_doc
-    )
-    result.written = _write_outputs(config, result, issues)
-    return result
+    written = _write_outputs(config.output_dir, document, "\n".join(cards), summary, failures)
+    return PipelineResult(summary=summary, failures=failures, written=written)
 
 
 def _failure(pair: tuple[str, str], exc: ArchddError) -> dict:
     return {"from_version": pair[0], "to_version": pair[1], "error": str(exc)}
 
 
-def _write_outputs(config: RunConfig, result: PipelineResult, issues) -> list[Path]:
-    out_dir = config.output_dir
+def _write_outputs(
+    out_dir: Path, document: dict, cards: str, summary: report.RunSummary, failures: list[dict]
+) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
-    issues_by_id = {issue.id: issue for issue in issues}
-
     run_path = out_dir / "run.json"
-    run_path.write_text(report.canonical_json(result.run_doc), encoding="utf-8")
-
-    cards = []
-    for outcome in result.outcomes:
-        pair = (outcome.from_version, outcome.to_version)
-        cards.append(f"== {outcome.from_version} -> {outcome.to_version}")
-        changes_by_id = {change.id: change for change in outcome.changes}
-        if not outcome.decisions:
-            cards.append("(no decisions)")
-        for decision in outcome.decisions:
-            cards.append(report.render_decision(decision, pair, issues_by_id, changes_by_id))
-        cards.append("")
+    run_path.write_text(report.canonical_json(document), encoding="utf-8")
     decisions_path = out_dir / "decisions.txt"
-    decisions_path.write_text("\n".join(cards), encoding="utf-8")
+    decisions_path.write_text(cards, encoding="utf-8")
 
     sections = [
-        report.render_summary_table(result.summary),
+        report.render_summary_table(summary),
         "",
         "coverage",
-        report.render_coverage_table(result.summary),
+        report.render_coverage_table(summary),
         "",
         "decision kinds",
-        report.render_distribution_table(result.summary),
+        report.render_distribution_table(summary),
         "",
     ]
-    if result.failures:
+    if failures:
         sections.append("failed pairs")
-        for failure in result.failures:
+        for failure in failures:
             sections.append(
                 f"  {failure['from_version']} -> {failure['to_version']}: {failure['error']}"
             )

@@ -165,25 +165,27 @@ def test_end_to_end_fixture_ledger(tmp_path):
     config = RunConfig.from_file(write_mini_project(tmp_path))
     result = run_pipeline(config)
     assert not result.failures
-    outcome = result.outcomes[0]
+    run_doc = json.loads((config.output_dir / "run.json").read_text(encoding="utf-8"))
+    pair = run_doc["pairs"][0]
 
-    kinds = sorted(d.kind.value for d in outcome.decisions)
+    kinds = sorted(d["kind"] for d in pair["decisions"])
     assert kinds == ["crosscutting", "simple"], f"got {kinds}"
-    crosscutting = next(d for d in outcome.decisions if d.kind is DecisionKind.CROSSCUTTING)
-    simple = next(d for d in outcome.decisions if d.kind is DecisionKind.SIMPLE)
-    assert crosscutting.issue_ids == {"APP-1", "APP-2"}
-    assert simple.issue_ids == {"APP-3"}
+    crosscutting = next(d for d in pair["decisions"] if d["kind"] == "crosscutting")
+    simple = next(d for d in pair["decisions"] if d["kind"] == "simple")
+    assert set(crosscutting["issue_ids"]) == {"APP-1", "APP-2"}
+    assert simple["issue_ids"] == ["APP-3"]
 
-    before = outcome.stats.coverage_before_cleanup
-    after = outcome.stats.coverage_after_cleanup
+    before = Fraction(*pair["stats"]["coverage_before_cleanup"])
+    after = Fraction(*pair["stats"]["coverage_after_cleanup"])
     assert before == Fraction(3, 4) and after == Fraction(1)
     assert before < after
 
     excluded = [
-        c for c in outcome.changes if c.delta_entities == {"thirdparty.jetty.Http"}
+        c for c in pair["changes"]
+        if c["deltas"] == [{"entity": "thirdparty.jetty.Http", "op": "add"}]
     ]
     assert len(excluded) == 1
-    assert excluded[0] not in outcome.clean_changes  # absent after cleanup
+    assert pair["external_change_ids"] == [excluded[0]["id"]]  # absent after cleanup
     print(f"{PASS} end-to-end fixture ledger (1 simple, 1 crosscutting, {before}->{after})")
 
 
@@ -292,9 +294,9 @@ def test_scale_sanity(tmp_path):
     result = run_pipeline(config)
     elapsed = time.perf_counter() - started
     assert not result.failures
-    assert len(result.outcomes) == 49
-    total_changes = sum(outcome.stats.change_count for outcome in result.outcomes)
-    total_decisions = sum(outcome.stats.decision_count for outcome in result.outcomes)
+    assert len(result.summary.pairs) == 49
+    total_changes = sum(stats.change_count for stats in result.summary.pairs)
+    total_decisions = sum(stats.decision_count for stats in result.summary.pairs)
     assert total_changes > 0 and total_decisions > 0
     assert output_digests(config.output_dir) == SCALE_GOLDEN
     assert elapsed < 60.0, f"pipeline took {elapsed:.1f}s (budget 60s)"

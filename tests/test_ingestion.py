@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,6 @@ from archdd.ingestion import (
     PathRule,
     add_message_links,
     apply_exclusions,
-    build_impact_list,
     build_impact_lists,
     convert_name_status_log,
     load_commits,
@@ -21,9 +21,10 @@ from archdd.ingestion import (
     load_issues,
     load_path_rules,
     path_to_entity,
-    select_issues,
     serialize_commits,
 )
+
+from conftest import write_mini_project
 
 
 def issue(id, **kw):
@@ -91,9 +92,10 @@ def test_select_issues_filters():
         issue("A-3", resolved=False),
         issue("A-4", merged=False),
     ]
-    selected = select_issues(issues, "v2")
-    assert [i.id for i in selected] == ["A-1"]
-    assert select_issues(selected, "v2") == selected  # idempotent
+    impacts = build_impact_lists(issues, {}, ["v2", "v9"])
+    assert list(impacts["v2"].entries) == ["A-1"]
+    assert list(impacts["v9"].entries) == ["A-2"]
+    assert build_impact_lists(issues[:1], {}, ["v2"]) == {"v2": impacts["v2"]}  # idempotent
 
 
 def test_path_to_entity_java_default():
@@ -177,10 +179,15 @@ def commits_for(mapping):
     return {cid: CommitRecord(id=cid, paths=frozenset(paths)) for cid, paths in mapping.items()}
 
 
+def impact_list(issues, commits, **kwargs):
+    """The impact list of v2, the version ``issue`` files its records under."""
+    return build_impact_lists(issues, commits, ["v2"], **kwargs)["v2"]
+
+
 def test_build_impact_list_basic_union():
     issues = [issue("A-1", commit_ids=frozenset({"c1"}))]
     commits = commits_for({"c1": ["src/a/X.java", "src/a/Y.java"]})
-    impact = build_impact_list(issues, commits)
+    impact = impact_list(issues, commits)
     assert impact.entries == {"A-1": frozenset({"a.X", "a.Y"})}
 
 
@@ -190,7 +197,7 @@ def test_build_impact_list_shared_commit_overlap():
         issue("A-1", commit_ids=frozenset({"c1"})),
         issue("A-2", commit_ids=frozenset({"c1"})),
     ]
-    impact = build_impact_list(issues, shared)
+    impact = impact_list(issues, shared)
     assert impact.entries["A-1"] == impact.entries["A-2"] == frozenset({"a.X"})
 
 
@@ -199,7 +206,7 @@ def test_build_impact_list_empty_and_missing_commits():
         issue("A-1"),
         issue("A-2", commit_ids=frozenset({"ghost"})),
     ]
-    impact = build_impact_list(issues, {})
+    impact = impact_list(issues, {})
     assert impact.entries["A-1"] == frozenset()
     assert impact.entries["A-2"] == frozenset()
     assert impact.diagnostics.orphaned_commit_refs == [("A-2", "ghost")]
@@ -208,7 +215,7 @@ def test_build_impact_list_empty_and_missing_commits():
 def test_build_impact_list_applies_exclusions_and_counts():
     issues = [issue("A-1", commit_ids=frozenset({"c1"}))]
     commits = commits_for({"c1": ["src/a/X.java", "src/ext/jetty/S.java", "docs/readme.md"]})
-    impact = build_impact_list(issues, commits, exclusions=["ext.jetty"])
+    impact = impact_list(issues, commits, exclusions=["ext.jetty"])
     assert impact.entries["A-1"] == frozenset({"a.X"})
     assert impact.diagnostics.excluded_entity_count == 1
     assert impact.diagnostics.skipped_paths == ["docs/readme.md"]
@@ -221,12 +228,12 @@ def test_build_impact_list_link_by_message_fallback():
                            issue_keys=frozenset({"A-1", "A-2", "X-9"})),
         "c1": CommitRecord(id="c1", paths=frozenset({"src/a/Y.java"})),
     }
-    default = build_impact_list(issues, commits)
+    default = impact_list(issues, commits)
     assert default.entries == {"A-1": frozenset(), "A-2": frozenset({"a.Y"})}
     linked_issues = add_message_links(issues, commits)
     assert [i.commit_ids for i in linked_issues] == [{"c9"}, {"c1", "c9"}]
     assert issues[0].commit_ids == frozenset()  # the input records are left alone
-    linked = build_impact_list(linked_issues, commits)
+    linked = impact_list(linked_issues, commits)
     assert linked.entries == {"A-1": frozenset({"a.Z"}), "A-2": frozenset({"a.Y", "a.Z"})}
     uncited = [issue("A-3", commit_ids=frozenset({"c1"}))]
     assert add_message_links(uncited, commits)[0] is uncited[0]
@@ -344,19 +351,15 @@ def test_message_links_at_load_match_per_call_reference():
             assert list(impacts) == versions
             entries_by_version = {}
             for version in versions:
-                assert select_issues(issues, version) == selected[version]
-                per_call = build_impact_list(
-                    select_issues(source, version), commits, rules, exclusions
-                )
                 entries, orphaned, skipped, excluded = reference_impact_list(
                     selected[version], list(commits.values()), rules, exclusions,
                     link_by_message,
                 )
-                for impact in (impacts[version], per_call):
-                    assert list(impact.entries.items()) == list(entries.items())
-                    assert impact.diagnostics.orphaned_commit_refs == orphaned
-                    assert impact.diagnostics.skipped_paths == skipped
-                    assert impact.diagnostics.excluded_entity_count == excluded
+                impact = impacts[version]
+                assert list(impact.entries.items()) == list(entries.items())
+                assert impact.diagnostics.orphaned_commit_refs == orphaned
+                assert impact.diagnostics.skipped_paths == skipped
+                assert impact.diagnostics.excluded_entity_count == excluded
                 entries_by_version[version] = entries
             entries_by_mode.append(entries_by_version)
         unlinked, relinked_entries = entries_by_mode
@@ -394,8 +397,8 @@ def test_build_impact_list_monotone_in_commits():
     paths = [f"src/p{i}/C{i}.java" for i in range(10)]
     base_commits = commits_for({"c1": rng.sample(paths, 4)})
     extra_commits = base_commits | commits_for({"c2": rng.sample(paths, 4)})
-    small = build_impact_list([issue("A-1", commit_ids=frozenset({"c1"}))], base_commits)
-    large = build_impact_list(
+    small = impact_list([issue("A-1", commit_ids=frozenset({"c1"}))], base_commits)
+    large = impact_list(
         [issue("A-1", commit_ids=frozenset({"c1", "c2"}))], extra_commits
     )
     assert small.entries["A-1"] <= large.entries["A-1"]
@@ -475,6 +478,55 @@ def test_convert_name_status_log_bare_hash_style():
     assert commits[0].issue_keys == {"HDFS-12", "HDFS-34"}
     round_tripped = load_commits(serialize_commits(commits))
     assert list(round_tripped.values()) == commits
+
+
+def test_convert_name_status_log_indented_hash_opens_no_commit():
+    # git indents message lines; a revert message quoting hashes stays a message.
+    raw = (
+        "commit 6a1f2d3c4b5e6f708192a3b4c5d6e7f801920304\n"
+        "Author: someone\n"
+        "\n"
+        "    Revert APP-9 reader change\n"
+        "\n"
+        "    This reverts\n"
+        "    deadbeef\n"
+        "    commit 1234567 broke it\n"
+        "\n"
+        "M\tsrc/main/java/app/io/Reader.java\n"
+        "\n"
+        "commit 0123456789abcdef0123456789abcdef01234567\n"
+        "\n"
+        "    APP-10 follow-up\n"
+        "\n"
+        "A\tsrc/main/java/app/io/Writer.java\n"
+    )
+    commits = convert_name_status_log(raw)
+    assert [commit.id for commit in commits] == [
+        "6a1f2d3c4b5e6f708192a3b4c5d6e7f801920304",
+        "0123456789abcdef0123456789abcdef01234567",
+    ]
+    assert commits[0].paths == {"src/main/java/app/io/Reader.java"}
+    assert commits[0].issue_keys == {"APP-9"}
+    assert commits[1].paths == {"src/main/java/app/io/Writer.java"}
+    assert commits[1].issue_keys == {"APP-10"}
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_issue_side_example_builds_the_ledger_impact_list(tmp_path, monkeypatch):
+    """The README's "issue side from Python" block runs as written on the mini project."""
+    section = README.read_text(encoding="utf-8").split("### The issue side from Python\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    write_mini_project(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["impact"].entries == {
+        "APP-1": {"app.core.Cache", "app.core.Engine"},
+        "APP-2": {"app.core.Cache", "app.util.Log"},
+        "APP-3": {"app.metrics.Meter"},
+    }
 
 
 def test_default_rules_are_ordered_most_specific_first():

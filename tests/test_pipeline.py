@@ -8,58 +8,66 @@ import pytest
 
 from archdd import pipeline
 from archdd.cli import main
-from archdd.decisions import DecisionKind
 from archdd.errors import ConfigError
 from archdd.pipeline import RunConfig, run_pipeline
 
 from conftest import output_digests, run_cli_with_hash_seed, write_mini_project
 
 
+def run_pairs(config):
+    """The ``pairs`` entries of the run document the last run wrote."""
+    return json.loads((config.output_dir / "run.json").read_text(encoding="utf-8"))["pairs"]
+
+
 def test_mini_project_matches_hand_derived_ledger(mini_project):
     config = RunConfig.from_file(mini_project)
     result = run_pipeline(config)
     assert not result.failures
-    assert len(result.outcomes) == 1
-    outcome = result.outcomes[0]
+    pairs = run_pairs(config)
+    assert len(pairs) == 1
+    pair = pairs[0]
 
-    assert len(outcome.changes) == 4
+    assert len(pair["changes"]) == 4
     by_component = {
-        (c.target_component or c.source_component): c for c in outcome.changes
+        (c["target_component"] or c["source_component"]): c for c in pair["changes"]
     }
     assert set(by_component) == {"core", "io", "web", "metrics"}
-    assert by_component["metrics"].kind.value == "added"
-    assert by_component["core"].delta_entities == {"app.core.Cache"}
-    assert by_component["io"].delta_entities == {"app.util.Log"}
-    assert by_component["web"].delta_entities == {"thirdparty.jetty.Http"}
+    assert by_component["metrics"]["kind"] == "added"
+    assert by_component["metrics"]["deltas"] == [{"entity": "app.metrics.Meter", "op": "add"}]
+    assert by_component["core"]["deltas"] == [{"entity": "app.core.Cache", "op": "add"}]
+    assert by_component["io"]["deltas"] == [{"entity": "app.util.Log", "op": "add"}]
+    assert by_component["web"]["deltas"] == [{"entity": "thirdparty.jetty.Http", "op": "add"}]
+    assert {by_component[name]["kind"] for name in ("core", "io", "web")} == {"modified"}
 
-    assert outcome.impact.entries == {
-        "APP-1": frozenset({"app.core.Cache", "app.core.Engine"}),
-        "APP-2": frozenset({"app.core.Cache", "app.util.Log"}),
-        "APP-3": frozenset({"app.metrics.Meter"}),
+    assert pair["impact"]["entries"] == {
+        "APP-1": ["app.core.Cache", "app.core.Engine"],
+        "APP-2": ["app.core.Cache", "app.util.Log"],
+        "APP-3": ["app.metrics.Meter"],
     }
-    assert outcome.impact.diagnostics.excluded_entity_count == 1
-    assert outcome.impact.diagnostics.skipped_paths == ["docs/metrics.md"]
+    assert pair["impact"]["diagnostics"]["excluded_entity_count"] == 1
+    assert pair["impact"]["diagnostics"]["skipped_paths"] == ["docs/metrics.md"]
 
-    kinds = sorted(d.kind.value for d in outcome.decisions)
+    kinds = sorted(d["kind"] for d in pair["decisions"])
     assert kinds == ["crosscutting", "simple"]
-    crosscutting = next(d for d in outcome.decisions if d.kind is DecisionKind.CROSSCUTTING)
-    simple = next(d for d in outcome.decisions if d.kind is DecisionKind.SIMPLE)
-    assert crosscutting.issue_ids == {"APP-1", "APP-2"}
-    assert crosscutting.change_ids == {by_component["core"].id, by_component["io"].id}
-    assert simple.issue_ids == {"APP-3"}
-    assert simple.change_ids == {by_component["metrics"].id}
+    crosscutting = next(d for d in pair["decisions"] if d["kind"] == "crosscutting")
+    simple = next(d for d in pair["decisions"] if d["kind"] == "simple")
+    assert set(crosscutting["issue_ids"]) == {"APP-1", "APP-2"}
+    assert set(crosscutting["change_ids"]) == {by_component["core"]["id"], by_component["io"]["id"]}
+    assert simple["issue_ids"] == ["APP-3"]
+    assert simple["change_ids"] == [by_component["metrics"]["id"]]
 
-    stats = outcome.stats
-    assert stats.coverage_before_cleanup == Fraction(3, 4)
-    assert stats.coverage_after_cleanup == Fraction(1)
-    assert stats.coverage_before_cleanup < stats.coverage_after_cleanup
-    assert by_component["web"] not in outcome.clean_changes
-    assert stats.issues_in_decisions == 3
-    assert stats.avg_issues_per_decision == Fraction(3, 2)
-    assert stats.avg_changes_per_decision == Fraction(3, 2)
+    stats = pair["stats"]
+    assert Fraction(*stats["coverage_before_cleanup"]) == Fraction(3, 4)
+    assert Fraction(*stats["coverage_after_cleanup"]) == Fraction(1)
+    assert result.summary.pairs[0].coverage_before_cleanup == Fraction(3, 4)
+    assert result.summary.pairs[0].coverage_after_cleanup == Fraction(1)
+    assert pair["external_change_ids"] == [by_component["web"]["id"]]  # gone after cleanup
+    assert stats["issues_in_decisions"] == 3
+    assert Fraction(*stats["avg_issues_per_decision"]) == Fraction(3, 2)
+    assert Fraction(*stats["avg_changes_per_decision"]) == Fraction(3, 2)
 
     # entity overlap diagnostic: all 4 distinct mapped entities exist in the v2 universe
-    assert outcome.entity_overlap == (4, 4)
+    assert pair["entity_overlap"] == [4, 4]
 
 
 def test_pipeline_writes_outputs(mini_project):
@@ -81,7 +89,7 @@ def test_pipeline_reruns_byte_identical(mini_project):
     second = run_pipeline(config)
     second_bytes = (config.output_dir / "run.json").read_bytes()
     assert first_bytes == second_bytes
-    assert first.run_doc == second.run_doc
+    assert first == second
 
 
 def write_small_history(root):
@@ -135,8 +143,8 @@ def test_outputs_ignore_input_line_order(tmp_path, write_project):
     """
     config = RunConfig.from_file(write_project(tmp_path))
     result = run_pipeline(config)
-    assert result.outcomes and not result.failures
-    assert any(outcome.decisions for outcome in result.outcomes)
+    assert result.summary.pairs and not result.failures
+    assert any(stats.decision_count for stats in result.summary.pairs)
     before = output_digests(config.output_dir)
     rng = random.Random(11)
     inputs = [path for _, path in config.versions] + [config.issues_path, config.commits_path]
@@ -277,11 +285,12 @@ def test_pipeline_identical_snapshots_contribute_nothing(tmp_path):
     ]
     path = tmp_path / "config2.json"
     path.write_text(json.dumps(config_obj))
-    result = run_pipeline(RunConfig.from_file(path))
-    outcome = result.outcomes[0]
-    assert outcome.changes == frozenset()
-    assert outcome.decisions == []
-    assert outcome.stats.coverage_before_cleanup == Fraction(1)
+    config = RunConfig.from_file(path)
+    result = run_pipeline(config)
+    [pair] = run_pairs(config)
+    assert pair["changes"] == []
+    assert pair["decisions"] == []
+    assert result.summary.pairs[0].coverage_before_cleanup == Fraction(1)
 
 
 def test_pipeline_three_versions_two_pairs(tmp_path):
@@ -293,9 +302,10 @@ def test_pipeline_three_versions_two_pairs(tmp_path):
     config_obj["versions"].append({"label": "1.2.0", "snapshot": "arch-1.2.0.rsf"})
     path = tmp_path / "config3.json"
     path.write_text(json.dumps(config_obj))
-    result = run_pipeline(RunConfig.from_file(path))
-    assert len(result.outcomes) == 2
-    assert [(o.from_version, o.to_version) for o in result.outcomes] == [
+    config = RunConfig.from_file(path)
+    result = run_pipeline(config)
+    assert len(result.summary.pairs) == 2
+    assert [(p["from_version"], p["to_version"]) for p in run_pairs(config)] == [
         ("1.0.0", "1.1.0"),
         ("1.1.0", "1.2.0"),
     ]
@@ -309,10 +319,53 @@ def test_pipeline_failure_isolation(tmp_path):
     path = tmp_path / "config4.json"
     path.write_text(json.dumps(config_obj))
     result = run_pipeline(RunConfig.from_file(path))
-    assert len(result.outcomes) == 1  # the good pair still ran
+    assert len(result.summary.pairs) == 1  # the good pair still ran
     assert len(result.failures) == 1
     assert result.failures[0]["from_version"] == "1.1.0"
     assert "snapshot line 1" in result.failures[0]["error"]
+
+
+def test_nothing_a_pair_makes_outlives_it(tmp_path, monkeypatch):
+    """Each pair's changes, decisions and impact list are gone before the next
+    pair starts, and none is kept in the result."""
+    config = RunConfig.from_file(write_small_history(tmp_path))
+    build_lists = pipeline.build_impact_lists
+    analyze, find = pipeline.analyze_changes, pipeline.find_decisions
+    impact_refs = {}  # target version -> its impact list
+    pair_refs = []  # (target version, its changes and decisions), one per pair started
+
+    def alive_from_earlier_pairs():
+        gc.collect()
+        return [
+            ref for version, refs in pair_refs for ref in (impact_refs[version], *refs)
+            if ref() is not None
+        ]
+
+    def tracked_lists(*args):
+        impacts = build_lists(*args)
+        impact_refs.update((version, weakref.ref(impact)) for version, impact in impacts.items())
+        return impacts
+
+    def tracked_analyze(snap_a, snap_b):
+        assert not alive_from_earlier_pairs()
+        changes = analyze(snap_a, snap_b)
+        pair_refs.append((snap_b.version, [weakref.ref(change) for change in changes]))
+        return changes
+
+    def tracked_find(*args, **kwargs):
+        decisions = find(*args, **kwargs)
+        pair_refs[-1][1].extend(weakref.ref(decision) for decision in decisions)
+        return decisions
+
+    monkeypatch.setattr(pipeline, "build_impact_lists", tracked_lists)
+    monkeypatch.setattr(pipeline, "analyze_changes", tracked_analyze)
+    monkeypatch.setattr(pipeline, "find_decisions", tracked_find)
+    result = run_pipeline(config)
+    assert not result.failures
+    assert [version for version, _ in pair_refs] == [label for label, _ in config.versions[1:]]
+    assert sum(map(len, (refs for _, refs in pair_refs))) > 2 * len(pair_refs)
+    assert not alive_from_earlier_pairs()
+    assert len(result.summary.pairs) == len(pair_refs)  # the result is still held
 
 
 def test_streamed_chain_matches_a_baseless_parse(tmp_path, monkeypatch):
@@ -364,7 +417,8 @@ def test_streamed_chain_matches_a_baseless_parse(tmp_path, monkeypatch):
          "error": f"cannot read snapshot {missing}: [Errno 2] No such file or directory: "
                   f"'{missing}'"},
     ]
-    assert [(o.from_version, o.to_version) for o in streamed.outcomes] == [
+    pairs = run_pairs(RunConfig.from_file(path))
+    assert [(p["from_version"], p["to_version"]) for p in pairs] == [
         ("1.0.0", "1.1.0"), ("1.4.0", "1.5.0")
     ]
 
