@@ -4,6 +4,11 @@ An edge connects an issue to a change when the issue's entities intersect
 the entities the change removed or added. Each connected component of the
 edges is one decision, so orphans (degree-zero nodes) never appear; a
 decision's kind follows from its issue and change counts.
+
+Decisions grow as sets over an issue -> changes and a change -> issues index,
+so an issue and a change may share an id. Each issue not yet placed, in id
+order, starts one that takes in the changes its issues reach, then the issues
+those reach, until it stops growing: decisions come out by smallest issue id.
 """
 
 from __future__ import annotations
@@ -89,27 +94,6 @@ def build_decision_graph(
     )
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[str, str] = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def find_decisions(
     edges: frozenset[tuple[str, str]],
     version_pair: tuple[str, str],
@@ -120,18 +104,23 @@ def find_decisions(
     Output is ordered by the smallest issue id in each component so repeated
     runs list decisions identically.
     """
-    uf = _UnionFind()
+    changes_of: dict[str, set[str]] = {}
+    issues_of: dict[str, set[str]] = {}
     for issue_id, change_id_ in edges:
-        uf.add(("i", issue_id))
-        uf.add(("c", change_id_))
-        uf.union(("i", issue_id), ("c", change_id_))
-    groups: dict[tuple[str, str], tuple[set[str], set[str]]] = {}
-    for node in uf.parent:
-        root = uf.find(node)
-        issues, changes = groups.setdefault(root, (set(), set()))
-        (issues if node[0] == "i" else changes).add(node[1])
+        changes_of.setdefault(issue_id, set()).add(change_id_)
+        issues_of.setdefault(change_id_, set()).add(issue_id)
+    placed: set[str] = set()
     decisions = []
-    for issues, changes in groups.values():
+    for start in sorted(changes_of):
+        if start in placed:
+            continue
+        issues, changes, new_issues = {start}, set(), {start}
+        while new_issues:
+            new_changes = set().union(*map(changes_of.__getitem__, new_issues)) - changes
+            changes |= new_changes
+            new_issues = set().union(*map(issues_of.__getitem__, new_changes)) - issues
+            issues |= new_issues
+        placed |= issues
         issue_ids = frozenset(issues)
         change_ids = frozenset(changes)
         decisions.append(
@@ -142,7 +131,6 @@ def find_decisions(
                 tractable=len(change_ids) <= tractability_threshold,
             )
         )
-    decisions.sort(key=lambda d: min(d.issue_ids))
     return decisions
 
 

@@ -483,8 +483,11 @@ def convert_name_status_log(text: str) -> list[CommitRecord]:
     Accepts the common layouts: blocks introduced either by a ``commit
     <hash>`` line or by a bare hash line (as produced with a ``%H`` pretty
     format), followed by message lines and tab-separated name-status rows.
-    Only an unindented line can open a block, so an indented message line
-    that quotes a hash stays part of its commit's message. Rename/copy rows
+    The first header fixes the log's layout, and only unindented headers of
+    that layout open blocks, so a message line quoting a hash (indented under
+    ``commit <hash>``, unindented under a bare hash) stays in its message. One
+    case stays ambiguous: in a bare-hash log, a message line that is itself a
+    bare hash, such as ``deadbeef``, opens a block. Rename/copy rows
     contribute both the old and the new path.
     """
     commits: list[CommitRecord] = []
@@ -502,22 +505,19 @@ def convert_name_status_log(text: str) -> list[CommitRecord]:
         paths = set()
         keys = set()
 
-    bare_hash = re.compile(r"^[0-9a-f]{7,40}$")
+    # `commit <hash>` and bare-hash headers; the first one found fixes the layout.
+    headers = [re.compile(r"commit\s+([0-9a-f]{7,40})(?:\s|$)"), re.compile(r"([0-9a-f]{7,40})$")]
     name_status = re.compile(r"^([A-Z])(\d+)?\t")
-    for raw in text.splitlines():
-        line = raw.rstrip("\n")
+    for line in text.splitlines():
         stripped = line.strip()
         if not stripped:
             continue
-        if not line[0].isspace():  # message lines are indented and never open a commit
-            parts = stripped.split()
-            if len(parts) >= 2 and parts[0] == "commit" and bare_hash.match(parts[1]):
+        if not line[0].isspace():  # indented message lines never open a commit
+            opened = next(filter(None, (header.match(stripped) for header in headers)), None)
+            if opened:
+                headers = [opened.re]
                 flush()
-                current_id = parts[1]
-                continue
-            if bare_hash.match(stripped):
-                flush()
-                current_id = stripped
+                current_id = opened[1]
                 continue
         if current_id is None:
             continue

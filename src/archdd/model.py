@@ -10,6 +10,8 @@ Blank lines and lines whose first field starts with ``#`` are ignored.
 Duplicate identical records are tolerated (set semantics), but an entity
 listed under two different components is a hard error because the
 downstream matching cost assumes components partition the entity set.
+A snapshot checks that with the union of its components' entity sets, and
+keeps that union as its ``entities``.
 
 Consecutive versions share most of their lines, so a text is read as a diff
 against the snapshot of the version before it: only the lines the two texts
@@ -77,6 +79,8 @@ class ArchitectureSnapshot:
 
     version: str
     components: tuple[Component, ...]
+    # The union of the components' entity sets, built once by the partition check.
+    entities: frozenset[str] = field(init=False, repr=False, compare=False)
     # The distinct lines of the text this snapshot was parsed from, kept only
     # when it can serve as the next version's diff base (see parse_snapshot).
     _lines: frozenset[str] | None = field(default=None, init=False, repr=False, compare=False)
@@ -97,22 +101,19 @@ class ArchitectureSnapshot:
                     f"component {component.name!r} in snapshot {self.version!r} is empty; "
                     "only balancing dummies may be empty"
                 )
-        conflict = shared_entity(self.components)
-        if conflict is not None:
-            raise PartitionViolation(*conflict)
+        entities = frozenset().union(*(component.entities for component in self.components))
+        if len(entities) != sum(len(component.entities) for component in self.components):
+            raise PartitionViolation(*shared_entity(self.components))
+        object.__setattr__(self, "entities", entities)
 
 
 def shared_entity(components: Sequence[Component]) -> tuple[str, str, str] | None:
     """An entity two of ``components`` share, with both owners; None for a partition.
 
-    Comparing the union's size with the summed sizes settles the common case
-    without an owner map. Only when they differ are the owners walked:
-    components in the order given, each one's entities in sorted order, so
-    the conflict named never depends on set iteration order.
+    Walks components in the order given, each one's entities in sorted order,
+    so the conflict named never depends on set iteration order. Snapshots
+    call it only once the union's size has shown that a conflict exists.
     """
-    total = sum(len(component.entities) for component in components)
-    if len(frozenset().union(*(component.entities for component in components))) == total:
-        return None
     owner: dict[str, str] = {}
     for component in components:
         for entity in sorted(component.entities):
@@ -171,7 +172,7 @@ def parse_snapshot(
     else:
         # A base's distinct record lines number as many as its entities.
         components = base.components
-        record_lines = sum(len(component.entities) for component in components)
+        record_lines = len(base.entities)
 
     removed, removed_lines, _ = _group_records(base_lines - line_set)
     added, added_lines, malformed = _group_records(line_set - base_lines)
@@ -194,7 +195,7 @@ def parse_snapshot(
     snapshot = ArchitectureSnapshot(version, tuple(by_name[name] for name in sorted(by_name)))
     # Distinct record lines name distinct records exactly when they number
     # as many as the entities; only then can this snapshot be a diff base.
-    if record_lines == sum(len(component.entities) for component in snapshot.components):
+    if record_lines == len(snapshot.entities):
         object.__setattr__(snapshot, "_lines", line_set)
     return snapshot
 
@@ -210,8 +211,8 @@ def serialize_snapshot(snapshot: ArchitectureSnapshot) -> str:
 
 
 def entity_universe(snapshot: ArchitectureSnapshot) -> frozenset[str]:
-    """Union of all component entity sets."""
-    return frozenset().union(*(component.entities for component in snapshot.components))
+    """Union of all component entity sets, as the snapshot built it."""
+    return snapshot.entities
 
 
 class ChangeKind(str, Enum):

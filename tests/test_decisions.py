@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from archdd.decisions import (
+    DEFAULT_TRACTABILITY_THRESHOLD,
     Decision,
     DecisionKind,
     build_decision_graph,
     classify,
+    decision_id,
     drop_external_changes,
     find_decisions,
     is_external_change,
@@ -249,6 +253,99 @@ def test_connected_components_match_reachability_oracle():
             for d in decisions
         }
         assert got == reachability_partition(edges, issues, changes)
+
+
+def union_find_decisions(
+    edges, version_pair, tractability_threshold=DEFAULT_TRACTABILITY_THRESHOLD
+):
+    """Reference: the union-find ``find_decisions`` that set growth replaced.
+
+    Issues and changes are kept apart by ``("i", id)`` and ``("c", id)``
+    tags, and the components are grouped by root and then sorted.
+    """
+    parent = {}
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for issue_id, change_id_ in edges:
+        parent.setdefault(("i", issue_id), ("i", issue_id))
+        parent.setdefault(("c", change_id_), ("c", change_id_))
+        ra, rb = find(("i", issue_id)), find(("c", change_id_))
+        if ra != rb:
+            parent[ra] = rb
+    groups = {}
+    for node in parent:
+        issues, changes = groups.setdefault(find(node), (set(), set()))
+        (issues if node[0] == "i" else changes).add(node[1])
+    decisions = []
+    for issues, changes in groups.values():
+        issue_ids = frozenset(issues)
+        change_ids = frozenset(changes)
+        decisions.append(
+            Decision(
+                id=decision_id(issue_ids, change_ids, version_pair),
+                issue_ids=issue_ids,
+                change_ids=change_ids,
+                tractable=len(change_ids) <= tractability_threshold,
+            )
+        )
+    decisions.sort(key=lambda d: min(d.issue_ids))
+    return decisions
+
+
+# Issue and change ids come from one pool, so an issue "x" and a change "x"
+# are drawn often; the two must stay different nodes.
+SHARED_IDS = st.sampled_from(["x", "y", "z", "a", "b", "c", "i1", "c1"])
+
+
+def star(centre, leaves, issue_centre):
+    return [(centre, leaf) if issue_centre else (leaf, centre) for leaf in leaves]
+
+
+def chain(labels):
+    """Alternating path issue 0 - change 0 - issue 1 - change 1 - ... over ``labels``."""
+    return [(labels[k + dk], labels[k]) for k in range(len(labels) - 1) for dk in (0, 1)]
+
+
+@st.composite
+def edge_lists(draw):
+    """Edges as a list, unions of random pairs, stars and alternating chains,
+    with repeats, before they are made a frozenset."""
+    edges = []
+    for shape in draw(st.lists(st.sampled_from(["pairs", "star", "chain"]), max_size=4)):
+        if shape == "pairs":
+            edges += draw(st.lists(st.tuples(SHARED_IDS, SHARED_IDS), max_size=12))
+        elif shape == "star":
+            leaves = draw(st.lists(SHARED_IDS | st.text("pq", min_size=1, max_size=3), max_size=9))
+            edges += star(draw(SHARED_IDS), leaves, draw(st.booleans()))
+        else:
+            # Several thousand nodes; the same labels name both the issues and
+            # the changes, and a shuffle lets id order cut across the path.
+            labels = [str(k) for k in range(draw(st.integers(2, 3000)))]
+            draw(st.randoms(use_true_random=False)).shuffle(labels)
+            edges += chain(labels)
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []
+    return edges + repeats
+
+
+@settings(max_examples=100, deadline=None)
+@given(edges=edge_lists(), threshold=st.integers(0, 6))
+@example(edges=[("x", "x")], threshold=5)
+@example(edges=[("x", "y"), ("y", "x")], threshold=5)  # two decisions, not one cycle
+@example(edges=chain([str(k) for k in range(4000)]), threshold=5)
+@example(edges=star("hub", [f"c{k}" for k in range(50)], True) * 2, threshold=5)
+def test_find_decisions_matches_union_find_reference(edges, threshold):
+    got = find_decisions(frozenset(edges), PAIR, tractability_threshold=threshold)
+    want = union_find_decisions(frozenset(edges), PAIR, tractability_threshold=threshold)
+    assert [(d.id, d.issue_ids, d.change_ids, d.tractable) for d in got] == [
+        (d.id, d.issue_ids, d.change_ids, d.tractable) for d in want
+    ]
 
 
 def test_coverage_monotone_in_edges():

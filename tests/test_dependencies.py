@@ -4,9 +4,14 @@ Nor does archdd flip a process-wide interpreter switch: a speed-up comes
 from doing less work, not from turning the garbage collector off. And pairs
 run serially: no process pool, thread or fork, until one measures at least
 1.5x on two cores (see ROADMAP's standing policies).
+
+And every name the bench's tracer wraps still exists, so a refactor that
+drops one fails here instead of only as a lost per-layer bench metric.
 """
 
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -114,3 +119,21 @@ def test_pairs_run_serially():
         for name in concurrency(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     )
     assert found == []
+
+
+TRACE_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "trace_run.py"
+# Spans whose functions are gone: build_impact_lists replaced both. Shrink
+# this list when the tracer stops wrapping them.
+ALLOWED_MISSING_SPANS = ["ingestion.build_impact_list", "ingestion.select_issues"]
+
+
+def test_every_traced_name_exists():
+    spec = importlib.util.spec_from_file_location("trace_run", TRACE_RUN)
+    trace_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_run)
+    missing = sorted(
+        span
+        for module, attribute, span in trace_run.WRAP_TARGETS
+        if not hasattr(importlib.import_module(module), attribute)
+    )
+    assert missing == ALLOWED_MISSING_SPANS

@@ -511,6 +511,22 @@ def test_convert_name_status_log_indented_hash_opens_no_commit():
     assert commits[1].issue_keys == {"APP-10"}
 
 
+def test_convert_name_status_log_bare_hash_log_keeps_commit_lines_in_messages():
+    # Under a bare hash (``%H`` then ``%B``) message lines are not indented,
+    # so only a bare hash may open a commit once the first header was one.
+    raw = (
+        "9f8e7d6c5b4a39281706f5e4d3c2b1a098765432\n"
+        "Revert APP-9\n"
+        "commit 1234567 broke it\n"
+        "M\tsrc/a/X.java\n"
+    )
+    commits = convert_name_status_log(raw)
+    assert len(commits) == 1
+    assert commits[0].id == "9f8e7d6c5b4a39281706f5e4d3c2b1a098765432"
+    assert commits[0].paths == {"src/a/X.java"}
+    assert commits[0].issue_keys == {"APP-9"}
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -64,6 +64,25 @@ def test_entity_universe_examples():
     assert entity_universe(snap("v", {"C1": "a"})) == {"a"}
 
 
+def test_snapshot_builds_its_entity_set_once():
+    base = parse_snapshot("contain C1 a\ncontain C1 b\ncontain C2 c\n", "v1")
+    snapshots = [
+        base,
+        parse_snapshot("contain C1 a\ncontain C2 c\ncontain C3 d\n", "v2", base),
+        ArchitectureSnapshot(
+            "v3", (Component("B1", frozenset({"x", "y"})), Component("B2", frozenset({"z"})))
+        ),
+    ]
+    for snapshot in snapshots:
+        assert entity_universe(snapshot) is entity_universe(snapshot)
+        assert entity_universe(snapshot) == frozenset().union(
+            *(c.entities for c in snapshot.components)
+        )
+    assert [sorted(entity_universe(s)) for s in snapshots] == [
+        ["a", "b", "c"], ["a", "c", "d"], ["x", "y", "z"],
+    ]
+
+
 def test_universe_cardinality_is_sum_of_component_sizes():
     rng = random.Random(11)
     pool = [f"e{i:02d}" for i in range(40)]
