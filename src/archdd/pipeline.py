@@ -9,9 +9,12 @@ extract decisions. So at most the pair's two snapshots and the diff base
 are held at once. A finished pair leaves behind only its summary row, its
 ``run.json`` entry and its rendered ``decisions.txt`` cards; its change
 sets, impact list and decisions are not kept.
-A failing pair is reported and skipped; a snapshot that fails to read or
-parse fails both pairs it belongs to, and the remaining pairs still run
-(strict mode turns any failure into a nonzero exit at the CLI).
+A config names at least two versions. A pair fails only when one of its
+snapshots cannot be read or parsed, so a bad snapshot fails both of its
+pairs; each failure is reported with the first bad snapshot's error, and
+the other pairs still run (strict mode turns any failure into a nonzero
+exit at the CLI). An invariant violation is a bug, not bad input: it stops
+the run before any output is written.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .decisions import (
     drop_external_changes,
     find_decisions,
 )
-from .errors import ArchddError, ConfigError, InputError
+from .errors import ConfigError, InputError
 from .ingestion import (
     ArchitecturalImpactList,
     DEFAULT_PATH_RULES,
@@ -108,6 +111,8 @@ class RunConfig:
         link_by_message = obj.get("link_by_message", False)
         if not isinstance(link_by_message, bool):
             raise ConfigError("link_by_message must be true or false")
+        if len(versions) < 2:
+            raise ConfigError("config needs at least two versions")
         return cls(
             versions=versions,
             issues_path=base_dir / obj["issues"],
@@ -162,59 +167,47 @@ def load_issue_side(issues_path, commits_path, rules_path, exclusions_path, link
 
 
 def _run_pair(
-    snap_a: ArchitectureSnapshot | ArchddError,
-    snap_b: ArchitectureSnapshot | ArchddError,
+    snap_a: ArchitectureSnapshot,
+    snap_b: ArchitectureSnapshot,
     impact: ArchitecturalImpactList,
     exclusions,
     threshold: int,
     issues_by_id: dict,
-) -> tuple[report.PairStats, dict, str] | ArchddError:
+) -> tuple[report.PairStats, dict, str]:
     """Analyze one version pair and return what it leaves behind: its
     summary row, its ``run.json`` entry and its ``decisions.txt`` cards.
-
-    A snapshot that failed, or an error the analysis raised, is returned
-    instead. Rendering runs outside the ``try``, so an error there
-    propagates rather than failing the pair.
     """
-    for snapshot in (snap_a, snap_b):
-        if isinstance(snapshot, ArchddError):
-            return snapshot
     pair = (snap_a.version, snap_b.version)
-    try:
-        changes = analyze_changes(snap_a, snap_b)
-        edges = build_decision_graph(impact, changes)
-        decisions = find_decisions(edges, pair, tractability_threshold=threshold)
-        clean_changes = drop_external_changes(changes, exclusions)
-        stats = report.build_pair_stats(*pair, changes, clean_changes, decisions)
-        mapped = set().union(*impact.entries.values())
-        overlap = [len(mapped & entity_universe(snap_b)), len(mapped)]
-    except ArchddError as exc:
-        return exc
-    else:
-        entry = {
-            "from_version": pair[0],
-            "to_version": pair[1],
-            "matching_cost": matching_cost(changes),
-            "changes": [report.change_to_obj(c, pair) for c in report.sort_changes(changes)],
-            "external_change_ids": sorted(c.id for c in changes if c not in clean_changes),
-            "impact": report.impact_to_obj(impact, pair),
-            "decisions": [report.decision_to_obj(d, pair) for d in decisions],
-            "entity_overlap": overlap,
-            "stats": report.stats_to_obj(stats),
-        }
-        changes_by_id = {change.id: change for change in changes}
-        cards = [f"== {pair[0]} -> {pair[1]}"]
-        if not decisions:
-            cards.append("(no decisions)")
-        for decision in decisions:
-            cards.append(report.render_decision(decision, pair, issues_by_id, changes_by_id))
-        cards.append("")
-        return stats, entry, "\n".join(cards)
+    changes = analyze_changes(snap_a, snap_b)
+    edges = build_decision_graph(impact, changes)
+    decisions = find_decisions(edges, pair, tractability_threshold=threshold)
+    clean_changes = drop_external_changes(changes, exclusions)
+    stats = report.build_pair_stats(*pair, changes, clean_changes, decisions)
+    mapped = set().union(*impact.entries.values())
+    entry = {
+        "from_version": pair[0],
+        "to_version": pair[1],
+        "matching_cost": matching_cost(changes),
+        "changes": [report.change_to_obj(c, pair) for c in report.sort_changes(changes)],
+        "external_change_ids": sorted(c.id for c in changes if c not in clean_changes),
+        "impact": report.impact_to_obj(impact, pair),
+        "decisions": [report.decision_to_obj(d, pair) for d in decisions],
+        "entity_overlap": [len(mapped & entity_universe(snap_b)), len(mapped)],
+        "stats": report.stats_to_obj(stats),
+    }
+    changes_by_id = {change.id: change for change in changes}
+    cards = [f"== {pair[0]} -> {pair[1]}"]
+    if not decisions:
+        cards.append("(no decisions)")
+    for decision in decisions:
+        cards.append(report.render_decision(decision, pair, issues_by_id, changes_by_id))
+    cards.append("")
+    return stats, entry, "\n".join(cards)
 
 
 def _read_snapshots(
     versions: list[tuple[str, Path]],
-) -> Iterator[tuple[str, ArchitectureSnapshot | ArchddError]]:
+) -> Iterator[tuple[str, ArchitectureSnapshot | InputError]]:
     """Yield each version's label with its snapshot, or the error that kept
     it from being read or parsed. Each snapshot is parsed as a diff against
     the last one that parsed cleanly.
@@ -223,7 +216,7 @@ def _read_snapshots(
     for label, path in versions:
         try:
             snapshot = base = parse_snapshot(read_input(path, "snapshot"), label, base=base)
-        except ArchddError as exc:
+        except InputError as exc:
             snapshot = exc
         yield label, snapshot
 
@@ -247,14 +240,16 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     snapshots = _read_snapshots(config.versions)
     from_label, snap_a = next(snapshots)
     for to_label, snap_b in snapshots:
-        done = _run_pair(
-            snap_a, snap_b, impacts.pop(to_label), exclusions, config.tractability_threshold,
-            issues_by_id,
-        )
-        if isinstance(done, ArchddError):
-            failures.append(_failure((from_label, to_label), done))
+        impact = impacts.pop(to_label)
+        errors = [s for s in (snap_a, snap_b) if isinstance(s, InputError)]
+        if errors:
+            failures.append(
+                {"from_version": from_label, "to_version": to_label, "error": str(errors[0])}
+            )
         else:
-            stats, entry, pair_cards = done
+            stats, entry, pair_cards = _run_pair(
+                snap_a, snap_b, impact, exclusions, config.tractability_threshold, issues_by_id
+            )
             rows.append(stats)
             pairs.append(entry)
             cards.append(pair_cards)
@@ -273,10 +268,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     }
     written = _write_outputs(config.output_dir, document, "\n".join(cards), summary, failures)
     return PipelineResult(summary=summary, failures=failures, written=written)
-
-
-def _failure(pair: tuple[str, str], exc: ArchddError) -> dict:
-    return {"from_version": pair[0], "to_version": pair[1], "error": str(exc)}
 
 
 def _write_outputs(

@@ -390,6 +390,15 @@ def _structured_docs(tmp_path, capsys):
     return changes_path, impact_path
 
 
+def test_extract_decisions_rejects_a_zero_threshold(tmp_path, capsys):
+    changes_path, impact_path = _structured_docs(tmp_path, capsys)
+    code, out, err = run(
+        capsys, "extract-decisions", "--changes", str(changes_path), "--impact", str(impact_path),
+        "--tractability-threshold", "0",
+    )
+    assert (code, out, err) == (1, "", "error: tractability threshold must be positive\n")
+
+
 def assert_one_line_input_error(code, err, what):
     assert code == 1
     assert "Traceback" not in err

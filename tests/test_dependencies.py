@@ -5,6 +5,9 @@ from doing less work, not from turning the garbage collector off. And pairs
 run serially: no process pool, thread or fork, until one measures at least
 1.5x on two cores (see ROADMAP's standing policies).
 
+Nor does it catch errors by their base classes outside ``cli.main``: a pair
+fails only on bad input, and an internal fault reaches the CLI as exit 2.
+
 And every name the bench's tracer wraps still exists, so a refactor that
 drops one fails here instead of only as a lost per-layer bench metric.
 """
@@ -119,6 +122,56 @@ def test_pairs_run_serially():
         for name in concurrency(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     )
     assert found == []
+
+
+BROAD_ERRORS = {"ArchddError", "Exception", "BaseException"}
+
+
+def broad_handlers(tree):
+    """The enclosing function of each bare ``except`` and each one naming a
+    class in BROAD_ERRORS, by any alias or attribute."""
+    broad = BROAD_ERRORS | {
+        alias.asname
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name in BROAD_ERRORS and alias.asname
+    }
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler):
+                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any(c is None or getattr(c, "id", getattr(c, "attr", None)) in broad
+                       for c in caught):
+                    yield scope
+            functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+            yield from walk(child, child.name if isinstance(child, functions) else scope)
+
+    return walk(tree, "<module>")
+
+
+def test_broad_handler_finder_sees_every_spelling():
+    source = (
+        "from .errors import ArchddError as E, InvariantViolation\n"
+        "from . import errors\n"
+        "try: pass\nexcept: pass\n"
+        "def f():\n"
+        "    try: pass\n    except (ValueError, errors.ArchddError): pass\n"
+        "    def g():\n"
+        "        try: pass\n        except E: pass\n"
+        "        try: pass\n        except BaseException as exc: pass\n"
+        "    try: pass\n    except Exception: pass\n"
+        "    try: pass\n    except (KeyError, InvariantViolation): pass\n"
+    )
+    assert list(broad_handlers(ast.parse(source))) == ["<module>", "f", "g", "g", "f"]
+
+
+def test_only_the_cli_catches_errors_by_their_base_classes():
+    found = sorted(
+        f"{path.relative_to(PACKAGE)}: {scope}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for scope in broad_handlers(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    )
+    assert found == ["cli.py: main"]
 
 
 TRACE_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "trace_run.py"

@@ -527,6 +527,14 @@ def test_convert_name_status_log_bare_hash_log_keeps_commit_lines_in_messages():
     assert commits[0].issue_keys == {"APP-9"}
 
 
+def test_convert_name_status_log_skips_lines_before_the_first_header():
+    raw = "M\tsrc/early/A.java\nAPP-1 stray note\ncommit 6a1f2d3\nM\tsrc/b/B.java\n"
+    [commit] = convert_name_status_log(raw)
+    assert commit.id == "6a1f2d3"
+    assert commit.paths == {"src/b/B.java"}
+    assert commit.issue_keys == set()
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -118,6 +118,10 @@ def test_name_validation():
             Component(f"c{space}d", frozenset({"a"}))
         with pytest.raises(InvariantViolation, match="whitespace"):
             Component("c", frozenset({f"a{space}"}))
+    with pytest.raises(InvariantViolation, match="^entity name must be a non-empty string$"):
+        Component("c", frozenset({1}))
+    with pytest.raises(InvariantViolation, match="version label"):
+        ArchitectureSnapshot("", ())
 
 
 def test_snapshot_rejects_duplicate_component_names():

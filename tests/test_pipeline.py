@@ -8,7 +8,7 @@ import pytest
 
 from archdd import pipeline
 from archdd.cli import main
-from archdd.errors import ConfigError
+from archdd.errors import ConfigError, InvariantViolation
 from archdd.pipeline import RunConfig, run_pipeline
 
 from conftest import output_digests, run_cli_with_hash_seed, write_mini_project
@@ -325,6 +325,21 @@ def test_pipeline_failure_isolation(tmp_path):
     assert "snapshot line 1" in result.failures[0]["error"]
 
 
+@pytest.mark.parametrize("stage", ["parse_snapshot", "find_decisions"])
+def test_invariant_violation_stops_the_run_with_exit_2(tmp_path, capsys, monkeypatch, stage):
+    # A broken internal contract is a bug, not a failed pair: one line, and no outputs.
+    config_path = write_mini_project(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise InvariantViolation(f"{stage} broke")
+
+    monkeypatch.setattr(pipeline, stage, broken)
+    code = main(["pipeline", "--config", str(config_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"internal error: {stage} broke\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_nothing_a_pair_makes_outlives_it(tmp_path, monkeypatch):
     """Each pair's changes, decisions and impact list are gone before the next
     pair starts, and none is kept in the result."""
@@ -487,3 +502,16 @@ def test_config_rejects_empty_paths(tmp_path, field):
     target[field] = ""
     with pytest.raises(ConfigError, match=f"^(config|version) `{field}` must not be empty$"):
         RunConfig.from_obj(obj, base_dir=tmp_path)
+
+
+def test_config_needs_two_versions(tmp_path, capsys):
+    # One version makes no pair, so its snapshot would never be read.
+    config_path = write_mini_project(tmp_path)
+    config_obj = json.loads(config_path.read_text())
+    config_obj["versions"] = [{"label": "1.0.0", "snapshot": "missing.rsf"}]
+    config_path.write_text(json.dumps(config_obj))
+    code = main(["pipeline", "--config", str(config_path), "--strict"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: config needs at least two versions\n"
+    assert not (tmp_path / "out").exists()

@@ -10,6 +10,7 @@ from archdd import report
 from archdd.changes import analyze_changes
 from archdd.decisions import Decision, DecisionKind, decision_id
 from archdd.ingestion import ArchitecturalImpactList, ImpactDiagnostics, IssueRecord
+from archdd.model import new_change
 from archdd.report import (
     PairStats,
     build_pair_stats,
@@ -229,3 +230,8 @@ def test_summary_round_trip_and_tables():
 @pytest.mark.parametrize("module", [archdd, report], ids=lambda module: module.__name__)
 def test_every_exported_name_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_change_label_names_both_components_of_a_renamed_match():
+    change = new_change("a", "b", frozenset({"x"}), frozenset({"y"}), ("v1", "v2"))
+    assert report.change_label(change) == "a -> b modified (+1/-1 entities)"
