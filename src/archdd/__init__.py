@@ -40,7 +40,6 @@ from .model import (
     Component,
     entity_universe,
     parse_snapshot,
-    serialize_snapshot,
 )
 from .pipeline import RunConfig, run_pipeline
 
@@ -74,7 +73,6 @@ __all__ = [
     "min_cost_matching",
     "parse_snapshot",
     "path_to_entity",
-    "serialize_snapshot",
     "run_pipeline",
     "__version__",
 ]

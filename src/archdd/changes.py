@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
+from itertools import count, islice
 
 from . import kernel
 from .model import ArchitectureSnapshot, ArchitecturalChange, Component, new_change
@@ -47,21 +48,10 @@ def balance(
     a = list(components_a)
     b = list(components_b)
     taken = {c.name for c in a} | {c.name for c in b}
-    counter = 0
-
-    def next_dummy() -> Component:
-        nonlocal counter
-        while True:
-            name = f"{DUMMY_PREFIX}{counter}"
-            counter += 1
-            if name not in taken:
-                taken.add(name)
-                return Component(name, frozenset())
-
-    while len(a) < len(b):
-        a.append(next_dummy())
-    while len(b) < len(a):
-        b.append(next_dummy())
+    names = (f"{DUMMY_PREFIX}{k}" for k in count())
+    dummies = (Component(name, frozenset()) for name in names if name not in taken)
+    shorter = a if len(a) < len(b) else b
+    shorter.extend(islice(dummies, abs(len(a) - len(b))))
     return a, b
 
 

@@ -13,13 +13,12 @@ those reach, until it stops growing: decisions come out by smallest issue id.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvariantViolation
 from .ingestion import ArchitecturalImpactList, apply_exclusions
-from .model import ArchitecturalChange
+from .model import ArchitecturalChange, content_id
 
 DEFAULT_TRACTABILITY_THRESHOLD = 5
 
@@ -70,8 +69,7 @@ def decision_id(
     parts = list(version_pair)
     parts.extend(sorted(issue_ids))
     parts.extend(sorted(change_ids))
-    digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
-    return "d:" + digest[:12]
+    return content_id("d:", parts)
 
 
 def build_decision_graph(

@@ -12,13 +12,15 @@ Input formats (all UTF-8):
   ``{match, strip_prefix, strip_suffix, separator_replacement}``.
 
 JSON Lines are read one line at a time, blank lines skipped, so every
-error names its line. Each stripped line is decoded by the stock C scanner
-with no hook, and its dict is kept when a guard proves the checked
-``decode_json`` would return the same one: the object spans the line, a
-count of its colons leaves no room for a repeated key or a nested member,
-and it has no ``\\ud`` or ``\\uD`` escape (no surrogate). A colon, a brace
-or another ``\\u`` escape inside a string does not by itself send a line
-to the checked decoder. Only lines that fail the guard or the scanner
+error names its line. A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only,
+which JSON forbids raw inside a string; U+2028, U+2029 and U+0085, which
+it allows there, do not end a line. Each stripped line is decoded by the
+stock C scanner with no hook, and its dict is kept when a guard proves the
+checked ``decode_json`` would return the same one: the object spans the
+line, a count of its colons leaves no room for a repeated key or a nested
+member, and it has no ``\\ud`` or ``\\uD`` escape (no surrogate). A colon,
+a brace or another ``\\u`` escape inside a string does not by itself send
+a line to the checked decoder. Only lines that fail the guard or the scanner
 reach ``decode_json``, which keeps the repeated-key, surrogate, digit-limit
 and nesting checks and raises the same line-numbered error as before. Each
 record's fields are then checked in order with exact type tests, the first
@@ -199,7 +201,11 @@ def _objects(text: str):
     are not scanned. Every other line goes through ``decode_json``, which
     returns the same dict or raises the line-numbered error.
     """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    # Not splitlines: it also breaks at U+2028, U+2029 and U+0085, which JSON
+    # allows raw inside a string.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()  # strip removes every JSON whitespace character
         if not line:
             continue
@@ -279,7 +285,7 @@ def load_issues(text: str) -> list[IssueRecord]:
         summary = get("summary")
         if type(summary) is not str:
             if summary is not None:
-                raise RecordParseError(lineno, "field 'summary' must be a non-empty string")
+                raise RecordParseError(lineno, "field 'summary' must be a string")
             summary = ""
         resolved = get("resolved", False)
         if type(resolved) is not bool:
@@ -490,21 +496,7 @@ def convert_name_status_log(text: str) -> list[CommitRecord]:
     bare hash, such as ``deadbeef``, opens a block. Rename/copy rows
     contribute both the old and the new path.
     """
-    commits: list[CommitRecord] = []
-    current_id: str | None = None
-    paths: set[str] = set()
-    keys: set[str] = set()
-
-    def flush():
-        nonlocal current_id, paths, keys
-        if current_id is not None:
-            commits.append(
-                CommitRecord(id=current_id, paths=frozenset(paths), issue_keys=frozenset(keys))
-            )
-        current_id = None
-        paths = set()
-        keys = set()
-
+    blocks: list[tuple[str, set[str], set[str]]] = []  # (id, paths, issue keys)
     # `commit <hash>` and bare-hash headers; the first one found fixes the layout.
     headers = [re.compile(r"commit\s+([0-9a-f]{7,40})(?:\s|$)"), re.compile(r"([0-9a-f]{7,40})$")]
     name_status = re.compile(r"^([A-Z])(\d+)?\t")
@@ -516,19 +508,16 @@ def convert_name_status_log(text: str) -> list[CommitRecord]:
             opened = next(filter(None, (header.match(stripped) for header in headers)), None)
             if opened:
                 headers = [opened.re]
-                flush()
-                current_id = opened[1]
+                blocks.append((opened[1], set(), set()))
                 continue
-        if current_id is None:
+        if not blocks:
             continue
-        match = name_status.match(line)
-        if match:
-            fields = line.split("\t")
-            paths.update(part for part in fields[1:] if part)
+        _, paths, keys = blocks[-1]
+        if name_status.match(line):
+            paths.update(part for part in line.split("\t")[1:] if part)
         else:
             keys.update(ISSUE_KEY_RE.findall(line))
-    flush()
-    return commits
+    return [CommitRecord(commit_id, paths, keys) for commit_id, paths, keys in blocks]
 
 
 def serialize_commits(commits: list[CommitRecord]) -> str:

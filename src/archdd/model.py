@@ -200,16 +200,6 @@ def parse_snapshot(
     return snapshot
 
 
-def serialize_snapshot(snapshot: ArchitectureSnapshot) -> str:
-    """Render a snapshot back to the line format (sorted, canonical)."""
-    lines = sorted(
-        f"contain {component.name} {entity}"
-        for component in snapshot.components
-        for entity in component.entities
-    )
-    return "".join(line + "\n" for line in lines)
-
-
 def entity_universe(snapshot: ArchitectureSnapshot) -> frozenset[str]:
     """Union of all component entity sets, as the snapshot built it."""
     return snapshot.entities
@@ -267,6 +257,12 @@ class ArchitecturalChange:
         return self.removed | self.added
 
 
+def content_id(prefix: str, parts: list[str]) -> str:
+    """``prefix`` and the first 12 hex digits of the SHA-256 of ``parts``
+    joined by the unit separator: the one id scheme for changes and decisions."""
+    return prefix + hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()[:12]
+
+
 def change_id(
     source: str | None,
     target: str | None,
@@ -278,8 +274,7 @@ def change_id(
     kind = _change_kind(source, target)
     parts = [kind.value, source or "", target or "", version_pair[0], version_pair[1]]
     parts.extend(sorted([f"remove:{e}" for e in removed] + [f"add:{e}" for e in added]))
-    digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
-    return "ch:" + digest[:12]
+    return content_id("ch:", parts)
 
 
 def new_change(

@@ -65,7 +65,7 @@ class RunConfig:
         path = Path(path)
         try:
             text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # a NUL byte in the path, undecodable bytes
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         obj = decode_json(text, lambda msg: ConfigError(f"invalid config {path}: {msg}"))
         return cls.from_obj(obj, base_dir=path.parent)

@@ -422,6 +422,27 @@ def test_report_rejects_malformed_run_documents(tmp_path, capsys):
             assert_one_line_input_error(code, err, "run")
 
 
+def test_report_rejects_a_document_that_is_not_an_object(tmp_path, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1]")
+    code, out, err = run(capsys, "report", "--in", str(listed), "--out", "summary")
+    assert (code, out, err) == (1, "", "error: document must be a JSON object\n")
+
+
+def test_an_out_path_in_a_missing_directory_is_a_one_line_error(tmp_path, capsys):
+    write_mini_project(tmp_path)
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(
+        capsys, "analyze-changes",
+        "--arch-a", str(tmp_path / "arch-1.0.0.rsf"),
+        "--arch-b", str(tmp_path / "arch-1.1.0.rsf"),
+        "--out", str(target),
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+    assert not target.parent.exists()
+
+
 def test_extract_decisions_rejects_malformed_documents(tmp_path, capsys):
     changes_path, impact_path = _structured_docs(tmp_path, capsys)
     changes_doc = json.loads(changes_path.read_text())

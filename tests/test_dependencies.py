@@ -8,6 +8,9 @@ run serially: no process pool, thread or fork, until one measures at least
 Nor does it catch errors by their base classes outside ``cli.main``: a pair
 fails only on bad input, and an internal fault reaches the CLI as exit 2.
 
+And content ids come from one place: only ``model.py`` imports ``hashlib``,
+so a change id and a decision id cannot drift to different schemes.
+
 And every name the bench's tracer wraps still exists, so a refactor that
 drops one fails here instead of only as a lost per-layer bench metric.
 """
@@ -41,6 +44,15 @@ def test_runtime_imports_are_stdlib_or_click():
         if root not in ALLOWED
     )
     assert outside == []
+
+
+def test_only_the_model_hashes():
+    importers = sorted(
+        str(path.relative_to(PACKAGE))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if "hashlib" in imported_roots(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    )
+    assert importers == ["model.py"]
 
 
 GLOBAL_SWITCHES = {

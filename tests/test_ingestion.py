@@ -85,6 +85,27 @@ def test_load_issues_type_errors():
         load_issues('[1, 2]')
 
 
+def test_load_issues_summary_must_be_a_string():
+    records = load_issues('{"id": "A-1", "summary": ""}\n{"id": "A-2", "summary": null}')
+    assert [record.summary for record in records] == ["", ""]
+    with pytest.raises(RecordParseError) as excinfo:
+        load_issues('{"id": "A-1", "summary": 5}')
+    assert str(excinfo.value) == "record line 1: field 'summary' must be a string"
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+def test_jsonl_lines_end_only_where_json_forbids_a_raw_line_end(char):
+    # JSON allows these raw in a string; str.splitlines would break a record there.
+    issue_line = json.dumps({"id": "A-1", "summary": f"x{char}y"}, ensure_ascii=False)
+    commit_line = json.dumps({"id": "c1", "paths": [f"a{char}b"]}, ensure_ascii=False)
+    assert [r.summary for r in load_issues(issue_line + "\n")] == [f"x{char}y"]
+    assert load_commits(commit_line)["c1"].paths == {f"a{char}b"}
+    text = issue_line + "\r\n" + json.dumps({"id": "A-2"}) + "\r" + "not json\n"
+    with pytest.raises(RecordParseError) as excinfo:
+        load_issues(text)
+    assert excinfo.value.lineno == 3
+
+
 def test_select_issues_filters():
     issues = [
         issue("A-1"),

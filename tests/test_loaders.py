@@ -33,8 +33,10 @@ def _require_str(obj, key, lineno, *, required=False):
         if required:
             raise RecordParseError(lineno, f"missing required field {key!r}")
         return ""
-    if not isinstance(value, str) or (required and not value):
+    if required and not (isinstance(value, str) and value):
         raise RecordParseError(lineno, f"field {key!r} must be a non-empty string")
+    if not isinstance(value, str):
+        raise RecordParseError(lineno, f"field {key!r} must be a string")
     return value
 
 
@@ -82,7 +84,9 @@ def reference_decode_json(text, error):
 def _load_records(text, what, build):
     records = {}
     first_line = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # A record ends where JSON forbids a raw line end: at \n, \r\n or \r.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -163,15 +167,16 @@ def assert_loads_like_reference(text):
 
 # Pieces of JSON string bodies. The common ones load: plain text, the
 # guard's own characters (colon, braces), escapes including a valid
-# surrogate pair, a BOM inside a string. The rare ones break the line: lone
-# surrogates, a raw control character, bad escapes, and U+2028, which
-# splitlines breaks a line at though JSON does not.
+# surrogate pair, a BOM inside a string, and U+2028, U+2029 and U+0085 raw,
+# which JSON allows in a string and which end no record. The rare ones break
+# the line: lone surrogates, a raw control character and bad escapes.
 GOOD_PIECES = (
     "A-1", "c1", "v1", "v2", "", " ", "x:y", ":", "{", "}", "{}", '{\\"k\\": 1}',
     "\\u0041", "\\u00e9", "\\ud83d\\ude00", "\\uD83D\\uDE00", "\\ud7ff", "\\\\ud",
     "\\\\u", "\\\"", '\\" ', '\\":', "\\\\", "\\n", "\\/", "\u00e9 raw", "\ufeff",
+    "\u2028", "\u2029", "\x85",
 )
-BAD_PIECES = ("\\ud800", "\\uDC00x", "\x01", "\\x", "\\u12", "\u2028")
+BAD_PIECES = ("\\ud800", "\\uDC00x", "\x01", "\\x", "\\u12")
 KEYS = (
     '"id"', '"summary"', '"resolved"', '"merged"', '"versions"', '"commits"',
     '"paths"', '"issue_keys"', '"x"', '"a:b"', '"{"', '"}"',

@@ -471,6 +471,11 @@ def test_config_validation(tmp_path):
         RunConfig.from_file(bad)
 
 
+def test_config_path_the_os_cannot_open_is_a_config_error():
+    with pytest.raises(ConfigError, match="^cannot read config .*: embedded null byte$"):
+        RunConfig.from_file("a\0b.json")
+
+
 BAD_CONFIG_VALUES = {
     "label": 5,
     "snapshot": 5,
