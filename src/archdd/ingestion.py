@@ -186,6 +186,18 @@ def decode_json(text: str, error: Callable[[str], Exception]):
     return obj
 
 
+def _lines(text: str) -> list[str]:
+    """``text`` split at ``\\n``, ``\\r\\n`` and ``\\r`` only.
+
+    Not ``str.splitlines``: it also breaks at U+2028, U+2029, U+0085 and
+    other separators, which JSON allows raw inside a string and a VCS log
+    may hold in a path or a message.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def _objects(text: str):
     """``(lineno, dict)`` for each non-blank line, in file order.
 
@@ -201,11 +213,7 @@ def _objects(text: str):
     are not scanned. Every other line goes through ``decode_json``, which
     returns the same dict or raises the line-numbered error.
     """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    # Not splitlines: it also breaks at U+2028, U+2029 and U+0085, which JSON
-    # allows raw inside a string.
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()  # strip removes every JSON whitespace character
         if not line:
             continue
@@ -494,13 +502,15 @@ def convert_name_status_log(text: str) -> list[CommitRecord]:
     ``commit <hash>``, unindented under a bare hash) stays in its message. One
     case stays ambiguous: in a bare-hash log, a message line that is itself a
     bare hash, such as ``deadbeef``, opens a block. Rename/copy rows
-    contribute both the old and the new path.
+    contribute both the old and the new path. A line ends at ``\\n``,
+    ``\\r\\n`` or ``\\r`` only, so U+2028, U+2029 or U+0085 in a path or a
+    message line neither cuts the path short nor starts a new line.
     """
     blocks: list[tuple[str, set[str], set[str]]] = []  # (id, paths, issue keys)
     # `commit <hash>` and bare-hash headers; the first one found fixes the layout.
     headers = [re.compile(r"commit\s+([0-9a-f]{7,40})(?:\s|$)"), re.compile(r"([0-9a-f]{7,40})$")]
     name_status = re.compile(r"^([A-Z])(\d+)?\t")
-    for line in text.splitlines():
+    for line in _lines(text):
         stripped = line.strip()
         if not stripped:
             continue

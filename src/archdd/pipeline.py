@@ -6,9 +6,10 @@ against the last snapshot that parsed cleanly, and each consecutive pair
 runs as soon as its target is parsed: analyze changes, connect them and
 the impact list of the pair's target version into the decision graph, and
 extract decisions. So at most the pair's two snapshots and the diff base
-are held at once. A finished pair leaves behind only its summary row, its
-``run.json`` entry and its rendered ``decisions.txt`` cards; its change
-sets, impact list and decisions are not kept.
+are held at once. A finished pair leaves behind only its ``run.json``
+entry, whose ``stats`` object is its summary row, and its rendered
+``decisions.txt`` cards; its change sets, impact list and decisions are not
+kept.
 A config names at least two versions. A pair fails only when one of its
 snapshots cannot be read or parsed, so a bad snapshot fails both of its
 pairs; each failure is reported with the first bad snapshot's error, and
@@ -127,7 +128,7 @@ class RunConfig:
 
 @dataclass
 class PipelineResult:
-    summary: report.RunSummary
+    summary: dict  # the ``summary`` object of ``run.json``
     failures: list[dict]
     written: list[Path]
 
@@ -173,16 +174,15 @@ def _run_pair(
     exclusions,
     threshold: int,
     issues_by_id: dict,
-) -> tuple[report.PairStats, dict, str]:
+) -> tuple[dict, str]:
     """Analyze one version pair and return what it leaves behind: its
-    summary row, its ``run.json`` entry and its ``decisions.txt`` cards.
+    ``run.json`` entry and its ``decisions.txt`` cards.
     """
     pair = (snap_a.version, snap_b.version)
     changes = analyze_changes(snap_a, snap_b)
     edges = build_decision_graph(impact, changes)
     decisions = find_decisions(edges, pair, tractability_threshold=threshold)
     clean_changes = drop_external_changes(changes, exclusions)
-    stats = report.build_pair_stats(*pair, changes, clean_changes, decisions)
     mapped = set().union(*impact.entries.values())
     entry = {
         "from_version": pair[0],
@@ -193,7 +193,7 @@ def _run_pair(
         "impact": report.impact_to_obj(impact, pair),
         "decisions": [report.decision_to_obj(d, pair) for d in decisions],
         "entity_overlap": [len(mapped & entity_universe(snap_b)), len(mapped)],
-        "stats": report.stats_to_obj(stats),
+        "stats": report.build_pair_stats(*pair, changes, clean_changes, decisions),
     }
     changes_by_id = {change.id: change for change in changes}
     cards = [f"== {pair[0]} -> {pair[1]}"]
@@ -202,7 +202,7 @@ def _run_pair(
     for decision in decisions:
         cards.append(report.render_decision(decision, pair, issues_by_id, changes_by_id))
     cards.append("")
-    return stats, entry, "\n".join(cards)
+    return entry, "\n".join(cards)
 
 
 def _read_snapshots(
@@ -233,7 +233,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     impacts = build_impact_lists(issues, commits, targets, rules, exclusions)
     issues_by_id = {issue.id: issue for issue in issues}
 
-    rows: list[report.PairStats] = []
     pairs: list[dict] = []
     cards: list[str] = []
     failures: list[dict] = []
@@ -247,14 +246,13 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                 {"from_version": from_label, "to_version": to_label, "error": str(errors[0])}
             )
         else:
-            stats, entry, pair_cards = _run_pair(
+            entry, pair_cards = _run_pair(
                 snap_a, snap_b, impact, exclusions, config.tractability_threshold, issues_by_id
             )
-            rows.append(stats)
             pairs.append(entry)
             cards.append(pair_cards)
         from_label, snap_a = to_label, snap_b
-    summary = report.build_run_summary(rows)
+    summary = report.build_run_summary([entry["stats"] for entry in pairs])
 
     document = {
         "schema_version": report.SCHEMA_VERSION,
@@ -264,21 +262,20 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         "versions": [label for label, _ in config.versions],
         "pairs": pairs,
         "failures": failures,
-        "summary": report.summary_to_obj(summary),
+        "summary": summary,
     }
-    written = _write_outputs(config.output_dir, document, "\n".join(cards), summary, failures)
+    written = _write_outputs(config.output_dir, document, "\n".join(cards))
     return PipelineResult(summary=summary, failures=failures, written=written)
 
 
-def _write_outputs(
-    out_dir: Path, document: dict, cards: str, summary: report.RunSummary, failures: list[dict]
-) -> list[Path]:
+def _write_outputs(out_dir: Path, document: dict, cards: str) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     run_path = out_dir / "run.json"
     run_path.write_text(report.canonical_json(document), encoding="utf-8")
     decisions_path = out_dir / "decisions.txt"
     decisions_path.write_text(cards, encoding="utf-8")
 
+    summary, failures = document["summary"], document["failures"]
     sections = [
         report.render_summary_table(summary),
         "",

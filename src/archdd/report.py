@@ -5,12 +5,20 @@ no timestamps) carrying a ``schema_version`` field, so re-running the tool
 on unchanged inputs reproduces byte-identical files. Ratios are stored as
 exact [numerator, denominator] pairs; rounding happens only at display
 time.
+
+A pair's statistics have one shape, the ``stats`` object its ``run.json``
+entry holds: version fields, ``scope``, integer counts, the
+``kind_distribution``, and four ratios derived from the counts.
+``build_pair_stats`` makes one, ``build_run_summary`` gathers them with
+their overall sum into the document's ``summary`` object, and
+``parse_run_summary`` rebuilds that object from each row's type-checked
+counts and kinds, never from its stored ratios or scope. The tables are
+drawn from those dicts.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .decisions import Decision, DecisionKind
@@ -81,12 +89,6 @@ def _write_json(value, newline: str, parts: list[str]) -> None:
         parts.append(newline + "}")
     else:
         parts.append(json.dumps(value))
-
-
-def _fraction_pair(value: Fraction | None):
-    if value is None:
-        return None
-    return [value.numerator, value.denominator]
 
 
 # ---------------------------------------------------------------------------
@@ -295,65 +297,58 @@ def parse_impact_doc(obj: dict) -> tuple[tuple[str | None, str], ArchitecturalIm
     return _parse_doc(obj, "impact", impact_from_obj)
 
 
-def parse_run_summary(obj: dict) -> RunSummary:
-    return _parse_doc(obj, "run", lambda doc: summary_from_obj(doc["summary"]))
+def parse_run_summary(obj: dict) -> dict:
+    """The ``summary`` object of a run document, each row rebuilt from its counts and kinds."""
+    return _parse_doc(obj, "run", _read_run_summary)
 
 
-def decisions_doc(version_pair, decisions: list[Decision], coverage: Fraction) -> dict:
+def decisions_doc(version_pair, decisions: list[Decision], coverage: list[int]) -> dict:
     return {
         **_header(version_pair, "decisions"),
         "decisions": [decision_to_obj(d, version_pair) for d in decisions],
-        "coverage": _fraction_pair(coverage),
+        "coverage": coverage,
     }
 
 
 # ---------------------------------------------------------------------------
 # summary statistics
 
-
-@dataclass
-class PairStats:
-    """Table-row statistics for one version pair (or the overall row)."""
-
-    from_version: str | None
-    to_version: str | None
-    issues_in_decisions: int = 0
-    change_count: int = 0
-    decision_count: int = 0
-    issue_links: int = 0  # sum of |issues| over decisions
-    change_links: int = 0  # sum of |changes| over decisions
-    kind_distribution: dict[str, int] = field(
-        default_factory=lambda: {kind.value: 0 for kind in _KIND_ORDER}
-    )
-    covered_change_count: int = 0
-    clean_change_count: int = 0
-
-    @property
-    def scope(self) -> str:
-        if self.from_version is None and self.to_version is None:
-            return "overall"
-        return f"{self.from_version} -> {self.to_version}"
-
-    @property
-    def avg_issues_per_decision(self) -> Fraction | None:
-        return _ratio(self.issue_links, self.decision_count, None)
-
-    @property
-    def avg_changes_per_decision(self) -> Fraction | None:
-        return _ratio(self.change_links, self.decision_count, None)
-
-    @property
-    def coverage_before_cleanup(self) -> Fraction:
-        """Share of the pair's changes that some decision covers; 1 with no changes."""
-        return _ratio(self.covered_change_count, self.change_count, Fraction(1))
-
-    @property
-    def coverage_after_cleanup(self) -> Fraction:
-        return _ratio(self.covered_change_count, self.clean_change_count, Fraction(1))
+# The integer fields of a stats row: summed into the overall row, written and read as is.
+_COUNT_FIELDS = (
+    "issues_in_decisions",
+    "change_count",
+    "decision_count",
+    "issue_links",  # sum of |issues| over decisions
+    "change_links",  # sum of |changes| over decisions
+    "covered_change_count",
+    "clean_change_count",
+)
 
 
-def _ratio(part: int, whole: int, empty: Fraction | None) -> Fraction | None:
-    return empty if whole == 0 else Fraction(part, whole)
+def _ratio(part: int, whole: int, empty: list[int] | None) -> list[int] | None:
+    """``part / whole`` as a reduced ``[n, d]`` pair; ``empty`` when ``whole`` is 0."""
+    if whole == 0:
+        return empty
+    ratio = Fraction(part, whole)
+    return [ratio.numerator, ratio.denominator]
+
+
+def _stats_row(version_pair: tuple[str | None, str | None], counts: dict, kinds: dict) -> dict:
+    """A stats row: ``counts`` and ``kinds``, with the scope and ratios they give.
+
+    Averages are None with no decisions; coverage is ``[1, 1]`` with no changes.
+    """
+    decisions, covered = counts["decision_count"], counts["covered_change_count"]
+    return {
+        **_header(version_pair),
+        "scope": "overall" if version_pair == (None, None) else " -> ".join(version_pair),
+        **counts,
+        "kind_distribution": kinds,
+        "avg_issues_per_decision": _ratio(counts["issue_links"], decisions, None),
+        "avg_changes_per_decision": _ratio(counts["change_links"], decisions, None),
+        "coverage_before_cleanup": _ratio(covered, counts["change_count"], [1, 1]),
+        "coverage_after_cleanup": _ratio(covered, counts["clean_change_count"], [1, 1]),
+    }
 
 
 def build_pair_stats(
@@ -362,101 +357,79 @@ def build_pair_stats(
     changes: frozenset[ArchitecturalChange],
     clean_changes: frozenset[ArchitecturalChange],
     decisions: list[Decision],
-) -> PairStats:
-    stats = PairStats(from_version=from_version, to_version=to_version)
-    stats.change_count = len(changes)
-    stats.clean_change_count = len(clean_changes)
-    stats.decision_count = len(decisions)
+) -> dict:
+    """The ``stats`` object of one pair's ``run.json`` entry."""
+    kinds = {kind.value: 0 for kind in _KIND_ORDER}
     issue_ids: set[str] = set()
     covered: set[str] = set()
+    issue_links = change_links = 0
     for decision in decisions:
         issue_ids |= decision.issue_ids
         covered |= decision.change_ids
-        stats.issue_links += len(decision.issue_ids)
-        stats.change_links += len(decision.change_ids)
-        stats.kind_distribution[decision.kind.value] += 1
-    stats.issues_in_decisions = len(issue_ids)
-    present = {change.id for change in changes}
-    stats.covered_change_count = len(covered & present)
-    return stats
-
-
-@dataclass
-class RunSummary:
-    pairs: list[PairStats]
-    overall: PairStats
-
-
-def build_run_summary(pair_stats: list[PairStats]) -> RunSummary:
-    overall = PairStats(from_version=None, to_version=None)
-    for stats in pair_stats:
-        for key in _COUNT_FIELDS:
-            setattr(overall, key, getattr(overall, key) + getattr(stats, key))
-        for kind, count in stats.kind_distribution.items():
-            overall.kind_distribution[kind] += count
-    return RunSummary(pairs=list(pair_stats), overall=overall)
-
-
-def stats_to_obj(stats: PairStats) -> dict:
-    return {
-        **_header((stats.from_version, stats.to_version)),
-        "scope": stats.scope,
-        **{key: getattr(stats, key) for key in _COUNT_FIELDS},
-        "kind_distribution": dict(stats.kind_distribution),
-        "avg_issues_per_decision": _fraction_pair(stats.avg_issues_per_decision),
-        "avg_changes_per_decision": _fraction_pair(stats.avg_changes_per_decision),
-        "coverage_before_cleanup": _fraction_pair(stats.coverage_before_cleanup),
-        "coverage_after_cleanup": _fraction_pair(stats.coverage_after_cleanup),
+        issue_links += len(decision.issue_ids)
+        change_links += len(decision.change_ids)
+        kinds[decision.kind.value] += 1
+    counts = {
+        "issues_in_decisions": len(issue_ids),
+        "change_count": len(changes),
+        "decision_count": len(decisions),
+        "issue_links": issue_links,
+        "change_links": change_links,
+        "covered_change_count": len(covered & {change.id for change in changes}),
+        "clean_change_count": len(clean_changes),
     }
+    return _stats_row((from_version, to_version), counts, kinds)
 
 
-def summary_to_obj(summary: RunSummary) -> dict:
-    return {
-        "issue_count_convention": ISSUE_COUNT_CONVENTION,
-        "pairs": [stats_to_obj(stats) for stats in summary.pairs],
-        "overall": stats_to_obj(summary.overall),
-    }
+def build_run_summary(rows: list[dict]) -> dict:
+    """The ``summary`` object of ``run.json``: the pairs' own stats rows, then their sum."""
+    overall = _stats_row(
+        (None, None),
+        {key: sum(row[key] for row in rows) for key in _COUNT_FIELDS},
+        {
+            kind.value: sum(row["kind_distribution"][kind.value] for row in rows)
+            for kind in _KIND_ORDER
+        },
+    )
+    return {"issue_count_convention": ISSUE_COUNT_CONVENTION, "pairs": rows, "overall": overall}
 
 
-# The integer fields of PairStats: summed into the overall row, written and read as is.
-_COUNT_FIELDS = (
-    "issues_in_decisions",
-    "change_count",
-    "decision_count",
-    "issue_links",
-    "change_links",
-    "covered_change_count",
-    "clean_change_count",
-)
-
-
-def stats_from_obj(obj: dict) -> PairStats:
+def _row_from_obj(obj: dict, version_pair: tuple[str | None, str | None]) -> dict:
+    """A stats row rebuilt from its type-checked counts and kinds, not its stored ratios."""
     counts = {key: obj[key] for key in _COUNT_FIELDS}
     kinds = {kind.value: obj["kind_distribution"][kind.value] for kind in _KIND_ORDER}
     for key, value in {**counts, **kinds}.items():
         if type(value) is not int:
             raise TypeError(f"{key} must be an integer, got {value!r}")
-    return PairStats(
-        from_version=obj.get("from_version"),
-        to_version=obj.get("to_version"),
-        kind_distribution=kinds,
-        **counts,
-    )
+    return _stats_row(version_pair, counts, kinds)
 
 
-def summary_from_obj(obj: dict) -> RunSummary:
-    pairs = [stats_from_obj(entry) for entry in obj.get("pairs", [])]
-    overall = stats_from_obj(obj["overall"])
-    return RunSummary(pairs=pairs, overall=overall)
+def _read_run_summary(doc: dict) -> dict:
+    """A run document's ``summary``: each pair row names two labels, the overall row none."""
+    summary = doc["summary"]
+    keys = ("from_version", "to_version")
+    pairs = [
+        _row_from_obj(row, tuple(_name(row.get(key), key) for key in keys))
+        for row in summary.get("pairs", [])
+    ]
+    overall = summary["overall"]
+    for key in keys:
+        if overall.get(key) is not None:
+            raise TypeError(f"overall {key} must be null, got {overall[key]!r}")
+    return {
+        "issue_count_convention": ISSUE_COUNT_CONVENTION,
+        "pairs": pairs,
+        "overall": _row_from_obj(overall, (None, None)),
+    }
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
 
-def _format_ratio(value: Fraction | None) -> str:
-    """A ratio cell: two decimal places, ``-`` when there is no ratio."""
-    return "-" if value is None else f"{float(value):.2f}"
+def _format_ratio(pair: list[int] | None) -> str:
+    """A ratio cell: ``n / d`` to two decimal places, ``-`` when there is no ratio."""
+    return "-" if pair is None else f"{pair[0] / pair[1]:.2f}"
 
 
 def change_label(change: ArchitecturalChange) -> str:
@@ -492,10 +465,10 @@ def render_decision(
     return "\n".join(lines)
 
 
-def _table(first_header: str, rows: list[PairStats], columns) -> str:
+def _table(first_header: str, rows: list[dict], columns) -> str:
     """Each row's scope under ``first_header``, then one cell per ``(header, cell)`` column."""
     table = [[first_header] + [header for header, _ in columns]]
-    table += [[stats.scope] + [cell(stats) for _, cell in columns] for stats in rows]
+    table += [[row["scope"]] + [cell(row) for _, cell in columns] for row in rows]
     widths = [max(len(row[index]) for row in table) for index in range(len(table[0]))]
     lines = []
     for row in table:
@@ -507,41 +480,44 @@ def _table(first_header: str, rows: list[PairStats], columns) -> str:
 
 def _coverage_columns(before: str, after: str) -> list:
     return [
-        (before, lambda stats: _format_ratio(stats.coverage_before_cleanup)),
-        (after, lambda stats: _format_ratio(stats.coverage_after_cleanup)),
+        (before, lambda row: _format_ratio(row["coverage_before_cleanup"])),
+        (after, lambda row: _format_ratio(row["coverage_after_cleanup"])),
     ]
 
 
-def render_summary_table(summary: RunSummary) -> str:
+def render_summary_table(summary: dict) -> str:
     columns = [
-        ("iss-in-dec", lambda stats: str(stats.issues_in_decisions)),
-        ("changes", lambda stats: str(stats.change_count)),
-        ("decisions", lambda stats: str(stats.decision_count)),
-        ("avg-iss/dec", lambda stats: _format_ratio(stats.avg_issues_per_decision)),
-        ("avg-chg/dec", lambda stats: _format_ratio(stats.avg_changes_per_decision)),
+        ("iss-in-dec", lambda row: str(row["issues_in_decisions"])),
+        ("changes", lambda row: str(row["change_count"])),
+        ("decisions", lambda row: str(row["decision_count"])),
+        ("avg-iss/dec", lambda row: _format_ratio(row["avg_issues_per_decision"])),
+        ("avg-chg/dec", lambda row: _format_ratio(row["avg_changes_per_decision"])),
         *_coverage_columns("cov-before", "cov-after"),
     ]
-    rows = [*summary.pairs, summary.overall]
+    rows = [*summary["pairs"], summary["overall"]]
     return f"# {ISSUE_COUNT_CONVENTION}\n" + _table("pair", rows, columns)
 
 
 def _kind_cell(kind: str):
-    def cell(stats: PairStats) -> str:
-        count = stats.kind_distribution[kind]
-        return f"{count} ({_format_ratio(_ratio(count, stats.decision_count, Fraction(0)))})"
+    def cell(row: dict) -> str:
+        count = row["kind_distribution"][kind]
+        return f"{count} ({_format_ratio(_ratio(count, row['decision_count'], [0, 1]))})"
 
     return cell
 
 
-def render_distribution_table(summary: RunSummary) -> str:
+def render_distribution_table(summary: dict) -> str:
     """Decision-kind counts and proportions per pair with decisions, then overall."""
-    scoped = sorted((s for s in summary.pairs if s.decision_count > 0), key=lambda s: s.scope)
+    scoped = sorted(
+        (row for row in summary["pairs"] if row["decision_count"] > 0),
+        key=lambda row: row["scope"],
+    )
     columns = [(kind.value, _kind_cell(kind.value)) for kind in _KIND_ORDER]
-    return _table("scope", scoped + [summary.overall], columns)
+    return _table("scope", scoped + [summary["overall"]], columns)
 
 
-def render_coverage_table(summary: RunSummary) -> str:
-    rows = [*summary.pairs, summary.overall]
+def render_coverage_table(summary: dict) -> str:
+    rows = [*summary["pairs"], summary["overall"]]
     return _table("pair", rows, _coverage_columns("before-cleanup", "after-cleanup"))
 
 
@@ -561,14 +537,8 @@ __all__ = [
     "parse_impact_doc",
     "parse_run_summary",
     "decisions_doc",
-    "PairStats",
-    "RunSummary",
     "build_pair_stats",
     "build_run_summary",
-    "stats_to_obj",
-    "stats_from_obj",
-    "summary_to_obj",
-    "summary_from_obj",
     "change_label",
     "render_decision",
     "render_summary_table",

@@ -294,9 +294,9 @@ def test_scale_sanity(tmp_path):
     result = run_pipeline(config)
     elapsed = time.perf_counter() - started
     assert not result.failures
-    assert len(result.summary.pairs) == 49
-    total_changes = sum(stats.change_count for stats in result.summary.pairs)
-    total_decisions = sum(stats.decision_count for stats in result.summary.pairs)
+    assert len(result.summary["pairs"]) == 49
+    total_changes = sum(stats["change_count"] for stats in result.summary["pairs"])
+    total_decisions = sum(stats["decision_count"] for stats in result.summary["pairs"])
     assert total_changes > 0 and total_decisions > 0
     assert output_digests(config.output_dir) == SCALE_GOLDEN
     assert elapsed < 60.0, f"pipeline took {elapsed:.1f}s (budget 60s)"

@@ -415,7 +415,20 @@ def test_report_rejects_malformed_run_documents(tmp_path, capsys):
     empty_overall = dict(run_doc, summary=dict(run_doc["summary"], overall={}))
     text_count = json.loads(json.dumps(run_doc))
     text_count["summary"]["pairs"][0]["decision_count"] = "2"
-    for doc in (no_summary, empty_overall, text_count, dict(run_doc, summary=5)):
+    # a pair row names two non-empty labels, and the overall row names none
+    bad_versions = []
+    for row, key, value in [
+        ("pairs", "from_version", 5),
+        ("pairs", "to_version", ""),
+        ("pairs", "from_version", None),
+        ("overall", "to_version", "zzz"),
+        ("overall", "from_version", "1.0.0"),
+    ]:
+        doc = json.loads(json.dumps(run_doc))
+        summary = doc["summary"]
+        (summary["pairs"][0] if row == "pairs" else summary["overall"])[key] = value
+        bad_versions.append(doc)
+    for doc in (no_summary, empty_overall, text_count, dict(run_doc, summary=5), *bad_versions):
         broken.write_text(json.dumps(doc))
         for which in ("summary", "distribution", "coverage"):
             code, _, err = run(capsys, "report", "--in", str(broken), "--out", which)

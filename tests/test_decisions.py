@@ -151,7 +151,8 @@ def test_decision_kind_follows_counts_and_sides_are_non_empty():
 
 
 def coverage(changes, decisions):
-    return build_pair_stats("v1", "v2", changes, changes, decisions).coverage_before_cleanup
+    stats = build_pair_stats("v1", "v2", changes, changes, decisions)
+    return Fraction(*stats["coverage_before_cleanup"])
 
 
 def test_change_coverage_examples():
@@ -196,8 +197,8 @@ def test_change_coverage_after_cleanup_fixture():
         )
     ]
     stats = build_pair_stats("v1", "v2", changes, clean, decisions)
-    assert stats.coverage_before_cleanup == Fraction(2, 10)
-    assert stats.coverage_after_cleanup == Fraction(2, 7)
+    assert Fraction(*stats["coverage_before_cleanup"]) == Fraction(2, 10)
+    assert Fraction(*stats["coverage_after_cleanup"]) == Fraction(2, 7)
 
 
 def test_is_external_change_requires_all_entities_excluded():

@@ -556,6 +556,35 @@ def test_convert_name_status_log_skips_lines_before_the_first_header():
     assert commit.issue_keys == set()
 
 
+# str.splitlines also breaks at these; a log line ends only at \n, \r\n or \r.
+UNICODE_SEPARATORS = ["\u2028", "\u2029", "\x85"]
+
+
+@pytest.mark.parametrize("char", UNICODE_SEPARATORS)
+def test_convert_name_status_log_keeps_a_unicode_separator_in_a_path(char):
+    [commit] = convert_name_status_log(f"commit abcdef1\nM\tsrc/a{char}b.java\n")
+    assert commit.paths == {f"src/a{char}b.java"}
+
+
+@pytest.mark.parametrize("char", UNICODE_SEPARATORS)
+def test_convert_name_status_log_opens_no_commit_after_a_unicode_separator(char):
+    # the indented message line stays one line, so its quoted hash opens nothing
+    raw = f"commit abcdef1\n    Revert{char}commit 1234567 broke it\nM\tsrc/a/X.java\n"
+    [commit] = convert_name_status_log(raw)
+    assert (commit.id, commit.paths) == ("abcdef1", {"src/a/X.java"})
+
+
+def test_convert_name_status_log_reads_crlf_and_cr_line_ends():
+    raw = "commit abcdef1\n    APP-1 fix\n\nM\tsrc/a/X.java\ncommit 1234567\nA\tsrc/b/Y.java\n"
+    expected = [
+        CommitRecord(id="abcdef1", paths={"src/a/X.java"}, issue_keys={"APP-1"}),
+        CommitRecord(id="1234567", paths={"src/b/Y.java"}, issue_keys=set()),
+    ]
+    assert convert_name_status_log(raw) == expected
+    assert convert_name_status_log(raw.replace("\n", "\r\n")) == expected
+    assert convert_name_status_log(raw.replace("\n", "\r")) == expected
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from archdd import pipeline
+from archdd import pipeline, report
 from archdd.cli import main
 from archdd.errors import ConfigError, InvariantViolation
 from archdd.pipeline import RunConfig, run_pipeline
@@ -59,8 +59,8 @@ def test_mini_project_matches_hand_derived_ledger(mini_project):
     stats = pair["stats"]
     assert Fraction(*stats["coverage_before_cleanup"]) == Fraction(3, 4)
     assert Fraction(*stats["coverage_after_cleanup"]) == Fraction(1)
-    assert result.summary.pairs[0].coverage_before_cleanup == Fraction(3, 4)
-    assert result.summary.pairs[0].coverage_after_cleanup == Fraction(1)
+    assert Fraction(*result.summary["pairs"][0]["coverage_before_cleanup"]) == Fraction(3, 4)
+    assert Fraction(*result.summary["pairs"][0]["coverage_after_cleanup"]) == Fraction(1)
     assert pair["external_change_ids"] == [by_component["web"]["id"]]  # gone after cleanup
     assert stats["issues_in_decisions"] == 3
     assert Fraction(*stats["avg_issues_per_decision"]) == Fraction(3, 2)
@@ -143,8 +143,8 @@ def test_outputs_ignore_input_line_order(tmp_path, write_project):
     """
     config = RunConfig.from_file(write_project(tmp_path))
     result = run_pipeline(config)
-    assert result.summary.pairs and not result.failures
-    assert any(stats.decision_count for stats in result.summary.pairs)
+    assert result.summary["pairs"] and not result.failures
+    assert any(stats["decision_count"] for stats in result.summary["pairs"])
     before = output_digests(config.output_dir)
     rng = random.Random(11)
     inputs = [path for _, path in config.versions] + [config.issues_path, config.commits_path]
@@ -158,18 +158,36 @@ def test_outputs_ignore_input_line_order(tmp_path, write_project):
     assert output_digests(config.output_dir) == before
 
 
-@pytest.mark.parametrize("write_project", [write_mini_project, write_small_history])
+def write_history_with_a_failed_pair(root):
+    config_path = write_small_history(root)
+    with open(root / "v4.rsf", "a", encoding="utf-8") as snapshot:
+        snapshot.write("contain only-two-tokens\n")  # fails v3 -> v4 and v4 -> v5
+    return config_path
+
+
+@pytest.mark.parametrize(
+    "write_project", [write_mini_project, write_small_history, write_history_with_a_failed_pair]
+)
 def test_report_prints_the_sections_of_summary_txt(tmp_path, capsys, write_project):
+    # The reader and the writer agree: `report --in` rebuilds the summary the
+    # run returned, and prints each table of summary.txt exactly.
     config = RunConfig.from_file(write_project(tmp_path))
-    run_pipeline(config)
-    run_json = str(config.output_dir / "run.json")
+    result = run_pipeline(config)
+    assert len(result.failures) == (2 if write_project is write_history_with_a_failed_pair else 0)
+    run_json = config.output_dir / "run.json"
+    doc = json.loads(run_json.read_text(encoding="utf-8"))
+    assert report.parse_run_summary(doc) == result.summary
     printed = {}
     for which in ("summary", "coverage", "distribution"):
-        assert main(["report", "--in", run_json, "--out", which]) == 0
+        assert main(["report", "--in", str(run_json), "--out", which]) == 0
         printed[which] = capsys.readouterr().out
+    failed = "".join(
+        f"  {f['from_version']} -> {f['to_version']}: {f['error']}\n" for f in result.failures
+    )
     assert (config.output_dir / "summary.txt").read_text(encoding="utf-8") == (
         printed["summary"] + "\ncoverage\n" + printed["coverage"]
         + "\ndecision kinds\n" + printed["distribution"]
+        + (f"\nfailed pairs\n{failed}" if failed else "")
     )
 
 
@@ -290,7 +308,7 @@ def test_pipeline_identical_snapshots_contribute_nothing(tmp_path):
     [pair] = run_pairs(config)
     assert pair["changes"] == []
     assert pair["decisions"] == []
-    assert result.summary.pairs[0].coverage_before_cleanup == Fraction(1)
+    assert Fraction(*result.summary["pairs"][0]["coverage_before_cleanup"]) == Fraction(1)
 
 
 def test_pipeline_three_versions_two_pairs(tmp_path):
@@ -304,7 +322,7 @@ def test_pipeline_three_versions_two_pairs(tmp_path):
     path.write_text(json.dumps(config_obj))
     config = RunConfig.from_file(path)
     result = run_pipeline(config)
-    assert len(result.summary.pairs) == 2
+    assert len(result.summary["pairs"]) == 2
     assert [(p["from_version"], p["to_version"]) for p in run_pairs(config)] == [
         ("1.0.0", "1.1.0"),
         ("1.1.0", "1.2.0"),
@@ -319,7 +337,7 @@ def test_pipeline_failure_isolation(tmp_path):
     path = tmp_path / "config4.json"
     path.write_text(json.dumps(config_obj))
     result = run_pipeline(RunConfig.from_file(path))
-    assert len(result.summary.pairs) == 1  # the good pair still ran
+    assert len(result.summary["pairs"]) == 1  # the good pair still ran
     assert len(result.failures) == 1
     assert result.failures[0]["from_version"] == "1.1.0"
     assert "snapshot line 1" in result.failures[0]["error"]
@@ -380,7 +398,7 @@ def test_nothing_a_pair_makes_outlives_it(tmp_path, monkeypatch):
     assert [version for version, _ in pair_refs] == [label for label, _ in config.versions[1:]]
     assert sum(map(len, (refs for _, refs in pair_refs))) > 2 * len(pair_refs)
     assert not alive_from_earlier_pairs()
-    assert len(result.summary.pairs) == len(pair_refs)  # the result is still held
+    assert len(result.summary["pairs"]) == len(pair_refs)  # the result is still held
 
 
 def test_streamed_chain_matches_a_baseless_parse(tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ from archdd.decisions import Decision, DecisionKind, decision_id
 from archdd.ingestion import ArchitecturalImpactList, ImpactDiagnostics, IssueRecord
 from archdd.model import new_change
 from archdd.report import (
-    PairStats,
+    SCHEMA_VERSION,
     build_pair_stats,
     build_run_summary,
     canonical_json,
@@ -22,14 +22,11 @@ from archdd.report import (
     impact_doc,
     parse_changes_doc,
     parse_impact_doc,
+    parse_run_summary,
     render_coverage_table,
     render_decision,
     render_distribution_table,
     render_summary_table,
-    stats_from_obj,
-    stats_to_obj,
-    summary_from_obj,
-    summary_to_obj,
 )
 
 from conftest import snap
@@ -86,7 +83,7 @@ def test_decisions_doc_round_trip():
         decision({"i1"}, {"c1"}, DecisionKind.SIMPLE),
         decision({"i1", "i2"}, {"c1", "c2"}, DecisionKind.CROSSCUTTING, tractable=False),
     ]
-    doc = decisions_doc(("v1", "v2"), decisions, Fraction(2, 3))
+    doc = decisions_doc(("v1", "v2"), decisions, [2, 3])
     assert json.loads(canonical_json(doc)) == doc
     assert doc["decisions"] == [decision_to_obj(d, ("v1", "v2")) for d in decisions]
     assert doc["decisions"][1]["issue_ids"] == ["i1", "i2"]
@@ -196,18 +193,20 @@ def test_pair_stats_identities():
         decision({"i2", "i3"}, {ids[1]}, DecisionKind.COMPOUND),
     ]
     stats = build_pair_stats("v1", "v2", changes, changes, decisions)
-    assert stats.decision_count == 2
-    assert stats.avg_issues_per_decision * stats.decision_count == stats.issue_links
-    assert stats.avg_changes_per_decision * stats.decision_count == stats.change_links
-    assert sum(stats.kind_distribution.values()) == stats.decision_count
-    assert stats.avg_issues_per_decision == Fraction(3, 2)  # exact, not a float
+    assert stats["decision_count"] == 2
+    avg_issues = Fraction(*stats["avg_issues_per_decision"])
+    avg_changes = Fraction(*stats["avg_changes_per_decision"])
+    assert avg_issues * stats["decision_count"] == stats["issue_links"]
+    assert avg_changes * stats["decision_count"] == stats["change_links"]
+    assert sum(stats["kind_distribution"].values()) == stats["decision_count"]
+    assert avg_issues == Fraction(3, 2)  # exact, not a float
 
 
 def test_pair_stats_empty_scope():
     stats = build_pair_stats("v1", "v2", frozenset(), frozenset(), [])
-    assert stats.avg_issues_per_decision is None
-    assert stats.coverage_before_cleanup == Fraction(1)  # 0/0 convention
-    assert stats.coverage_after_cleanup == Fraction(1)
+    assert stats["avg_issues_per_decision"] is None
+    assert Fraction(*stats["coverage_before_cleanup"]) == Fraction(1)  # 0/0 convention
+    assert Fraction(*stats["coverage_after_cleanup"]) == Fraction(1)
 
 
 def test_summary_round_trip_and_tables():
@@ -216,10 +215,10 @@ def test_summary_round_trip_and_tables():
     decisions = [decision({"i1"}, {ids[0]}, DecisionKind.SIMPLE)]
     pair_stats = build_pair_stats("v1", "v2", changes, changes, decisions)
     summary = build_run_summary([pair_stats])
-    obj = summary_to_obj(summary)
-    again = summary_from_obj(obj)
-    assert summary_to_obj(again) == obj
-    assert stats_from_obj(stats_to_obj(pair_stats)) == pair_stats
+    obj = json.loads(canonical_json(summary))
+    again = parse_run_summary({"schema_version": SCHEMA_VERSION, "kind": "run", "summary": obj})
+    assert again == obj
+    assert again["pairs"] == [pair_stats]
 
     table = render_summary_table(summary)
     assert "overall" in table and "v1 -> v2" in table
