@@ -22,7 +22,6 @@ from .decisions import (
     find_decisions,
 )
 from .ingestion import (
-    ArchitecturalImpactList,
     CommitRecord,
     IssueRecord,
     PathRule,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchitecturalChange",
-    "ArchitecturalImpactList",
     "ArchitectureSnapshot",
     "ChangeKind",
     "CommitRecord",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvariantViolation
-from .ingestion import ArchitecturalImpactList, apply_exclusions
+from .ingestion import apply_exclusions
 from .model import ArchitecturalChange, content_id
 
 DEFAULT_TRACTABILITY_THRESHOLD = 5
@@ -73,9 +73,10 @@ def decision_id(
 
 
 def build_decision_graph(
-    impact: ArchitecturalImpactList, changes: frozenset[ArchitecturalChange]
+    impact: dict, changes: frozenset[ArchitecturalChange]
 ) -> frozenset[tuple[str, str]]:
-    """Connect each issue to every change that removed or added an entity it touched.
+    """Connect each issue of ``impact["entries"]`` to every change that
+    removed or added an entity it touched.
 
     One entity -> change index turns the issue x change intersection test
     into a walk over each issue's entities.
@@ -86,7 +87,7 @@ def build_decision_graph(
             changes_of.setdefault(entity, []).append(change.id)
     return frozenset(
         (issue_id, change_id)
-        for issue_id, entities in impact.entries.items()
+        for issue_id, entities in impact["entries"].items()
         for entity in entities
         for change_id in changes_of.get(entity, ())
     )

@@ -7,7 +7,8 @@ Input formats (all UTF-8):
   version labels), ``commits`` (array of commit ids);
 * commit log -- JSON Lines with ``id`` (required), ``paths`` (array of
   changed file paths), ``issue_keys`` (array, optional);
-* exclusion list -- one namespace prefix per line, ``#`` comments allowed;
+* exclusion list -- one namespace prefix per line, ``#`` comments allowed,
+  its lines ended as the JSON Lines inputs' are;
 * path rules -- JSON object with an ordered ``rules`` array of
   ``{match, strip_prefix, strip_suffix, separator_replacement}``.
 
@@ -29,7 +30,8 @@ and frozen; every empty array field is one shared empty set, and issues
 that list the same versions share one versions set.
 ``build_impact_lists`` builds a whole run's impact lists from one index of
 qualifying issues, and decides each distinct path and each entity's
-exclusion once.
+exclusion once. Each list is a plain dict, the ``impact`` object a
+``run.json`` entry holds without its version fields.
 
 The default path rules target Java-style source trees and are overridable;
 everything else in this module treats names as opaque strings.
@@ -129,23 +131,6 @@ DEFAULT_PATH_RULES: tuple[PathRule, ...] = (
     PathRule("src/java/*.java", "src/java/", ".java"),
     PathRule("src/*.java", "src/", ".java"),
 )
-
-
-@dataclass
-class ImpactDiagnostics:
-    """Non-fatal findings collected while building an impact list."""
-
-    orphaned_commit_refs: list[tuple[str, str]] = field(default_factory=list)
-    skipped_paths: list[str] = field(default_factory=list)
-    excluded_entity_count: int = 0
-
-
-@dataclass
-class ArchitecturalImpactList:
-    """Per-version mapping from qualifying issues to the entities they touched."""
-
-    entries: dict[str, frozenset[str]]
-    diagnostics: ImpactDiagnostics = field(default_factory=ImpactDiagnostics)
 
 
 def _json_object(pairs: list[tuple[str, object]]) -> dict:
@@ -390,7 +375,7 @@ def apply_exclusions(entities: frozenset[str], exclusions) -> frozenset[str]:
 
 def load_exclusions(text: str) -> list[str]:
     prefixes = []
-    for raw in text.splitlines():
+    for raw in _lines(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -436,13 +421,17 @@ def build_impact_lists(
     versions,
     rules=DEFAULT_PATH_RULES,
     exclusions=(),
-) -> dict[str, ArchitecturalImpactList]:
+) -> dict[str, dict]:
     """Each version's impact list: its qualifying issues mapped to the
     architectural entities their commits touched.
 
+    Each list is the ``impact`` object of a ``run.json`` entry without its
+    version fields: ``entries`` (issue id -> sorted entities) and
+    ``diagnostics``, written as ``run.json`` writes them.
+
     An issue qualifies for a version when it is resolved, merged and lists
     that version. Issues whose commits yield no entities stay in the list
-    with empty sets (they become orphans during decision extraction). Commit
+    with empty lists (they become orphans during decision extraction). Commit
     ids that cannot be resolved against the log are collected as
     diagnostics, not errors. Each distinct path and entity meets the rules
     and the exclusions once for the whole call.
@@ -455,17 +444,18 @@ def build_impact_lists(
     entity_of: dict[str, str | None] = {}  # None: no rule derives an entity
     tested: set[str] = set()
     excluded: set[str] = set()
-    impacts: dict[str, ArchitecturalImpactList] = {}
+    impacts: dict[str, dict] = {}
     for version in versions:
-        diagnostics = ImpactDiagnostics()
+        orphaned: list[tuple[str, str]] = []
         skipped: set[str] = set()
-        entries: dict[str, frozenset[str]] = {}
+        excluded_count = 0
+        entries: dict[str, list[str]] = {}
         for issue in selected.get(version, ()):
             entities: set[str] = set()
             for commit_id in issue.commit_ids:
                 commit = commits.get(commit_id)
                 if commit is None:
-                    diagnostics.orphaned_commit_refs.append((issue.id, commit_id))
+                    orphaned.append((issue.id, commit_id))
                     continue
                 for path in commit.paths:
                     if path in entity_of:
@@ -482,12 +472,20 @@ def build_impact_lists(
                         excluded.add(entity)
                 tested |= entities
                 dropped = entities & excluded
-                diagnostics.excluded_entity_count += len(dropped)
+                excluded_count += len(dropped)
                 entities -= dropped
-            entries[issue.id] = frozenset(entities)
-        diagnostics.orphaned_commit_refs.sort()
-        diagnostics.skipped_paths = sorted(skipped)
-        impacts[version] = ArchitecturalImpactList(entries=entries, diagnostics=diagnostics)
+            entries[issue.id] = sorted(entities)
+        impacts[version] = {
+            "entries": entries,
+            "diagnostics": {
+                "orphaned_commit_refs": [
+                    {"issue": issue_id, "commit": commit_id}
+                    for issue_id, commit_id in sorted(orphaned)
+                ],
+                "skipped_paths": sorted(skipped),
+                "excluded_entity_count": excluded_count,
+            },
+        }
     return impacts
 
 

@@ -1,15 +1,17 @@
 """End-to-end orchestration over a version sequence.
 
-Every target version's impact list is built once, up front. The snapshots
-are streamed: each version's file is read and parsed in order, as a diff
-against the last snapshot that parsed cleanly, and each consecutive pair
-runs as soon as its target is parsed: analyze changes, connect them and
-the impact list of the pair's target version into the decision graph, and
-extract decisions. So at most the pair's two snapshots and the diff base
-are held at once. A finished pair leaves behind only its ``run.json``
-entry, whose ``stats`` object is its summary row, and its rendered
-``decisions.txt`` cards; its change sets, impact list and decisions are not
-kept.
+Every target version's impact list, the ``impact`` object of its pair's
+``run.json`` entry without the version fields, is built once, up front.
+The snapshots are streamed: each version's file is read and parsed in
+order, as a diff against the last snapshot that parsed cleanly, and each
+consecutive pair runs as soon as its target is parsed: analyze changes,
+connect them and the impact list of the pair's target version into the
+decision graph, and extract decisions. So at most the pair's two snapshots
+and the diff base are held at once. A finished pair leaves behind only its
+``run.json`` entry, whose ``stats`` object is its summary row and whose
+``impact`` is a new dict around the list's entries and diagnostics, and
+its rendered ``decisions.txt`` cards; its change sets, impact list and
+decisions are not kept.
 A config names at least two versions. A pair fails only when one of its
 snapshots cannot be read or parsed, so a bad snapshot fails both of its
 pairs; each failure is reported with the first bad snapshot's error, and
@@ -35,7 +37,6 @@ from .decisions import (
 )
 from .errors import ConfigError, InputError
 from .ingestion import (
-    ArchitecturalImpactList,
     DEFAULT_PATH_RULES,
     add_message_links,
     build_impact_lists,
@@ -170,7 +171,7 @@ def load_issue_side(issues_path, commits_path, rules_path, exclusions_path, link
 def _run_pair(
     snap_a: ArchitectureSnapshot,
     snap_b: ArchitectureSnapshot,
-    impact: ArchitecturalImpactList,
+    impact: dict,
     exclusions,
     threshold: int,
     issues_by_id: dict,
@@ -183,14 +184,14 @@ def _run_pair(
     edges = build_decision_graph(impact, changes)
     decisions = find_decisions(edges, pair, tractability_threshold=threshold)
     clean_changes = drop_external_changes(changes, exclusions)
-    mapped = set().union(*impact.entries.values())
+    mapped = set().union(*impact["entries"].values())
     entry = {
         "from_version": pair[0],
         "to_version": pair[1],
         "matching_cost": matching_cost(changes),
         "changes": [report.change_to_obj(c, pair) for c in report.sort_changes(changes)],
         "external_change_ids": sorted(c.id for c in changes if c not in clean_changes),
-        "impact": report.impact_to_obj(impact, pair),
+        "impact": {"from_version": pair[0], "to_version": pair[1], **impact},
         "decisions": [report.decision_to_obj(d, pair) for d in decisions],
         "entity_overlap": [len(mapped & entity_universe(snap_b)), len(mapped)],
         "stats": report.build_pair_stats(*pair, changes, clean_changes, decisions),

@@ -12,8 +12,13 @@ entry holds: version fields, ``scope``, integer counts, the
 ``build_pair_stats`` makes one, ``build_run_summary`` gathers them with
 their overall sum into the document's ``summary`` object, and
 ``parse_run_summary`` rebuilds that object from each row's type-checked
-counts and kinds, never from its stored ratios or scope. The tables are
-drawn from those dicts.
+counts and kinds, never from its stored ratios or scope, and rejects a row
+no run could write. The tables are drawn from those dicts.
+
+An impact list has one shape too, the ``impact`` object of a ``run.json``
+entry without its version fields, as ``ingestion.build_impact_lists``
+returns it. ``impact_doc`` adds a standalone header, and
+``parse_impact_doc`` checks a document and returns the same shape.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from fractions import Fraction
 
 from .decisions import Decision, DecisionKind
 from .errors import ConfigError, InvariantViolation
-from .ingestion import ArchitecturalImpactList, ImpactDiagnostics, IssueRecord
+from .ingestion import IssueRecord
 from .model import ArchitecturalChange, ChangeKind, _check_name
 
 SCHEMA_VERSION = 1
@@ -173,33 +178,10 @@ def decision_to_obj(decision: Decision, version_pair: tuple[str, str]) -> dict:
     }
 
 
-def impact_to_obj(impact: ArchitecturalImpactList, version_pair: tuple[str | None, str]) -> dict:
-    diagnostics = impact.diagnostics
-    return {
-        **_header(version_pair),
-        "entries": {
-            issue_id: sorted(entities) for issue_id, entities in impact.entries.items()
-        },
-        "diagnostics": {
-            "orphaned_commit_refs": [
-                {"issue": issue_id, "commit": commit_id}
-                for issue_id, commit_id in sorted(diagnostics.orphaned_commit_refs)
-            ],
-            "skipped_paths": sorted(diagnostics.skipped_paths),
-            "excluded_entity_count": diagnostics.excluded_entity_count,
-        },
-    }
-
-
 def _list(value, what: str) -> list:
     if not isinstance(value, list):
         raise TypeError(f"{what} must be a list, got {value!r}")
     return value
-
-
-def _entity_set(entities) -> frozenset[str]:
-    entities = _list(entities, "impact entities")
-    return frozenset(_check_name(entity, "entity") for entity in entities)
 
 
 def _strings(values, what: str) -> list[str]:
@@ -209,35 +191,41 @@ def _strings(values, what: str) -> list[str]:
     return values
 
 
-def _diagnostics_from_obj(obj: dict) -> ImpactDiagnostics:
-    """Diagnostics as ``impact_to_obj`` writes them; a commit id or path may be any string."""
-    count = obj.get("excluded_entity_count", 0)
-    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-        raise TypeError(f"excluded_entity_count must be a non-negative integer, got {count!r}")
-    refs = _list(obj.get("orphaned_commit_refs", []), "orphaned_commit_refs")
-    return ImpactDiagnostics(
-        orphaned_commit_refs=list(zip(
-            [_name(ref["issue"], "orphaned ref issue") for ref in refs],
-            _strings([ref["commit"] for ref in refs], "orphaned ref commits"),
-        )),
-        skipped_paths=list(_strings(obj.get("skipped_paths", []), "skipped_paths")),
-        excluded_entity_count=count,
-    )
-
-
-def impact_from_obj(obj: dict) -> tuple[tuple[str | None, str], ArchitecturalImpactList]:
-    """The version pair and impact list that ``impact_to_obj`` wrote."""
+def _read_impact(obj: dict) -> tuple[tuple[str | None, str], dict]:
+    """An impact document's version pair and its ``impact`` object, in the
+    shape ``build_impact_lists`` returns: entity lists de-duplicated and
+    sorted, orphaned refs and skipped paths sorted. A commit id or a path
+    may be any string.
+    """
     version_pair = (
         _name(obj.get("from_version"), "from_version", True),
         _name(obj["to_version"], "to_version"),
     )
-    return version_pair, ArchitecturalImpactList(
-        entries={
-            _name(issue_id, "issue id"): _entity_set(entities)
-            for issue_id, entities in obj["entries"].items()
+    entries = {
+        _name(issue_id, "issue id"): sorted(
+            {_check_name(entity, "entity") for entity in _list(entities, "impact entities")}
+        )
+        for issue_id, entities in obj["entries"].items()
+    }
+    diagnostics = obj.get("diagnostics", {})
+    count = diagnostics.get("excluded_entity_count", 0)
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        raise TypeError(f"excluded_entity_count must be a non-negative integer, got {count!r}")
+    refs = _list(diagnostics.get("orphaned_commit_refs", []), "orphaned_commit_refs")
+    ref_issues = [_name(ref["issue"], "orphaned ref issue") for ref in refs]
+    ref_commits = _strings([ref["commit"] for ref in refs], "orphaned ref commits")
+    skipped = _strings(diagnostics.get("skipped_paths", []), "skipped_paths")
+    return version_pair, {
+        "entries": entries,
+        "diagnostics": {
+            "orphaned_commit_refs": [
+                {"issue": issue_id, "commit": commit_id}
+                for issue_id, commit_id in sorted(zip(ref_issues, ref_commits))
+            ],
+            "skipped_paths": sorted(skipped),
+            "excluded_entity_count": count,
         },
-        diagnostics=_diagnostics_from_obj(obj.get("diagnostics", {})),
-    )
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +277,12 @@ def parse_changes_doc(obj: dict) -> tuple[tuple[str, str], frozenset[Architectur
     return _parse_doc(obj, "changes", _changes_from_obj)
 
 
-def impact_doc(impact: ArchitecturalImpactList, version_pair: tuple[str | None, str]) -> dict:
-    return {**impact_to_obj(impact, version_pair), **_header(version_pair, "impact")}
+def impact_doc(impact: dict, version_pair: tuple[str | None, str]) -> dict:
+    return {**impact, **_header(version_pair, "impact")}
 
 
-def parse_impact_doc(obj: dict) -> tuple[tuple[str | None, str], ArchitecturalImpactList]:
-    return _parse_doc(obj, "impact", impact_from_obj)
+def parse_impact_doc(obj: dict) -> tuple[tuple[str | None, str], dict]:
+    return _parse_doc(obj, "impact", _read_impact)
 
 
 def parse_run_summary(obj: dict) -> dict:
@@ -395,17 +383,27 @@ def build_run_summary(rows: list[dict]) -> dict:
 
 
 def _row_from_obj(obj: dict, version_pair: tuple[str | None, str | None]) -> dict:
-    """A stats row rebuilt from its type-checked counts and kinds, not its stored ratios."""
+    """A stats row rebuilt from its type-checked counts and kinds, not its stored ratios.
+
+    Only counts ``build_pair_stats`` could write pass: none negative, the
+    kinds summing to ``decision_count``, and covered <= clean <= all changes.
+    """
     counts = {key: obj[key] for key in _COUNT_FIELDS}
     kinds = {kind.value: obj["kind_distribution"][kind.value] for kind in _KIND_ORDER}
     for key, value in {**counts, **kinds}.items():
-        if type(value) is not int:
-            raise TypeError(f"{key} must be an integer, got {value!r}")
+        if type(value) is not int or value < 0:
+            raise TypeError(f"{key} must be a non-negative integer, got {value!r}")
+    if sum(kinds.values()) != counts["decision_count"]:
+        raise ValueError("kind_distribution does not sum to decision_count")
+    covered, clean = counts["covered_change_count"], counts["clean_change_count"]
+    if not covered <= clean <= counts["change_count"]:
+        raise ValueError("covered_change_count <= clean_change_count <= change_count fails")
     return _stats_row(version_pair, counts, kinds)
 
 
 def _read_run_summary(doc: dict) -> dict:
-    """A run document's ``summary``: each pair row names two labels, the overall row none."""
+    """A run document's ``summary``: each pair row names two labels, the
+    overall row none, and the overall row is the sum of the pair rows."""
     summary = doc["summary"]
     keys = ("from_version", "to_version")
     pairs = [
@@ -416,11 +414,12 @@ def _read_run_summary(doc: dict) -> dict:
     for key in keys:
         if overall.get(key) is not None:
             raise TypeError(f"overall {key} must be null, got {overall[key]!r}")
-    return {
-        "issue_count_convention": ISSUE_COUNT_CONVENTION,
-        "pairs": pairs,
-        "overall": _row_from_obj(overall, (None, None)),
-    }
+    rebuilt = build_run_summary(pairs)
+    row, summed = _row_from_obj(overall, (None, None)), rebuilt["overall"]
+    for key in (*_COUNT_FIELDS, "kind_distribution"):
+        if row[key] != summed[key]:
+            raise ValueError(f"overall {key} is {row[key]}, but the pairs sum to {summed[key]}")
+    return rebuilt
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +528,6 @@ __all__ = [
     "change_from_obj",
     "sort_changes",
     "decision_to_obj",
-    "impact_to_obj",
-    "impact_from_obj",
     "changes_doc",
     "parse_changes_doc",
     "impact_doc",

@@ -428,11 +428,32 @@ def test_report_rejects_malformed_run_documents(tmp_path, capsys):
         summary = doc["summary"]
         (summary["pairs"][0] if row == "pairs" else summary["overall"])[key] = value
         bad_versions.append(doc)
-    for doc in (no_summary, empty_overall, text_count, dict(run_doc, summary=5), *bad_versions):
+    # a row must hold counts a run could write, and the overall row their sum
+    impossible_counts = []
+    for row, fields in [
+        ("pairs", {"change_count": -3, "covered_change_count": 2}),
+        ("pairs", {"kind_distribution": {"simple": 1, "compound": 0, "crosscutting": 5}}),
+        ("pairs", {"clean_change_count": 5}),
+        ("pairs", {"covered_change_count": 4}),
+        ("overall", {"issue_links": -1}),
+        ("overall", {"kind_distribution": {"simple": 2, "compound": 0, "crosscutting": 0}}),
+        ("overall", {"change_count": 99}),
+    ]:
+        doc = json.loads(json.dumps(run_doc))
+        summary = doc["summary"]
+        (summary["pairs"][0] if row == "pairs" else summary["overall"]).update(fields)
+        impossible_counts.append(doc)
+    for doc in (
+        no_summary, empty_overall, text_count, dict(run_doc, summary=5), *bad_versions,
+        *impossible_counts,
+    ):
         broken.write_text(json.dumps(doc))
         for which in ("summary", "distribution", "coverage"):
             code, _, err = run(capsys, "report", "--in", str(broken), "--out", which)
             assert_one_line_input_error(code, err, "run")
+    assert err == (
+        "error: malformed run document: overall change_count is 99, but the pairs sum to 4\n"
+    )
 
 
 def test_report_rejects_a_document_that_is_not_an_object(tmp_path, capsys):

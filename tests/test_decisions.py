@@ -17,7 +17,6 @@ from archdd.decisions import (
     is_external_change,
 )
 from archdd.errors import InvariantViolation
-from archdd.ingestion import ArchitecturalImpactList
 from archdd.changes import analyze_changes
 from archdd.model import ChangeKind, new_change
 from archdd.report import build_pair_stats
@@ -37,7 +36,8 @@ def chg(component, entities, kind=ChangeKind.COMPONENT_MODIFIED):
 
 
 def impact(entries):
-    return ArchitecturalImpactList(entries={k: frozenset(v) for k, v in entries.items()})
+    """An impact list as ``build_impact_lists`` returns it: sorted entity lists per issue."""
+    return {"entries": {k: sorted(set(v)) for k, v in entries.items()}}
 
 
 def test_build_decision_graph_edge_rule():
@@ -54,9 +54,9 @@ def dense_edges(impact_list, changes):
     """Reference edge rule: test every issue against every change."""
     return {
         (issue_id, change.id)
-        for issue_id, entities in impact_list.entries.items()
+        for issue_id, entities in impact_list["entries"].items()
         for change in changes
-        if entities & change.delta_entities
+        if change.delta_entities.intersection(entities)
     }
 
 

@@ -114,8 +114,8 @@ def test_select_issues_filters():
         issue("A-4", merged=False),
     ]
     impacts = build_impact_lists(issues, {}, ["v2", "v9"])
-    assert list(impacts["v2"].entries) == ["A-1"]
-    assert list(impacts["v9"].entries) == ["A-2"]
+    assert list(impacts["v2"]["entries"]) == ["A-1"]
+    assert list(impacts["v9"]["entries"]) == ["A-2"]
     assert build_impact_lists(issues[:1], {}, ["v2"]) == {"v2": impacts["v2"]}  # idempotent
 
 
@@ -209,7 +209,7 @@ def test_build_impact_list_basic_union():
     issues = [issue("A-1", commit_ids=frozenset({"c1"}))]
     commits = commits_for({"c1": ["src/a/X.java", "src/a/Y.java"]})
     impact = impact_list(issues, commits)
-    assert impact.entries == {"A-1": frozenset({"a.X", "a.Y"})}
+    assert impact["entries"] == {"A-1": ["a.X", "a.Y"]}
 
 
 def test_build_impact_list_shared_commit_overlap():
@@ -219,7 +219,7 @@ def test_build_impact_list_shared_commit_overlap():
         issue("A-2", commit_ids=frozenset({"c1"})),
     ]
     impact = impact_list(issues, shared)
-    assert impact.entries["A-1"] == impact.entries["A-2"] == frozenset({"a.X"})
+    assert impact["entries"]["A-1"] == impact["entries"]["A-2"] == ["a.X"]
 
 
 def test_build_impact_list_empty_and_missing_commits():
@@ -228,18 +228,18 @@ def test_build_impact_list_empty_and_missing_commits():
         issue("A-2", commit_ids=frozenset({"ghost"})),
     ]
     impact = impact_list(issues, {})
-    assert impact.entries["A-1"] == frozenset()
-    assert impact.entries["A-2"] == frozenset()
-    assert impact.diagnostics.orphaned_commit_refs == [("A-2", "ghost")]
+    assert impact["entries"]["A-1"] == []
+    assert impact["entries"]["A-2"] == []
+    assert impact["diagnostics"]["orphaned_commit_refs"] == [{"issue": "A-2", "commit": "ghost"}]
 
 
 def test_build_impact_list_applies_exclusions_and_counts():
     issues = [issue("A-1", commit_ids=frozenset({"c1"}))]
     commits = commits_for({"c1": ["src/a/X.java", "src/ext/jetty/S.java", "docs/readme.md"]})
     impact = impact_list(issues, commits, exclusions=["ext.jetty"])
-    assert impact.entries["A-1"] == frozenset({"a.X"})
-    assert impact.diagnostics.excluded_entity_count == 1
-    assert impact.diagnostics.skipped_paths == ["docs/readme.md"]
+    assert impact["entries"]["A-1"] == ["a.X"]
+    assert impact["diagnostics"]["excluded_entity_count"] == 1
+    assert impact["diagnostics"]["skipped_paths"] == ["docs/readme.md"]
 
 
 def test_build_impact_list_link_by_message_fallback():
@@ -250,12 +250,12 @@ def test_build_impact_list_link_by_message_fallback():
         "c1": CommitRecord(id="c1", paths=frozenset({"src/a/Y.java"})),
     }
     default = impact_list(issues, commits)
-    assert default.entries == {"A-1": frozenset(), "A-2": frozenset({"a.Y"})}
+    assert default["entries"] == {"A-1": [], "A-2": ["a.Y"]}
     linked_issues = add_message_links(issues, commits)
     assert [i.commit_ids for i in linked_issues] == [{"c9"}, {"c1", "c9"}]
     assert issues[0].commit_ids == frozenset()  # the input records are left alone
     linked = impact_list(linked_issues, commits)
-    assert linked.entries == {"A-1": frozenset({"a.Z"}), "A-2": frozenset({"a.Y", "a.Z"})}
+    assert linked["entries"] == {"A-1": ["a.Z"], "A-2": ["a.Y", "a.Z"]}
     uncited = [issue("A-3", commit_ids=frozenset({"c1"}))]
     assert add_message_links(uncited, commits)[0] is uncited[0]
 
@@ -291,8 +291,9 @@ def reference_impact_list(issues, commits, rules, exclusions, link_by_message):
                     entities.add(entity)
         kept = apply_exclusions(frozenset(entities), exclusions)
         excluded += len(entities) - len(kept)
-        entries[record.id] = kept
-    return entries, sorted(orphaned), sorted(skipped), excluded
+        entries[record.id] = sorted(kept)
+    orphaned = [{"issue": issue, "commit": commit} for issue, commit in sorted(orphaned)]
+    return entries, orphaned, sorted(skipped), excluded
 
 
 def random_issue_side(rng):
@@ -377,10 +378,10 @@ def test_message_links_at_load_match_per_call_reference():
                     link_by_message,
                 )
                 impact = impacts[version]
-                assert list(impact.entries.items()) == list(entries.items())
-                assert impact.diagnostics.orphaned_commit_refs == orphaned
-                assert impact.diagnostics.skipped_paths == skipped
-                assert impact.diagnostics.excluded_entity_count == excluded
+                assert list(impact["entries"].items()) == list(entries.items())
+                assert impact["diagnostics"]["orphaned_commit_refs"] == orphaned
+                assert impact["diagnostics"]["skipped_paths"] == skipped
+                assert impact["diagnostics"]["excluded_entity_count"] == excluded
                 entries_by_version[version] = entries
             entries_by_mode.append(entries_by_version)
         unlinked, relinked_entries = entries_by_mode
@@ -407,8 +408,8 @@ def test_build_impact_lists_decides_each_path_and_entity_once(monkeypatch):
         issue("A-2", versions=frozenset({"v2", "v3"}), commit_ids=frozenset({"c1", "c2"})),
     ]
     impacts = build_impact_lists(issues, commits, ["v1", "v2", "v3"], exclusions=["v"])
-    assert impacts["v2"].entries == {"A-1": {"a.X"}, "A-2": {"a.X"}}
-    assert impacts["v3"].diagnostics.excluded_entity_count == 1
+    assert impacts["v2"]["entries"] == {"A-1": ["a.X"], "A-2": ["a.X"]}
+    assert impacts["v3"]["diagnostics"]["excluded_entity_count"] == 1
     paths = {"src/a/X.java", "docs/x.md", "src/v/Y.java"}
     assert tested == Counter(paths | {"a.X", "v.Y"})  # each path and each entity once
 
@@ -422,7 +423,7 @@ def test_build_impact_list_monotone_in_commits():
     large = impact_list(
         [issue("A-1", commit_ids=frozenset({"c1", "c2"}))], extra_commits
     )
-    assert small.entries["A-1"] <= large.entries["A-1"]
+    assert set(small["entries"]["A-1"]) <= set(large["entries"]["A-1"])
 
 
 def test_joined_array_counterexample_fails_at_line_one():
@@ -574,6 +575,14 @@ def test_convert_name_status_log_opens_no_commit_after_a_unicode_separator(char)
     assert (commit.id, commit.paths) == ("abcdef1", {"src/a/X.java"})
 
 
+@pytest.mark.parametrize("char", UNICODE_SEPARATORS)
+def test_load_exclusions_ends_lines_only_at_line_breaks(char):
+    # split at the separator, `app` would be a prefix and exclude every app.* entity
+    prefixes = load_exclusions(f"thirdparty.x{char}app\n# note\r\nvendor\rlib\n")
+    assert prefixes == [f"thirdparty.x{char}app", "vendor", "lib"]
+    assert apply_exclusions(frozenset({"app.core.X", "vendor.Y"}), prefixes) == {"app.core.X"}
+
+
 def test_convert_name_status_log_reads_crlf_and_cr_line_ends():
     raw = "commit abcdef1\n    APP-1 fix\n\nM\tsrc/a/X.java\ncommit 1234567\nA\tsrc/b/Y.java\n"
     expected = [
@@ -596,10 +605,10 @@ def test_readme_issue_side_example_builds_the_ledger_impact_list(tmp_path, monke
     monkeypatch.chdir(tmp_path)
     namespace = {}
     exec(compile(block, str(README), "exec"), namespace)
-    assert namespace["impact"].entries == {
-        "APP-1": {"app.core.Cache", "app.core.Engine"},
-        "APP-2": {"app.core.Cache", "app.util.Log"},
-        "APP-3": {"app.metrics.Meter"},
+    assert namespace["impact"]["entries"] == {
+        "APP-1": ["app.core.Cache", "app.core.Engine"],
+        "APP-2": ["app.core.Cache", "app.util.Log"],
+        "APP-3": ["app.metrics.Meter"],
     }
 
 

@@ -1,10 +1,14 @@
 import gc
 import json
 import random
+import tempfile
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archdd import pipeline, report
 from archdd.cli import main
@@ -191,6 +195,59 @@ def test_report_prints_the_sections_of_summary_txt(tmp_path, capsys, write_proje
     )
 
 
+# Entities under two packages and one third-party namespace, so exclusions
+# drop some changes and some issue entities.
+ROW_ENTITIES = [f"{package}.C{i}" for package in ("app.a", "app.b", "ext.x") for i in range(4)]
+
+histories = st.fixed_dictionaries({
+    # per version, each entity's component, or -1 when the version lacks it
+    "owners": st.lists(
+        st.lists(st.integers(-1, 3), min_size=len(ROW_ENTITIES), max_size=len(ROW_ENTITIES)),
+        min_size=2, max_size=4,
+    ),
+    # per issue, the target version it lists and the entities its commit touched
+    "issues": st.lists(
+        st.tuples(st.integers(1, 3), st.sets(st.sampled_from(ROW_ENTITIES), max_size=4)),
+        max_size=8,
+    ),
+    "exclusions": st.sets(st.sampled_from(["ext", "ext.x.C1", "app.b", "app"]), max_size=2),
+})
+
+
+@settings(max_examples=40, deadline=None)
+@given(history=histories)
+def test_report_accepts_every_row_a_run_writes(history):
+    """`report --in` rejects rows no run could write; no run's own row is one of them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        labels = [f"v{k}" for k in range(len(history["owners"]))]
+        for label, owners in zip(labels, history["owners"]):
+            lines = [f"contain c{o} {e}\n" for o, e in zip(owners, ROW_ENTITIES) if o >= 0]
+            (root / f"{label}.rsf").write_text("".join(lines) or "contain c0 app.Z\n")
+        issues = [
+            {"id": f"I-{k}", "resolved": True, "merged": True,
+             "versions": [labels[min(target, len(labels) - 1)]], "commits": [f"c{k}"]}
+            for k, (target, _) in enumerate(history["issues"])
+        ]
+        commits = [
+            {"id": f"c{k}", "paths": [
+                "src/main/java/" + entity.replace(".", "/") + ".java" for entity in entities
+            ]}
+            for k, (_, entities) in enumerate(history["issues"])
+        ]
+        for name, records in (("issues.jsonl", issues), ("commits.jsonl", commits)):
+            (root / name).write_text("".join(json.dumps(r) + "\n" for r in records))
+        (root / "exclusions.txt").write_text("".join(p + "\n" for p in history["exclusions"]))
+        config = RunConfig.from_obj({
+            "versions": [{"label": label, "snapshot": f"{label}.rsf"} for label in labels],
+            "issues": "issues.jsonl", "commits": "commits.jsonl",
+            "exclusions": "exclusions.txt", "output_dir": "out",
+        }, base_dir=root)
+        result = run_pipeline(config)
+        doc = json.loads((config.output_dir / "run.json").read_text(encoding="utf-8"))
+        assert report.parse_run_summary(doc) == result.summary
+
+
 def _decision_rows(decisions):
     keys = ("id", "kind", "issue_ids", "change_ids", "from_version", "to_version")
     return [{key: decision[key] for key in keys} for decision in decisions]
@@ -198,7 +255,8 @@ def _decision_rows(decisions):
 
 @pytest.mark.parametrize("write_project", [write_mini_project, write_small_history])
 def test_stage_commands_agree_with_the_pipeline(tmp_path, write_project):
-    """Each pair run through the three stage commands gives run.json's change ids and decisions."""
+    """Each pair run through the three stage commands gives run.json's change ids, impact
+    list and decisions."""
     config = RunConfig.from_file(write_project(tmp_path))
     run_pipeline(config)
     pairs = json.loads((config.output_dir / "run.json").read_text(encoding="utf-8"))["pairs"]
@@ -222,8 +280,44 @@ def test_stage_commands_agree_with_the_pipeline(tmp_path, write_project):
                      "--out", str(decisions)]) == 0
         changes_doc = json.loads(changes.read_text(encoding="utf-8"))
         assert [c["id"] for c in changes_doc["changes"]] == [c["id"] for c in pair["changes"]]
+        impact_doc = json.loads(impact.read_text(encoding="utf-8"))
+        for key in ("entries", "diagnostics"):
+            assert impact_doc[key] == pair["impact"][key]
         decisions_doc = json.loads(decisions.read_text(encoding="utf-8"))
         assert _decision_rows(decisions_doc["decisions"]) == _decision_rows(pair["decisions"])
+
+
+def _run_chain(root, config_path, labels, name):
+    """The run.json ``pairs`` of the config's history cut to ``labels``, written under ``name``."""
+    config_obj = json.loads(config_path.read_text(encoding="utf-8"))
+    config_obj["versions"] = [{"label": label, "snapshot": f"{label}.rsf"} for label in labels]
+    config_obj["output_dir"] = name
+    path = root / f"{name}.json"
+    path.write_text(json.dumps(config_obj), encoding="utf-8")
+    config = RunConfig.from_file(path)
+    assert not run_pipeline(config).failures
+    return run_pairs(config)
+
+
+def test_sub_chains_and_reversed_chain_agree_with_the_full_chain(tmp_path):
+    """A pair's entry depends on its two versions only, and matching cost is symmetric."""
+    config_path = write_small_history(tmp_path)
+    labels = [label for label, _ in RunConfig.from_file(config_path).versions]
+    full = {
+        (pair["from_version"], pair["to_version"]): pair
+        for pair in _run_chain(tmp_path, config_path, labels, "full")
+    }
+    assert len(full) == len(labels) - 1 == 5
+    sub_chains = [(i, j) for i in range(len(labels)) for j in range(i + 2, len(labels) + 1)]
+    assert len(sub_chains) == 15
+    for i, j in sub_chains:
+        pairs = _run_chain(tmp_path, config_path, labels[i:j], f"sub-{i}-{j}")
+        assert pairs == [full[p["from_version"], p["to_version"]] for p in pairs]
+        assert len(pairs) == j - i - 1
+    backward = _run_chain(tmp_path, config_path, labels[::-1], "reversed")
+    costs = [full[pair]["matching_cost"] for pair in zip(labels, labels[1:])]
+    assert [p["matching_cost"] for p in reversed(backward)] == costs
+    assert all(costs)
 
 
 def test_outputs_ignore_hash_seed(tmp_path):
@@ -374,8 +468,11 @@ def test_nothing_a_pair_makes_outlives_it(tmp_path, monkeypatch):
             if ref() is not None
         ]
 
+    class Impact(dict):  # a plain dict cannot be weakly referenced; a subclass can
+        pass
+
     def tracked_lists(*args):
-        impacts = build_lists(*args)
+        impacts = {version: Impact(impact) for version, impact in build_lists(*args).items()}
         impact_refs.update((version, weakref.ref(impact)) for version, impact in impacts.items())
         return impacts
 

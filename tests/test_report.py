@@ -9,7 +9,7 @@ import archdd
 from archdd import report
 from archdd.changes import analyze_changes
 from archdd.decisions import Decision, DecisionKind, decision_id
-from archdd.ingestion import ArchitecturalImpactList, ImpactDiagnostics, IssueRecord
+from archdd.ingestion import IssueRecord
 from archdd.model import new_change
 from archdd.report import (
     SCHEMA_VERSION,
@@ -62,20 +62,43 @@ def test_changes_doc_round_trip():
 
 
 def test_impact_doc_round_trip():
-    impact = ArchitecturalImpactList(
-        entries={"A-1": frozenset({"x", "y"}), "A-2": frozenset()},
-        diagnostics=ImpactDiagnostics(
-            orphaned_commit_refs=[("A-1", "ghost")],
-            skipped_paths=["docs/readme.md"],
-            excluded_entity_count=3,
-        ),
-    )
+    impact = {
+        "entries": {"A-1": ["x", "y"], "A-2": []},
+        "diagnostics": {
+            "orphaned_commit_refs": [{"issue": "A-1", "commit": "ghost"}],
+            "skipped_paths": ["docs/readme.md"],
+            "excluded_entity_count": 3,
+        },
+    }
     text = canonical_json(impact_doc(impact, (None, "v2")))
     pair, parsed = parse_impact_doc(json.loads(text))
     assert pair == (None, "v2")
-    assert parsed.entries == impact.entries
-    assert parsed.diagnostics.orphaned_commit_refs == [("A-1", "ghost")]
+    assert parsed["entries"] == impact["entries"]
+    assert parsed["diagnostics"]["orphaned_commit_refs"] == [{"issue": "A-1", "commit": "ghost"}]
     assert canonical_json(impact_doc(parsed, pair)) == text
+    assert parsed == impact  # the reader returns the shape build_impact_lists does
+    # Entity lists come back de-duplicated and sorted, refs and paths sorted,
+    # so writing a parsed document gives its canonical bytes.
+    unordered = dict(
+        json.loads(text),
+        entries={"A-2": [], "A-1": ["y", "x", "y"]},
+        diagnostics={
+            "orphaned_commit_refs": [
+                {"issue": "A-2", "commit": "c"}, {"issue": "A-1", "commit": "ghost"},
+            ],
+            "skipped_paths": ["z.md", "docs/readme.md"],
+            "excluded_entity_count": 3,
+        },
+    )
+    pair, parsed = parse_impact_doc(unordered)
+    assert parsed["entries"] == impact["entries"]
+    assert parsed["diagnostics"] == {
+        "orphaned_commit_refs": [
+            {"issue": "A-1", "commit": "ghost"}, {"issue": "A-2", "commit": "c"},
+        ],
+        "skipped_paths": ["docs/readme.md", "z.md"],
+        "excluded_entity_count": 3,
+    }
 
 
 def test_decisions_doc_round_trip():
