@@ -15,8 +15,6 @@ from .changes import (
     min_cost_matching,
 )
 from .decisions import (
-    Decision,
-    DecisionKind,
     build_decision_graph,
     classify,
     find_decisions,
@@ -50,8 +48,6 @@ __all__ = [
     "ChangeKind",
     "CommitRecord",
     "Component",
-    "Decision",
-    "DecisionKind",
     "IssueRecord",
     "PathRule",
     "RunConfig",

@@ -3,7 +3,11 @@
 An edge connects an issue to a change when the issue's entities intersect
 the entities the change removed or added. Each connected component of the
 edges is one decision, so orphans (degree-zero nodes) never appear; a
-decision's kind follows from its issue and change counts.
+decision's kind, one of ``KINDS``, follows from its issue and change counts.
+
+A decision has one shape, the plain dict a ``run.json`` entry's
+``decisions`` list holds without its version fields: ``id``, ``kind``,
+sorted ``issue_ids`` and ``change_ids``, and ``tractable``.
 
 Decisions grow as sets over an issue -> changes and a change -> issues index,
 so an issue and a change may share an id. Each issue not yet placed, in id
@@ -13,8 +17,7 @@ those reach, until it stops growing: decisions come out by smallest issue id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
+from collections.abc import Iterable
 
 from .errors import InvariantViolation
 from .ingestion import apply_exclusions
@@ -23,13 +26,11 @@ from .model import ArchitecturalChange, content_id
 DEFAULT_TRACTABILITY_THRESHOLD = 5
 
 
-class DecisionKind(str, Enum):
-    SIMPLE = "simple"
-    COMPOUND = "compound"
-    CROSSCUTTING = "crosscutting"
+# The decision kinds, in the order the reports list them.
+KINDS = ("simple", "compound", "crosscutting")
 
 
-def classify(issue_count: int, change_count: int) -> DecisionKind:
+def classify(issue_count: int, change_count: int) -> str:
     """Kind from counts: 1/1 simple, >=2/1 compound, any/>=2 crosscutting."""
     if issue_count < 1 or change_count < 1:
         raise InvariantViolation(
@@ -37,34 +38,14 @@ def classify(issue_count: int, change_count: int) -> DecisionKind:
             f"{change_count} changes"
         )
     if change_count >= 2:
-        return DecisionKind.CROSSCUTTING
+        return "crosscutting"
     if issue_count >= 2:
-        return DecisionKind.COMPOUND
-    return DecisionKind.SIMPLE
-
-
-@dataclass(frozen=True)
-class Decision:
-    """One connected subgraph of the decision graph."""
-
-    id: str
-    issue_ids: frozenset[str]
-    change_ids: frozenset[str]
-    tractable: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "issue_ids", frozenset(self.issue_ids))
-        object.__setattr__(self, "change_ids", frozenset(self.change_ids))
-        if not self.issue_ids or not self.change_ids:
-            raise InvariantViolation("a decision needs at least one issue and one change")
-
-    @property
-    def kind(self) -> DecisionKind:
-        return classify(len(self.issue_ids), len(self.change_ids))
+        return "compound"
+    return "simple"
 
 
 def decision_id(
-    issue_ids: frozenset[str], change_ids: frozenset[str], version_pair: tuple[str, str]
+    issue_ids: Iterable[str], change_ids: Iterable[str], version_pair: tuple[str, str]
 ) -> str:
     parts = list(version_pair)
     parts.extend(sorted(issue_ids))
@@ -97,11 +78,14 @@ def find_decisions(
     edges: frozenset[tuple[str, str]],
     version_pair: tuple[str, str],
     tractability_threshold: int = DEFAULT_TRACTABILITY_THRESHOLD,
-) -> list[Decision]:
+) -> list[dict]:
     """Split the edges into connected components, one decision each for ``version_pair``.
 
-    Output is ordered by the smallest issue id in each component so repeated
-    runs list decisions identically.
+    Each decision is ``{"id", "kind", "issue_ids", "change_ids",
+    "tractable"}`` with sorted id lists: the ``decisions`` object of a
+    ``run.json`` entry without its version fields. Output is ordered by the
+    smallest issue id in each component so repeated runs list decisions
+    identically.
     """
     changes_of: dict[str, set[str]] = {}
     issues_of: dict[str, set[str]] = {}
@@ -120,15 +104,15 @@ def find_decisions(
             new_issues = set().union(*map(issues_of.__getitem__, new_changes)) - issues
             issues |= new_issues
         placed |= issues
-        issue_ids = frozenset(issues)
-        change_ids = frozenset(changes)
+        issue_ids, change_ids = sorted(issues), sorted(changes)
         decisions.append(
-            Decision(
-                id=decision_id(issue_ids, change_ids, version_pair),
-                issue_ids=issue_ids,
-                change_ids=change_ids,
-                tractable=len(change_ids) <= tractability_threshold,
-            )
+            {
+                "id": decision_id(issue_ids, change_ids, version_pair),
+                "kind": classify(len(issue_ids), len(change_ids)),
+                "issue_ids": issue_ids,
+                "change_ids": change_ids,
+                "tractable": len(change_ids) <= tractability_threshold,
+            }
         )
     return decisions
 

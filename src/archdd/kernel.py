@@ -17,9 +17,10 @@ It reads only the pairs that share an entity, never all n^2. Two phases:
    the full n x n assignment;
 2. a greedy pass over the zero-reduced-cost subgraph that reassigns each row
    in turn to its smallest feasible column, testing feasibility with one
-   augmenting-path search per candidate. That subgraph is the tight overlap
-   pairs (y_i + z_j = w) plus the complete block R0 x C0 of rows and columns
-   whose dual is 0; the block is held as one sorted column list.
+   augmenting-path search per candidate whose current row has another
+   column to move to. That subgraph is the tight overlap pairs
+   (y_i + z_j = w) plus the complete block R0 x C0 of rows and columns whose
+   dual is 0; the block is held as one sorted column list.
 
 Every perfect matching that uses only zero-reduced-cost pairs attains the
 optimum, and every optimal matching uses only such pairs (complementary
@@ -149,7 +150,10 @@ def _break_ties(overlaps, row_dual, col_dual, match_row, match_col):
             candidates = merge(candidates, islice(open_zero, bisect_left(open_zero, cur)))
         for j in candidates:
             # Try to steal column j from its current row and rematch that row.
+            # A rival outside R0 whose only tight column is j has nowhere to go.
             rival = match_col[j]
+            if not zero_row[rival] and tight[rival] == [j]:
+                continue
             match_row[i] = j
             match_col[j] = i
             match_col[cur] = -1

@@ -5,7 +5,8 @@ A snapshot file is line-oriented UTF-8 text with one record per line:
     contain <component-name> <entity-name>
 
 Fields are separated by whitespace; names therefore cannot contain
-whitespace themselves. Lines are split as ``str.splitlines`` splits them.
+whitespace themselves. Lines are split as ``str.splitlines`` splits them;
+every separator it knows is whitespace to ``str.split``, so no split cuts a name.
 Blank lines and lines whose first field starts with ``#`` are ignored.
 Duplicate identical records are tolerated (set semantics), but an entity
 listed under two different components is a hard error because the

@@ -19,14 +19,19 @@ An impact list has one shape too, the ``impact`` object of a ``run.json``
 entry without its version fields, as ``ingestion.build_impact_lists``
 returns it. ``impact_doc`` adds a standalone header, and
 ``parse_impact_doc`` checks a document and returns the same shape.
+
+A decision is the plain dict ``decisions.find_decisions`` returns, the
+``decisions`` object of a ``run.json`` entry without its version fields;
+``decisions_doc`` adds them, and ``build_pair_stats``, ``render_decision``
+and the distribution table read it as it stands.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from math import gcd
 
-from .decisions import Decision, DecisionKind
+from .decisions import KINDS
 from .errors import ConfigError, InvariantViolation
 from .ingestion import IssueRecord
 from .model import ArchitecturalChange, ChangeKind, _check_name
@@ -37,8 +42,6 @@ ISSUE_COUNT_CONVENTION = (
     "issue counts are distinct issue ids per version pair; an issue spanning "
     "several versions is counted once in each pair it qualifies for"
 )
-
-_KIND_ORDER = (DecisionKind.SIMPLE, DecisionKind.COMPOUND, DecisionKind.CROSSCUTTING)
 
 
 def canonical_json(obj) -> str:
@@ -167,17 +170,6 @@ def sort_changes(changes) -> list[ArchitecturalChange]:
     )
 
 
-def decision_to_obj(decision: Decision, version_pair: tuple[str, str]) -> dict:
-    return {
-        **_header(version_pair),
-        "id": decision.id,
-        "kind": decision.kind.value,
-        "issue_ids": sorted(decision.issue_ids),
-        "change_ids": sorted(decision.change_ids),
-        "tractable": decision.tractable,
-    }
-
-
 def _list(value, what: str) -> list:
     if not isinstance(value, list):
         raise TypeError(f"{what} must be a list, got {value!r}")
@@ -290,10 +282,10 @@ def parse_run_summary(obj: dict) -> dict:
     return _parse_doc(obj, "run", _read_run_summary)
 
 
-def decisions_doc(version_pair, decisions: list[Decision], coverage: list[int]) -> dict:
+def decisions_doc(version_pair, decisions: list[dict], coverage: list[int]) -> dict:
     return {
         **_header(version_pair, "decisions"),
-        "decisions": [decision_to_obj(d, version_pair) for d in decisions],
+        "decisions": [{**_header(version_pair), **d} for d in decisions],
         "coverage": coverage,
     }
 
@@ -317,8 +309,8 @@ def _ratio(part: int, whole: int, empty: list[int] | None) -> list[int] | None:
     """``part / whole`` as a reduced ``[n, d]`` pair; ``empty`` when ``whole`` is 0."""
     if whole == 0:
         return empty
-    ratio = Fraction(part, whole)
-    return [ratio.numerator, ratio.denominator]
+    divisor = gcd(part, whole)
+    return [part // divisor, whole // divisor]
 
 
 def _stats_row(version_pair: tuple[str | None, str | None], counts: dict, kinds: dict) -> dict:
@@ -344,19 +336,19 @@ def build_pair_stats(
     to_version: str,
     changes: frozenset[ArchitecturalChange],
     clean_changes: frozenset[ArchitecturalChange],
-    decisions: list[Decision],
+    decisions: list[dict],
 ) -> dict:
     """The ``stats`` object of one pair's ``run.json`` entry."""
-    kinds = {kind.value: 0 for kind in _KIND_ORDER}
+    kinds = dict.fromkeys(KINDS, 0)
     issue_ids: set[str] = set()
     covered: set[str] = set()
     issue_links = change_links = 0
     for decision in decisions:
-        issue_ids |= decision.issue_ids
-        covered |= decision.change_ids
-        issue_links += len(decision.issue_ids)
-        change_links += len(decision.change_ids)
-        kinds[decision.kind.value] += 1
+        issue_ids.update(decision["issue_ids"])
+        covered.update(decision["change_ids"])
+        issue_links += len(decision["issue_ids"])
+        change_links += len(decision["change_ids"])
+        kinds[decision["kind"]] += 1
     counts = {
         "issues_in_decisions": len(issue_ids),
         "change_count": len(changes),
@@ -374,10 +366,7 @@ def build_run_summary(rows: list[dict]) -> dict:
     overall = _stats_row(
         (None, None),
         {key: sum(row[key] for row in rows) for key in _COUNT_FIELDS},
-        {
-            kind.value: sum(row["kind_distribution"][kind.value] for row in rows)
-            for kind in _KIND_ORDER
-        },
+        {kind: sum(row["kind_distribution"][kind] for row in rows) for kind in KINDS},
     )
     return {"issue_count_convention": ISSUE_COUNT_CONVENTION, "pairs": rows, "overall": overall}
 
@@ -389,7 +378,7 @@ def _row_from_obj(obj: dict, version_pair: tuple[str | None, str | None]) -> dic
     kinds summing to ``decision_count``, and covered <= clean <= all changes.
     """
     counts = {key: obj[key] for key in _COUNT_FIELDS}
-    kinds = {kind.value: obj["kind_distribution"][kind.value] for kind in _KIND_ORDER}
+    kinds = {kind: obj["kind_distribution"][kind] for kind in KINDS}
     for key, value in {**counts, **kinds}.items():
         if type(value) is not int or value < 0:
             raise TypeError(f"{key} must be a non-negative integer, got {value!r}")
@@ -444,22 +433,22 @@ def change_label(change: ArchitecturalChange) -> str:
 
 
 def render_decision(
-    decision: Decision,
+    decision: dict,
     version_pair: tuple[str, str],
     issues_by_id: dict[str, IssueRecord],
     changes_by_id: dict[str, ArchitecturalChange],
 ) -> str:
     """One decision as a text card: header, then its issues and changes."""
     header = (
-        f"[{decision.kind.value}] {decision.id} "
+        f"[{decision['kind']}] {decision['id']} "
         f"({version_pair[0]} -> {version_pair[1]}, "
-        f"{'tractable' if decision.tractable else 'not tractable'})"
+        f"{'tractable' if decision['tractable'] else 'not tractable'})"
     )
     lines = [header]
-    for issue_id in sorted(decision.issue_ids):
+    for issue_id in decision["issue_ids"]:
         summary = issues_by_id[issue_id].summary
         lines.append(f"  issue {issue_id}: {summary}" if summary else f"  issue {issue_id}")
-    for change in sort_changes([changes_by_id[cid] for cid in decision.change_ids]):
+    for change in sort_changes([changes_by_id[cid] for cid in decision["change_ids"]]):
         lines.append(f"  change {change_label(change)}")
     return "\n".join(lines)
 
@@ -511,7 +500,7 @@ def render_distribution_table(summary: dict) -> str:
         (row for row in summary["pairs"] if row["decision_count"] > 0),
         key=lambda row: row["scope"],
     )
-    columns = [(kind.value, _kind_cell(kind.value)) for kind in _KIND_ORDER]
+    columns = [(kind, _kind_cell(kind)) for kind in KINDS]
     return _table("scope", scoped + [summary["overall"]], columns)
 
 
@@ -527,7 +516,6 @@ __all__ = [
     "change_to_obj",
     "change_from_obj",
     "sort_changes",
-    "decision_to_obj",
     "changes_doc",
     "parse_changes_doc",
     "impact_doc",

@@ -725,3 +725,17 @@ def test_build_impact_link_by_message(tmp_path, capsys):
     assert doc["entries"] == {"APP-1": ["app.A", "app.B"], "APP-2": ["app.B"]}
     assert doc["diagnostics"]["skipped_paths"] == ["docs/x.md"]
     assert doc["diagnostics"]["orphaned_commit_refs"] == []
+
+
+def test_importing_the_cli_loads_no_fraction_arithmetic():
+    """Exact ratios are reduced with ``math.gcd``, so startup skips ``fractions``
+    and the ``decimal`` and ``numbers`` modules it pulls in."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    modules = "{'fractions', 'decimal', 'numbers'}"
+    probe = f"import sys, archdd.cli; print(sorted({modules} & set(sys.modules)))"
+    child = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"

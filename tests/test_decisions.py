@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from archdd.decisions import (
     DEFAULT_TRACTABILITY_THRESHOLD,
-    Decision,
-    DecisionKind,
+    KINDS,
     build_decision_graph,
     classify,
     decision_id,
@@ -47,7 +46,7 @@ def test_build_decision_graph_edge_rule():
     edges = build_decision_graph(imp, frozenset({c1, c2}))
     assert edges == {("i1", c1.id), ("i3", c1.id), ("i3", c2.id)}
     # i2 touched no changed entity: an orphan, so no decision names it
-    assert all("i2" not in d.issue_ids for d in find_decisions(edges, PAIR))
+    assert all("i2" not in d["issue_ids"] for d in find_decisions(edges, PAIR))
 
 
 def dense_edges(impact_list, changes):
@@ -84,13 +83,13 @@ def test_build_decision_graph_equals_dense_scan():
 def test_find_decisions_simple():
     decisions = find_decisions(frozenset({("i1", "c1")}), PAIR)
     assert len(decisions) == 1
-    assert decisions[0].kind is DecisionKind.SIMPLE
-    assert decisions[0].issue_ids == {"i1"} and decisions[0].change_ids == {"c1"}
+    assert decisions[0]["kind"] == "simple"
+    assert decisions[0]["issue_ids"] == ["i1"] and decisions[0]["change_ids"] == ["c1"]
 
 
 def test_find_decisions_compound():
     decisions = find_decisions(frozenset({("i1", "c1"), ("i2", "c1")}), PAIR)
-    assert [d.kind for d in decisions] == [DecisionKind.COMPOUND]
+    assert [d["kind"] for d in decisions] == ["compound"]
 
 
 def test_find_decisions_crosscutting_and_orphans():
@@ -99,23 +98,23 @@ def test_find_decisions_crosscutting_and_orphans():
     decisions = find_decisions(build_decision_graph(imp, frozenset({c1, c2, c3})), PAIR)
     assert len(decisions) == 1
     decision = decisions[0]
-    assert decision.kind is DecisionKind.CROSSCUTTING
-    assert decision.issue_ids == {"i1", "i2"}
-    assert decision.change_ids == {c1.id, c2.id}
+    assert decision["kind"] == "crosscutting"
+    assert decision["issue_ids"] == ["i1", "i2"]
+    assert decision["change_ids"] == sorted([c1.id, c2.id])
 
 
 def test_find_decisions_ordering_and_no_empty_sides():
     decisions = find_decisions(frozenset({("i9", "c1"), ("i2", "c2"), ("i5", "c3")}), PAIR)
-    assert [min(d.issue_ids) for d in decisions] == ["i2", "i5", "i9"]
+    assert [min(d["issue_ids"]) for d in decisions] == ["i2", "i5", "i9"]
     for decision in decisions:
-        assert decision.issue_ids and decision.change_ids
+        assert decision["issue_ids"] and decision["change_ids"]
 
 
 def test_classify_table():
-    assert classify(1, 1) is DecisionKind.SIMPLE
-    assert classify(3, 1) is DecisionKind.COMPOUND
-    assert classify(1, 2) is DecisionKind.CROSSCUTTING
-    assert classify(4, 7) is DecisionKind.CROSSCUTTING
+    assert classify(1, 1) == "simple"
+    assert classify(3, 1) == "compound"
+    assert classify(1, 2) == "crosscutting"
+    assert classify(4, 7) == "crosscutting"
     with pytest.raises(InvariantViolation):
         classify(0, 1)
     with pytest.raises(InvariantViolation):
@@ -130,24 +129,36 @@ def test_classification_exhaustive_and_exclusive():
             compound = issues >= 2 and changes == 1
             crosscutting = changes >= 2
             assert [simple, compound, crosscutting].count(True) == 1
-            assert kind is {
-                (True, False, False): DecisionKind.SIMPLE,
-                (False, True, False): DecisionKind.COMPOUND,
-                (False, False, True): DecisionKind.CROSSCUTTING,
+            assert kind == {
+                (True, False, False): "simple",
+                (False, True, False): "compound",
+                (False, False, True): "crosscutting",
             }[(simple, compound, crosscutting)]
+            assert kind in KINDS
+
+
+def decision(issue_ids, change_ids, tractable=True, id="d:x"):
+    """A decision as ``find_decisions`` returns it; its kind follows from the counts."""
+    return {
+        "id": id,
+        "kind": classify(len(issue_ids), len(change_ids)),
+        "issue_ids": sorted(issue_ids),
+        "change_ids": sorted(change_ids),
+        "tractable": tractable,
+    }
 
 
 def test_decision_kind_follows_counts_and_sides_are_non_empty():
-    def make(issue_ids, change_ids):
-        return Decision("d:x", frozenset(issue_ids), frozenset(change_ids), True)
-
-    assert make({"i1"}, {"c1"}).kind is DecisionKind.SIMPLE
-    assert make({"i1", "i2"}, {"c1"}).kind is DecisionKind.COMPOUND
-    assert make({"i1"}, {"c1", "c2"}).kind is DecisionKind.CROSSCUTTING
+    assert decision({"i1"}, {"c1"})["kind"] == "simple"
+    assert decision({"i1", "i2"}, {"c1"})["kind"] == "compound"
+    assert decision({"i1"}, {"c1", "c2"})["kind"] == "crosscutting"
     with pytest.raises(InvariantViolation):
-        make(set(), {"c1"})
+        decision(set(), {"c1"})
     with pytest.raises(InvariantViolation):
-        make({"i1"}, set())
+        decision({"i1"}, set())
+    # find_decisions gives the same dict for the same sets.
+    [found] = find_decisions(frozenset({("i1", "c1"), ("i2", "c1")}), PAIR)
+    assert found == decision({"i1", "i2"}, {"c1"}, id=decision_id({"i1", "i2"}, {"c1"}, PAIR))
 
 
 def coverage(changes, decisions):
@@ -159,24 +170,10 @@ def test_change_coverage_examples():
     changes = frozenset(chg(f"comp{i}", [f"e{i}"]) for i in range(10))
     ordered = sorted(changes, key=lambda c: c.id)
     covered = ordered[:2]
-    decisions = [
-        Decision(
-            id="d:1",
-            issue_ids=frozenset({"i1"}),
-            change_ids=frozenset(c.id for c in covered),
-            tractable=True,
-        )
-    ]
+    decisions = [decision({"i1"}, {c.id for c in covered}, id="d:1")]
     assert coverage(changes, decisions) == Fraction(1, 5)  # 0.20
     all_ids = frozenset(c.id for c in changes)
-    full = [
-        Decision(
-            id="d:2",
-            issue_ids=frozenset({"i1"}),
-            change_ids=all_ids,
-            tractable=False,
-        )
-    ]
+    full = [decision({"i1"}, all_ids, tractable=False, id="d:2")]
     assert coverage(changes, full) == Fraction(1)
     assert coverage(frozenset(), []) == Fraction(1)
 
@@ -188,14 +185,7 @@ def test_change_coverage_after_cleanup_fixture():
     changes = frozenset(internal + external)
     clean = drop_external_changes(changes, ["ext.lib0", "ext.lib1", "ext.lib2"])
     assert clean == frozenset(internal)
-    decisions = [
-        Decision(
-            id="d:3",
-            issue_ids=frozenset({"i1"}),
-            change_ids=frozenset(c.id for c in internal[:2]),
-            tractable=True,
-        )
-    ]
+    decisions = [decision({"i1"}, {c.id for c in internal[:2]}, id="d:3")]
     stats = build_pair_stats("v1", "v2", changes, clean, decisions)
     assert Fraction(*stats["coverage_before_cleanup"]) == Fraction(2, 10)
     assert Fraction(*stats["coverage_after_cleanup"]) == Fraction(2, 7)
@@ -250,7 +240,7 @@ def test_connected_components_match_reachability_oracle():
         }
         decisions = find_decisions(frozenset(edges), PAIR)
         got = {
-            frozenset({("i", i) for i in d.issue_ids} | {("c", c) for c in d.change_ids})
+            frozenset({("i", i) for i in d["issue_ids"]} | {("c", c) for c in d["change_ids"]})
             for d in decisions
         }
         assert got == reachability_partition(edges, issues, changes)
@@ -284,19 +274,16 @@ def union_find_decisions(
     for node in parent:
         issues, changes = groups.setdefault(find(node), (set(), set()))
         (issues if node[0] == "i" else changes).add(node[1])
-    decisions = []
-    for issues, changes in groups.values():
-        issue_ids = frozenset(issues)
-        change_ids = frozenset(changes)
-        decisions.append(
-            Decision(
-                id=decision_id(issue_ids, change_ids, version_pair),
-                issue_ids=issue_ids,
-                change_ids=change_ids,
-                tractable=len(change_ids) <= tractability_threshold,
-            )
+    decisions = [
+        decision(
+            issues,
+            changes,
+            tractable=len(changes) <= tractability_threshold,
+            id=decision_id(issues, changes, version_pair),
         )
-    decisions.sort(key=lambda d: min(d.issue_ids))
+        for issues, changes in groups.values()
+    ]
+    decisions.sort(key=lambda d: min(d["issue_ids"]))
     return decisions
 
 
@@ -344,9 +331,7 @@ def edge_lists(draw):
 def test_find_decisions_matches_union_find_reference(edges, threshold):
     got = find_decisions(frozenset(edges), PAIR, tractability_threshold=threshold)
     want = union_find_decisions(frozenset(edges), PAIR, tractability_threshold=threshold)
-    assert [(d.id, d.issue_ids, d.change_ids, d.tractable) for d in got] == [
-        (d.id, d.issue_ids, d.change_ids, d.tractable) for d in want
-    ]
+    assert got == want
 
 
 def test_coverage_monotone_in_edges():
@@ -369,5 +354,5 @@ def test_decision_ids_stable_across_runs():
     edges = frozenset({("i1", "c1"), ("i2", "c1")})
     first = find_decisions(edges, PAIR)
     second = find_decisions(edges, PAIR)
-    assert [d.id for d in first] == [d.id for d in second]
-    assert first[0].id.startswith("d:")
+    assert [d["id"] for d in first] == [d["id"] for d in second]
+    assert first[0]["id"].startswith("d:")

@@ -13,6 +13,7 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from archdd import kernel
 from archdd.changes import build_matching_problem
 from archdd.kernel import lexmin_assignment
 from archdd.model import ArchitectureSnapshot, Component
@@ -304,3 +305,18 @@ def test_long_augmenting_path_needs_no_deep_stack():
     n = 300
     cols = call_with_headroom(100, lexmin_assignment, reversed_cycle(n))
     assert cols == [0] + [n - i for i in range(1, n)]
+
+
+def test_tie_break_skips_steals_that_cannot_succeed(monkeypatch):
+    """A rival outside R0 whose only tight column is the one wanted is never searched."""
+    augment, calls = kernel._augment, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return augment(*args)
+
+    monkeypatch.setattr(kernel, "_augment", counted)
+    # Row 0 shares nothing, so it sits in R0 and would take column 0 or 1,
+    # but rows 1 and 2 each have exactly one tight column.
+    assert lexmin_assignment([{}, {0: 5}, {1: 5}]) == [2, 0, 1]
+    assert calls == []

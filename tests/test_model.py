@@ -225,9 +225,20 @@ snapshot_texts = st.lists(
 @example(text="#contain a b\ncontain #a b\r\n\tcontain\tC1\te1 \n", tail="")
 @example(text="contain C1 e1\x85contain C2 e1 ", tail="")
 @example(text="contain C1 e1\x0bcontain C1\x0ce2\n\ncontain C1 e1\n", tail="contain C1 e1 e2")
+@example(text="contain C1 e1\u2028contain C2 e2\u2029", tail="")
 def test_parse_snapshot_matches_the_line_loop(text, tail):
     text += tail
     assert parse_outcome(parse_snapshot, text) == parse_outcome(reference_parse_snapshot, text)
+
+
+def test_snapshot_lines_end_where_str_splitlines_ends_them():
+    # Every separator splitlines knows is whitespace to str.split, so no name
+    # can hold one, and splitting there never cuts a name: U+2028 and U+2029
+    # end records.
+    snapshot = parse_snapshot("contain C1 e1\u2028contain C2 e2\u2029", "v1")
+    assert [(c.name, c.entities) for c in snapshot.components] == [
+        ("C1", frozenset({"e1"})), ("C2", frozenset({"e2"})),
+    ]
 
 
 def test_bulk_split_counterexample_fails_at_line_one():

@@ -287,6 +287,39 @@ def test_stage_commands_agree_with_the_pipeline(tmp_path, write_project):
         assert _decision_rows(decisions_doc["decisions"]) == _decision_rows(pair["decisions"])
 
 
+def test_run_json_holds_the_decisions_find_decisions_returns(tmp_path, monkeypatch):
+    """Each pair's run.json decisions are ``find_decisions``' own dicts plus the
+    version fields, and extract-decisions writes the same objects from the
+    pair's stage documents."""
+    config = RunConfig.from_file(write_small_history(tmp_path))
+    find, calls = pipeline.find_decisions, []
+
+    def recorded_find(edges, pair, **kwargs):
+        calls.append((edges, pair, kwargs))
+        return find(edges, pair, **kwargs)
+
+    monkeypatch.setattr(pipeline, "find_decisions", recorded_find)
+    run_pipeline(config)
+    pairs = run_pairs(config)
+    assert len(calls) == len(pairs) and sum(len(pair["decisions"]) for pair in pairs) > 5
+    changes, impact, decisions = (tmp_path / name for name in ("c.json", "i.json", "d.json"))
+    for pair, (edges, version_pair, kwargs) in zip(pairs, calls):
+        assert pair["decisions"] == [
+            {"from_version": version_pair[0], "to_version": version_pair[1], **d}
+            for d in find(edges, version_pair, **kwargs)
+        ]
+        changes.write_text(report.canonical_json({
+            "schema_version": report.SCHEMA_VERSION, "kind": "changes",
+            "from_version": version_pair[0], "to_version": version_pair[1],
+            "changes": pair["changes"],
+        }), encoding="utf-8")
+        impact.write_text(report.canonical_json(report.impact_doc(pair["impact"], version_pair)),
+                          encoding="utf-8")
+        assert main(["extract-decisions", "--changes", str(changes), "--impact", str(impact),
+                     "--out", str(decisions)]) == 0
+        assert json.loads(decisions.read_text(encoding="utf-8"))["decisions"] == pair["decisions"]
+
+
 def _run_chain(root, config_path, labels, name):
     """The run.json ``pairs`` of the config's history cut to ``labels``, written under ``name``."""
     config_obj = json.loads(config_path.read_text(encoding="utf-8"))
@@ -468,11 +501,11 @@ def test_nothing_a_pair_makes_outlives_it(tmp_path, monkeypatch):
             if ref() is not None
         ]
 
-    class Impact(dict):  # a plain dict cannot be weakly referenced; a subclass can
+    class Tracked(dict):  # a plain dict cannot be weakly referenced; a subclass can
         pass
 
     def tracked_lists(*args):
-        impacts = {version: Impact(impact) for version, impact in build_lists(*args).items()}
+        impacts = {version: Tracked(impact) for version, impact in build_lists(*args).items()}
         impact_refs.update((version, weakref.ref(impact)) for version, impact in impacts.items())
         return impacts
 
@@ -483,7 +516,7 @@ def test_nothing_a_pair_makes_outlives_it(tmp_path, monkeypatch):
         return changes
 
     def tracked_find(*args, **kwargs):
-        decisions = find(*args, **kwargs)
+        decisions = [Tracked(decision) for decision in find(*args, **kwargs)]
         pair_refs[-1][1].extend(weakref.ref(decision) for decision in decisions)
         return decisions
 

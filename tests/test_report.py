@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import archdd
 from archdd import report
 from archdd.changes import analyze_changes
-from archdd.decisions import Decision, DecisionKind, decision_id
+from archdd.decisions import classify, decision_id
 from archdd.ingestion import IssueRecord
 from archdd.model import new_change
 from archdd.report import (
@@ -17,7 +17,6 @@ from archdd.report import (
     build_run_summary,
     canonical_json,
     changes_doc,
-    decision_to_obj,
     decisions_doc,
     impact_doc,
     parse_changes_doc,
@@ -33,15 +32,15 @@ from conftest import snap
 
 
 def decision(issues, changes, kind, tractable=True, pair=("v1", "v2")):
-    issue_ids = frozenset(issues)
-    change_ids = frozenset(changes)
-    made = Decision(
-        id=decision_id(issue_ids, change_ids, pair),
-        issue_ids=issue_ids,
-        change_ids=change_ids,
-        tractable=tractable,
-    )
-    assert made.kind is kind  # the kind follows from the counts
+    """A decision as ``find_decisions`` returns it for ``pair``."""
+    made = {
+        "id": decision_id(issues, changes, pair),
+        "kind": classify(len(issues), len(changes)),
+        "issue_ids": sorted(issues),
+        "change_ids": sorted(changes),
+        "tractable": tractable,
+    }
+    assert made["kind"] == kind  # the kind follows from the counts
     return made
 
 
@@ -103,12 +102,12 @@ def test_impact_doc_round_trip():
 
 def test_decisions_doc_round_trip():
     decisions = [
-        decision({"i1"}, {"c1"}, DecisionKind.SIMPLE),
-        decision({"i1", "i2"}, {"c1", "c2"}, DecisionKind.CROSSCUTTING, tractable=False),
+        decision({"i1"}, {"c1"}, "simple"),
+        decision({"i1", "i2"}, {"c1", "c2"}, "crosscutting", tractable=False),
     ]
     doc = decisions_doc(("v1", "v2"), decisions, [2, 3])
     assert json.loads(canonical_json(doc)) == doc
-    assert doc["decisions"] == [decision_to_obj(d, ("v1", "v2")) for d in decisions]
+    assert doc["decisions"] == [{"from_version": "v1", "to_version": "v2", **d} for d in decisions]
     assert doc["decisions"][1]["issue_ids"] == ["i1", "i2"]
     assert doc["decisions"][1]["tractable"] is False
     assert doc["coverage"] == [2, 3]
@@ -160,18 +159,18 @@ def test_render_decision_text():
     }
     changes = {c.id: c for c in sample_changes()}
     ids = sorted(changes)
-    simple = decision({"i1"}, {ids[0]}, DecisionKind.SIMPLE)
+    simple = decision({"i1"}, {ids[0]}, "simple")
     card = render_decision(simple, ("v1", "v2"), issues, changes)
     assert card.splitlines()[0].startswith("[simple]")
     assert "issue i1: first summary" in card
     assert "entities)" in card
 
-    compound = decision({"i1", "i2"}, {ids[0]}, DecisionKind.COMPOUND)
+    compound = decision({"i1", "i2"}, {ids[0]}, "compound")
     card = render_decision(compound, ("v1", "v2"), issues, changes)
     assert card.count("issue ") == 2
     assert card.count("change ") == 1
 
-    crosscutting = decision({"i1", "i2"}, set(ids), DecisionKind.CROSSCUTTING)
+    crosscutting = decision({"i1", "i2"}, set(ids), "crosscutting")
     card = render_decision(crosscutting, ("v1", "v2"), issues, changes)
     assert card.count("change ") == len(ids)
 
@@ -185,11 +184,11 @@ def distribution_summary(*pairs):
 
 def test_emit_distribution_proportions():
     decisions = [
-        decision({"i1"}, {"c1"}, DecisionKind.SIMPLE),
-        decision({"i2"}, {"c2"}, DecisionKind.SIMPLE),
-        decision({"i3"}, {"c3", "c4"}, DecisionKind.CROSSCUTTING),
+        decision({"i1"}, {"c1"}, "simple"),
+        decision({"i2"}, {"c2"}, "simple"),
+        decision({"i3"}, {"c3", "c4"}, "crosscutting"),
     ]
-    later = [decision({"i4"}, {"c5"}, DecisionKind.SIMPLE, pair=("v3", "v4"))]
+    later = [decision({"i4"}, {"c5"}, "simple", pair=("v3", "v4"))]
     summary = distribution_summary(
         (("v3", "v4"), later), (("v1", "v2"), decisions), (("v2", "v3"), [])
     )
@@ -212,8 +211,8 @@ def test_pair_stats_identities():
     changes = sample_changes()
     ids = sorted(c.id for c in changes)
     decisions = [
-        decision({"i1"}, {ids[0]}, DecisionKind.SIMPLE),
-        decision({"i2", "i3"}, {ids[1]}, DecisionKind.COMPOUND),
+        decision({"i1"}, {ids[0]}, "simple"),
+        decision({"i2", "i3"}, {ids[1]}, "compound"),
     ]
     stats = build_pair_stats("v1", "v2", changes, changes, decisions)
     assert stats["decision_count"] == 2
@@ -235,7 +234,7 @@ def test_pair_stats_empty_scope():
 def test_summary_round_trip_and_tables():
     changes = sample_changes()
     ids = sorted(c.id for c in changes)
-    decisions = [decision({"i1"}, {ids[0]}, DecisionKind.SIMPLE)]
+    decisions = [decision({"i1"}, {ids[0]}, "simple")]
     pair_stats = build_pair_stats("v1", "v2", changes, changes, decisions)
     summary = build_run_summary([pair_stats])
     obj = json.loads(canonical_json(summary))
