@@ -31,9 +31,7 @@ from .ingestion import (
     path_to_entity,
 )
 from .model import (
-    ArchitecturalChange,
     ArchitectureSnapshot,
-    ChangeKind,
     Component,
     entity_universe,
     parse_snapshot,
@@ -43,9 +41,7 @@ from .pipeline import RunConfig, run_pipeline
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArchitecturalChange",
     "ArchitectureSnapshot",
-    "ChangeKind",
     "CommitRecord",
     "Component",
     "IssueRecord",

@@ -22,16 +22,24 @@ old component was removed, the new one added) so that wholesale component
 turnover is distinguishable from in-place transformation. A pair (A, B)
 sharing entities yields a single modification that removes A - B and adds
 B - A. Equal pairs yield nothing.
+
+A change has one shape, the plain dict a ``run.json`` entry's ``changes``
+list holds without its version fields: ``id`` (see ``change_id``), ``kind``
+(see ``change_kind``), ``source_component``, ``target_component`` and
+``deltas``, one ``{"op", "entity"}`` per removed or added entity, sorted by
+(entity, op). ``analyze_changes`` returns a pair's changes in
+``change_order``. Delta names come from ``Component.entities``, which
+``Component`` has already checked, so they are not checked again.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import count, islice
 
 from . import kernel
-from .model import ArchitectureSnapshot, ArchitecturalChange, Component, new_change
+from .model import ArchitectureSnapshot, Component, content_id
 
 DUMMY_PREFIX = "__dummy_"
 
@@ -114,43 +122,91 @@ def min_cost_matching(
     return pairs
 
 
+def change_kind(source: str | None, target: str | None) -> str:
+    """No source: ``"added"``; no target: ``"removed"``; both: ``"modified"``."""
+    if source is None:
+        return "added"
+    if target is None:
+        return "removed"
+    return "modified"
+
+
+def change_id(
+    source: str | None,
+    target: str | None,
+    removed: Iterable[str],
+    added: Iterable[str],
+    version_pair: tuple[str, str],
+) -> str:
+    """Content-addressed change identifier, stable across runs."""
+    parts = [change_kind(source, target), source or "", target or "", *version_pair]
+    parts.extend(sorted([f"remove:{e}" for e in removed] + [f"add:{e}" for e in added]))
+    return content_id("ch:", parts)
+
+
+def change_deltas(removed: Iterable[str], added: Iterable[str]) -> list[dict]:
+    """A change's ``deltas``: one ``{"op", "entity"}`` per entity, sorted by (entity, op)."""
+    ops = sorted([(e, "remove") for e in removed] + [(e, "add") for e in added])
+    return [{"op": op, "entity": entity} for entity, op in ops]
+
+
+def change_order(change: dict) -> tuple[str, str, str]:
+    """The sort key of a change list: component (the target, else the source), kind, id."""
+    return (change["target_component"] or change["source_component"], change["kind"], change["id"])
+
+
+def _change(
+    source: str | None,
+    target: str | None,
+    removed: Iterable[str],
+    added: Iterable[str],
+    version_pair: tuple[str, str],
+) -> dict:
+    return {
+        "id": change_id(source, target, removed, added, version_pair),
+        "kind": change_kind(source, target),
+        "source_component": source,
+        "target_component": target,
+        "deltas": change_deltas(removed, added),
+    }
+
+
 def get_change_instances(
     c_a: Component, c_b: Component, version_pair: tuple[str, str]
-) -> frozenset[ArchitecturalChange]:
+) -> list[dict]:
     """Extract the change instance(s) for one matched component pair."""
     entities_a = c_a.entities
     entities_b = c_b.entities
     if entities_a == entities_b:
-        return frozenset()
+        return []
     if entities_a & entities_b:
         removed = entities_a - entities_b
         added = entities_b - entities_a
-        return frozenset({new_change(c_a.name, c_b.name, removed, added, version_pair)})
-    out = set()
+        return [_change(c_a.name, c_b.name, removed, added, version_pair)]
+    out = []
     if entities_a:
-        out.add(new_change(c_a.name, None, entities_a, frozenset(), version_pair))
+        out.append(_change(c_a.name, None, entities_a, (), version_pair))
     if entities_b:
-        out.add(new_change(None, c_b.name, frozenset(), entities_b, version_pair))
-    return frozenset(out)
+        out.append(_change(None, c_b.name, (), entities_b, version_pair))
+    return out
 
 
-def analyze_changes(
-    arch_a: ArchitectureSnapshot, arch_b: ArchitectureSnapshot
-) -> frozenset[ArchitecturalChange]:
+def analyze_changes(arch_a: ArchitectureSnapshot, arch_b: ArchitectureSnapshot) -> list[dict]:
     """Two-pass change analysis: match components, then extract changes.
 
     Pass 1 solves the min-cost matching; pass 2 maps get_change_instances
-    over the chosen pairs and unions the results. A pair holding identical
-    entity sets yields nothing, so it is not handed on.
+    over the chosen pairs and gathers the results in ``change_order``. A
+    pair holding identical entity sets yields nothing, so it is not handed on.
     """
     version_pair = (arch_a.version, arch_b.version)
-    changes: set[ArchitecturalChange] = set()
+    changes: list[dict] = []
     for c_a, c_b in min_cost_matching(arch_a, arch_b):
         if c_a.entities != c_b.entities:
-            changes |= get_change_instances(c_a, c_b, version_pair)
-    return frozenset(changes)
+            changes += get_change_instances(c_a, c_b, version_pair)
+    changes.sort(key=change_order)
+    return changes
 
 
-def matching_cost(changes: frozenset[ArchitecturalChange]) -> int:
-    """Total entity count across a change set (equals the matching's total cost)."""
-    return sum(len(change.removed) + len(change.added) for change in changes)
+def matching_cost(changes: list[dict]) -> int:
+    """Total entity count across a change list (equals the matching's total cost)."""
+    return sum(len(change["deltas"]) for change in changes)

@@ -86,9 +86,9 @@ def analyze_changes_cmd(arch_a, arch_b, label_a, label_b, fmt, out):
         _emit(report.canonical_json(report.changes_doc((label_a, label_b), changes)), out)
         return
     lines = [f"changes {label_a} -> {label_b}: {len(changes)}"]
-    for change in report.sort_changes(changes):
+    for change in changes:
         lines.append(f"  {report.change_label(change)}")
-        for delta in report.change_to_obj(change, (label_a, label_b))["deltas"]:
+        for delta in change["deltas"]:
             sign = "+" if delta["op"] == "add" else "-"
             lines.append(f"    {sign} {delta['entity']}")
     _emit("\n".join(lines) + "\n", out)

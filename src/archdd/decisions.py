@@ -1,9 +1,11 @@
 """Decision extraction from the bipartite issues-changes graph.
 
-An edge connects an issue to a change when the issue's entities intersect
-the entities the change removed or added. Each connected component of the
-edges is one decision, so orphans (degree-zero nodes) never appear; a
-decision's kind, one of ``KINDS``, follows from its issue and change counts.
+A change is the plain dict ``changes.analyze_changes`` returns. An edge
+connects an issue to a change when the issue's entities intersect the
+entities of the change's ``deltas``, the ones it removed or added. Each
+connected component of the edges is one decision, so orphans (degree-zero
+nodes) never appear; a decision's kind, one of ``KINDS``, follows from its
+issue and change counts.
 
 A decision has one shape, the plain dict a ``run.json`` entry's
 ``decisions`` list holds without its version fields: ``id``, ``kind``,
@@ -21,7 +23,7 @@ from collections.abc import Iterable
 
 from .errors import InvariantViolation
 from .ingestion import apply_exclusions
-from .model import ArchitecturalChange, content_id
+from .model import content_id
 
 DEFAULT_TRACTABILITY_THRESHOLD = 5
 
@@ -53,9 +55,7 @@ def decision_id(
     return content_id("d:", parts)
 
 
-def build_decision_graph(
-    impact: dict, changes: frozenset[ArchitecturalChange]
-) -> frozenset[tuple[str, str]]:
+def build_decision_graph(impact: dict, changes: list[dict]) -> frozenset[tuple[str, str]]:
     """Connect each issue of ``impact["entries"]`` to every change that
     removed or added an entity it touched.
 
@@ -64,8 +64,8 @@ def build_decision_graph(
     """
     changes_of: dict[str, list[str]] = {}
     for change in changes:
-        for entity in change.delta_entities:
-            changes_of.setdefault(entity, []).append(change.id)
+        for delta in change["deltas"]:
+            changes_of.setdefault(delta["entity"], []).append(change["id"])
     return frozenset(
         (issue_id, change_id)
         for issue_id, entities in impact["entries"].items()
@@ -97,12 +97,12 @@ def find_decisions(
     for start in sorted(changes_of):
         if start in placed:
             continue
-        issues, changes, new_issues = {start}, set(), {start}
-        while new_issues:
-            new_changes = set().union(*map(changes_of.__getitem__, new_issues)) - changes
-            changes |= new_changes
-            new_issues = set().union(*map(issues_of.__getitem__, new_changes)) - issues
-            issues |= new_issues
+        issues, changes, reached_issues = {start}, set(), {start}
+        while reached_issues:
+            reached_changes = set().union(*map(changes_of.__getitem__, reached_issues)) - changes
+            changes |= reached_changes
+            reached_issues = set().union(*map(issues_of.__getitem__, reached_changes)) - issues
+            issues |= reached_issues
         placed |= issues
         issue_ids, change_ids = sorted(issues), sorted(changes)
         decisions.append(
@@ -117,15 +117,13 @@ def find_decisions(
     return decisions
 
 
-def is_external_change(change: ArchitecturalChange, exclusions) -> bool:
+def is_external_change(change: dict, exclusions) -> bool:
     """True when every removed or added entity falls under an excluded namespace."""
-    return not apply_exclusions(change.delta_entities, exclusions)
+    return not apply_exclusions([delta["entity"] for delta in change["deltas"]], exclusions)
 
 
-def drop_external_changes(
-    changes: frozenset[ArchitecturalChange], exclusions
-) -> frozenset[ArchitecturalChange]:
+def drop_external_changes(changes: list[dict], exclusions) -> list[dict]:
     """The cleanup step: keep only changes with at least one non-excluded entity."""
     if not exclusions:
-        return frozenset(changes)
-    return frozenset(c for c in changes if not is_external_change(c, exclusions))
+        return list(changes)
+    return [c for c in changes if not is_external_change(c, exclusions)]

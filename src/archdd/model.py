@@ -1,4 +1,4 @@
-"""Architecture domain model: entities, components, snapshots, changes.
+"""Architecture snapshot model: entities, components, snapshots.
 
 A snapshot file is line-oriented UTF-8 text with one record per line:
 
@@ -25,7 +25,9 @@ in ``a``, and dropping one of them next version would wrongly drop ``x``.
 
 Component and entity names are opaque strings; nothing in this module
 interprets them. Deriving entity names from file paths is the ingestion
-module's job.
+module's job. Changes and decisions are plain dicts built in
+``archdd.changes`` and ``archdd.decisions``; their ids come from
+``content_id``, so this is the one module that hashes.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .errors import InvariantViolation, PartitionViolation, SnapshotParseError
 
@@ -206,89 +207,7 @@ def entity_universe(snapshot: ArchitectureSnapshot) -> frozenset[str]:
     return snapshot.entities
 
 
-class ChangeKind(str, Enum):
-    COMPONENT_ADDED = "added"
-    COMPONENT_REMOVED = "removed"
-    COMPONENT_MODIFIED = "modified"
-
-
-def _change_kind(source: str | None, target: str | None) -> ChangeKind:
-    if source is None:
-        return ChangeKind.COMPONENT_ADDED
-    if target is None:
-        return ChangeKind.COMPONENT_REMOVED
-    return ChangeKind.COMPONENT_MODIFIED
-
-
-@dataclass(frozen=True)
-class ArchitecturalChange:
-    """The entity-level difference of one matched component pair.
-
-    ``removed`` holds the entities that left the source component, ``added``
-    those that joined the target. A relocation never appears as a kind of its
-    own: it is one removal in the source match plus one addition in the
-    destination match. Its version pair is not stored: a change set always
-    stands for one pair, and only the id (see ``change_id``) hashes it.
-    """
-
-    id: str
-    source_component: str | None
-    target_component: str | None
-    removed: frozenset[str]
-    added: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "removed", frozenset(self.removed))
-        object.__setattr__(self, "added", frozenset(self.added))
-        if not (self.removed or self.added):
-            raise InvariantViolation("a change must carry at least one entity")
-        if self.removed and self.source_component is None:
-            raise InvariantViolation("a change that removes entities must name its source")
-        if self.added and self.target_component is None:
-            raise InvariantViolation("a change that adds entities must name its target")
-        _check_names(self.delta_entities, "entity")
-
-    @property
-    def kind(self) -> ChangeKind:
-        """No source: added; no target: removed; both: modified."""
-        return _change_kind(self.source_component, self.target_component)
-
-    @property
-    def delta_entities(self) -> frozenset[str]:
-        return self.removed | self.added
-
-
 def content_id(prefix: str, parts: list[str]) -> str:
     """``prefix`` and the first 12 hex digits of the SHA-256 of ``parts``
     joined by the unit separator: the one id scheme for changes and decisions."""
     return prefix + hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()[:12]
-
-
-def change_id(
-    source: str | None,
-    target: str | None,
-    removed: frozenset[str],
-    added: frozenset[str],
-    version_pair: tuple[str, str],
-) -> str:
-    """Content-addressed change identifier, stable across runs."""
-    kind = _change_kind(source, target)
-    parts = [kind.value, source or "", target or "", version_pair[0], version_pair[1]]
-    parts.extend(sorted([f"remove:{e}" for e in removed] + [f"add:{e}" for e in added]))
-    return content_id("ch:", parts)
-
-
-def new_change(
-    source: str | None,
-    target: str | None,
-    removed: frozenset[str],
-    added: frozenset[str],
-    version_pair: tuple[str, str],
-) -> ArchitecturalChange:
-    return ArchitecturalChange(
-        id=change_id(source, target, removed, added, version_pair),
-        source_component=source,
-        target_component=target,
-        removed=removed,
-        added=added,
-    )

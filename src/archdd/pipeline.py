@@ -10,9 +10,10 @@ decision graph, and extract decisions. So at most the pair's two snapshots
 and the diff base are held at once. A finished pair leaves behind only its
 ``run.json`` entry, whose ``stats`` object is its summary row, whose
 ``impact`` is a new dict around the list's entries and diagnostics, and
-whose ``decisions`` are new dicts that add the version fields to the ones
-``find_decisions`` returns, and its rendered ``decisions.txt`` cards; its
-change sets, impact list and decisions are not kept.
+whose ``changes`` and ``decisions`` are new dicts that add the version
+fields to the ones ``analyze_changes`` and ``find_decisions`` return, and
+its rendered ``decisions.txt`` cards; its changes, impact list and
+decisions are not kept.
 A config names at least two versions. A pair fails only when one of its
 snapshots cannot be read or parsed, so a bad snapshot fails both of its
 pairs; each failure is reported with the first bad snapshot's error, and
@@ -190,14 +191,16 @@ def _run_pair(
         "from_version": pair[0],
         "to_version": pair[1],
         "matching_cost": matching_cost(changes),
-        "changes": [report.change_to_obj(c, pair) for c in report.sort_changes(changes)],
-        "external_change_ids": sorted(c.id for c in changes if c not in clean_changes),
+        "changes": [{"from_version": pair[0], "to_version": pair[1], **c} for c in changes],
+        "external_change_ids": sorted(
+            {c["id"] for c in changes} - {c["id"] for c in clean_changes}
+        ),
         "impact": {"from_version": pair[0], "to_version": pair[1], **impact},
         "decisions": [{"from_version": pair[0], "to_version": pair[1], **d} for d in decisions],
         "entity_overlap": [len(mapped & entity_universe(snap_b)), len(mapped)],
         "stats": report.build_pair_stats(*pair, changes, clean_changes, decisions),
     }
-    changes_by_id = {change.id: change for change in changes}
+    changes_by_id = {change["id"]: change for change in changes}
     cards = [f"== {pair[0]} -> {pair[1]}"]
     if not decisions:
         cards.append("(no decisions)")

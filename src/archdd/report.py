@@ -20,6 +20,13 @@ entry without its version fields, as ``ingestion.build_impact_lists``
 returns it. ``impact_doc`` adds a standalone header, and
 ``parse_impact_doc`` checks a document and returns the same shape.
 
+A change is the plain dict ``changes.analyze_changes`` returns, the
+``changes`` object of a ``run.json`` entry without its version fields, and
+lists of changes are kept in ``changes.change_order``. ``changes_doc`` adds
+the version fields, and ``parse_changes_doc`` checks a document and returns
+the same shape, deltas de-duplicated and sorted and changes in order, so a
+parsed document writes back as the canonical one.
+
 A decision is the plain dict ``decisions.find_decisions`` returns, the
 ``decisions`` object of a ``run.json`` entry without its version fields;
 ``decisions_doc`` adds them, and ``build_pair_stats``, ``render_decision``
@@ -31,10 +38,11 @@ from __future__ import annotations
 import json
 from math import gcd
 
+from .changes import change_deltas, change_kind, change_order
 from .decisions import KINDS
 from .errors import ConfigError, InvariantViolation
 from .ingestion import IssueRecord
-from .model import ArchitecturalChange, ChangeKind, _check_name
+from .model import _check_name
 
 SCHEMA_VERSION = 1
 
@@ -111,18 +119,6 @@ def _header(version_pair: tuple[str | None, str | None], kind: str | None = None
     return header
 
 
-def change_to_obj(change: ArchitecturalChange, version_pair: tuple[str, str]) -> dict:
-    ops = [(e, "remove") for e in change.removed] + [(e, "add") for e in change.added]
-    return {
-        **_header(version_pair),
-        "id": change.id,
-        "kind": change.kind.value,
-        "source_component": change.source_component,
-        "target_component": change.target_component,
-        "deltas": [{"op": op, "entity": entity} for entity, op in sorted(ops)],
-    }
-
-
 def _name(value, what: str, optional: bool = False):
     """A document's version label or id: a non-empty string, or None where ``optional``."""
     if not (isinstance(value, str) and value) and not (optional and value is None):
@@ -135,39 +131,42 @@ def _component(value) -> str | None:
     return None if value is None else _check_name(value, "component")
 
 
-def change_from_obj(obj: dict, version_pair: tuple[str, str]) -> ArchitecturalChange:
-    """One change of a document whose header names ``version_pair``; its versions must match."""
+def _read_change(obj: dict, version_pair: tuple[str, str]) -> dict:
+    """One change of a document whose header names ``version_pair``, in the
+    shape ``analyze_changes`` returns, its deltas de-duplicated and sorted.
+
+    A change carries at least one entity, names its source if it removes
+    one and its target if it adds one, and its versions and kind must match
+    the header and its endpoints.
+    """
     entities = {"remove": set(), "add": set()}
     for delta in obj["deltas"]:
         if delta["op"] not in entities:
             raise ValueError(f"unknown delta op {delta['op']!r}")
         entities[delta["op"]].add(_check_name(delta["entity"], "entity"))
-    change = ArchitecturalChange(
-        id=_name(obj["id"], "change id"),
-        source_component=_component(obj.get("source_component")),
-        target_component=_component(obj.get("target_component")),
-        removed=entities["remove"],
-        added=entities["add"],
-    )
+    id_ = _name(obj["id"], "change id")
+    source = _component(obj.get("source_component"))
+    target = _component(obj.get("target_component"))
+    if not (entities["remove"] or entities["add"]):
+        raise ValueError("a change must carry at least one entity")
+    if entities["remove"] and source is None:
+        raise ValueError("a change that removes entities must name its source")
+    if entities["add"] and target is None:
+        raise ValueError("a change that adds entities must name its target")
     if (obj["from_version"], obj["to_version"]) != version_pair:
-        raise ValueError(f"change {change.id} is not for the header's versions {version_pair}")
-    if obj["kind"] != change.kind.value:
+        raise ValueError(f"change {id_} is not for the header's versions {version_pair}")
+    kind = change_kind(source, target)
+    if obj["kind"] != kind:
         raise ValueError(
-            f"change {change.id} is {change.kind.value} by its endpoints, "
-            f"but declares kind {obj['kind']!r}"
+            f"change {id_} is {kind} by its endpoints, but declares kind {obj['kind']!r}"
         )
-    return change
-
-
-def sort_changes(changes) -> list[ArchitecturalChange]:
-    return sorted(
-        changes,
-        key=lambda c: (
-            c.target_component or c.source_component,
-            c.kind.value,
-            c.id,
-        ),
-    )
+    return {
+        "id": id_,
+        "kind": kind,
+        "source_component": source,
+        "target_component": target,
+        "deltas": change_deltas(entities["remove"], entities["add"]),
+    }
 
 
 def _list(value, what: str) -> list:
@@ -247,26 +246,27 @@ def _parse_doc(obj, kind: str, parse):
         raise ConfigError(f"malformed {kind} document: {exc}") from None
 
 
-def changes_doc(version_pair: tuple[str, str], changes) -> dict:
+def changes_doc(version_pair: tuple[str, str], changes: list[dict]) -> dict:
+    """A changes document of ``changes``, which are in ``change_order``."""
     return {
         **_header(version_pair, "changes"),
-        "changes": [change_to_obj(c, version_pair) for c in sort_changes(changes)],
+        "changes": [{**_header(version_pair), **c} for c in changes],
     }
 
 
-def _changes_from_obj(doc: dict) -> tuple[tuple[str, str], frozenset[ArchitecturalChange]]:
+def _read_changes(doc: dict) -> tuple[tuple[str, str], list[dict]]:
     version_pair = tuple(_name(doc[key], key) for key in ("from_version", "to_version"))
-    changes: dict[str, ArchitecturalChange] = {}
+    changes: dict[str, dict] = {}
     for entry in doc["changes"]:
-        change = change_from_obj(entry, version_pair)
-        if change.id in changes:
-            raise ValueError(f"duplicate change id {change.id!r}")
-        changes[change.id] = change
-    return version_pair, frozenset(changes.values())
+        change = _read_change(entry, version_pair)
+        if change["id"] in changes:
+            raise ValueError(f"duplicate change id {change['id']!r}")
+        changes[change["id"]] = change
+    return version_pair, sorted(changes.values(), key=change_order)
 
 
-def parse_changes_doc(obj: dict) -> tuple[tuple[str, str], frozenset[ArchitecturalChange]]:
-    return _parse_doc(obj, "changes", _changes_from_obj)
+def parse_changes_doc(obj: dict) -> tuple[tuple[str, str], list[dict]]:
+    return _parse_doc(obj, "changes", _read_changes)
 
 
 def impact_doc(impact: dict, version_pair: tuple[str | None, str]) -> dict:
@@ -334,8 +334,8 @@ def _stats_row(version_pair: tuple[str | None, str | None], counts: dict, kinds:
 def build_pair_stats(
     from_version: str,
     to_version: str,
-    changes: frozenset[ArchitecturalChange],
-    clean_changes: frozenset[ArchitecturalChange],
+    changes: list[dict],
+    clean_changes: list[dict],
     decisions: list[dict],
 ) -> dict:
     """The ``stats`` object of one pair's ``run.json`` entry."""
@@ -355,7 +355,7 @@ def build_pair_stats(
         "decision_count": len(decisions),
         "issue_links": issue_links,
         "change_links": change_links,
-        "covered_change_count": len(covered & {change.id for change in changes}),
+        "covered_change_count": len(covered & {change["id"] for change in changes}),
         "clean_change_count": len(clean_changes),
     }
     return _stats_row((from_version, to_version), counts, kinds)
@@ -420,23 +420,24 @@ def _format_ratio(pair: list[int] | None) -> str:
     return "-" if pair is None else f"{pair[0] / pair[1]:.2f}"
 
 
-def change_label(change: ArchitecturalChange) -> str:
-    if change.kind is ChangeKind.COMPONENT_ADDED:
-        name = change.target_component
-    elif change.kind is ChangeKind.COMPONENT_REMOVED:
-        name = change.source_component
-    elif change.source_component == change.target_component:
-        name = change.target_component
+def change_label(change: dict) -> str:
+    source, target = change["source_component"], change["target_component"]
+    if source is None or source == target:
+        name = target
+    elif target is None:
+        name = source
     else:
-        name = f"{change.source_component} -> {change.target_component}"
-    return f"{name} {change.kind.value} (+{len(change.added)}/-{len(change.removed)} entities)"
+        name = f"{source} -> {target}"
+    added = sum(delta["op"] == "add" for delta in change["deltas"])
+    removed = len(change["deltas"]) - added
+    return f"{name} {change['kind']} (+{added}/-{removed} entities)"
 
 
 def render_decision(
     decision: dict,
     version_pair: tuple[str, str],
     issues_by_id: dict[str, IssueRecord],
-    changes_by_id: dict[str, ArchitecturalChange],
+    changes_by_id: dict[str, dict],
 ) -> str:
     """One decision as a text card: header, then its issues and changes."""
     header = (
@@ -448,7 +449,7 @@ def render_decision(
     for issue_id in decision["issue_ids"]:
         summary = issues_by_id[issue_id].summary
         lines.append(f"  issue {issue_id}: {summary}" if summary else f"  issue {issue_id}")
-    for change in sort_changes([changes_by_id[cid] for cid in decision["change_ids"]]):
+    for change in sorted(map(changes_by_id.__getitem__, decision["change_ids"]), key=change_order):
         lines.append(f"  change {change_label(change)}")
     return "\n".join(lines)
 
@@ -513,9 +514,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "ISSUE_COUNT_CONVENTION",
     "canonical_json",
-    "change_to_obj",
-    "change_from_obj",
-    "sort_changes",
     "changes_doc",
     "parse_changes_doc",
     "impact_doc",

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from archdd.changes import analyze_changes, balance, get_change_instances, min_cost_matching
 from archdd.decisions import find_decisions
-from archdd.model import ChangeKind
 from archdd.pipeline import RunConfig, run_pipeline
 
 from conftest import output_digests, random_snapshot, write_mini_project
@@ -76,15 +75,15 @@ def test_change_instance_conformance():
             changes = get_change_instances(c_a, c_b, ("va", "vb"))
             emitted = set()
             for change in changes:
-                emitted |= change.delta_entities
+                emitted |= {delta["entity"] for delta in change["deltas"]}
             expected = c_a.entities ^ c_b.entities
             if emitted != expected:
                 violations += 1
             if c_a.entities and c_b.entities and not (c_a.entities & c_b.entities):
-                kinds = sorted(c.kind for c in changes)
+                kinds = sorted(c["kind"] for c in changes)
                 if len(changes) != 2 or kinds != [
-                    ChangeKind.COMPONENT_ADDED,
-                    ChangeKind.COMPONENT_REMOVED,
+                    "added",
+                    "removed",
                 ]:
                     violations += 1
             if c_a.entities == c_b.entities and changes:
@@ -95,12 +94,12 @@ def test_change_instance_conformance():
 
 
 def test_self_comparison_is_empty():
-    """analyze_changes(A, A) == empty set for 100 random snapshots."""
+    """analyze_changes(A, A) == empty list for 100 random snapshots."""
     rng = random.Random(31337)
     pool = [f"pkg.m{i:02d}.C" for i in range(40)]
     for index in range(100):
         snapshot = random_snapshot(rng, f"v{index}", pool)
-        assert analyze_changes(snapshot, snapshot) == frozenset()
+        assert analyze_changes(snapshot, snapshot) == []
     print(f"{PASS} self-comparison empty (100/100 snapshots)")
 
 

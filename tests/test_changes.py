@@ -1,15 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archdd.changes import (
     analyze_changes,
+    change_id,
+    change_kind,
+    change_order,
     get_change_instances,
     matching_cost,
     min_cost_matching,
 )
-from archdd.model import ChangeKind, Component, change_id, entity_universe
-from archdd.report import change_to_obj, canonical_json
+from archdd.model import Component, entity_universe
+from archdd.report import canonical_json, changes_doc, parse_changes_doc
 
 from conftest import random_snapshot, snap
 
@@ -19,45 +24,45 @@ def comp(name, entities=""):
 
 
 def delta_set(change):
-    return {("remove", e) for e in change.removed} | {("add", e) for e in change.added}
+    return {(delta["op"], delta["entity"]) for delta in change["deltas"]}
 
 
 def test_disjoint_pair_yields_two_changes():
     changes = get_change_instances(comp("X", "a b"), comp("Y", "c"), ("v1", "v2"))
     assert len(changes) == 2
-    by_kind = {c.kind: c for c in changes}
-    removed = by_kind[ChangeKind.COMPONENT_REMOVED]
-    added = by_kind[ChangeKind.COMPONENT_ADDED]
+    by_kind = {c["kind"]: c for c in changes}
+    removed = by_kind["removed"]
+    added = by_kind["added"]
     assert delta_set(removed) == {("remove", "a"), ("remove", "b")}
-    assert removed.source_component == "X" and removed.target_component is None
+    assert removed["source_component"] == "X" and removed["target_component"] is None
     assert delta_set(added) == {("add", "c")}
-    assert added.target_component == "Y" and added.source_component is None
+    assert added["target_component"] == "Y" and added["source_component"] is None
 
 
 def test_overlapping_pair_yields_one_modification():
     changes = get_change_instances(comp("X", "a b c"), comp("Y", "b c d"), ("v1", "v2"))
     assert len(changes) == 1
     change = next(iter(changes))
-    assert change.kind is ChangeKind.COMPONENT_MODIFIED
-    assert change.source_component == "X" and change.target_component == "Y"
+    assert change["kind"] == "modified"
+    assert change["source_component"] == "X" and change["target_component"] == "Y"
     assert delta_set(change) == {("remove", "a"), ("add", "d")}
 
 
 def test_equal_pair_yields_nothing():
-    assert get_change_instances(comp("X", "a"), comp("Y", "a"), ("v1", "v2")) == frozenset()
+    assert get_change_instances(comp("X", "a"), comp("Y", "a"), ("v1", "v2")) == []
 
 
 def test_dummy_pair_yields_single_change():
     added = get_change_instances(comp("__dummy_0"), comp("Y", "a b"), ("v1", "v2"))
-    assert {c.kind for c in added} == {ChangeKind.COMPONENT_ADDED}
+    assert {c["kind"] for c in added} == {"added"}
     removed = get_change_instances(comp("X", "a"), comp("__dummy_0"), ("v1", "v2"))
-    assert {c.kind for c in removed} == {ChangeKind.COMPONENT_REMOVED}
-    assert get_change_instances(comp("__dummy_0"), comp("__dummy_1"), ("v1", "v2")) == frozenset()
+    assert {c["kind"] for c in removed} == {"removed"}
+    assert get_change_instances(comp("__dummy_0"), comp("__dummy_1"), ("v1", "v2")) == []
 
 
 def test_analyze_changes_self_comparison_is_empty():
     snapshot = snap("v1", {"C1": "a b", "C2": "c"})
-    assert analyze_changes(snapshot, snapshot) == frozenset()
+    assert analyze_changes(snapshot, snapshot) == []
 
 
 def test_analyze_changes_spec_example():
@@ -66,25 +71,64 @@ def test_analyze_changes_spec_example():
     changes = analyze_changes(snap_a, snap_b)
     assert len(changes) == 1
     change = next(iter(changes))
-    assert change.kind is ChangeKind.COMPONENT_MODIFIED
-    assert change.source_component == "C2" and change.target_component == "D2"
+    assert change["kind"] == "modified"
+    assert change["source_component"] == "C2" and change["target_component"] == "D2"
     assert delta_set(change) == {("add", "d")}
-    assert change.id == change_id("C2", "D2", frozenset(), frozenset({"d"}), ("v1", "v2"))
+    assert change["id"] == change_id("C2", "D2", frozenset(), frozenset({"d"}), ("v1", "v2"))
 
 
 def test_analyze_changes_disjoint_singletons():
     changes = analyze_changes(snap("v1", {"C1": "a"}), snap("v2", {"D1": "b"}))
-    kinds = sorted(c.kind.value for c in changes)
+    kinds = sorted(c["kind"] for c in changes)
     assert kinds == ["added", "removed"]
-    entities = {(c.kind.value, e) for c in changes for e in c.delta_entities}
+    entities = {(c["kind"], d["entity"]) for c in changes for d in c["deltas"]}
     assert entities == {("removed", "a"), ("added", "b")}
+
+
+@st.composite
+def snapshot_pairs(draw):
+    """Two snapshots over one small entity pool, their components named from one small set."""
+    pool = [f"e{i}" for i in range(10)]
+    owners = st.sampled_from([None, "a", "b", "c", "d"])
+    pair = []
+    for version in ("v1", "v2"):
+        groups = {}
+        for entity, owner in zip(pool, draw(st.lists(owners, min_size=10, max_size=10))):
+            if owner is not None:
+                groups.setdefault(owner, []).append(entity)
+        pair.append(snap(version, {name: " ".join(group) for name, group in groups.items()}))
+    return pair
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=snapshot_pairs())
+def test_analyzed_changes_keep_the_change_rules(pair):
+    """Every change has the one shape and keeps the rules a changes document is checked for."""
+    arch_a, arch_b = pair
+    version_pair = (arch_a.version, arch_b.version)
+    changes = analyze_changes(arch_a, arch_b)
+    for change in changes:
+        assert set(change) == {"id", "kind", "source_component", "target_component", "deltas"}
+        assert all(set(delta) == {"op", "entity"} for delta in change["deltas"])
+        deltas = [(delta["entity"], delta["op"]) for delta in change["deltas"]]
+        assert deltas and deltas == sorted(set(deltas))
+        source, target = change["source_component"], change["target_component"]
+        removed = [entity for entity, op in deltas if op == "remove"]
+        added = [entity for entity, op in deltas if op == "add"]
+        assert len(removed) + len(added) == len(deltas)
+        assert source is not None or not removed
+        assert target is not None or not added
+        assert change["kind"] == change_kind(source, target)
+        assert change["id"] == change_id(source, target, removed, added, version_pair)
+    assert changes == sorted(changes, key=change_order)
+    assert parse_changes_doc(changes_doc(version_pair, changes)) == (version_pair, changes)
 
 
 def test_dummy_names_never_appear_in_changes():
     snap_a = snap("v1", {"C1": "a"})
     snap_b = snap("v2", {"D1": "a", "D2": "x y"})
     for change in analyze_changes(snap_a, snap_b):
-        for name in (change.source_component, change.target_component):
+        for name in (change["source_component"], change["target_component"]):
             assert name is None or not name.startswith("__dummy_")
 
 
@@ -108,7 +152,7 @@ def test_every_universe_difference_appears_exactly_once():
         changes = analyze_changes(snap_a, snap_b)
         counts = {}
         for change in changes:
-            for entity in [*change.removed, *change.added]:
+            for entity in [delta["entity"] for delta in change["deltas"]]:
                 counts[entity] = counts.get(entity, 0) + 1
         universe_a = entity_universe(snap_a)
         universe_b = entity_universe(snap_b)
@@ -125,9 +169,9 @@ def _mirror(changes):
     for change in changes:
         out.add(
             (
-                flip_kind[change.kind.value],
-                change.target_component,
-                change.source_component,
+                flip_kind[change["kind"]],
+                change["target_component"],
+                change["source_component"],
                 frozenset((flip_op[op], entity) for op, entity in delta_set(change)),
             )
         )
@@ -142,9 +186,9 @@ def test_symmetry_on_tie_free_fixture():
     backward = analyze_changes(snap_b, snap_a)
     plain = {
         (
-            c.kind.value,
-            c.source_component,
-            c.target_component,
+            c["kind"],
+            c["source_component"],
+            c["target_component"],
             frozenset(delta_set(c)),
         )
         for c in forward
@@ -158,8 +202,8 @@ def test_analyze_changes_deterministic_serialization():
     docs = []
     for _ in range(2):
         changes = analyze_changes(snap_a, snap_b)
-        ordered = sorted(changes, key=lambda c: c.id)
-        docs.append(canonical_json([change_to_obj(c, ("v1", "v2")) for c in ordered]))
+        ordered = sorted(changes, key=lambda c: c["id"])
+        docs.append(canonical_json(ordered))
     assert docs[0] == docs[1]
 
 

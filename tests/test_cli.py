@@ -528,6 +528,31 @@ def test_extract_decisions_rejects_malformed_documents(tmp_path, capsys):
         assert not out.exists()
     assert err == "error: malformed changes document: duplicate change id 'ch:1'\n"
 
+    # The rules every change the program makes keeps: it carries an entity,
+    # and it names the component it adds entities to or removes them from.
+    for fields, message in (
+        ({"deltas": []}, "a change must carry at least one entity"),
+        (
+            {"deltas": [{"op": "add", "entity": "app.X"}], "kind": "removed",
+             "source_component": "core", "target_component": None},
+            "a change that adds entities must name its target",
+        ),
+        (
+            {"deltas": [{"op": "remove", "entity": "app.X"}], "kind": "added",
+             "source_component": None, "target_component": "core"},
+            "a change that removes entities must name its source",
+        ),
+    ):
+        doc = json.loads(json.dumps(changes_doc))
+        doc["changes"][0].update(fields)
+        broken.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "extract-decisions", "--changes", str(broken), "--impact", str(impact_path),
+            "--out", str(out),
+        )
+        assert (code, err) == (1, f"error: malformed changes document: {message}\n")
+        assert not out.exists()
+
     bad_entries = [
         dict(impact_doc, entries=dict(impact_doc["entries"], **{"APP-1": value}))
         for value in (5, [5], [""], ["a b"], "app.core.Cache")

@@ -17,7 +17,7 @@ from archdd.decisions import (
 )
 from archdd.errors import InvariantViolation
 from archdd.changes import analyze_changes
-from archdd.model import ChangeKind, new_change
+from archdd.changes import change_deltas, change_id, change_kind
 from archdd.report import build_pair_stats
 
 from conftest import random_snapshot
@@ -26,12 +26,19 @@ from conftest import random_snapshot
 PAIR = ("v1", "v2")
 
 
-def chg(component, entities, kind=ChangeKind.COMPONENT_MODIFIED):
-    entities = frozenset(entities)
-    if kind is ChangeKind.COMPONENT_REMOVED:
-        return new_change(component, None, entities, frozenset(), PAIR)
-    source = None if kind is ChangeKind.COMPONENT_ADDED else component
-    return new_change(source, component, frozenset(), entities, PAIR)
+def chg(component, entities, kind="modified"):
+    """A change of ``component`` as ``analyze_changes`` returns it: a removal
+    of ``entities`` when ``kind`` is ``"removed"``, else an addition of them."""
+    source = None if kind == "added" else component
+    target = None if kind == "removed" else component
+    removed, added = (entities, []) if kind == "removed" else ([], entities)
+    return {
+        "id": change_id(source, target, removed, added, PAIR),
+        "kind": change_kind(source, target),
+        "source_component": source,
+        "target_component": target,
+        "deltas": change_deltas(set(removed), set(added)),
+    }
 
 
 def impact(entries):
@@ -43,8 +50,8 @@ def test_build_decision_graph_edge_rule():
     c1 = chg("core", ["e1"])
     c2 = chg("io", ["e2"])
     imp = impact({"i1": ["e1"], "i2": ["e9"], "i3": ["e1", "e2"]})
-    edges = build_decision_graph(imp, frozenset({c1, c2}))
-    assert edges == {("i1", c1.id), ("i3", c1.id), ("i3", c2.id)}
+    edges = build_decision_graph(imp, [c1, c2])
+    assert edges == {("i1", c1["id"]), ("i3", c1["id"]), ("i3", c2["id"])}
     # i2 touched no changed entity: an orphan, so no decision names it
     assert all("i2" not in d["issue_ids"] for d in find_decisions(edges, PAIR))
 
@@ -52,10 +59,10 @@ def test_build_decision_graph_edge_rule():
 def dense_edges(impact_list, changes):
     """Reference edge rule: test every issue against every change."""
     return {
-        (issue_id, change.id)
+        (issue_id, change["id"])
         for issue_id, entities in impact_list["entries"].items()
         for change in changes
-        if change.delta_entities.intersection(entities)
+        if {delta["entity"] for delta in change["deltas"]}.intersection(entities)
     }
 
 
@@ -75,7 +82,7 @@ def test_build_decision_graph_equals_dense_scan():
         edges = build_decision_graph(imp, changes)
         assert edges == dense_edges(imp, changes)
         assert {i for i, _ in edges} <= set(entries)
-        assert {c for _, c in edges} <= {c.id for c in changes}
+        assert {c for _, c in edges} <= {c["id"] for c in changes}
         total_edges += len(edges)
     assert total_edges > 100
 
@@ -95,12 +102,12 @@ def test_find_decisions_compound():
 def test_find_decisions_crosscutting_and_orphans():
     c1, c2, c3 = chg("a", ["e1"]), chg("b", ["e2"]), chg("c", ["e3"])
     imp = impact({"i1": ["e1", "e2"], "i2": ["e2"], "i3": ["e9"]})  # i3 and c3 are orphans
-    decisions = find_decisions(build_decision_graph(imp, frozenset({c1, c2, c3})), PAIR)
+    decisions = find_decisions(build_decision_graph(imp, [c1, c2, c3]), PAIR)
     assert len(decisions) == 1
     decision = decisions[0]
     assert decision["kind"] == "crosscutting"
     assert decision["issue_ids"] == ["i1", "i2"]
-    assert decision["change_ids"] == sorted([c1.id, c2.id])
+    assert decision["change_ids"] == sorted([c1["id"], c2["id"]])
 
 
 def test_find_decisions_ordering_and_no_empty_sides():
@@ -167,25 +174,25 @@ def coverage(changes, decisions):
 
 
 def test_change_coverage_examples():
-    changes = frozenset(chg(f"comp{i}", [f"e{i}"]) for i in range(10))
-    ordered = sorted(changes, key=lambda c: c.id)
+    changes = [chg(f"comp{i}", [f"e{i}"]) for i in range(10)]
+    ordered = sorted(changes, key=lambda c: c["id"])
     covered = ordered[:2]
-    decisions = [decision({"i1"}, {c.id for c in covered}, id="d:1")]
+    decisions = [decision({"i1"}, {c["id"] for c in covered}, id="d:1")]
     assert coverage(changes, decisions) == Fraction(1, 5)  # 0.20
-    all_ids = frozenset(c.id for c in changes)
+    all_ids = frozenset(c["id"] for c in changes)
     full = [decision({"i1"}, all_ids, tractable=False, id="d:2")]
     assert coverage(changes, full) == Fraction(1)
-    assert coverage(frozenset(), []) == Fraction(1)
+    assert coverage([], []) == Fraction(1)
 
 
 def test_change_coverage_after_cleanup_fixture():
     # 10 changes, 3 third-party-only; 2 of the internal ones covered
     internal = [chg(f"comp{i}", [f"app.mod{i}.C"]) for i in range(7)]
     external = [chg(f"ext{i}", [f"ext.lib{i}.C"]) for i in range(3)]
-    changes = frozenset(internal + external)
+    changes = internal + external
     clean = drop_external_changes(changes, ["ext.lib0", "ext.lib1", "ext.lib2"])
-    assert clean == frozenset(internal)
-    decisions = [decision({"i1"}, {c.id for c in internal[:2]}, id="d:3")]
+    assert clean == internal
+    decisions = [decision({"i1"}, {c["id"] for c in internal[:2]}, id="d:3")]
     stats = build_pair_stats("v1", "v2", changes, clean, decisions)
     assert Fraction(*stats["coverage_before_cleanup"]) == Fraction(2, 10)
     assert Fraction(*stats["coverage_after_cleanup"]) == Fraction(2, 7)
@@ -196,10 +203,10 @@ def test_is_external_change_requires_all_entities_excluded():
     pure_external = chg("ext", ["ext.lib.Y"])
     assert not is_external_change(mixed, ["ext.lib"])
     assert is_external_change(pure_external, ["ext.lib"])
-    assert drop_external_changes(frozenset({mixed, pure_external}), []) == {
+    assert drop_external_changes([mixed, pure_external], []) == [
         mixed,
         pure_external,
-    }
+    ]
 
 
 def reachability_partition(edges, issues, changes):
@@ -336,10 +343,10 @@ def test_find_decisions_matches_union_find_reference(edges, threshold):
 
 def test_coverage_monotone_in_edges():
     rng = random.Random(77)
-    changes = frozenset(chg(f"comp{i}", [f"e{i}"]) for i in range(6))
-    change_list = sorted(changes, key=lambda c: c.id)
+    changes = [chg(f"comp{i}", [f"e{i}"]) for i in range(6)]
+    change_list = sorted(changes, key=lambda c: c["id"])
     issues = [f"i{k}" for k in range(4)]
-    all_pairs = [(i, c.id) for i in issues for c in change_list]
+    all_pairs = [(i, c["id"]) for i in issues for c in change_list]
     rng.shuffle(all_pairs)
     edges = set()
     last = Fraction(0)

@@ -6,13 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from archdd.errors import InvariantViolation, PartitionViolation, SnapshotParseError
+from archdd.changes import change_id
 from archdd.model import (
-    ArchitecturalChange,
     ArchitectureSnapshot,
-    ChangeKind,
     Component,
     entity_universe,
-    new_change,
     parse_snapshot,
 )
 
@@ -144,33 +142,16 @@ def test_snapshot_rejects_empty_components():
         ArchitectureSnapshot("v", (Component("C", frozenset()),))
 
 
-def test_change_invariants():
-    pair = ("v1", "v2")
-    added = new_change(None, "C", frozenset(), frozenset({"a"}), pair)
-    assert added.delta_entities == {"a"}
-    assert added.kind is ChangeKind.COMPONENT_ADDED
-    assert new_change("C", None, {"a"}, frozenset(), pair).kind is ChangeKind.COMPONENT_REMOVED
-    assert new_change("C", "D", {"a"}, frozenset(), pair).kind is ChangeKind.COMPONENT_MODIFIED
-    with pytest.raises(InvariantViolation):  # removals without a source
-        new_change(None, "C", frozenset({"a"}), frozenset(), pair)
-    with pytest.raises(InvariantViolation):  # additions without a target
-        new_change("C", None, frozenset(), frozenset({"a"}), pair)
-    with pytest.raises(InvariantViolation):
-        ArchitecturalChange("x", None, "C", frozenset(), frozenset())
-    with pytest.raises(InvariantViolation):
-        new_change("C", "C", frozenset(), frozenset({"a b"}), pair)
-
-
 def test_change_id_is_content_addressed():
     entities = frozenset({"a", "b"})
-    one = new_change(None, "C", frozenset(), entities, ("v1", "v2"))
-    two = new_change(None, "C", frozenset(), entities, ("v1", "v2"))
-    other = new_change(None, "D", frozenset(), entities, ("v1", "v2"))
-    assert one.id == two.id
-    assert one.id != other.id
+    one = change_id(None, "C", frozenset(), entities, ("v1", "v2"))
+    two = change_id(None, "C", frozenset(), entities, ("v1", "v2"))
+    other = change_id(None, "D", frozenset(), entities, ("v1", "v2"))
+    assert one == two
+    assert one != other
     # the hashed strings: kind, endpoints, versions, then sorted op:entity
     parts = ["added", "", "C", "v1", "v2", "add:a", "add:b"]
-    assert one.id == "ch:" + hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:12]
+    assert one == "ch:" + hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:12]
 
 
 def reference_parse_snapshot(text: str, version: str) -> ArchitectureSnapshot:

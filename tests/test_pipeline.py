@@ -320,6 +320,32 @@ def test_run_json_holds_the_decisions_find_decisions_returns(tmp_path, monkeypat
         assert json.loads(decisions.read_text(encoding="utf-8"))["decisions"] == pair["decisions"]
 
 
+def test_run_json_holds_the_changes_analyze_changes_returns(tmp_path, monkeypatch):
+    """Each pair's run.json changes are ``analyze_changes``' own dicts, in its
+    order, plus the version fields, and analyze-changes writes the same objects
+    in the pair's changes document."""
+    config = RunConfig.from_file(write_small_history(tmp_path))
+    analyze, calls = pipeline.analyze_changes, []
+
+    def recorded_analyze(snap_a, snap_b):
+        calls.append((snap_a, snap_b))
+        return analyze(snap_a, snap_b)
+
+    monkeypatch.setattr(pipeline, "analyze_changes", recorded_analyze)
+    run_pipeline(config)
+    pairs = run_pairs(config)
+    assert len(calls) == len(pairs) and sum(len(pair["changes"]) for pair in pairs) > 5
+    paths, changes = dict(config.versions), tmp_path / "c.json"
+    for pair, (snap_a, snap_b) in zip(pairs, calls):
+        versions = {"from_version": snap_a.version, "to_version": snap_b.version}
+        assert pair["changes"] == [{**versions, **c} for c in analyze(snap_a, snap_b)]
+        assert main(["analyze-changes", "--arch-a", str(paths[snap_a.version]),
+                     "--arch-b", str(paths[snap_b.version]), "--label-a", snap_a.version,
+                     "--label-b", snap_b.version, "--format", "structured",
+                     "--out", str(changes)]) == 0
+        assert json.loads(changes.read_text(encoding="utf-8"))["changes"] == pair["changes"]
+
+
 def _run_chain(root, config_path, labels, name):
     """The run.json ``pairs`` of the config's history cut to ``labels``, written under ``name``."""
     config_obj = json.loads(config_path.read_text(encoding="utf-8"))
@@ -511,7 +537,7 @@ def test_nothing_a_pair_makes_outlives_it(tmp_path, monkeypatch):
 
     def tracked_analyze(snap_a, snap_b):
         assert not alive_from_earlier_pairs()
-        changes = analyze(snap_a, snap_b)
+        changes = [Tracked(change) for change in analyze(snap_a, snap_b)]
         pair_refs.append((snap_b.version, [weakref.ref(change) for change in changes]))
         return changes
 

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 import archdd
 from archdd import report
-from archdd.changes import analyze_changes
+from archdd.changes import analyze_changes, change_id
 from archdd.decisions import classify, decision_id
 from archdd.ingestion import IssueRecord
-from archdd.model import new_change
 from archdd.report import (
     SCHEMA_VERSION,
     build_pair_stats,
@@ -58,6 +57,15 @@ def test_changes_doc_round_trip():
     assert pair == ("v1", "v2")
     assert parsed == changes
     assert canonical_json(changes_doc(pair, parsed)) == text
+
+
+def test_changes_doc_reader_sorts_and_deduplicates():
+    changes = sample_changes()
+    assert len(changes) > 1
+    doc = json.loads(canonical_json(changes_doc(("v1", "v2"), changes)))
+    doc["changes"].reverse()
+    doc["changes"][0]["deltas"] = [*reversed(doc["changes"][0]["deltas"])] * 2
+    assert parse_changes_doc(doc) == (("v1", "v2"), changes)
 
 
 def test_impact_doc_round_trip():
@@ -157,7 +165,7 @@ def test_render_decision_text():
         "i1": IssueRecord(id="i1", summary="first summary"),
         "i2": IssueRecord(id="i2", summary="second summary"),
     }
-    changes = {c.id: c for c in sample_changes()}
+    changes = {c["id"]: c for c in sample_changes()}
     ids = sorted(changes)
     simple = decision({"i1"}, {ids[0]}, "simple")
     card = render_decision(simple, ("v1", "v2"), issues, changes)
@@ -178,7 +186,7 @@ def test_render_decision_text():
 def distribution_summary(*pairs):
     """A run summary whose pairs hold the given {version_pair: decisions}."""
     return build_run_summary(
-        [build_pair_stats(a, b, frozenset(), frozenset(), ds) for (a, b), ds in pairs]
+        [build_pair_stats(a, b, [], [], ds) for (a, b), ds in pairs]
     )
 
 
@@ -209,7 +217,7 @@ def test_emit_distribution_empty():
 
 def test_pair_stats_identities():
     changes = sample_changes()
-    ids = sorted(c.id for c in changes)
+    ids = sorted(c["id"] for c in changes)
     decisions = [
         decision({"i1"}, {ids[0]}, "simple"),
         decision({"i2", "i3"}, {ids[1]}, "compound"),
@@ -225,7 +233,7 @@ def test_pair_stats_identities():
 
 
 def test_pair_stats_empty_scope():
-    stats = build_pair_stats("v1", "v2", frozenset(), frozenset(), [])
+    stats = build_pair_stats("v1", "v2", [], [], [])
     assert stats["avg_issues_per_decision"] is None
     assert Fraction(*stats["coverage_before_cleanup"]) == Fraction(1)  # 0/0 convention
     assert Fraction(*stats["coverage_after_cleanup"]) == Fraction(1)
@@ -233,7 +241,7 @@ def test_pair_stats_empty_scope():
 
 def test_summary_round_trip_and_tables():
     changes = sample_changes()
-    ids = sorted(c.id for c in changes)
+    ids = sorted(c["id"] for c in changes)
     decisions = [decision({"i1"}, {ids[0]}, "simple")]
     pair_stats = build_pair_stats("v1", "v2", changes, changes, decisions)
     summary = build_run_summary([pair_stats])
@@ -254,5 +262,11 @@ def test_every_exported_name_resolves(module):
 
 
 def test_change_label_names_both_components_of_a_renamed_match():
-    change = new_change("a", "b", frozenset({"x"}), frozenset({"y"}), ("v1", "v2"))
+    change = {
+        "id": change_id("a", "b", ["x"], ["y"], ("v1", "v2")),
+        "kind": "modified",
+        "source_component": "a",
+        "target_component": "b",
+        "deltas": [{"op": "remove", "entity": "x"}, {"op": "add", "entity": "y"}],
+    }
     assert report.change_label(change) == "a -> b modified (+1/-1 entities)"
