@@ -25,9 +25,10 @@ a line to the checked decoder. Only lines that fail the guard or the scanner
 reach ``decode_json``, which keeps the repeated-key, surrogate, digit-limit
 and nesting checks and raises the same line-numbered error as before. Each
 record's fields are then checked in order with exact type tests, the first
-bad field named, and the record is filled in directly. Records are slotted
-and frozen; every empty array field is one shared empty set, and issues
-that list the same versions share one versions set.
+bad field named, and the record is built by calling its class. Records are
+named tuples whose set fields are frozensets, which the constructor takes
+as given; every empty array field is one shared empty set, and issues that
+list the same versions share one versions set.
 ``build_impact_lists`` builds a whole run's impact lists from one index of
 qualifying issues, and decides each distinct path and each entity's
 exclusion once. Each list is a plain dict, the ``impact`` object a
@@ -43,8 +44,9 @@ import json
 import re
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
+from typing import NamedTuple
 
 from .errors import ConfigError, RecordParseError
 
@@ -58,9 +60,12 @@ _BOUNDARY_CHARS = (".", "/", "$")
 _NO_STRINGS: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True, slots=True)
-class IssueRecord:
-    """One tracker item from an issue export."""
+class IssueRecord(NamedTuple):
+    """One tracker item from an issue export.
+
+    Set fields must be frozensets; the constructor takes its arguments as
+    given and converts nothing.
+    """
 
     id: str
     summary: str = ""
@@ -69,27 +74,19 @@ class IssueRecord:
     versions: frozenset[str] = _NO_STRINGS
     commit_ids: frozenset[str] = _NO_STRINGS
 
-    def __post_init__(self):
-        object.__setattr__(self, "versions", frozenset(self.versions))
-        object.__setattr__(self, "commit_ids", frozenset(self.commit_ids))
 
-
-@dataclass(frozen=True, slots=True)
-class CommitRecord:
+class CommitRecord(NamedTuple):
     """One commit with its changed file paths.
 
     ``paths`` may be empty (merge commits); such commits contribute no
     entities. ``issue_keys`` holds issue ids referenced in the commit
     message and is only used for opt-in fallback linking (add_message_links).
+    Set fields must be frozensets, as for ``IssueRecord``.
     """
 
     id: str
     paths: frozenset[str] = _NO_STRINGS
     issue_keys: frozenset[str] = _NO_STRINGS
-
-    def __post_init__(self):
-        object.__setattr__(self, "paths", frozenset(self.paths))
-        object.__setattr__(self, "issue_keys", frozenset(self.issue_keys))
 
 
 @dataclass(frozen=True)
@@ -223,13 +220,6 @@ def _objects(text: str):
         yield lineno, obj
 
 
-def _slot_setters(cls) -> tuple:
-    """Each field's slot setter: the loaders fill a record whose fields they
-    have already checked and coerced without the frozen ``__init__`` and
-    its coercing ``__post_init__``."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
-
-
 def _record_id(obj: dict, lineno: int) -> str:
     key = obj.get("id")
     if type(key) is str and key:
@@ -266,9 +256,6 @@ def load_issues(text: str) -> list[IssueRecord]:
     or ``null`` summary reads as "". Issues that list the same versions
     share one versions set.
     """
-    set_id, set_summary, set_resolved, set_merged, set_versions, set_commit_ids = (
-        _slot_setters(IssueRecord)
-    )
     records: list[IssueRecord] = []
     first_line: dict[str, int] = {}
     version_sets: dict[frozenset[str], frozenset[str]] = {}  # each distinct set kept once
@@ -291,14 +278,10 @@ def load_issues(text: str) -> list[IssueRecord]:
         if key in first_line:
             raise _duplicate("issue", key, lineno, first_line)
         first_line[key] = lineno
-        record = object.__new__(IssueRecord)
-        set_id(record, key)
-        set_summary(record, summary)
-        set_resolved(record, resolved)
-        set_merged(record, merged)
-        set_versions(record, version_sets.setdefault(versions, versions))
-        set_commit_ids(record, commit_ids)
-        records.append(record)
+        records.append(IssueRecord(
+            key, summary, resolved, merged, version_sets.setdefault(versions, versions),
+            commit_ids,
+        ))
     return records
 
 
@@ -307,7 +290,6 @@ def load_commits(text: str) -> dict[str, CommitRecord]:
 
     Fields are checked as in ``load_issues``.
     """
-    set_id, set_paths, set_issue_keys = _slot_setters(CommitRecord)
     records: dict[str, CommitRecord] = {}
     first_line: dict[str, int] = {}
     for lineno, obj in _objects(text):
@@ -318,11 +300,7 @@ def load_commits(text: str) -> dict[str, CommitRecord]:
         if key in first_line:
             raise _duplicate("commit", key, lineno, first_line)
         first_line[key] = lineno
-        record = object.__new__(CommitRecord)
-        set_id(record, key)
-        set_paths(record, paths)
-        set_issue_keys(record, issue_keys)
-        records[key] = record
+        records[key] = CommitRecord(key, paths, issue_keys)
     return records
 
 
@@ -335,10 +313,7 @@ def add_message_links(
         for key in commit.issue_keys:
             citing.setdefault(key, set()).add(commit.id)
     return [
-        IssueRecord(
-            issue.id, issue.summary, issue.resolved, issue.merged, issue.versions,
-            issue.commit_ids | citing[issue.id],
-        )
+        IssueRecord(*issue[:5], issue.commit_ids | citing[issue.id])
         if issue.id in citing
         else issue
         for issue in issues
@@ -499,12 +474,16 @@ def convert_name_status_log(text: str) -> list[CommitRecord]:
     that layout open blocks, so a message line quoting a hash (indented under
     ``commit <hash>``, unindented under a bare hash) stays in its message. One
     case stays ambiguous: in a bare-hash log, a message line that is itself a
-    bare hash, such as ``deadbeef``, opens a block. Rename/copy rows
-    contribute both the old and the new path. A line ends at ``\\n``,
-    ``\\r\\n`` or ``\\r`` only, so U+2028, U+2029 or U+0085 in a path or a
-    message line neither cuts the path short nor starts a new line.
+    bare hash, such as ``deadbeef``, opens a block. A commit whose id heads
+    more than one block (``git log -m`` prints a merge once per parent) is
+    one record, placed where the id first appears, holding every block's
+    paths and keys. Rename/copy rows contribute both the old and the new
+    path. A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only, so U+2028,
+    U+2029 or U+0085 in a path or a message line neither cuts the path
+    short nor starts a new line.
     """
-    blocks: list[tuple[str, set[str], set[str]]] = []  # (id, paths, issue keys)
+    blocks: dict[str, tuple[set[str], set[str]]] = {}  # id -> (paths, issue keys)
+    block = None
     # `commit <hash>` and bare-hash headers; the first one found fixes the layout.
     headers = [re.compile(r"commit\s+([0-9a-f]{7,40})(?:\s|$)"), re.compile(r"([0-9a-f]{7,40})$")]
     name_status = re.compile(r"^([A-Z])(\d+)?\t")
@@ -516,16 +495,19 @@ def convert_name_status_log(text: str) -> list[CommitRecord]:
             opened = next(filter(None, (header.match(stripped) for header in headers)), None)
             if opened:
                 headers = [opened.re]
-                blocks.append((opened[1], set(), set()))
+                block = blocks.setdefault(opened[1], (set(), set()))
                 continue
-        if not blocks:
+        if block is None:
             continue
-        _, paths, keys = blocks[-1]
+        paths, keys = block
         if name_status.match(line):
             paths.update(part for part in line.split("\t")[1:] if part)
         else:
             keys.update(ISSUE_KEY_RE.findall(line))
-    return [CommitRecord(commit_id, paths, keys) for commit_id, paths, keys in blocks]
+    return [
+        CommitRecord(commit_id, frozenset(paths), frozenset(keys))
+        for commit_id, (paths, keys) in blocks.items()
+    ]
 
 
 def serialize_commits(commits: list[CommitRecord]) -> str:

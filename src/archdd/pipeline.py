@@ -187,16 +187,16 @@ def _run_pair(
     decisions = find_decisions(edges, pair, tractability_threshold=threshold)
     clean_changes = drop_external_changes(changes, exclusions)
     mapped = set().union(*impact["entries"].values())
+    header = {"from_version": pair[0], "to_version": pair[1]}
     entry = {
-        "from_version": pair[0],
-        "to_version": pair[1],
+        **header,
         "matching_cost": matching_cost(changes),
-        "changes": [{"from_version": pair[0], "to_version": pair[1], **c} for c in changes],
+        "changes": [{**header, **c} for c in changes],
         "external_change_ids": sorted(
             {c["id"] for c in changes} - {c["id"] for c in clean_changes}
         ),
-        "impact": {"from_version": pair[0], "to_version": pair[1], **impact},
-        "decisions": [{"from_version": pair[0], "to_version": pair[1], **d} for d in decisions],
+        "impact": {**header, **impact},
+        "decisions": [{**header, **d} for d in decisions],
         "entity_overlap": [len(mapped & entity_universe(snap_b)), len(mapped)],
         "stats": report.build_pair_stats(*pair, changes, clean_changes, decisions),
     }

@@ -230,6 +230,26 @@ def test_convert_log_roundtrip(tmp_path, capsys):
     assert record["issue_keys"] == ["APP-7"]
 
 
+def test_convert_log_output_of_a_merge_log_loads(tmp_path, capsys):
+    # `git log -m` prints a merge once per parent; the log must hold it once
+    raw = tmp_path / "raw.log"
+    raw.write_text(
+        "commit abcdef1 (from 1234567)\n    APP-1 merge\n\nM\tsrc/a/X.java\n"
+        "commit abcdef1 (from 7654321)\n    APP-1 merge\n\nA\tsrc/b/Y.java\n"
+    )
+    (tmp_path / "issues.jsonl").write_text(
+        '{"id": "APP-1", "resolved": true, "merged": true, "versions": ["1.1"]}\n'
+    )
+    commits = tmp_path / "commits.jsonl"
+    assert run(capsys, "convert-log", "--in", str(raw), "--out", str(commits))[0] == 0
+    code, out, err = run(
+        capsys, "build-impact", "--issues", str(tmp_path / "issues.jsonl"),
+        "--commits", str(commits), "--version", "1.1", "--link-by-message",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["entries"] == {"APP-1": ["a.X", "b.Y"]}
+
+
 def convert_log_from_stdin(data, *argv, **env):
     """Run ``convert-log`` in a child process with ``data`` as its standard input."""
     src = Path(__file__).resolve().parents[1] / "src"

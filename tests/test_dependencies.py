@@ -11,6 +11,9 @@ fails only on bad input, and an internal fault reaches the CLI as exit 2.
 And content ids come from one place: only ``model.py`` imports ``hashlib``,
 so a change id and a decision id cannot drift to different schemes.
 
+And every record is built by calling its class: no module reaches for
+``object.__new__`` to fill a record around its constructor.
+
 And every name the bench's tracer wraps still exists, so a refactor that
 drops one fails here instead of only as a lost per-layer bench metric.
 """
@@ -184,6 +187,52 @@ def test_only_the_cli_catches_errors_by_their_base_classes():
         for scope in broad_handlers(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     )
     assert found == ["cli.py: main"]
+
+
+def object_new_reaches(tree):
+    """The line of each reach for ``object.__new__``: called or bound, by
+    attribute, through ``builtins``, an alias of ``object`` or ``getattr``."""
+    objects = {"object"} | {
+        alias.asname
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "builtins"
+        for alias in node.names if alias.name == "object" and alias.asname
+    }
+
+    def is_object(node):
+        return (isinstance(node, ast.Name) and node.id in objects) or (
+            isinstance(node, ast.Attribute) and node.attr == "object"
+            and isinstance(node.value, ast.Name) and node.value.id == "builtins"
+        )
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "__new__" and is_object(node.value):
+            yield node.lineno
+        elif (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr" and len(node.args) >= 2 and is_object(node.args[0])
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value == "__new__"
+        ):
+            yield node.lineno
+
+
+def test_object_new_finder_sees_every_spelling():
+    source = (
+        "import builtins\nfrom builtins import object as base\n"
+        "record = object.__new__(Record)\nmake = object.__new__\n"
+        "builtins.object.__new__(Record)\nbase.__new__(Record)\n"
+        "getattr(object, '__new__')(Record)\n"
+        "tuple.__new__(Record, ())\nobject.__setattr__(record, 'id', 'x')\nRecord('x')\n"
+    )
+    assert sorted(object_new_reaches(ast.parse(source))) == [3, 4, 5, 6, 7]
+
+
+def test_records_are_built_by_calling_their_class():
+    found = sorted(
+        f"{path.relative_to(PACKAGE)}:{lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for lineno in object_new_reaches(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    )
+    assert found == []
 
 
 TRACE_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "trace_run.py"

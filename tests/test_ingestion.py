@@ -350,7 +350,9 @@ def test_message_links_at_load_match_per_call_reference():
         issues = load_issues(issues_text)
         commits = load_commits(commits_text)
         assert list(commits.values()) == [
-            CommitRecord(id=obj["id"], paths=obj["paths"], issue_keys=obj["issue_keys"])
+            CommitRecord(
+                id=obj["id"], paths=frozenset(obj["paths"]), issue_keys=frozenset(obj["issue_keys"])
+            )
             for obj in map(json.loads, commits_text.splitlines())
         ]
         exclusions = rng.choice([[], ["org.vendor"], ["org.vendor.", "app.io"]])
@@ -452,7 +454,9 @@ def test_loaded_records_share_empty_and_version_sets():
 def test_load_commits_and_duplicates():
     text = '{"id": "c1", "paths": ["a"], "issue_keys": ["A-1"]}'
     commits = load_commits(text)
-    assert commits == {"c1": CommitRecord(id="c1", paths={"a"}, issue_keys={"A-1"})}
+    assert commits == {"c1": CommitRecord(
+        id="c1", paths=frozenset({"a"}), issue_keys=frozenset({"A-1"})
+    )}
     second = '{"id": "c0", "paths": []}'
     assert list(load_commits(text + "\n" + second)) == ["c1", "c0"]  # log order
     with pytest.raises(RecordParseError, match="first seen on line 1") as excinfo:
@@ -557,6 +561,22 @@ def test_convert_name_status_log_skips_lines_before_the_first_header():
     assert commit.issue_keys == set()
 
 
+def test_convert_name_status_log_merges_a_repeated_commit_id():
+    # `git log -m --name-status` prints a merge once per parent
+    raw = (
+        "commit abcdef1 (from 1234567)\nMerge: 1234567 7654321\n\n    APP-1 merge\n\n"
+        "M\tsrc/a/X.java\n"
+        "commit abcdef1 (from 7654321)\nMerge: 1234567 7654321\n\n    APP-2 merge\n\n"
+        "A\tsrc/b/Y.java\n"
+        "commit 1234567\n    APP-3\n\nM\tsrc/a/X.java\n"
+    )
+    assert convert_name_status_log(raw) == [
+        CommitRecord("abcdef1", frozenset({"src/a/X.java", "src/b/Y.java"}),
+                     frozenset({"APP-1", "APP-2"})),
+        CommitRecord("1234567", frozenset({"src/a/X.java"}), frozenset({"APP-3"})),
+    ]
+
+
 # str.splitlines also breaks at these; a log line ends only at \n, \r\n or \r.
 UNICODE_SEPARATORS = ["\u2028", "\u2029", "\x85"]
 
@@ -586,8 +606,9 @@ def test_load_exclusions_ends_lines_only_at_line_breaks(char):
 def test_convert_name_status_log_reads_crlf_and_cr_line_ends():
     raw = "commit abcdef1\n    APP-1 fix\n\nM\tsrc/a/X.java\ncommit 1234567\nA\tsrc/b/Y.java\n"
     expected = [
-        CommitRecord(id="abcdef1", paths={"src/a/X.java"}, issue_keys={"APP-1"}),
-        CommitRecord(id="1234567", paths={"src/b/Y.java"}, issue_keys=set()),
+        CommitRecord(id="abcdef1", paths=frozenset({"src/a/X.java"}),
+                     issue_keys=frozenset({"APP-1"})),
+        CommitRecord(id="1234567", paths=frozenset({"src/b/Y.java"})),
     ]
     assert convert_name_status_log(raw) == expected
     assert convert_name_status_log(raw.replace("\n", "\r\n")) == expected

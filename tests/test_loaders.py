@@ -4,14 +4,13 @@
 and keep its dict only when a guard proves the checked decoder would return
 the same one. The reference below is the reader they replaced: every line
 through the checked decoder with its repeated-key hook, every record
-through the field readers and the coercing constructor. The two must agree
+through the field readers and the record constructor. The two must agree
 on every input: the same records in the same order, sharing the same sets,
 or the same error on the same line.
 """
 
 import json
 from collections import Counter
-from dataclasses import FrozenInstanceError
 from functools import partial
 
 import pytest
@@ -20,7 +19,14 @@ from hypothesis import strategies as st
 
 from archdd import ingestion
 from archdd.errors import RecordParseError
-from archdd.ingestion import CommitRecord, IssueRecord, load_commits, load_issues
+from archdd.ingestion import (
+    CommitRecord,
+    IssueRecord,
+    add_message_links,
+    convert_name_status_log,
+    load_commits,
+    load_issues,
+)
 
 # ---- reference: the reader as it was before the guarded decode ----
 
@@ -402,14 +408,27 @@ def test_each_line_shape_takes_its_path(checked_calls, line, checked):
 
 def test_loaded_records_are_frozen_and_hash():
     issues_text, commits_text = clean_side(4)
-    issue = load_issues(issues_text)[1]
-    commit = load_commits(commits_text)["h1"]
+    issues = load_issues(issues_text)
+    commits = load_commits(commits_text)
+    issue, commit = issues[1], commits["h1"]
     for record, field in ((issue, "summary"), (issue, "versions"), (commit, "paths")):
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(record, field, "x")
     assert hash(issue) == hash(IssueRecord(
-        issue.id, issue.summary, issue.resolved, issue.merged, list(issue.versions),
-        list(issue.commit_ids),
+        issue.id, issue.summary, issue.resolved, issue.merged, frozenset(issue.versions),
+        frozenset(issue.commit_ids),
     ))
-    assert hash(commit) == hash(CommitRecord(commit.id, list(commit.paths)))
+    assert hash(commit) == hash(CommitRecord(commit.id, frozenset(commit.paths)))
     assert {issue, commit} == {issue, commit}
+    # Every producer's set fields are frozensets (a plain set would compare
+    # equal), so each of its records hashes.
+    linked = add_message_links(issues, commits)
+    assert linked[0] is not issues[0] and linked[0].commit_ids == {"h0"}
+    converted = convert_name_status_log(
+        "commit abcdef1\n    IH-1 fix\n\nM\tsrc/a/X.java\ncommit 1234567\nA\tsrc/b/Y.java\n"
+    )
+    for record in [*issues, *commits.values(), *linked, *converted]:
+        assert [type(getattr(record, name)) for name in SET_FIELDS[type(record)]] == [
+            frozenset, frozenset,
+        ]
+        hash(record)
