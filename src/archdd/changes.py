@@ -29,7 +29,7 @@ list holds without its version fields: ``id`` (see ``change_id``), ``kind``
 ``deltas``, one ``{"op", "entity"}`` per removed or added entity, sorted by
 (entity, op). ``analyze_changes`` returns a pair's changes in
 ``change_order``. Delta names come from ``Component.entities``, which
-``Component`` has already checked, so they are not checked again.
+``parse_snapshot``'s whitespace split made, so they are not checked again.
 """
 
 from __future__ import annotations

@@ -44,8 +44,9 @@ import json
 import re
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ConfigError, RecordParseError
@@ -97,11 +98,11 @@ class PathRule:
     strip_prefix: str = ""
     strip_suffix: str = ""
     separator_replacement: tuple[str, str] = ("/", ".")
-    # A pattern with a glob character is matched as a glob, else as a prefix.
-    _glob: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_glob", any(ch in self.match for ch in "*?["))
+    @cached_property
+    def _glob(self) -> bool:
+        """A pattern with a glob character is matched as a glob, else as a prefix."""
+        return any(ch in self.match for ch in "*?[")
 
     def matches(self, path: str) -> bool:
         if self._glob:

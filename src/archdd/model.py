@@ -11,8 +11,13 @@ Blank lines and lines whose first field starts with ``#`` are ignored.
 Duplicate identical records are tolerated (set semantics), but an entity
 listed under two different components is a hard error because the
 downstream matching cost assumes components partition the entity set.
-A snapshot checks that with the union of its components' entity sets, and
-keeps that union as its ``entities``.
+``parse_snapshot`` checks that with the union of the components' entity
+sets, and the snapshot keeps that union as its ``entities``. That and a
+malformed line are all a text can get wrong: a whitespace split makes
+non-empty names without whitespace, and grouping records by name makes
+non-empty components with distinct names. So ``Component`` and
+``ArchitectureSnapshot`` check nothing, and snapshots come from
+``parse_snapshot``.
 
 Consecutive versions share most of their lines, so a text is read as a diff
 against the snapshot of the version before it: only the lines the two texts
@@ -35,86 +40,45 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .errors import InvariantViolation, PartitionViolation, SnapshotParseError
-
-
-def _check_name(name: str, what: str) -> str:
-    if not isinstance(name, str) or not name:
-        raise InvariantViolation(f"{what} name must be a non-empty string")
-    if name.split() != [name]:
-        raise InvariantViolation(f"{what} name must not contain whitespace: {name!r}")
-    return name
+from .errors import PartitionViolation, SnapshotParseError
 
 
-def _check_names(names: frozenset[str], what: str) -> None:
-    """``_check_name`` for each of ``names``, at set speed for valid names.
+class Component(NamedTuple):
+    """A named set of entities. Empty only for balancing dummies.
 
-    Valid names come back unchanged when joined with spaces and split again;
-    only a mismatch walks them one by one to name the first bad one.
+    The constructor takes its fields as given; ``entities`` must be a frozenset.
     """
-    try:
-        if " ".join(names).split() == list(names):
-            return
-    except TypeError:
-        pass
-    for name in names:
-        _check_name(name, what)
-
-
-@dataclass(frozen=True)
-class Component:
-    """A named set of entities. Empty only for balancing dummies."""
 
     name: str
     entities: frozenset[str]
 
-    def __post_init__(self):
-        _check_name(self.name, "component")
-        object.__setattr__(self, "entities", frozenset(self.entities))
-        _check_names(self.entities, "entity")
-
 
 @dataclass(frozen=True)
 class ArchitectureSnapshot:
-    """One version's recovered architecture: a partition of entities into components."""
+    """One version's recovered architecture: a partition of entities into components.
+
+    The constructor takes its fields as given; ``parse_snapshot`` builds them.
+    """
 
     version: str
+    # Sorted by name.
     components: tuple[Component, ...]
-    # The union of the components' entity sets, built once by the partition check.
-    entities: frozenset[str] = field(init=False, repr=False, compare=False)
-    # The distinct lines of the text this snapshot was parsed from, kept only
-    # when it can serve as the next version's diff base (see parse_snapshot).
-    _lines: frozenset[str] | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not isinstance(self.version, str) or not self.version:
-            raise InvariantViolation("snapshot version label must be a non-empty string")
-        object.__setattr__(self, "components", tuple(self.components))
-        seen_names: set[str] = set()
-        for component in self.components:
-            if component.name in seen_names:
-                raise InvariantViolation(
-                    f"duplicate component name {component.name!r} in snapshot {self.version!r}"
-                )
-            seen_names.add(component.name)
-            if not component.entities:
-                raise InvariantViolation(
-                    f"component {component.name!r} in snapshot {self.version!r} is empty; "
-                    "only balancing dummies may be empty"
-                )
-        entities = frozenset().union(*(component.entities for component in self.components))
-        if len(entities) != sum(len(component.entities) for component in self.components):
-            raise PartitionViolation(*shared_entity(self.components))
-        object.__setattr__(self, "entities", entities)
+    # The union of the components' entity sets, built by the partition check.
+    entities: frozenset[str] = field(repr=False, compare=False)
+    # The distinct lines of the text this snapshot was parsed from, or None
+    # when it cannot serve as the next version's diff base (see parse_snapshot).
+    lines: frozenset[str] | None = field(repr=False, compare=False)
 
 
 def shared_entity(components: Sequence[Component]) -> tuple[str, str, str] | None:
     """An entity two of ``components`` share, with both owners; None for a partition.
 
     Walks components in the order given, each one's entities in sorted order,
-    so the conflict named never depends on set iteration order. Snapshots
-    call it only once the union's size has shown that a conflict exists.
+    so the conflict named never depends on set iteration order.
+    ``parse_snapshot`` calls it only once the union's size has shown that a
+    conflict exists.
     """
     owner: dict[str, str] = {}
     for component in components:
@@ -153,22 +117,22 @@ def _group_records(lines: frozenset[str]) -> tuple[dict[str, set[str]], int, set
 def parse_snapshot(
     text: str, version: str, base: ArchitectureSnapshot | None = None
 ) -> ArchitectureSnapshot:
-    """Parse snapshot-file content into a validated ArchitectureSnapshot.
+    """Parse snapshot-file content into an ArchitectureSnapshot, checking the partition.
 
     ``base`` is the last snapshot of the version chain that parsed cleanly.
     The text is read as a diff against the lines ``base`` was parsed from:
     the base's records on lines this text lacks leave their components, the
     records on lines new to this text join theirs, and the components no
     such line names are reused as they are. A base that cannot serve (None,
-    built directly, or one whose record lines are not one per record) counts
-    as an empty text. Splitting a line on whitespace also strips it, so a
-    blank line has no fields and a comment's first field starts with ``#``.
+    or one whose ``lines`` are None) counts as an empty text. Splitting a
+    line on whitespace also strips it, so a blank line has no fields and a
+    comment's first field starts with ``#``.
     Only a new line can be malformed; if one is, the text is walked once to
     name the first.
     """
     lines = text.splitlines()
     line_set = frozenset(lines)
-    base_lines = None if base is None else base._lines
+    base_lines = None if base is None else base.lines
     if base_lines is None:
         base_lines, components, record_lines = _EMPTY, (), 0
     else:
@@ -194,12 +158,15 @@ def parse_snapshot(
         entities = kept.union(added.get(name, ()))
         if entities:
             by_name[name] = Component(name, entities)
-    snapshot = ArchitectureSnapshot(version, tuple(by_name[name] for name in sorted(by_name)))
+    components = tuple(by_name[name] for name in sorted(by_name))
+    entities = frozenset().union(*(component.entities for component in components))
+    if len(entities) != sum(len(component.entities) for component in components):
+        raise PartitionViolation(*shared_entity(components))
     # Distinct record lines name distinct records exactly when they number
     # as many as the entities; only then can this snapshot be a diff base.
-    if record_lines == len(snapshot.entities):
-        object.__setattr__(snapshot, "_lines", line_set)
-    return snapshot
+    return ArchitectureSnapshot(
+        version, components, entities, line_set if record_lines == len(entities) else None
+    )
 
 
 def entity_universe(snapshot: ArchitectureSnapshot) -> frozenset[str]:

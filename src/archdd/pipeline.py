@@ -24,6 +24,7 @@ the run before any output is written.
 
 from __future__ import annotations
 
+import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -274,12 +275,14 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
 
 def _write_outputs(out_dir: Path, document: dict, cards: str) -> list[Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    run_path = out_dir / "run.json"
-    run_path.write_text(report.canonical_json(document), encoding="utf-8")
-    decisions_path = out_dir / "decisions.txt"
-    decisions_path.write_text(cards, encoding="utf-8")
+    """Publish run.json, decisions.txt and summary.txt in ``out_dir``.
 
+    All three are written to temporary names in ``out_dir`` first, so a
+    failed write leaves the previous outputs as they were. Only then are
+    they renamed into place, run.json last, so a new run.json means the
+    reports beside it are new too; a failed rename stops there. On any
+    error the temporary files are removed.
+    """
     summary, failures = document["summary"], document["failures"]
     sections = [
         report.render_summary_table(summary),
@@ -298,7 +301,22 @@ def _write_outputs(out_dir: Path, document: dict, cards: str) -> list[Path]:
                 f"  {failure['from_version']} -> {failure['to_version']}: {failure['error']}"
             )
         sections.append("")
-    summary_path = out_dir / "summary.txt"
-    summary_path.write_text("\n".join(sections), encoding="utf-8")
+    texts = {
+        "decisions.txt": cards,
+        "summary.txt": "\n".join(sections),
+        "run.json": report.canonical_json(document),
+    }
 
-    return [run_path, decisions_path, summary_path]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staged = []
+    try:
+        for name, text in texts.items():
+            temp = out_dir / f".{name}.tmp"
+            staged.append(temp)
+            temp.write_text(text, encoding="utf-8")
+        for temp, name in zip(staged, texts):
+            os.replace(temp, out_dir / name)
+    finally:
+        for temp in staged:
+            temp.unlink(missing_ok=True)
+    return [out_dir / name for name in ("run.json", "decisions.txt", "summary.txt")]

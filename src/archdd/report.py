@@ -40,9 +40,8 @@ from math import gcd
 
 from .changes import change_deltas, change_kind, change_order
 from .decisions import KINDS
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError
 from .ingestion import IssueRecord
-from .model import _check_name
 
 SCHEMA_VERSION = 1
 
@@ -124,6 +123,14 @@ def _name(value, what: str, optional: bool = False):
     if not (isinstance(value, str) and value) and not (optional and value is None):
         raise TypeError(f"{what} must be a non-empty string, got {value!r}")
     return value
+
+
+def _check_name(value, what: str) -> str:
+    """A document's component or entity name: one a snapshot line could hold."""
+    name = _name(value, f"{what} name")
+    if name.split() != [name]:
+        raise ValueError(f"{what} name must not contain whitespace: {name!r}")
+    return name
 
 
 def _component(value) -> str | None:
@@ -242,7 +249,7 @@ def _parse_doc(obj, kind: str, parse):
         return parse(obj)
     except KeyError as exc:
         raise ConfigError(f"malformed {kind} document: missing field {exc}") from None
-    except (AttributeError, TypeError, ValueError, InvariantViolation) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed {kind} document: {exc}") from None
 
 

@@ -8,18 +8,20 @@ from pathlib import Path
 
 import pytest
 
-from archdd.model import ArchitectureSnapshot, Component
+from archdd.model import parse_snapshot
+
+
+def contain_lines(components):
+    """Snapshot text with one ``contain`` line per entity of each ``(name, entities)`` pair."""
+    return "".join(
+        f"contain {name} {entity}\n" for name, entities in components for entity in entities
+    )
 
 
 def snap(version, components):
-    """Build a snapshot from {name: "e1 e2 ..."} mappings."""
-    return ArchitectureSnapshot(
-        version,
-        tuple(
-            Component(name, frozenset(entities.split()))
-            for name, entities in sorted(components.items())
-        ),
-    )
+    """Parse a snapshot from {name: "e1 e2 ..."} mappings."""
+    pairs = ((name, entities.split()) for name, entities in components.items())
+    return parse_snapshot(contain_lines(pairs), version)
 
 
 def random_snapshot(rng: random.Random, version, pool, max_components=6, max_entities=10):

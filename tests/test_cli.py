@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -648,7 +649,8 @@ def test_extract_decisions_rejects_an_impact_list_for_another_version(tmp_path, 
 def test_changes_document_names_its_first_bad_entity(tmp_path, capsys):
     """The entity named is the first bad one in document order, under any hash seed."""
     changes_path, impact_path = _structured_docs(tmp_path, capsys)
-    doc = json.loads(changes_path.read_text())
+    clean = changes_path.read_text()
+    doc = json.loads(clean)
     doc["changes"][0]["deltas"] = [{"op": "add", "entity": e} for e in ("p q", "x y", "m n")]
     changes_path.write_text(json.dumps(doc))
     for seed in (1, 2):
@@ -660,6 +662,21 @@ def test_changes_document_names_its_first_bad_entity(tmp_path, capsys):
             "error: malformed changes document: "
             "entity name must not contain whitespace: 'p q'\n"
         )
+    # Each name a snapshot line could not hold, as an entity and as a component.
+    bad_names = [f"p{space}q" for space in ("\t", "\u3000", "\x1c", "\xa0")] + ["", 1]
+    for field, name in itertools.product(("entity", "component"), bad_names):
+        bad = json.loads(clean)
+        if field == "entity":
+            bad["changes"][0]["deltas"] = [{"op": "add", "entity": name}]
+        else:
+            bad["changes"][0]["target_component"] = name
+        changes_path.write_text(json.dumps(bad))
+        code, _, err = run(
+            capsys, "extract-decisions", "--changes", str(changes_path), "--impact", str(impact_path)
+        )
+        assert code == 1, (field, name)
+        assert err.startswith(f"error: malformed changes document: {field} name must")
+        assert err.count("\n") == 1, err
 
 
 def test_json_inputs_reject_values_they_cannot_hold(tmp_path, capsys):

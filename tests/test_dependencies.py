@@ -189,9 +189,13 @@ def test_only_the_cli_catches_errors_by_their_base_classes():
     assert found == ["cli.py: main"]
 
 
-def object_new_reaches(tree):
-    """The line of each reach for ``object.__new__``: called or bound, by
-    attribute, through ``builtins``, an alias of ``object`` or ``getattr``."""
+BYPASSES = {"__new__", "__setattr__"}
+
+
+def object_bypasses(tree):
+    """The line of each reach for ``object.__new__`` or ``object.__setattr__``:
+    called or bound, by attribute, through ``builtins``, an alias of
+    ``object`` or ``getattr``."""
     objects = {"object"} | {
         alias.asname
         for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "builtins"
@@ -205,12 +209,12 @@ def object_new_reaches(tree):
         )
 
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "__new__" and is_object(node.value):
+        if isinstance(node, ast.Attribute) and node.attr in BYPASSES and is_object(node.value):
             yield node.lineno
         elif (
             isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "getattr" and len(node.args) >= 2 and is_object(node.args[0])
-            and isinstance(node.args[1], ast.Constant) and node.args[1].value == "__new__"
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value in BYPASSES
         ):
             yield node.lineno
 
@@ -222,15 +226,17 @@ def test_object_new_finder_sees_every_spelling():
         "builtins.object.__new__(Record)\nbase.__new__(Record)\n"
         "getattr(object, '__new__')(Record)\n"
         "tuple.__new__(Record, ())\nobject.__setattr__(record, 'id', 'x')\nRecord('x')\n"
+        "set_field = builtins.object.__setattr__\ngetattr(base, '__setattr__')(record, 'id', 'x')\n"
+        "record.__setattr__('id', 'x')\ngetattr(object, '__getattribute__')(record, 'id')\n"
     )
-    assert sorted(object_new_reaches(ast.parse(source))) == [3, 4, 5, 6, 7]
+    assert sorted(object_bypasses(ast.parse(source))) == [3, 4, 5, 6, 7, 9, 11, 12]
 
 
 def test_records_are_built_by_calling_their_class():
     found = sorted(
         f"{path.relative_to(PACKAGE)}:{lineno}"
         for path in sorted(PACKAGE.rglob("*.py"))
-        for lineno in object_new_reaches(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        for lineno in object_bypasses(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     )
     assert found == []
 

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from archdd import kernel
 from archdd.changes import build_matching_problem
 from archdd.kernel import lexmin_assignment
-from archdd.model import ArchitectureSnapshot, Component
+from archdd.model import parse_snapshot
+
+from conftest import contain_lines
 
 INF = 1 << 62
 
@@ -160,7 +162,8 @@ def dense_costs(a, b, overlaps):
 
 def assert_agrees_with_oracle(components_a, components_b):
     _, a, b, overlaps = build_matching_problem(
-        ArchitectureSnapshot("a", components_a), ArchitectureSnapshot("b", components_b)
+        parse_snapshot(contain_lines(components_a), "a"),
+        parse_snapshot(contain_lines(components_b), "b"),
     )
     assert lexmin_assignment(overlaps) == dense_lexmin(dense_costs(a, b, overlaps), len(a))
 
@@ -211,9 +214,7 @@ def snapshots_over(universe, names):
     for size in range(len(universe) + 1):
         for subset in itertools.combinations(universe, size):
             for partition in set_partitions(list(subset)):
-                out.append(
-                    [Component(name, frozenset(block)) for name, block in zip(names, partition)]
-                )
+                out.append(list(zip(names, partition)))
     return out
 
 
@@ -255,7 +256,7 @@ def snapshot_pairs(draw):
             block = entities[:rng.randint(1, max_size)]
             del entities[:len(block)]
             name = f"{rng.choice(NAMES)}{k}" if k % 3 else f"{rng.choice(NAMES)}.{side}{k}"
-            components.append(Component(name, frozenset(block or [f"{side}.only{k}"])))
+            components.append((name, block or [f"{side}.only{k}"]))
         sides.append(components)
     return sides
 

@@ -14,9 +14,9 @@ from archdd.changes import (
     get_change_instances,
     min_cost_matching,
 )
-from archdd.model import ArchitectureSnapshot, Component
+from archdd.model import Component, parse_snapshot
 
-from conftest import random_snapshot, snap
+from conftest import contain_lines, random_snapshot, snap
 
 
 def comp(name, entities=""):
@@ -49,7 +49,8 @@ def kinds(changes):
 
 def solve(components_a, components_b):
     chosen = min_cost_matching(
-        ArchitectureSnapshot("a", components_a), ArchitectureSnapshot("b", components_b)
+        parse_snapshot(contain_lines(components_a), "a"),
+        parse_snapshot(contain_lines(components_b), "b"),
     )
     total = sum(delta_cost(c_a, c_b) for c_a, c_b in chosen)
     names = tuple(c_b.name for _, c_b in chosen)  # already in a-name order
@@ -246,7 +247,7 @@ def steady_pairs(draw):
         if entry[0] is None:
             entry[0] = next(spare)
     sides = [
-        ArchitectureSnapshot(version, tuple(Component(n, frozenset(e)) for n, e in side))
+        parse_snapshot(contain_lines(side), version)
         for version, side in (("v1", older), ("v2", newer))
     ]
     if draw(st.booleans()):

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from archdd.errors import InvariantViolation, PartitionViolation, SnapshotParseError
+from archdd.errors import PartitionViolation, SnapshotParseError
 from archdd.changes import change_id
 from archdd.model import (
     ArchitectureSnapshot,
     Component,
     entity_universe,
     parse_snapshot,
+    shared_entity,
 )
 
 from conftest import random_snapshot, snap
@@ -28,12 +29,10 @@ def test_parse_partition_violation_names_both_components():
         parse_snapshot("contain C1 a\ncontain C2 a", "v1")
     assert excinfo.value.entity == "a"
     assert set(excinfo.value.components) == {"C1", "C2"}
-    # A snapshot built directly, not parsed, is checked the same way.
+    # The owners are named in component order, the entity in sorted order.
     with pytest.raises(PartitionViolation) as excinfo:
-        ArchitectureSnapshot(
-            "v1", (Component("B1", frozenset({"a", "b"})), Component("B2", frozenset({"b"})))
-        )
-    assert excinfo.value.components == ("B1", "B2")
+        parse_snapshot("contain B2 b\ncontain B2 c\ncontain B1 b\ncontain B1 c\n", "v1")
+    assert (excinfo.value.entity, excinfo.value.components) == ("b", ("B1", "B2"))
 
 
 def test_parse_empty_file():
@@ -66,9 +65,7 @@ def test_snapshot_builds_its_entity_set_once():
     snapshots = [
         base,
         parse_snapshot("contain C1 a\ncontain C2 c\ncontain C3 d\n", "v2", base),
-        ArchitectureSnapshot(
-            "v3", (Component("B1", frozenset({"x", "y"})), Component("B2", frozenset({"z"})))
-        ),
+        snap("v3", {"B1": "x y", "B2": "z"}),
     ]
     for snapshot in snapshots:
         assert entity_universe(snapshot) is entity_universe(snapshot)
@@ -113,35 +110,6 @@ def test_parse_serialize_parse_round_trip():
         assert _write_snapshot(again) == text
 
 
-def test_name_validation():
-    with pytest.raises(InvariantViolation):
-        Component("", frozenset({"a"}))
-    with pytest.raises(InvariantViolation):
-        Component("c", frozenset({"a b"}))
-    with pytest.raises(InvariantViolation):
-        Component(" c", frozenset({"a"}))
-    for space in ("\t", "\u3000", "\x1c", "\xa0"):
-        with pytest.raises(InvariantViolation, match="whitespace"):
-            Component(f"c{space}d", frozenset({"a"}))
-        with pytest.raises(InvariantViolation, match="whitespace"):
-            Component("c", frozenset({f"a{space}"}))
-    with pytest.raises(InvariantViolation, match="^entity name must be a non-empty string$"):
-        Component("c", frozenset({1}))
-    with pytest.raises(InvariantViolation, match="version label"):
-        ArchitectureSnapshot("", ())
-
-
-def test_snapshot_rejects_duplicate_component_names():
-    with pytest.raises(InvariantViolation):
-        snap_components = (Component("C", frozenset({"a"})), Component("C", frozenset({"b"})))
-        ArchitectureSnapshot("v", snap_components)
-
-
-def test_snapshot_rejects_empty_components():
-    with pytest.raises(InvariantViolation):
-        ArchitectureSnapshot("v", (Component("C", frozenset()),))
-
-
 def test_change_id_is_content_addressed():
     entities = frozenset({"a", "b"})
     one = change_id(None, "C", frozenset(), entities, ("v1", "v2"))
@@ -170,7 +138,20 @@ def reference_parse_snapshot(text: str, version: str) -> ArchitectureSnapshot:
     components = tuple(
         Component(name, frozenset(entities)) for name, entities in sorted(grouped.items())
     )
-    return ArchitectureSnapshot(version, components)
+    conflict = shared_entity(components)
+    if conflict is not None:
+        raise PartitionViolation(*conflict)
+    entities = frozenset().union(*(c.entities for c in components))
+    return ArchitectureSnapshot(version, components, entities, None)
+
+
+def clean_outcome(snapshot):
+    """The components of a snapshot that parsed, once its derived fields are checked:
+    ``entities`` is their union, and each is non-empty under a distinct name."""
+    assert snapshot.entities == frozenset().union(*(c.entities for c in snapshot.components))
+    assert all(c.entities for c in snapshot.components)
+    assert len({c.name for c in snapshot.components}) == len(snapshot.components)
+    return [(c.name, c.entities) for c in snapshot.components]
 
 
 def parse_outcome(parse, text):
@@ -179,7 +160,7 @@ def parse_outcome(parse, text):
         snapshot = parse(text, "v1")
     except (SnapshotParseError, PartitionViolation) as exc:
         return type(exc), str(exc), getattr(exc, "lineno", None)
-    return [(c.name, c.entities) for c in snapshot.components]
+    return clean_outcome(snapshot)
 
 
 FIELDS = ["contain", "C1", "C2", "e1", "e2", "#", "#contain", "#e1", "contain#"]
@@ -243,7 +224,7 @@ def chain_outcomes(texts):
         except (SnapshotParseError, PartitionViolation) as exc:
             outcomes.append((type(exc), str(exc), getattr(exc, "lineno", None)))
         else:
-            outcomes.append([(c.name, c.entities) for c in snapshot.components])
+            outcomes.append(clean_outcome(snapshot))
             base = snapshot
     return outcomes
 

@@ -1,3 +1,4 @@
+import errno
 import gc
 import json
 import random
@@ -84,6 +85,40 @@ def test_pipeline_writes_outputs(mini_project):
     assert run_doc["pairs"][0]["matching_cost"] == 4
     decisions_text = (config.output_dir / "decisions.txt").read_text()
     assert "[crosscutting]" in decisions_text and "[simple]" in decisions_text
+
+
+def test_outputs_are_published_only_once_all_are_written(tmp_path, capsys, monkeypatch):
+    config_path = write_mini_project(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    # A directory where summary.txt goes blocks its rename: run.json, renamed
+    # last, keeps its old bytes, and no temporary file is left.
+    (out / "summary.txt").mkdir()
+    (out / "run.json").write_text("old run\n")
+    assert main(["pipeline", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 21] Is a directory") and err.count("\n") == 1, err
+    assert (out / "run.json").read_text() == "old run\n"
+    assert not [path.name for path in out.iterdir() if path.name.endswith(".tmp")]
+
+    # A write that fails publishes nothing: every old output keeps its bytes.
+    (out / "summary.txt").rmdir()
+    for name in ("run.json", "decisions.txt", "summary.txt"):
+        (out / name).write_text(f"old {name}\n")
+    write_text, writes = Path.write_text, []
+
+    def disk_full_on_the_second_write(path, *args, **kwargs):
+        writes.append(path)
+        if len(writes) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", disk_full_on_the_second_write)
+    assert main(["pipeline", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert {path.name: path.read_text() for path in out.iterdir()} == {
+        name: f"old {name}\n" for name in ("run.json", "decisions.txt", "summary.txt")
+    }
 
 
 def test_pipeline_reruns_byte_identical(mini_project):
