@@ -24,7 +24,6 @@ from .ingestion import (
     IssueRecord,
     PathRule,
     add_message_links,
-    apply_exclusions,
     build_impact_lists,
     load_commits,
     load_issues,
@@ -49,7 +48,6 @@ __all__ = [
     "RunConfig",
     "add_message_links",
     "analyze_changes",
-    "apply_exclusions",
     "balance",
     "build_decision_graph",
     "build_impact_lists",

@@ -137,7 +137,7 @@ def extract_decisions_cmd(changes_path, impact_path, tractability_threshold, out
         )
     edges = build_decision_graph(impact, changes)
     decisions = find_decisions(edges, version_pair, tractability_threshold=tractability_threshold)
-    stats = report.build_pair_stats(*version_pair, changes, changes, decisions)
+    stats = report.build_pair_stats(*version_pair, changes, len(changes), decisions)
     doc = report.decisions_doc(version_pair, decisions, stats["coverage_before_cleanup"])
     _emit(report.canonical_json(doc), out)
 

@@ -11,6 +11,9 @@ A decision has one shape, the plain dict a ``run.json`` entry's
 ``decisions`` list holds without its version fields: ``id``, ``kind``,
 sorted ``issue_ids`` and ``change_ids``, and ``tractable``.
 
+The cleanup returns the ids of the changes it drops: those whose entities
+all fall under ``ingestion.is_excluded``, the one third-party rule.
+
 Decisions grow as sets over an issue -> changes and a change -> issues index,
 so an issue and a change may share an id. Each issue not yet placed, in id
 order, starts one that takes in the changes its issues reach, then the issues
@@ -22,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .errors import InvariantViolation
-from .ingestion import apply_exclusions
+from .ingestion import is_excluded
 from .model import content_id
 
 DEFAULT_TRACTABILITY_THRESHOLD = 5
@@ -117,13 +120,9 @@ def find_decisions(
     return decisions
 
 
-def is_external_change(change: dict, exclusions) -> bool:
-    """True when every removed or added entity falls under an excluded namespace."""
-    return not apply_exclusions([delta["entity"] for delta in change["deltas"]], exclusions)
-
-
-def drop_external_changes(changes: list[dict], exclusions) -> list[dict]:
-    """The cleanup step: keep only changes with at least one non-excluded entity."""
-    if not exclusions:
-        return list(changes)
-    return [c for c in changes if not is_external_change(c, exclusions)]
+def drop_external_changes(changes: list[dict], exclusions) -> list[str]:
+    """The cleanup: sorted ids of the changes all of whose entities are
+    excluded, a ``run.json`` entry's ``external_change_ids``."""
+    return sorted(
+        c["id"] for c in changes if all(is_excluded(d["entity"], exclusions) for d in c["deltas"])
+    )

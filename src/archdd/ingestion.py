@@ -7,8 +7,8 @@ Input formats (all UTF-8):
   version labels), ``commits`` (array of commit ids);
 * commit log -- JSON Lines with ``id`` (required), ``paths`` (array of
   changed file paths), ``issue_keys`` (array, optional);
-* exclusion list -- one namespace prefix per line, ``#`` comments allowed,
-  its lines ended as the JSON Lines inputs' are;
+* exclusion list -- one namespace prefix per line, ``#`` comments on their
+  own lines, its lines ended as the JSON Lines inputs' are;
 * path rules -- JSON object with an ordered ``rules`` array of
   ``{match, strip_prefix, strip_suffix, separator_replacement}``.
 
@@ -33,6 +33,9 @@ list the same versions share one versions set.
 qualifying issues, and decides each distinct path and each entity's
 exclusion once. Each list is a plain dict, the ``impact`` object a
 ``run.json`` entry holds without its version fields.
+
+``is_excluded`` is the one third-party rule, for impact lists and for
+the cleanup, ``decisions.drop_external_changes``, alike.
 
 The default path rules target Java-style source trees and are overridable;
 everything else in this module treats names as opaque strings.
@@ -329,7 +332,8 @@ def path_to_entity(path: str, rules=DEFAULT_PATH_RULES) -> str | None:
     return None
 
 
-def _is_excluded(entity: str, exclusions) -> bool:
+def is_excluded(entity: str, exclusions) -> bool:
+    """True when ``entity`` lies under an excluded namespace prefix (boundary-aware)."""
     for prefix in exclusions:
         if entity == prefix:
             return True
@@ -342,19 +346,15 @@ def _is_excluded(entity: str, exclusions) -> bool:
     return False
 
 
-def apply_exclusions(entities: frozenset[str], exclusions) -> frozenset[str]:
-    """Drop entities under any excluded namespace prefix (boundary-aware)."""
-    if not exclusions:
-        return frozenset(entities)
-    return frozenset(e for e in entities if not _is_excluded(e, exclusions))
-
-
 def load_exclusions(text: str) -> list[str]:
+    """One prefix per line; one holding whitespace (no entity name does) is an error."""
     prefixes = []
-    for raw in _lines(text):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if line.split() != [line]:
+            raise ConfigError(f"exclusion list line {lineno}: {line!r} can match no entity")
         prefixes.append(line)
     return prefixes
 
@@ -443,9 +443,7 @@ def build_impact_lists(
                     else:
                         entities.add(entity)
             if exclusions:
-                for entity in entities - tested:
-                    if _is_excluded(entity, exclusions):
-                        excluded.add(entity)
+                excluded.update(e for e in entities - tested if is_excluded(e, exclusions))
                 tested |= entities
                 dropped = entities & excluded
                 excluded_count += len(dropped)

@@ -24,6 +24,7 @@ the run before any output is written.
 
 from __future__ import annotations
 
+import errno
 import os
 import sys
 from collections.abc import Iterator
@@ -69,7 +70,7 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except (OSError, ValueError) as exc:  # a NUL byte in the path, undecodable bytes
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         obj = decode_json(text, lambda msg: ConfigError(f"invalid config {path}: {msg}"))
@@ -141,12 +142,12 @@ def read_input(path: str | Path | None, what: str) -> str:
     """Read a UTF-8 input file, or standard input when ``path`` is None.
 
     Any failure, undecodable bytes and a path the OS cannot take (a NUL
-    byte) included, is an InputError naming the source.
+    byte) included, is an InputError naming the source. One leading BOM is dropped.
     """
     try:
         if path is None:
-            return sys.stdin.buffer.read().decode("utf-8")
-        return Path(path).read_text(encoding="utf-8")
+            return sys.stdin.buffer.read().decode("utf-8-sig")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         source = "<stdin>" if path is None else path
         raise InputError(f"cannot read {what} {source}: {exc}") from None
@@ -186,20 +187,18 @@ def _run_pair(
     changes = analyze_changes(snap_a, snap_b)
     edges = build_decision_graph(impact, changes)
     decisions = find_decisions(edges, pair, tractability_threshold=threshold)
-    clean_changes = drop_external_changes(changes, exclusions)
+    external = drop_external_changes(changes, exclusions)
     mapped = set().union(*impact["entries"].values())
     header = {"from_version": pair[0], "to_version": pair[1]}
     entry = {
         **header,
         "matching_cost": matching_cost(changes),
         "changes": [{**header, **c} for c in changes],
-        "external_change_ids": sorted(
-            {c["id"] for c in changes} - {c["id"] for c in clean_changes}
-        ),
+        "external_change_ids": external,
         "impact": {**header, **impact},
         "decisions": [{**header, **d} for d in decisions],
         "entity_overlap": [len(mapped & entity_universe(snap_b)), len(mapped)],
-        "stats": report.build_pair_stats(*pair, changes, clean_changes, decisions),
+        "stats": report.build_pair_stats(*pair, changes, len(changes) - len(external), decisions),
     }
     changes_by_id = {change["id"]: change for change in changes}
     cards = [f"== {pair[0]} -> {pair[1]}"]
@@ -277,9 +276,10 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 def _write_outputs(out_dir: Path, document: dict, cards: str) -> list[Path]:
     """Publish run.json, decisions.txt and summary.txt in ``out_dir``.
 
-    All three are written to temporary names in ``out_dir`` first, so a
-    failed write leaves the previous outputs as they were. Only then are
-    they renamed into place, run.json last, so a new run.json means the
+    A directory at any of the three paths is an error before anything is
+    written. All three are written to temporary names in ``out_dir`` first,
+    so a failed write leaves the previous outputs as they were. Only then
+    are they renamed into place, run.json last, so a new run.json means the
     reports beside it are new too; a failed rename stops there. On any
     error the temporary files are removed.
     """
@@ -308,6 +308,9 @@ def _write_outputs(out_dir: Path, document: dict, cards: str) -> list[Path]:
     }
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in texts:
+        if (out_dir / name).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out_dir / name))
     staged = []
     try:
         for name, text in texts.items():

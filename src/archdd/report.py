@@ -342,7 +342,7 @@ def build_pair_stats(
     from_version: str,
     to_version: str,
     changes: list[dict],
-    clean_changes: list[dict],
+    clean_change_count: int,
     decisions: list[dict],
 ) -> dict:
     """The ``stats`` object of one pair's ``run.json`` entry."""
@@ -363,7 +363,7 @@ def build_pair_stats(
         "issue_links": issue_links,
         "change_links": change_links,
         "covered_change_count": len(covered & {change["id"] for change in changes}),
-        "clean_change_count": len(clean_changes),
+        "clean_change_count": clean_change_count,
     }
     return _stats_row((from_version, to_version), counts, kinds)
 

@@ -18,6 +18,16 @@ def contain_lines(components):
     )
 
 
+def under_namespace(entity, prefixes):
+    """Oracle for the exclusion rule: ``entity`` is excluded when it, or its
+    text up to or through one of its separators (``.``, ``/``, ``$``), is one
+    of ``prefixes``."""
+    cuts = {entity} | {
+        entity[:end] for i, ch in enumerate(entity) if ch in "./$" for end in (i, i + 1)
+    }
+    return not cuts.isdisjoint(prefixes)
+
+
 def snap(version, components):
     """Parse a snapshot from {name: "e1 e2 ..."} mappings."""
     pairs = ((name, entities.split()) for name, entities in components.items())

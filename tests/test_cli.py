@@ -12,7 +12,7 @@ from archdd.cli import main
 from archdd.errors import InputError
 from archdd.pipeline import read_input
 
-from conftest import run_cli_with_hash_seed, write_mini_project
+from conftest import output_digests, run_cli_with_hash_seed, write_mini_project
 
 
 def run(capsys, *argv):
@@ -748,6 +748,58 @@ def test_non_utf8_inputs_are_one_line_errors(tmp_path, capsys):
     assert err == f"error: cannot read issue export {latin}: " + (
         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
     )
+
+
+BOM = "\ufeff"
+
+
+def test_build_impact_ignores_a_byte_order_mark(tmp_path, capsys):
+    # read with the mark, the first prefix was '\ufeffthirdparty.jetty' and excluded nothing
+    write_mini_project(tmp_path)
+    issue_side = ("build-impact", "--issues", str(tmp_path / "issues.jsonl"),
+                  "--commits", str(tmp_path / "commits.jsonl"), "--version", "1.1.0")
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text("thirdparty.jetty\n", encoding="utf-8")
+    marked.write_text(BOM + "thirdparty.jetty\n", encoding="utf-8")
+    code, expected, _ = run(capsys, *issue_side, "--exclusions", str(plain))
+    assert code == 0
+    assert json.loads(expected)["diagnostics"]["excluded_entity_count"] == 1
+    assert run(capsys, *issue_side, "--exclusions", str(marked)) == (0, expected, "")
+
+
+def test_build_impact_rejects_an_exclusion_line_with_a_comment(tmp_path, capsys):
+    write_mini_project(tmp_path)
+    (tmp_path / "exclusions.txt").write_text("# vendored\nthirdparty.jetty # http\n")
+    code, out, err = run(
+        capsys, "build-impact", "--issues", str(tmp_path / "issues.jsonl"),
+        "--commits", str(tmp_path / "commits.jsonl"), "--version", "1.1.0",
+        "--exclusions", str(tmp_path / "exclusions.txt"),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: exclusion list line 2: 'thirdparty.jetty # http' can match no entity\n"
+
+
+def test_convert_log_ignores_a_byte_order_mark(tmp_path, capsys):
+    # read with the mark, the first header was not a header and its commit was lost
+    raw = "commit abcdef1\nM\tsrc/a/B.java\ncommit 1234567\nA\tsrc/c/D.java\n"
+    (tmp_path / "plain.log").write_text(raw, encoding="utf-8")
+    (tmp_path / "marked.log").write_text(BOM + raw, encoding="utf-8")
+    code, expected, _ = run(capsys, "convert-log", "--in", str(tmp_path / "plain.log"))
+    assert code == 0 and len(expected.splitlines()) == 2
+    assert run(capsys, "convert-log", "--in", str(tmp_path / "marked.log")) == (0, expected, "")
+    from_stdin = convert_log_from_stdin((BOM + raw).encode("utf-8"))
+    assert (from_stdin.returncode, from_stdin.stdout.decode()) == (0, expected)
+
+
+def test_pipeline_ignores_a_byte_order_mark_in_every_file(tmp_path, capsys):
+    config_path = write_mini_project(tmp_path)
+    assert run(capsys, "pipeline", "--config", str(config_path))[0] == 0
+    expected = output_digests(tmp_path / "out")
+    for path in tmp_path.iterdir():
+        if path.is_file():
+            path.write_text(BOM + path.read_text(encoding="utf-8"), encoding="utf-8")
+    assert run(capsys, "pipeline", "--config", str(config_path))[0] == 0
+    assert output_digests(tmp_path / "out") == expected
 
 
 def test_pipeline_non_utf8_snapshot_fails_its_pairs(tmp_path, capsys):

@@ -13,7 +13,6 @@ from archdd.decisions import (
     decision_id,
     drop_external_changes,
     find_decisions,
-    is_external_change,
 )
 from archdd.errors import InvariantViolation
 from archdd.changes import analyze_changes
@@ -169,7 +168,7 @@ def test_decision_kind_follows_counts_and_sides_are_non_empty():
 
 
 def coverage(changes, decisions):
-    stats = build_pair_stats("v1", "v2", changes, changes, decisions)
+    stats = build_pair_stats("v1", "v2", changes, len(changes), decisions)
     return Fraction(*stats["coverage_before_cleanup"])
 
 
@@ -190,23 +189,20 @@ def test_change_coverage_after_cleanup_fixture():
     internal = [chg(f"comp{i}", [f"app.mod{i}.C"]) for i in range(7)]
     external = [chg(f"ext{i}", [f"ext.lib{i}.C"]) for i in range(3)]
     changes = internal + external
-    clean = drop_external_changes(changes, ["ext.lib0", "ext.lib1", "ext.lib2"])
-    assert clean == internal
+    dropped = drop_external_changes(changes, ["ext.lib0", "ext.lib1", "ext.lib2"])
+    assert dropped == sorted(c["id"] for c in external)
     decisions = [decision({"i1"}, {c["id"] for c in internal[:2]}, id="d:3")]
-    stats = build_pair_stats("v1", "v2", changes, clean, decisions)
+    stats = build_pair_stats("v1", "v2", changes, len(changes) - len(dropped), decisions)
     assert Fraction(*stats["coverage_before_cleanup"]) == Fraction(2, 10)
     assert Fraction(*stats["coverage_after_cleanup"]) == Fraction(2, 7)
 
 
-def test_is_external_change_requires_all_entities_excluded():
+def test_drop_external_changes_requires_all_entities_excluded():
     mixed = chg("core", ["app.X", "ext.lib.Y"])
     pure_external = chg("ext", ["ext.lib.Y"])
-    assert not is_external_change(mixed, ["ext.lib"])
-    assert is_external_change(pure_external, ["ext.lib"])
-    assert drop_external_changes([mixed, pure_external], []) == [
-        mixed,
-        pure_external,
-    ]
+    assert drop_external_changes([mixed, pure_external], ["ext.lib"]) == [pure_external["id"]]
+    assert drop_external_changes([mixed], ["ext.lib", "app"]) == [mixed["id"]]
+    assert drop_external_changes([mixed, pure_external], []) == []
 
 
 def reachability_partition(edges, issues, changes):

@@ -14,6 +14,10 @@ so a change id and a decision id cannot drift to different schemes.
 And every record is built by calling its class: no module reaches for
 ``object.__new__`` to fill a record around its constructor.
 
+And every input file is read in one place: only ``pipeline.read_input``
+and ``RunConfig.from_file`` open a file or read standard input, so their
+byte order mark, NUL-byte and decode handling covers every input.
+
 And every name the bench's tracer wraps still exists, so a refactor that
 drops one fails here instead of only as a lost per-layer bench metric.
 """
@@ -239,6 +243,69 @@ def test_records_are_built_by_calling_their_class():
         for lineno in object_bypasses(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     )
     assert found == []
+
+
+READS = {"read_text", "read_bytes", "open"}
+
+
+def input_reads(tree):
+    """The enclosing function (``Class.method`` for a method) of each call to
+    ``open`` or a ``read_text``, ``read_bytes`` or ``open`` attribute, and of
+    each reach for ``sys.stdin``, by any alias."""
+    sys_names = {"sys"} | {
+        alias.asname
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "sys" and alias.asname
+    }
+    stdin_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "sys"
+        for alias in node.names if alias.name == "stdin"
+    }
+
+    def reads(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        return (
+            (isinstance(func, ast.Name) and func.id in READS)
+            or (isinstance(func, ast.Attribute) and func.attr in READS)
+            or (isinstance(node, ast.Attribute) and node.attr == "stdin"
+                and isinstance(node.value, ast.Name) and node.value.id in sys_names)
+            or (isinstance(node, ast.Name) and node.id in stdin_names)
+        )
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if reads(child):
+                yield scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = child.name if scope == "<module>" else f"{scope}.{child.name}"
+                yield from walk(child, name)
+            else:
+                yield from walk(child, scope)
+
+    return walk(tree, "<module>")
+
+
+def test_input_read_finder_sees_every_spelling():
+    source = (
+        "import sys as s\nfrom sys import stdin as given\nimport io\n"
+        "def f(path):\n    return open(path).read()\n"
+        "class C:\n    def m(self, path):\n        return path.read_text()\n"
+        "    def n(self, path):\n        return io.open(path).read() + path.read_bytes()\n"
+        "def g():\n    return s.stdin.buffer.read()\n"
+        "def h():\n    return given.read()\n"
+        "def quiet(path):\n    path.write_text('x')\n    return sys.stdout, path.stat()\n"
+    )
+    assert list(input_reads(ast.parse(source))) == ["f", "C.m", "C.n", "C.n", "g", "h"]
+
+
+def test_every_input_file_is_read_in_one_place():
+    found = sorted({
+        f"{path.relative_to(PACKAGE)}: {scope}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for scope in input_reads(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    })
+    assert found == ["pipeline.py: RunConfig.from_file", "pipeline.py: read_input"]
 
 
 TRACE_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "trace_run.py"

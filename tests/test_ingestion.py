@@ -13,9 +13,9 @@ from archdd.ingestion import (
     IssueRecord,
     PathRule,
     add_message_links,
-    apply_exclusions,
     build_impact_lists,
     convert_name_status_log,
+    is_excluded,
     load_commits,
     load_exclusions,
     load_issues,
@@ -24,7 +24,7 @@ from archdd.ingestion import (
     serialize_commits,
 )
 
-from conftest import write_mini_project
+from conftest import under_namespace, write_mini_project
 
 
 def issue(id, **kw):
@@ -146,18 +146,35 @@ def test_path_rule_glob_and_prefix_matching():
     assert not prefix_rule.matches("src/vendor.java")
 
 
-def test_apply_exclusions_prefix_boundary():
-    entities = frozenset({"org.mortbay.jetty.Server", "org.apache.hadoop.fs.FS"})
-    assert apply_exclusions(entities, ["org.mortbay"]) == {"org.apache.hadoop.fs.FS"}
-    assert apply_exclusions(entities, []) == entities
-    mixed = frozenset({"org.apache.x", "org.apachefoo.x", "org.apache"})
-    assert apply_exclusions(mixed, ["org.apache"]) == {"org.apachefoo.x"}
+def test_is_excluded_prefix_boundary():
+    def kept(entities, prefixes):
+        return {e for e in entities if not is_excluded(e, prefixes)}
+
+    entities = {"org.mortbay.jetty.Server", "org.apache.hadoop.fs.FS"}
+    assert kept(entities, ["org.mortbay"]) == {"org.apache.hadoop.fs.FS"}
+    assert kept(entities, []) == entities
+    mixed = {"org.apache.x", "org.apachefoo.x", "org.apache", "org.apache$Inner", "org.apache/y"}
+    assert kept(mixed, ["org.apache"]) == {"org.apachefoo.x"}
     # trailing separator in the prefix is honoured too
-    assert apply_exclusions(mixed, ["org.apache."]) == {"org.apachefoo.x", "org.apache"}
+    assert kept(mixed, ["org.apache."]) == {"org.apachefoo.x", "org.apache", "org.apache$Inner",
+                                            "org.apache/y"}
+    for prefixes in (["org.mortbay"], [], ["org.apache"], ["org.apache."], ["org.apache.x"]):
+        for entity in entities | mixed:
+            assert is_excluded(entity, prefixes) == under_namespace(entity, prefixes)
 
 
 def test_load_exclusions_skips_comments():
     assert load_exclusions("# c\n\norg.x\n org.y \n") == ["org.x", "org.y"]
+
+
+def test_load_exclusions_rejects_a_prefix_no_entity_can_match():
+    # entity names hold no whitespace, so a trailing comment would exclude nothing
+    for text, line in (("org.x\n# c\nvendor # jetty\n", 3), ("org.x y\n", 1),
+                       ("vendor\tjetty\n", 1), ("vendor\u3000jetty\n", 1)):
+        with pytest.raises(ConfigError) as caught:
+            load_exclusions(text)
+        prefix = text.splitlines()[line - 1]
+        assert str(caught.value) == f"exclusion list line {line}: {prefix!r} can match no entity"
 
 
 def test_load_path_rules():
@@ -289,7 +306,7 @@ def reference_impact_list(issues, commits, rules, exclusions, link_by_message):
                     skipped.add(path)
                 else:
                     entities.add(entity)
-        kept = apply_exclusions(frozenset(entities), exclusions)
+        kept = [entity for entity in entities if not under_namespace(entity, exclusions)]
         excluded += len(entities) - len(kept)
         entries[record.id] = sorted(kept)
     orphaned = [{"issue": issue, "commit": commit} for issue, commit in sorted(orphaned)]
@@ -400,7 +417,7 @@ def test_build_impact_lists_decides_each_path_and_entity_once(monkeypatch):
     def counted(real):
         return lambda first, *rest: tested.update([first]) or real(first, *rest)
 
-    for name in ("path_to_entity", "_is_excluded"):
+    for name in ("path_to_entity", "is_excluded"):
         monkeypatch.setattr(ingestion, name, counted(getattr(ingestion, name)))
     commits = commits_for(
         {"c1": ["src/a/X.java", "docs/x.md"], "c2": ["src/a/X.java", "src/v/Y.java"]}
@@ -597,10 +614,13 @@ def test_convert_name_status_log_opens_no_commit_after_a_unicode_separator(char)
 
 @pytest.mark.parametrize("char", UNICODE_SEPARATORS)
 def test_load_exclusions_ends_lines_only_at_line_breaks(char):
-    # split at the separator, `app` would be a prefix and exclude every app.* entity
-    prefixes = load_exclusions(f"thirdparty.x{char}app\n# note\r\nvendor\rlib\n")
-    assert prefixes == [f"thirdparty.x{char}app", "vendor", "lib"]
-    assert apply_exclusions(frozenset({"app.core.X", "vendor.Y"}), prefixes) == {"app.core.X"}
+    # split at the separator, `app` would be a prefix and exclude every app.* entity;
+    # whole, the line holds whitespace and is rejected as a prefix no entity can match
+    with pytest.raises(ConfigError, match="line 3: "):
+        load_exclusions(f"vendor\n# note\r\nthirdparty.x{char}app\rlib\n")
+    assert load_exclusions("vendor\n# note\r\nthirdparty.x\rlib\n") == [
+        "vendor", "thirdparty.x", "lib"
+    ]
 
 
 def test_convert_name_status_log_reads_crlf_and_cr_line_ends():

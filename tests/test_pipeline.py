@@ -16,7 +16,7 @@ from archdd.cli import main
 from archdd.errors import ConfigError, InvariantViolation
 from archdd.pipeline import RunConfig, run_pipeline
 
-from conftest import output_digests, run_cli_with_hash_seed, write_mini_project
+from conftest import output_digests, run_cli_with_hash_seed, under_namespace, write_mini_project
 
 
 def run_pairs(config):
@@ -91,15 +91,19 @@ def test_outputs_are_published_only_once_all_are_written(tmp_path, capsys, monke
     config_path = write_mini_project(tmp_path)
     out = tmp_path / "out"
     out.mkdir()
-    # A directory where summary.txt goes blocks its rename: run.json, renamed
-    # last, keeps its old bytes, and no temporary file is left.
+    # A directory where summary.txt goes is found before anything is written:
+    # every old output keeps its bytes, and no temporary file is left.
     (out / "summary.txt").mkdir()
     (out / "run.json").write_text("old run\n")
+    (out / "decisions.txt").write_text("old decisions\n")
     assert main(["pipeline", "--config", str(config_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: [Errno 21] Is a directory") and err.count("\n") == 1, err
+    assert err == f"error: [Errno 21] Is a directory: {str(out / 'summary.txt')!r}\n", err
     assert (out / "run.json").read_text() == "old run\n"
-    assert not [path.name for path in out.iterdir() if path.name.endswith(".tmp")]
+    assert (out / "decisions.txt").read_text() == "old decisions\n"
+    assert sorted(path.name for path in out.iterdir()) == [
+        "decisions.txt", "run.json", "summary.txt"
+    ]
 
     # A write that fails publishes nothing: every old output keeps its bytes.
     (out / "summary.txt").rmdir()
@@ -245,14 +249,21 @@ histories = st.fixed_dictionaries({
         st.tuples(st.integers(1, 3), st.sets(st.sampled_from(ROW_ENTITIES), max_size=4)),
         max_size=8,
     ),
-    "exclusions": st.sets(st.sampled_from(["ext", "ext.x.C1", "app.b", "app"]), max_size=2),
+    # `ext.x.C` stops short of a boundary, so it excludes no `ext.x.C<i>`
+    "exclusions": st.sets(
+        st.sampled_from(["ext", "ext.x.C1", "ext.x.C", "app.b", "app"]), max_size=2
+    ),
 })
 
 
 @settings(max_examples=40, deadline=None)
 @given(history=histories)
 def test_report_accepts_every_row_a_run_writes(history):
-    """`report --in` rejects rows no run could write; no run's own row is one of them."""
+    """`report --in` rejects rows no run could write; no run's own row is one of them.
+
+    Each pair's third-party changes are recomputed with the test's own
+    boundary rule, and no decision holds one of them.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         labels = [f"v{k}" for k in range(len(history["owners"]))]
@@ -281,6 +292,16 @@ def test_report_accepts_every_row_a_run_writes(history):
         result = run_pipeline(config)
         doc = json.loads((config.output_dir / "run.json").read_text(encoding="utf-8"))
         assert report.parse_run_summary(doc) == result.summary
+        exclusions = history["exclusions"]
+        for pair in doc["pairs"]:
+            external = sorted(
+                change["id"] for change in pair["changes"]
+                if all(under_namespace(d["entity"], exclusions) for d in change["deltas"])
+            )
+            assert pair["external_change_ids"] == external
+            assert pair["stats"]["clean_change_count"] == len(pair["changes"]) - len(external)
+            for decision in pair["decisions"]:
+                assert set(decision["change_ids"]).isdisjoint(external)
 
 
 def _decision_rows(decisions):
