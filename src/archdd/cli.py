@@ -23,7 +23,7 @@ from .ingestion import (
     decode_json,
     serialize_commits,
 )
-from .model import parse_snapshot
+from .model import check_label, parse_snapshot
 from .pipeline import RunConfig, load_issue_side, read_input, run_pipeline
 
 
@@ -31,17 +31,6 @@ def _load_json(path: str, what: str) -> dict:
     return decode_json(
         read_input(path, what), lambda msg: InputError(f"invalid JSON in {what} {path}: {msg}")
     )
-
-
-def _label(value: str) -> str:
-    """A version label from an argument or a file name; its text goes into every output."""
-    if not value:
-        raise InputError("version label must not be empty")
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        raise InputError(f"version label {value!r} is not valid UTF-8") from None
-    return value
 
 
 def _nonempty_path(ctx, param, value: str | None) -> str | None:
@@ -77,8 +66,8 @@ def cli():
 @_path_option("--out", default=None, help="write output here instead of stdout")
 def analyze_changes_cmd(arch_a, arch_b, label_a, label_b, fmt, out):
     """Match two snapshots and list the architectural changes between them."""
-    label_a = _label(Path(arch_a).stem if label_a is None else label_a)
-    label_b = _label(Path(arch_b).stem if label_b is None else label_b)
+    label_a = check_label(Path(arch_a).stem if label_a is None else label_a, InputError)
+    label_b = check_label(Path(arch_b).stem if label_b is None else label_b, InputError)
     snap_a = parse_snapshot(read_input(arch_a, "snapshot"), label_a)
     snap_b = parse_snapshot(read_input(arch_b, "snapshot"), label_b, base=snap_a)
     changes = analyze_changes(snap_a, snap_b)
@@ -104,7 +93,7 @@ def analyze_changes_cmd(arch_a, arch_b, label_a, label_b, fmt, out):
 @_path_option("--out", default=None)
 def build_impact_cmd(issues_path, commits_path, version, rules_path, exclusions_path, link_by_message, out):
     """Build the architectural impact list for one version."""
-    version = _label(version)
+    version = check_label(version, InputError)
     issues, commits, rules, exclusions = load_issue_side(
         issues_path, commits_path, rules_path, exclusions_path, link_by_message
     )
@@ -137,7 +126,7 @@ def extract_decisions_cmd(changes_path, impact_path, tractability_threshold, out
         )
     edges = build_decision_graph(impact, changes)
     decisions = find_decisions(edges, version_pair, tractability_threshold=tractability_threshold)
-    stats = report.build_pair_stats(*version_pair, changes, len(changes), decisions)
+    stats = report.build_pair_stats(*version_pair, len(changes), len(changes), decisions)
     doc = report.decisions_doc(version_pair, decisions, stats["coverage_before_cleanup"])
     _emit(report.canonical_json(doc), out)
 
@@ -177,18 +166,14 @@ def convert_log_cmd(in_path, out):
     "--out",
     "which",
     required=True,
-    type=click.Choice(["summary", "distribution", "coverage"]),
+    type=click.Choice(list(report.SECTIONS)),
     help="which report to print",
 )
 def report_cmd(in_path, which):
-    """Print a summary, kind-distribution, or coverage table from a run document."""
+    """Print one table of summary.txt, rebuilt from a run document."""
     summary = report.parse_run_summary(_load_json(in_path, "run document"))
-    if which == "summary":
-        click.echo(report.render_summary_table(summary))
-    elif which == "coverage":
-        click.echo(report.render_coverage_table(summary))
-    else:
-        click.echo(report.render_distribution_table(summary))
+    _, render = report.SECTIONS[which]
+    click.echo(render(summary))
 
 
 def main(argv=None) -> int:

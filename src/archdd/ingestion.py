@@ -30,9 +30,9 @@ named tuples whose set fields are frozensets, which the constructor takes
 as given; every empty array field is one shared empty set, and issues that
 list the same versions share one versions set.
 ``build_impact_lists`` builds a whole run's impact lists from one index of
-qualifying issues, and decides each distinct path and each entity's
-exclusion once. Each list is a plain dict, the ``impact`` object a
-``run.json`` entry holds without its version fields.
+qualifying issues, mapping each distinct path and testing its entity
+against the exclusions once. Each list is a plain dict, the ``impact``
+object a ``run.json`` entry holds without its version fields.
 
 ``is_excluded`` is the one third-party rule, for impact lists and for
 the cleanup, ``decisions.drop_external_changes``, alike.
@@ -409,8 +409,8 @@ def build_impact_lists(
     that version. Issues whose commits yield no entities stay in the list
     with empty lists (they become orphans during decision extraction). Commit
     ids that cannot be resolved against the log are collected as
-    diagnostics, not errors. Each distinct path and entity meets the rules
-    and the exclusions once for the whole call.
+    diagnostics, not errors. Each distinct path is mapped, and its entity
+    tested against the exclusions, once for the whole call.
     """
     selected: dict[str, list[IssueRecord]] = {}
     for issue in issues:
@@ -418,7 +418,6 @@ def build_impact_lists(
             for version in issue.versions:
                 selected.setdefault(version, []).append(issue)
     entity_of: dict[str, str | None] = {}  # None: no rule derives an entity
-    tested: set[str] = set()
     excluded: set[str] = set()
     impacts: dict[str, dict] = {}
     for version in versions:
@@ -438,17 +437,15 @@ def build_impact_lists(
                         entity = entity_of[path]
                     else:
                         entity = entity_of[path] = path_to_entity(path, rules)
+                        if entity is not None and is_excluded(entity, exclusions):
+                            excluded.add(entity)
                     if entity is None:
                         skipped.add(path)
                     else:
                         entities.add(entity)
-            if exclusions:
-                excluded.update(e for e in entities - tested if is_excluded(e, exclusions))
-                tested |= entities
-                dropped = entities & excluded
-                excluded_count += len(dropped)
-                entities -= dropped
-            entries[issue.id] = sorted(entities)
+            dropped = entities & excluded
+            excluded_count += len(dropped)
+            entries[issue.id] = sorted(entities - dropped)
         impacts[version] = {
             "entries": entries,
             "diagnostics": {

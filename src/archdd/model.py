@@ -38,7 +38,7 @@ module's job. Changes and decisions are plain dicts built in
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -172,6 +172,20 @@ def parse_snapshot(
 def entity_universe(snapshot: ArchitectureSnapshot) -> frozenset[str]:
     """Union of all component entity sets, as the snapshot built it."""
     return snapshot.entities
+
+
+def check_label(label: str, error: Callable[[str], Exception]) -> str:
+    """``label``, or ``error(message)`` raised when it cannot be a version label: it
+    heads rows and cards in the text reports, so it is non-empty, UTF-8 and one line."""
+    if not label:
+        raise error("version label must not be empty")
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:
+        raise error(f"version label {label!r} is not valid UTF-8") from None
+    if label.splitlines() != [label]:
+        raise error(f"version label {label!r} must be one line")
+    return label
 
 
 def content_id(prefix: str, parts: list[str]) -> str:

@@ -50,7 +50,7 @@ from .ingestion import (
     load_issues,
     load_path_rules,
 )
-from .model import ArchitectureSnapshot, entity_universe, parse_snapshot
+from .model import ArchitectureSnapshot, check_label, entity_universe, parse_snapshot
 
 
 @dataclass
@@ -95,7 +95,7 @@ class RunConfig:
                     raise ConfigError(f"version `{key}` must not be empty")
             if "\0" in entry["snapshot"]:
                 raise ConfigError("config `snapshot` must not contain a NUL character")
-            label = entry["label"]
+            label = check_label(entry["label"], ConfigError)
             if label in seen:
                 raise ConfigError(f"duplicate version label {label!r}")
             seen.add(label)
@@ -198,7 +198,9 @@ def _run_pair(
         "impact": {**header, **impact},
         "decisions": [{**header, **d} for d in decisions],
         "entity_overlap": [len(mapped & entity_universe(snap_b)), len(mapped)],
-        "stats": report.build_pair_stats(*pair, changes, len(changes) - len(external), decisions),
+        "stats": report.build_pair_stats(
+            *pair, len(changes), len(changes) - len(external), decisions
+        ),
     }
     changes_by_id = {change["id"]: change for change in changes}
     cards = [f"== {pair[0]} -> {pair[1]}"]
@@ -283,27 +285,9 @@ def _write_outputs(out_dir: Path, document: dict, cards: str) -> list[Path]:
     reports beside it are new too; a failed rename stops there. On any
     error the temporary files are removed.
     """
-    summary, failures = document["summary"], document["failures"]
-    sections = [
-        report.render_summary_table(summary),
-        "",
-        "coverage",
-        report.render_coverage_table(summary),
-        "",
-        "decision kinds",
-        report.render_distribution_table(summary),
-        "",
-    ]
-    if failures:
-        sections.append("failed pairs")
-        for failure in failures:
-            sections.append(
-                f"  {failure['from_version']} -> {failure['to_version']}: {failure['error']}"
-            )
-        sections.append("")
     texts = {
         "decisions.txt": cards,
-        "summary.txt": "\n".join(sections),
+        "summary.txt": report.render_summary_txt(document["summary"], document["failures"]),
         "run.json": report.canonical_json(document),
     }
 

@@ -13,7 +13,9 @@ entry holds: version fields, ``scope``, integer counts, the
 their overall sum into the document's ``summary`` object, and
 ``parse_run_summary`` rebuilds that object from each row's type-checked
 counts and kinds, never from its stored ratios or scope, and rejects a row
-no run could write. The tables are drawn from those dicts.
+no run could write. Decisions are disjoint, so a row's issues in decisions
+are its issue links and its covered changes its change links. The tables
+are drawn from those dicts, in the order ``SECTIONS`` gives summary.txt.
 
 An impact list has one shape too, the ``impact`` object of a ``run.json``
 entry without its version fields, as ``ingestion.build_impact_lists``
@@ -30,7 +32,8 @@ parsed document writes back as the canonical one.
 A decision is the plain dict ``decisions.find_decisions`` returns, the
 ``decisions`` object of a ``run.json`` entry without its version fields;
 ``decisions_doc`` adds them, and ``build_pair_stats``, ``render_decision``
-and the distribution table read it as it stands.
+and the distribution table read it as it stands. A card prints each issue
+summary on one line.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .changes import change_deltas, change_kind, change_order
 from .decisions import KINDS
 from .errors import ConfigError
 from .ingestion import IssueRecord
+from .model import check_label
 
 SCHEMA_VERSION = 1
 
@@ -341,28 +345,29 @@ def _stats_row(version_pair: tuple[str | None, str | None], counts: dict, kinds:
 def build_pair_stats(
     from_version: str,
     to_version: str,
-    changes: list[dict],
+    change_count: int,
     clean_change_count: int,
     decisions: list[dict],
 ) -> dict:
-    """The ``stats`` object of one pair's ``run.json`` entry."""
+    """The ``stats`` object of one pair's ``run.json`` entry.
+
+    Decisions are the connected components of the pair's issue-change graph,
+    so no issue or change lies in two of them: the issues in decisions are
+    the issue links, and the covered changes are the change links.
+    """
     kinds = dict.fromkeys(KINDS, 0)
-    issue_ids: set[str] = set()
-    covered: set[str] = set()
     issue_links = change_links = 0
     for decision in decisions:
-        issue_ids.update(decision["issue_ids"])
-        covered.update(decision["change_ids"])
+        kinds[decision["kind"]] += 1
         issue_links += len(decision["issue_ids"])
         change_links += len(decision["change_ids"])
-        kinds[decision["kind"]] += 1
     counts = {
-        "issues_in_decisions": len(issue_ids),
-        "change_count": len(changes),
+        "issues_in_decisions": issue_links,
+        "change_count": change_count,
         "decision_count": len(decisions),
         "issue_links": issue_links,
         "change_links": change_links,
-        "covered_change_count": len(covered & {change["id"] for change in changes}),
+        "covered_change_count": change_links,
         "clean_change_count": clean_change_count,
     }
     return _stats_row((from_version, to_version), counts, kinds)
@@ -382,7 +387,9 @@ def _row_from_obj(obj: dict, version_pair: tuple[str | None, str | None]) -> dic
     """A stats row rebuilt from its type-checked counts and kinds, not its stored ratios.
 
     Only counts ``build_pair_stats`` could write pass: none negative, the
-    kinds summing to ``decision_count``, and covered <= clean <= all changes.
+    kinds summing to ``decision_count``, covered <= clean <= all changes,
+    and, decisions being disjoint, as many issues and covered changes as
+    issue and change links.
     """
     counts = {key: obj[key] for key in _COUNT_FIELDS}
     kinds = {kind: obj["kind_distribution"][kind] for kind in KINDS}
@@ -394,18 +401,21 @@ def _row_from_obj(obj: dict, version_pair: tuple[str | None, str | None]) -> dic
     covered, clean = counts["covered_change_count"], counts["clean_change_count"]
     if not covered <= clean <= counts["change_count"]:
         raise ValueError("covered_change_count <= clean_change_count <= change_count fails")
+    if counts["issues_in_decisions"] != counts["issue_links"] or covered != counts["change_links"]:
+        raise ValueError("issues_in_decisions and covered_change_count must equal their links")
     return _stats_row(version_pair, counts, kinds)
 
 
 def _read_run_summary(doc: dict) -> dict:
-    """A run document's ``summary``: each pair row names two labels, the
-    overall row none, and the overall row is the sum of the pair rows."""
+    """A run document's ``summary``: each pair row names two one-line
+    labels, the overall row none, and the overall row is the sum of the
+    pair rows."""
     summary = doc["summary"]
     keys = ("from_version", "to_version")
-    pairs = [
-        _row_from_obj(row, tuple(_name(row.get(key), key) for key in keys))
-        for row in summary.get("pairs", [])
-    ]
+    pairs = []
+    for row in summary.get("pairs", []):
+        labels = (check_label(_name(row.get(key), key), ValueError) for key in keys)
+        pairs.append(_row_from_obj(row, tuple(labels)))
     overall = summary["overall"]
     for key in keys:
         if overall.get(key) is not None:
@@ -446,7 +456,10 @@ def render_decision(
     issues_by_id: dict[str, IssueRecord],
     changes_by_id: dict[str, dict],
 ) -> str:
-    """One decision as a text card: header, then its issues and changes."""
+    """One decision as a text card: header, then its issues and changes.
+
+    A summary's ``str.splitlines`` parts are joined by a space, so it adds no line.
+    """
     header = (
         f"[{decision['kind']}] {decision['id']} "
         f"({version_pair[0]} -> {version_pair[1]}, "
@@ -454,7 +467,7 @@ def render_decision(
     )
     lines = [header]
     for issue_id in decision["issue_ids"]:
-        summary = issues_by_id[issue_id].summary
+        summary = " ".join(issues_by_id[issue_id].summary.splitlines())
         lines.append(f"  issue {issue_id}: {summary}" if summary else f"  issue {issue_id}")
     for change in sorted(map(changes_by_id.__getitem__, decision["change_ids"]), key=change_order):
         lines.append(f"  change {change_label(change)}")
@@ -517,6 +530,30 @@ def render_coverage_table(summary: dict) -> str:
     return _table("pair", rows, _coverage_columns("before-cleanup", "after-cleanup"))
 
 
+# Each `report --out` name with its title in summary.txt (None: untitled)
+# and its table, in summary.txt order.
+SECTIONS = {
+    "summary": (None, render_summary_table),
+    "coverage": ("coverage", render_coverage_table),
+    "distribution": ("decision kinds", render_distribution_table),
+}
+
+
+def render_summary_txt(summary: dict, failures: list[dict]) -> str:
+    """summary.txt: each of ``SECTIONS`` under its title and above a blank
+    line, then the failed pairs, if any."""
+    lines = []
+    for title, render in SECTIONS.values():
+        if title is not None:
+            lines.append(title)
+        lines += [render(summary), ""]
+    if failures:
+        lines.append("failed pairs")
+        lines += [f"  {f['from_version']} -> {f['to_version']}: {f['error']}" for f in failures]
+        lines.append("")
+    return "\n".join(lines)
+
+
 __all__ = [
     "SCHEMA_VERSION",
     "ISSUE_COUNT_CONVENTION",
@@ -534,4 +571,6 @@ __all__ = [
     "render_summary_table",
     "render_distribution_table",
     "render_coverage_table",
+    "SECTIONS",
+    "render_summary_txt",
 ]

@@ -361,6 +361,61 @@ def test_analyze_changes_rejects_empty_label(tmp_path, capsys):
     assert err == "error: version label must not be empty\n"
 
 
+def test_an_issue_summary_prints_on_one_line(tmp_path, capsys):
+    # Printed as given, this summary's lines would add a fake pair header and
+    # a fake card to decisions.txt, and APP-3's change would land under it.
+    config_path = write_mini_project(tmp_path)
+    issues_path = tmp_path / "issues.jsonl"
+    issues = [json.loads(line) for line in issues_path.read_text().splitlines()]
+    issues[2]["summary"] = "Add pool\n== v9 -> v10\n[simple] d:000000000000 (v9 -> v10, tractable)"
+    issues_path.write_text("".join(json.dumps(issue) + "\n" for issue in issues))
+    code, _, _ = run(capsys, "pipeline", "--config", str(config_path))
+    assert code == 0
+    cards = (tmp_path / "out" / "decisions.txt").read_text(encoding="utf-8").splitlines()
+    assert [line for line in cards if line.startswith("==")] == ["== 1.0.0 -> 1.1.0"]
+    assert cards[-3:] == [
+        "[simple] d:6ad5e1d87464 (1.0.0 -> 1.1.0, tractable)",
+        "  issue APP-3: Add pool == v9 -> v10 [simple] d:000000000000 (v9 -> v10, tractable)",
+        "  change metrics added (+1/-0 entities)",
+    ]
+
+
+# A line break of any kind `str.splitlines` knows; each would split a table row or header.
+MULTI_LINE_LABELS = ["1.1.0\nx", "1.1.0\r", "\x1c1.1.0", "1.1.0\u2028x"]
+
+
+@pytest.mark.parametrize("label", MULTI_LINE_LABELS)
+def test_pipeline_rejects_a_config_label_of_more_than_one_line(tmp_path, capsys, label):
+    config_path = write_mini_project(tmp_path)
+    config_obj = json.loads(config_path.read_text())
+    config_obj["versions"][1]["label"] = label
+    config_path.write_text(json.dumps(config_obj))
+    code, out, err = run(capsys, "pipeline", "--config", str(config_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: version label {label!r} must be one line\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("label", MULTI_LINE_LABELS)
+def test_stage_commands_reject_a_label_of_more_than_one_line(tmp_path, capsys, label):
+    # --label-a, --label-b, --version, and a label taken from a file name
+    write_mini_project(tmp_path)
+    arch_a, arch_b = tmp_path / "arch-1.0.0.rsf", tmp_path / "arch-1.1.0.rsf"
+    named = tmp_path / f"{label}.rsf"
+    named.write_bytes(arch_b.read_bytes())
+    changes = ("analyze-changes", "--arch-a", str(arch_a), "--arch-b")
+    for argv in (
+        (*changes, str(arch_b), "--label-a", label),
+        (*changes, str(arch_b), "--label-b", label),
+        (*changes, str(named)),
+        ("build-impact", "--issues", str(tmp_path / "issues.jsonl"),
+         "--commits", str(tmp_path / "commits.jsonl"), "--version", label),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == f"error: version label {label!r} must be one line\n"
+
+
 def test_exit_codes(tmp_path, capsys):
     # missing file -> input error -> 1
     code, _, err = run(
@@ -444,6 +499,7 @@ def test_report_rejects_malformed_run_documents(tmp_path, capsys):
         ("pairs", "from_version", None),
         ("overall", "to_version", "zzz"),
         ("overall", "from_version", "1.0.0"),
+        ("pairs", "to_version", "1.1.0\nx"),  # a label is one line
     ]:
         doc = json.loads(json.dumps(run_doc))
         summary = doc["summary"]
@@ -451,6 +507,13 @@ def test_report_rejects_malformed_run_documents(tmp_path, capsys):
         bad_versions.append(doc)
     # a row must hold counts a run could write, and the overall row their sum
     impossible_counts = []
+    # decisions are disjoint, so each row has as many issues in decisions as
+    # issue links, and as many covered changes as change links
+    for fields in ({"issues_in_decisions": 2}, {"covered_change_count": 2}):
+        doc = json.loads(json.dumps(run_doc))
+        for row in (doc["summary"]["pairs"][0], doc["summary"]["overall"]):
+            row.update(fields)
+        impossible_counts.append(doc)
     for row, fields in [
         ("pairs", {"change_count": -3, "covered_change_count": 2}),
         ("pairs", {"kind_distribution": {"simple": 1, "compound": 0, "crosscutting": 5}}),

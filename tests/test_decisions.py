@@ -168,7 +168,7 @@ def test_decision_kind_follows_counts_and_sides_are_non_empty():
 
 
 def coverage(changes, decisions):
-    stats = build_pair_stats("v1", "v2", changes, len(changes), decisions)
+    stats = build_pair_stats("v1", "v2", len(changes), len(changes), decisions)
     return Fraction(*stats["coverage_before_cleanup"])
 
 
@@ -192,7 +192,7 @@ def test_change_coverage_after_cleanup_fixture():
     dropped = drop_external_changes(changes, ["ext.lib0", "ext.lib1", "ext.lib2"])
     assert dropped == sorted(c["id"] for c in external)
     decisions = [decision({"i1"}, {c["id"] for c in internal[:2]}, id="d:3")]
-    stats = build_pair_stats("v1", "v2", changes, len(changes) - len(dropped), decisions)
+    stats = build_pair_stats("v1", "v2", len(changes), len(changes) - len(dropped), decisions)
     assert Fraction(*stats["coverage_before_cleanup"]) == Fraction(2, 10)
     assert Fraction(*stats["coverage_after_cleanup"]) == Fraction(2, 7)
 

@@ -2,6 +2,7 @@ import errno
 import gc
 import json
 import random
+import re
 import tempfile
 import weakref
 from fractions import Fraction
@@ -220,18 +221,15 @@ def test_report_prints_the_sections_of_summary_txt(tmp_path, capsys, write_proje
     run_json = config.output_dir / "run.json"
     doc = json.loads(run_json.read_text(encoding="utf-8"))
     assert report.parse_run_summary(doc) == result.summary
-    printed = {}
-    for which in ("summary", "coverage", "distribution"):
+    sections = []
+    for which, (title, _) in report.SECTIONS.items():
         assert main(["report", "--in", str(run_json), "--out", which]) == 0
-        printed[which] = capsys.readouterr().out
-    failed = "".join(
-        f"  {f['from_version']} -> {f['to_version']}: {f['error']}\n" for f in result.failures
-    )
-    assert (config.output_dir / "summary.txt").read_text(encoding="utf-8") == (
-        printed["summary"] + "\ncoverage\n" + printed["coverage"]
-        + "\ndecision kinds\n" + printed["distribution"]
-        + (f"\nfailed pairs\n{failed}" if failed else "")
-    )
+        sections.append(("" if title is None else f"{title}\n") + capsys.readouterr().out)
+    if result.failures:
+        sections.append("failed pairs\n" + "".join(
+            f"  {f['from_version']} -> {f['to_version']}: {f['error']}\n" for f in result.failures
+        ))
+    assert (config.output_dir / "summary.txt").read_text(encoding="utf-8") == "\n".join(sections)
 
 
 # Entities under two packages and one third-party namespace, so exclusions
@@ -302,6 +300,38 @@ def test_report_accepts_every_row_a_run_writes(history):
             assert pair["stats"]["clean_change_count"] == len(pair["changes"]) - len(external)
             for decision in pair["decisions"]:
                 assert set(decision["change_ids"]).isdisjoint(external)
+        # decisions are disjoint, so every issue and change link is a distinct one
+        for row in [*doc["summary"]["pairs"], doc["summary"]["overall"]]:
+            assert row["issues_in_decisions"] == row["issue_links"]
+            assert row["covered_change_count"] == row["change_links"]
+
+
+# One line of decisions.txt: a pair header, the empty-pair note, a card
+# header, an issue line, a change line, or a blank line.
+DECISIONS_TXT_LINE = re.compile(
+    r"== \S+ -> \S+|\(no decisions\)|\[(simple|compound|crosscutting)\] d:[0-9a-f]{12} \(.*\)"
+    r"|  issue .*|  change .*|"
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(summaries=st.lists(st.text(), min_size=3, max_size=3))
+def test_decisions_txt_stays_line_structured(summaries):
+    """No issue summary, whatever its line breaks, adds a line to decisions.txt."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        config_path = write_mini_project(root)
+        issues_path = root / "issues.jsonl"
+        issues = [json.loads(line) for line in issues_path.read_text().splitlines()]
+        for issue, summary in zip(issues, summaries):
+            issue["summary"] = summary
+        issues_path.write_text("".join(json.dumps(issue) + "\n" for issue in issues))
+        config = RunConfig.from_file(config_path)
+        run_pipeline(config)
+        text = (config.output_dir / "decisions.txt").read_bytes().decode("utf-8")
+        lines = text.splitlines()
+        assert len(lines) == 9
+        assert [line for line in lines if not DECISIONS_TXT_LINE.fullmatch(line)] == []
 
 
 def _decision_rows(decisions):

@@ -184,10 +184,13 @@ def test_render_decision_text():
 
 
 def distribution_summary(*pairs):
-    """A run summary whose pairs hold the given {version_pair: decisions}."""
-    return build_run_summary(
-        [build_pair_stats(a, b, [], 0, ds) for (a, b), ds in pairs]
-    )
+    """A run summary whose pairs hold the given {version_pair: decisions},
+    each pair's changes being the ones its decisions cover."""
+    rows = []
+    for (a, b), ds in pairs:
+        change_count = sum(len(d["change_ids"]) for d in ds)
+        rows.append(build_pair_stats(a, b, change_count, change_count, ds))
+    return build_run_summary(rows)
 
 
 def test_emit_distribution_proportions():
@@ -222,7 +225,7 @@ def test_pair_stats_identities():
         decision({"i1"}, {ids[0]}, "simple"),
         decision({"i2", "i3"}, {ids[1]}, "compound"),
     ]
-    stats = build_pair_stats("v1", "v2", changes, len(changes), decisions)
+    stats = build_pair_stats("v1", "v2", len(changes), len(changes), decisions)
     assert stats["decision_count"] == 2
     avg_issues = Fraction(*stats["avg_issues_per_decision"])
     avg_changes = Fraction(*stats["avg_changes_per_decision"])
@@ -230,10 +233,13 @@ def test_pair_stats_identities():
     assert avg_changes * stats["decision_count"] == stats["change_links"]
     assert sum(stats["kind_distribution"].values()) == stats["decision_count"]
     assert avg_issues == Fraction(3, 2)  # exact, not a float
+    # decisions are disjoint, so each issue and change link is a distinct one
+    assert stats["issues_in_decisions"] == stats["issue_links"] == 3
+    assert stats["covered_change_count"] == stats["change_links"] == 2
 
 
 def test_pair_stats_empty_scope():
-    stats = build_pair_stats("v1", "v2", [], 0, [])
+    stats = build_pair_stats("v1", "v2", 0, 0, [])
     assert stats["avg_issues_per_decision"] is None
     assert Fraction(*stats["coverage_before_cleanup"]) == Fraction(1)  # 0/0 convention
     assert Fraction(*stats["coverage_after_cleanup"]) == Fraction(1)
@@ -243,7 +249,7 @@ def test_summary_round_trip_and_tables():
     changes = sample_changes()
     ids = sorted(c["id"] for c in changes)
     decisions = [decision({"i1"}, {ids[0]}, "simple")]
-    pair_stats = build_pair_stats("v1", "v2", changes, len(changes), decisions)
+    pair_stats = build_pair_stats("v1", "v2", len(changes), len(changes), decisions)
     summary = build_run_summary([pair_stats])
     obj = json.loads(canonical_json(summary))
     again = parse_run_summary({"schema_version": SCHEMA_VERSION, "kind": "run", "summary": obj})
