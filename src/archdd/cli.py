@@ -13,35 +13,21 @@ from pathlib import Path
 
 import click
 
-from . import __version__, report
+from . import __version__, decisions, report
 from .changes import analyze_changes
-from .decisions import DEFAULT_TRACTABILITY_THRESHOLD, build_decision_graph, find_decisions
-from .errors import ArchddError, ConfigError, InputError
-from .ingestion import (
-    build_impact_lists,
-    convert_name_status_log,
-    decode_json,
-    serialize_commits,
-)
-from .model import check_label, parse_snapshot
-from .pipeline import RunConfig, load_issue_side, read_input, run_pipeline
-
-
-def _load_json(path: str, what: str) -> dict:
-    return decode_json(
-        read_input(path, what), lambda msg: InputError(f"invalid JSON in {what} {path}: {msg}")
-    )
-
-
-def _nonempty_path(ctx, param, value: str | None) -> str | None:
-    """An empty path names no file, and does not stand for the option's default either."""
-    if value == "":
-        raise InputError(f"{param.opts[0]} must not be empty")
-    return value
+from .errors import ArchddError, InputError
+from .ingestion import build_impact_lists, convert_name_status_log, serialize_commits
+from .model import check_label, check_line, parse_snapshot
+from .pipeline import RunConfig, load_issue_side, load_json, read_input, run_pipeline
 
 
 def _path_option(*decls, **kwargs):
-    return click.option(*decls, callback=_nonempty_path, **kwargs)
+    """An option naming a file, by one non-empty line: an empty path names no
+    file, and does not stand for the option's default either."""
+    def check(ctx, param, value: str | None) -> str | None:
+        return value if value is None else check_line(value, param.opts[0], InputError)
+
+    return click.option(*decls, callback=check, **kwargs)
 
 
 def _emit(text: str, out: str | None):
@@ -107,27 +93,24 @@ def build_impact_cmd(issues_path, commits_path, version, rules_path, exclusions_
 @click.option(
     "--tractability-threshold",
     type=int,
-    default=DEFAULT_TRACTABILITY_THRESHOLD,
+    default=decisions.DEFAULT_TRACTABILITY_THRESHOLD,
     show_default=True,
     help="max changes a decision may carry and still count as tractable",
 )
 @_path_option("--out", default=None)
 def extract_decisions_cmd(changes_path, impact_path, tractability_threshold, out):
     """Connect issues to changes and extract classified decisions."""
-    if tractability_threshold < 1:
-        raise ConfigError("tractability threshold must be positive")
-    version_pair, changes = report.parse_changes_doc(
-        _load_json(changes_path, "changes document")
-    )
-    impact_pair, impact = report.parse_impact_doc(_load_json(impact_path, "impact document"))
+    decisions.check_threshold(tractability_threshold)
+    version_pair, changes = report.parse_changes_doc(load_json(changes_path, "changes document"))
+    impact_pair, impact = report.parse_impact_doc(load_json(impact_path, "impact document"))
     if impact_pair[1] != version_pair[1]:
         raise InputError(
             f"impact list is for version {impact_pair[1]!r} but changes target {version_pair[1]!r}"
         )
-    edges = build_decision_graph(impact, changes)
-    decisions = find_decisions(edges, version_pair, tractability_threshold=tractability_threshold)
-    stats = report.build_pair_stats(*version_pair, len(changes), len(changes), decisions)
-    doc = report.decisions_doc(version_pair, decisions, stats["coverage_before_cleanup"])
+    edges = decisions.build_decision_graph(impact, changes)
+    found = decisions.find_decisions(edges, version_pair, tractability_threshold)
+    stats = report.build_pair_stats(*version_pair, len(changes), len(changes), found)
+    doc = report.decisions_doc(version_pair, found, stats["coverage_before_cleanup"])
     _emit(report.canonical_json(doc), out)
 
 
@@ -171,7 +154,7 @@ def convert_log_cmd(in_path, out):
 )
 def report_cmd(in_path, which):
     """Print one table of summary.txt, rebuilt from a run document."""
-    summary = report.parse_run_summary(_load_json(in_path, "run document"))
+    summary = report.parse_run_summary(load_json(in_path, "run document"))
     _, render = report.SECTIONS[which]
     click.echo(render(summary))
 
@@ -188,10 +171,7 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except InputError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     except ArchddError as exc:

@@ -24,11 +24,18 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .errors import InvariantViolation
+from .errors import ConfigError, InvariantViolation
 from .ingestion import is_excluded
 from .model import content_id
 
 DEFAULT_TRACTABILITY_THRESHOLD = 5
+
+
+def check_threshold(threshold) -> int:
+    """``threshold``, or a ConfigError when it is not a positive integer; a bool is not one."""
+    if type(threshold) is not int or threshold < 1:
+        raise ConfigError("tractability_threshold must be a positive integer")
+    return threshold
 
 
 # The decision kinds, in the order the reports list them.

@@ -3,10 +3,10 @@
 Input formats (all UTF-8):
 
 * issue export -- JSON Lines, one object per line with fields ``id``
-  (required), ``summary``, ``resolved``, ``merged``, ``versions`` (array of
-  version labels), ``commits`` (array of commit ids);
-* commit log -- JSON Lines with ``id`` (required), ``paths`` (array of
-  changed file paths), ``issue_keys`` (array, optional);
+  (required, one line), ``summary``, ``resolved``, ``merged``, ``versions``
+  (array of version labels), ``commits`` (array of commit ids);
+* commit log -- JSON Lines with ``id`` (required, one line), ``paths`` (array
+  of changed file paths), ``issue_keys`` (array, optional);
 * exclusion list -- one namespace prefix per line, ``#`` comments on their
   own lines, its lines ended as the JSON Lines inputs' are;
 * path rules -- JSON object with an ordered ``rules`` array of
@@ -53,6 +53,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ConfigError, RecordParseError
+from .model import check_line
 
 ISSUE_KEY_RE = re.compile(r"[A-Z][A-Z0-9]*-\d+")
 
@@ -225,12 +226,16 @@ def _objects(text: str):
 
 
 def _record_id(obj: dict, lineno: int) -> str:
+    """The record's ``id``, which ``model.check_line`` keeps to one line. Every
+    line break is non-printable, so only an empty or non-printable id needs that check."""
     key = obj.get("id")
-    if type(key) is str and key:
+    if type(key) is str and key.isprintable() and key:
         return key
     if key is None:
         raise RecordParseError(lineno, "missing required field 'id'")
-    raise RecordParseError(lineno, "field 'id' must be a non-empty string")
+    if type(key) is not str:
+        raise RecordParseError(lineno, "field 'id' must be a string")
+    return check_line(key, "field 'id'", lambda msg: RecordParseError(lineno, msg))
 
 
 def _str_set(value, key: str, lineno: int) -> frozenset[str]:
@@ -359,9 +364,8 @@ def load_exclusions(text: str) -> list[str]:
     return prefixes
 
 
-def load_path_rules(text: str) -> list[PathRule]:
-    """Parse a rules config: {"rules": [{match, strip_prefix, ...}, ...]}."""
-    obj = decode_json(text, lambda msg: ConfigError(f"invalid rules file: {msg}"))
+def load_path_rules(obj) -> list[PathRule]:
+    """Read a decoded rules config: {"rules": [{match, strip_prefix, ...}, ...]}."""
     if not isinstance(obj, dict) or not isinstance(obj.get("rules"), list):
         raise ConfigError("rules file must be an object with a `rules` array")
     rules = []
@@ -380,14 +384,10 @@ def load_path_rules(text: str) -> list[PathRule]:
             or not all(isinstance(part, str) for part in replacement)
         ):
             raise ConfigError(f"rule {index}: separator_replacement must be a [from, to] pair")
-        rules.append(
-            PathRule(
-                match=entry["match"],
-                strip_prefix=entry.get("strip_prefix", ""),
-                strip_suffix=entry.get("strip_suffix", ""),
-                separator_replacement=(replacement[0], replacement[1]),
-            )
-        )
+        rules.append(PathRule(
+            entry["match"], entry.get("strip_prefix", ""), entry.get("strip_suffix", ""),
+            tuple(replacement),
+        ))
     return rules
 
 

@@ -33,6 +33,9 @@ interprets them. Deriving entity names from file paths is the ingestion
 module's job. Changes and decisions are plain dicts built in
 ``archdd.changes`` and ``archdd.decisions``; their ids come from
 ``content_id``, so this is the one module that hashes.
+
+``check_line`` is the one rule for version labels, issue and commit ids and
+paths, printed on one line of a report or an error: non-empty, one line.
 """
 
 from __future__ import annotations
@@ -174,18 +177,24 @@ def entity_universe(snapshot: ArchitectureSnapshot) -> frozenset[str]:
     return snapshot.entities
 
 
+def check_line(value: str, what: str, error: Callable[[str], Exception]) -> str:
+    """``value``, or ``error(message)`` raised when it is empty or holds a line break
+    ``str.splitlines`` knows: the one rule for labels, record ids and paths."""
+    if not value:
+        raise error(f"{what} must not be empty")
+    if value.splitlines() != [value]:
+        raise error(f"{what} {value!r} must be one line")
+    return value
+
+
 def check_label(label: str, error: Callable[[str], Exception]) -> str:
     """``label``, or ``error(message)`` raised when it cannot be a version label: it
-    heads rows and cards in the text reports, so it is non-empty, UTF-8 and one line."""
-    if not label:
-        raise error("version label must not be empty")
+    heads rows and cards in the text reports, so it is UTF-8 and one line."""
     try:
         label.encode("utf-8")
     except UnicodeEncodeError:
         raise error(f"version label {label!r} is not valid UTF-8") from None
-    if label.splitlines() != [label]:
-        raise error(f"version label {label!r} must be one line")
-    return label
+    return check_line(label, "version label", error)
 
 
 def content_id(prefix: str, parts: list[str]) -> str:

@@ -20,6 +20,10 @@ pairs; each failure is reported with the first bad snapshot's error, and
 the other pairs still run (strict mode turns any failure into a nonzero
 exit at the CLI). An invariant violation is a bug, not bad input: it stops
 the run before any output is written.
+
+Every input file is read by ``read_input`` and every JSON file decoded by
+``load_json``, whose errors name the file; a config path, printed in errors
+and ``summary.txt``, is one line (``model.check_line``).
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .changes import analyze_changes, matching_cost
 from .decisions import (
     DEFAULT_TRACTABILITY_THRESHOLD,
     build_decision_graph,
+    check_threshold,
     drop_external_changes,
     find_decisions,
 )
@@ -50,7 +55,16 @@ from .ingestion import (
     load_issues,
     load_path_rules,
 )
-from .model import ArchitectureSnapshot, check_label, entity_universe, parse_snapshot
+from .model import ArchitectureSnapshot, check_label, check_line, entity_universe, parse_snapshot
+
+
+def _path(value, key: str) -> str:
+    """A config file path: a string, without NUL (no OS path holds one), on one line."""
+    if not isinstance(value, str):
+        raise ConfigError(f"config `{key}` must be a file path string")
+    if "\0" in value:
+        raise ConfigError(f"config `{key}` must not contain a NUL character")
+    return check_line(value, f"config `{key}`", ConfigError)
 
 
 @dataclass
@@ -68,13 +82,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        path = Path(path)
-        try:
-            text = path.read_text(encoding="utf-8-sig")
-        except (OSError, ValueError) as exc:  # a NUL byte in the path, undecodable bytes
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        obj = decode_json(text, lambda msg: ConfigError(f"invalid config {path}: {msg}"))
-        return cls.from_obj(obj, base_dir=path.parent)
+        return cls.from_obj(load_json(path, "config"), base_dir=Path(path).parent)
 
     @classmethod
     def from_obj(cls, obj: dict, base_dir: Path) -> "RunConfig":
@@ -88,32 +96,24 @@ class RunConfig:
         for entry in raw_versions:
             if not isinstance(entry, dict) or "label" not in entry or "snapshot" not in entry:
                 raise ConfigError("each version needs `label` and `snapshot` fields")
-            for key in ("label", "snapshot"):
-                if not isinstance(entry[key], str):
-                    raise ConfigError(f"version `{key}` must be a string")
-                if not entry[key]:
-                    raise ConfigError(f"version `{key}` must not be empty")
-            if "\0" in entry["snapshot"]:
-                raise ConfigError("config `snapshot` must not contain a NUL character")
+            if not isinstance(entry["label"], str):
+                raise ConfigError("version `label` must be a string")
             label = check_label(entry["label"], ConfigError)
             if label in seen:
                 raise ConfigError(f"duplicate version label {label!r}")
             seen.add(label)
-            versions.append((label, base_dir / entry["snapshot"]))
+            versions.append((label, base_dir / _path(entry["snapshot"], "snapshot")))
         for key in ("issues", "commits"):
-            if not isinstance(obj.get(key), str):
+            if key not in obj:
                 raise ConfigError(f"config needs a `{key}` file path")
-        for key in ("exclusions", "path_rules", "output_dir"):
-            if key in obj and not isinstance(obj[key], str):
-                raise ConfigError(f"config `{key}` must be a file path string")
-        for key in ("issues", "commits", "exclusions", "path_rules", "output_dir"):
-            if obj.get(key) == "":
-                raise ConfigError(f"config `{key}` must not be empty")
-            if "\0" in obj.get(key, ""):
-                raise ConfigError(f"config `{key}` must not contain a NUL character")
-        threshold = obj.get("tractability_threshold", DEFAULT_TRACTABILITY_THRESHOLD)
-        if not isinstance(threshold, int) or isinstance(threshold, bool) or threshold < 1:
-            raise ConfigError("tractability_threshold must be a positive integer")
+        paths = {
+            key: base_dir / _path(obj[key], key)
+            for key in ("issues", "commits", "exclusions", "path_rules", "output_dir")
+            if key in obj
+        }
+        threshold = check_threshold(
+            obj.get("tractability_threshold", DEFAULT_TRACTABILITY_THRESHOLD)
+        )
         link_by_message = obj.get("link_by_message", False)
         if not isinstance(link_by_message, bool):
             raise ConfigError("link_by_message must be true or false")
@@ -121,13 +121,13 @@ class RunConfig:
             raise ConfigError("config needs at least two versions")
         return cls(
             versions=versions,
-            issues_path=base_dir / obj["issues"],
-            commits_path=base_dir / obj["commits"],
-            exclusions_path=base_dir / obj["exclusions"] if "exclusions" in obj else None,
-            rules_path=base_dir / obj["path_rules"] if "path_rules" in obj else None,
+            issues_path=paths["issues"],
+            commits_path=paths["commits"],
+            exclusions_path=paths.get("exclusions"),
+            rules_path=paths.get("path_rules"),
             tractability_threshold=threshold,
             link_by_message=link_by_message,
-            output_dir=base_dir / obj.get("output_dir", "archdd-out"),
+            output_dir=paths.get("output_dir", base_dir / "archdd-out"),
         )
 
 
@@ -153,22 +153,24 @@ def read_input(path: str | Path | None, what: str) -> str:
         raise InputError(f"cannot read {what} {source}: {exc}") from None
 
 
+def load_json(path: str | Path, what: str):
+    """The JSON value of the file at ``path``; any error is an InputError naming the file."""
+    return decode_json(
+        read_input(path, what), lambda msg: InputError(f"invalid JSON in {what} {path}: {msg}")
+    )
+
+
 def load_issue_side(issues_path, commits_path, rules_path, exclusions_path, link_by_message):
     """Read issues, commits, path rules and exclusions once; apply message-key links."""
     issues = load_issues(read_input(issues_path, "issue export"))
     commits = load_commits(read_input(commits_path, "commit log"))
     if link_by_message:
         issues = add_message_links(issues, commits)
-    rules = (
-        load_path_rules(read_input(rules_path, "path rules"))
-        if rules_path is not None
-        else list(DEFAULT_PATH_RULES)
-    )
-    exclusions = (
-        load_exclusions(read_input(exclusions_path, "exclusion list"))
-        if exclusions_path is not None
-        else []
-    )
+    rules, exclusions = DEFAULT_PATH_RULES, ()
+    if rules_path is not None:
+        rules = load_path_rules(load_json(rules_path, "path rules"))
+    if exclusions_path is not None:
+        exclusions = load_exclusions(read_input(exclusions_path, "exclusion list"))
     return issues, commits, rules, exclusions
 
 

@@ -327,7 +327,7 @@ def test_pipeline_rejects_empty_config_label(tmp_path, capsys):
     code, out, err = run(capsys, "pipeline", "--config", str(config_path))
     assert code == 1
     assert out == ""
-    assert err == "error: version `label` must not be empty\n"
+    assert err == "error: version label must not be empty\n"
 
 
 def test_build_impact_rejects_empty_version(tmp_path, capsys):
@@ -398,22 +398,37 @@ def test_pipeline_rejects_a_config_label_of_more_than_one_line(tmp_path, capsys,
 
 @pytest.mark.parametrize("label", MULTI_LINE_LABELS)
 def test_stage_commands_reject_a_label_of_more_than_one_line(tmp_path, capsys, label):
-    # --label-a, --label-b, --version, and a label taken from a file name
+    # --label-a, --label-b and --version; a file name holding one is a bad path
     write_mini_project(tmp_path)
     arch_a, arch_b = tmp_path / "arch-1.0.0.rsf", tmp_path / "arch-1.1.0.rsf"
     named = tmp_path / f"{label}.rsf"
     named.write_bytes(arch_b.read_bytes())
     changes = ("analyze-changes", "--arch-a", str(arch_a), "--arch-b")
-    for argv in (
-        (*changes, str(arch_b), "--label-a", label),
-        (*changes, str(arch_b), "--label-b", label),
-        (*changes, str(named)),
-        ("build-impact", "--issues", str(tmp_path / "issues.jsonl"),
-         "--commits", str(tmp_path / "commits.jsonl"), "--version", label),
+    for argv, what in (
+        ((*changes, str(arch_b), "--label-a", label), f"version label {label!r}"),
+        ((*changes, str(arch_b), "--label-b", label), f"version label {label!r}"),
+        ((*changes, str(named)), f"--arch-b {str(named)!r}"),
+        (("build-impact", "--issues", str(tmp_path / "issues.jsonl"),
+          "--commits", str(tmp_path / "commits.jsonl"), "--version", label),
+         f"version label {label!r}"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
-        assert err == f"error: version label {label!r} must be one line\n"
+        assert err == f"error: {what} must be one line\n"
+
+
+def test_a_path_that_is_not_utf8_still_reads(tmp_path, capsys):
+    # The argument b"arch-\xff.rsf" reaches the CLI as "arch-\udcff.rsf"; a path
+    # is one line, but only a label drawn from it must also be UTF-8.
+    write_mini_project(tmp_path)
+    path = tmp_path / "arch-\udcff.rsf"
+    path.write_bytes((tmp_path / "arch-1.0.0.rsf").read_bytes())
+    code, out, err = run(
+        capsys, "analyze-changes", "--arch-a", str(path),
+        "--arch-b", str(tmp_path / "arch-1.1.0.rsf"), "--label-a", "1.0.0",
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("changes 1.0.0 -> arch-1.1.0: 4\n")
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -472,7 +487,9 @@ def test_extract_decisions_rejects_a_zero_threshold(tmp_path, capsys):
         capsys, "extract-decisions", "--changes", str(changes_path), "--impact", str(impact_path),
         "--tractability-threshold", "0",
     )
-    assert (code, out, err) == (1, "", "error: tractability threshold must be positive\n")
+    assert (code, out, err) == (
+        1, "", "error: tractability_threshold must be a positive integer\n"
+    )
 
 
 def assert_one_line_input_error(code, err, what):
@@ -776,6 +793,31 @@ def test_json_inputs_reject_values_they_cannot_hold(tmp_path, capsys):
     code, _, _ = run(capsys, *invocations[1])
     assert code == 0
     assert json.loads((tmp_path / "o.json").read_text())["entries"]["APP-1"] == ["app.\U0001f600"]
+
+
+def test_a_json_error_names_its_file(tmp_path, capsys):
+    """Every JSON file is decoded by one loader, whose error names the file: the
+    path rules, given as an option or in a config, and the config itself."""
+    config_path = write_mini_project(tmp_path)
+    rules = tmp_path / "rules.json"
+    rules.write_text('{"rules": [}\n')
+    message = f"error: invalid JSON in path rules {rules}: Expecting value\n"
+    code, out, err = run(
+        capsys, "build-impact", "--issues", str(tmp_path / "issues.jsonl"),
+        "--commits", str(tmp_path / "commits.jsonl"), "--version", "1.1.0", "--rules", str(rules),
+    )
+    assert (code, out, err) == (1, "", message)
+    config = json.loads(config_path.read_text())
+    config_path.write_text(json.dumps(dict(config, path_rules="rules.json")))
+    assert run(capsys, "pipeline", "--config", str(config_path)) == (1, "", message)
+    config_path.write_text("{")
+    code, out, err = run(capsys, "pipeline", "--config", str(config_path))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: invalid JSON in config {config_path}: "
+        "Expecting property name enclosed in double quotes\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_utf8_inputs_are_one_line_errors(tmp_path, capsys):

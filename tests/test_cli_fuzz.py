@@ -7,7 +7,8 @@ Documents are kept mostly valid so that later slots and the stages behind
 the parsers are reached, not only the first parser. The version labels of
 ``analyze-changes`` and ``build-impact`` come from arguments and file names,
 so those are drawn too, lone surrogates included. An empty path option is
-named in its error, whatever the subcommand.
+named in its error, whatever the subcommand, and a path of more than one
+line is rejected, whatever the option or config key.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -409,3 +411,109 @@ def test_empty_path_options_are_named(data, tmp_path_factory):
     assert (code, out.getvalue()) == (1, "")
     assert stderr.getvalue() == f"error: {first} must not be empty\n"
     assert list(root.iterdir()) == []
+
+
+# A line break of each kind `str.splitlines` knows; a path holding one would
+# split the one-line error that names it, or a line of summary.txt.
+LINE_BREAKS = ["\n", "\r", "\x1c", "\u2028"]
+# A valid file for each input option; --out names a file that does not exist yet.
+INPUT_FILES = {
+    "--arch-a": "arch-1.0.0.rsf", "--arch-b": "arch-1.1.0.rsf",
+    "--issues": "issues.jsonl", "--commits": "commits.jsonl", "--rules": "rules.json",
+    "--exclusions": "exclusions.txt", "--changes": "changes.json", "--impact": "impact.json",
+    "--config": "config.json", ("convert-log", "--in"): "raw.log",
+    ("report", "--in"): "run.json",
+}
+
+
+def write_every_input(root):
+    """The mini project, plus a path-rules file, a raw log and the stage documents."""
+    write_mini_project(root)
+    (root / "rules.json").write_text('{"rules": [{"match": "src/", "strip_prefix": "src/"}]}')
+    (root / "raw.log").write_text("commit abcdef1\nM\tsrc/a/B.java\n")
+    arch = ["--arch-a", str(root / "arch-1.0.0.rsf"), "--arch-b", str(root / "arch-1.1.0.rsf")]
+    issue_side = ["--issues", str(root / "issues.jsonl"), "--commits", str(root / "commits.jsonl")]
+    for argv in (
+        ["analyze-changes", *arch, "--label-a", "1.0.0", "--label-b", "1.1.0",
+         "--format", "structured", "--out", str(root / "changes.json")],
+        ["build-impact", *issue_side, "--version", "1.1.0", "--out", str(root / "impact.json")],
+        ["pipeline", "--config", str(root / "config.json")],
+    ):
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    (root / "out" / "run.json").rename(root / "run.json")
+    for path in (root / "out").iterdir():
+        path.unlink()
+    (root / "out").rmdir()
+
+
+def tree(root):
+    """Every path under ``root``, so a test can see that nothing was written."""
+    return sorted(path.relative_to(root) for path in root.rglob("*"))
+
+
+@pytest.mark.parametrize("line_break", LINE_BREAKS, ids=ascii)
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, option) for command, options in PATH_OPTIONS.items() for option in options],
+)
+def test_path_options_reject_a_path_of_more_than_one_line(tmp_path, command, option, line_break):
+    """Each path option takes one line; an input file under such a name, readable
+    as it is, is not read, and an output under one is not written."""
+    write_every_input(tmp_path)
+    argv = [command, *OTHER_ARGUMENTS.get(command, [])]
+    for name in PATH_OPTIONS[command]:
+        file = INPUT_FILES.get((command, name), INPUT_FILES.get(name, "result.txt"))
+        if name == option:
+            stem, dot, suffix = file.partition(".")
+            bad = tmp_path / f"{stem}{line_break}x{dot}{suffix}"
+            if (tmp_path / file).exists():
+                bad.write_bytes((tmp_path / file).read_bytes())
+            file = bad
+        argv += [name, str(tmp_path / file)]
+    before = tree(tmp_path)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    assert (code, out.getvalue()) == (1, "")
+    assert stderr.getvalue() == f"error: {option} {str(bad)!r} must be one line\n"
+    assert tree(tmp_path) == before
+
+
+CONFIG_FILES = {
+    "issues": "issues.jsonl", "commits": "commits.jsonl", "snapshot": "arch-1.1.0.rsf",
+    "exclusions": "exclusions.txt", "path_rules": "rules.json", "output_dir": "out",
+}
+
+
+@pytest.mark.parametrize("line_break", LINE_BREAKS, ids=ascii)
+@pytest.mark.parametrize("key", list(CONFIG_FILES))
+def test_config_paths_reject_a_path_of_more_than_one_line(tmp_path, key, line_break):
+    """Each config path takes one line; an input file under such a name, readable
+    as it is, is not read, and no output is written."""
+    write_every_input(tmp_path)
+    stem, dot, suffix = CONFIG_FILES[key].partition(".")
+    value = f"{stem}{line_break}x{dot}{suffix}"
+    if key != "output_dir":
+        (tmp_path / value).write_bytes((tmp_path / CONFIG_FILES[key]).read_bytes())
+    assert_config_path_rejected(tmp_path, key, value)
+
+
+def test_a_missing_snapshot_path_of_two_lines_is_rejected(tmp_path):
+    # Read as given, its error split summary.txt's failed-pairs block and stderr.
+    write_every_input(tmp_path)
+    assert_config_path_rejected(tmp_path, "snapshot", "missing\nfake.rsf")
+
+
+def assert_config_path_rejected(root, key, value):
+    config_path = root / "config.json"
+    config = json.loads(config_path.read_text())
+    (config["versions"][1] if key == "snapshot" else config)[key] = value
+    config_path.write_text(json.dumps(config))
+    before = tree(root)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["pipeline", "--config", str(config_path)])
+    assert (code, out.getvalue()) == (1, "")
+    assert stderr.getvalue() == f"error: config `{key}` {value!r} must be one line\n"
+    assert tree(root) == before

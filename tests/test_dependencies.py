@@ -15,8 +15,11 @@ And every record is built by calling its class: no module reaches for
 ``object.__new__`` to fill a record around its constructor.
 
 And every input file is read in one place: only ``pipeline.read_input``
-and ``RunConfig.from_file`` open a file or read standard input, so their
-byte order mark, NUL-byte and decode handling covers every input.
+opens a file or reads standard input, so its byte order mark, NUL-byte and
+decode handling covers every input. And every JSON text is decoded in
+one of two places: ``pipeline.load_json`` for a whole file, whose error
+names it, and ``ingestion._objects`` for a JSON Lines record, whose error
+names its line.
 
 And every name the bench's tracer wraps still exists, so a refactor that
 drops one fails here instead of only as a lost per-layer bench metric.
@@ -273,9 +276,15 @@ def input_reads(tree):
             or (isinstance(node, ast.Name) and node.id in stdin_names)
         )
 
+    return scopes_of(tree, reads)
+
+
+def scopes_of(tree, hit):
+    """The enclosing function (``Class.method`` for a method) of each node ``hit`` accepts."""
+
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
-            if reads(child):
+            if hit(child):
                 yield scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = child.name if scope == "<module>" else f"{scope}.{child.name}"
@@ -305,7 +314,43 @@ def test_every_input_file_is_read_in_one_place():
         for path in sorted(PACKAGE.rglob("*.py"))
         for scope in input_reads(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     })
-    assert found == ["pipeline.py: RunConfig.from_file", "pipeline.py: read_input"]
+    assert found == ["pipeline.py: read_input"]
+
+
+def json_decodes(tree):
+    """The enclosing function of each reach for ``decode_json``: called or
+    bound, by name, by any alias, or as an attribute."""
+    names = {"decode_json"} | {
+        alias.asname
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name == "decode_json" and alias.asname
+    }
+    return scopes_of(tree, lambda node: (
+        (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr == "decode_json")
+    ))
+
+
+def test_json_decode_finder_sees_every_spelling():
+    source = (
+        "from .ingestion import decode_json, decode_json as d\nfrom . import ingestion\n"
+        "default = decode_json\n"
+        "def f(text):\n    return decode_json(text, ValueError)\n"
+        "class C:\n    def m(self, text):\n        return ingestion.decode_json(text, ValueError)\n"
+        "    def n(self, text):\n        return d(text, ValueError)\n"
+        "def g(texts):\n    return map(decode_json, texts)\n"
+        "def quiet(text):\n    return json_decode(text), ingestion.decode(text)\n"
+    )
+    assert list(json_decodes(ast.parse(source))) == ["<module>", "f", "C.m", "C.n", "g"]
+
+
+def test_every_json_text_is_decoded_in_one_of_two_places():
+    found = sorted({
+        f"{path.relative_to(PACKAGE)}: {scope}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for scope in json_decodes(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    })
+    assert found == ["ingestion.py: _objects", "pipeline.py: load_json"]
 
 
 TRACE_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "trace_run.py"

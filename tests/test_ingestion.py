@@ -186,14 +186,14 @@ def test_load_path_rules():
             ]
         }
     )
-    rules = load_path_rules(text)
+    rules = load_path_rules(json.loads(text))
     assert rules[0].derive("src/a/B.scala") == "a.B"
     with pytest.raises(ConfigError):
-        load_path_rules("{}")
+        load_path_rules({})
     with pytest.raises(ConfigError):
-        load_path_rules(json.dumps({"rules": [{"strip_prefix": "x"}]}))
+        load_path_rules({"rules": [{"strip_prefix": "x"}]})
     with pytest.raises(ConfigError):
-        load_path_rules(json.dumps({"rules": [{"match": "x", "separator_replacement": ["/"]}]}))
+        load_path_rules({"rules": [{"match": "x", "separator_replacement": ["/"]}]})
 
 
 @pytest.mark.parametrize(
@@ -210,7 +210,7 @@ def test_load_path_rules():
 )
 def test_load_path_rules_rejects_bad_fields(rule):
     with pytest.raises(ConfigError, match="rule 0"):
-        load_path_rules(json.dumps({"rules": [rule]}))
+        load_path_rules({"rules": [rule]})
 
 
 def commits_for(mapping):

@@ -39,10 +39,12 @@ def _require_str(obj, key, lineno, *, required=False):
         if required:
             raise RecordParseError(lineno, f"missing required field {key!r}")
         return ""
-    if required and not (isinstance(value, str) and value):
-        raise RecordParseError(lineno, f"field {key!r} must be a non-empty string")
     if not isinstance(value, str):
         raise RecordParseError(lineno, f"field {key!r} must be a string")
+    if required and not value:
+        raise RecordParseError(lineno, f"field {key!r} must not be empty")
+    if required and value.splitlines() != [value]:  # an id is printed on one line
+        raise RecordParseError(lineno, f"field {key!r} {value!r} must be one line")
     return value
 
 
@@ -279,7 +281,9 @@ ODD_LINES = st.one_of(
 def ids(index):
     """Mostly a fresh id per line; sometimes a repeat or one the guard must see through."""
     fresh = st.just(f'"A-{index}"')
-    odd = st.sampled_from(['"A-0"', '"A-1"', '"c:1"', '"{"', '"\\u0041"', '""', "null", "7"])
+    odd = st.sampled_from(
+        ['"A-0"', '"A-1"', '"c:1"', '"{"', '"\\u0041"', '""', "null", "7", '"A\\n1"', '"A\u2028"']
+    )
     return odd if index and index % 5 == 0 else fresh
 
 
@@ -321,6 +325,10 @@ def test_loaders_equal_the_reference(text):
         '{"id": "A-1", "x": {}, "y": [{}, {}]}',  # empty nested objects
         '{"id": "A-1", "commits": null}',
         '{"id": "", "paths": ["a"]}',
+        '{"id": "A-1\\r"}',  # an id holding a line break
+        '{"id": "A\\u001c1"}',
+        '{"id": "A\u20281"}',
+        '{"id": "A\\t1"}',  # not printable, but one line
         '{"summary": "x"}',
         '{"id": 7}',
         '{"id": "A-1", "summary": 3}',

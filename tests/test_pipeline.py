@@ -9,12 +9,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from archdd import pipeline, report
 from archdd.cli import main
-from archdd.errors import ConfigError, InvariantViolation
+from archdd.errors import ConfigError, InputError, InvariantViolation, RecordParseError
 from archdd.pipeline import RunConfig, run_pipeline
 
 from conftest import output_digests, run_cli_with_hash_seed, under_namespace, write_mini_project
@@ -314,10 +314,23 @@ DECISIONS_TXT_LINE = re.compile(
 )
 
 
+# A line break of each kind `str.splitlines` knows: line feed, carriage
+# return, a control separator and a Unicode separator.
+LINE_BREAKS = ["\n", "\r", "\x1c", "\u2028"]
+
+
 @settings(max_examples=40, deadline=None)
-@given(summaries=st.lists(st.text(), min_size=3, max_size=3))
-def test_decisions_txt_stays_line_structured(summaries):
-    """No issue summary, whatever its line breaks, adds a line to decisions.txt."""
+@given(
+    summaries=st.lists(st.text(), min_size=3, max_size=3),
+    broken_id=st.none() | st.tuples(st.integers(0, 2), st.sampled_from(LINE_BREAKS)),
+)
+@example(summaries=["a", "b", "c"], broken_id=(0, "\n"))
+@example(summaries=["a", "b", "c"], broken_id=(1, "\r"))
+@example(summaries=["a", "b", "c"], broken_id=(2, "\x1c"))
+@example(summaries=["a", "b", "c"], broken_id=(2, "\u2028"))
+def test_decisions_txt_stays_line_structured(summaries, broken_id):
+    """No issue summary, whatever its line breaks, adds a line to decisions.txt,
+    and an issue id holding a line break is an error before anything is written."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         config_path = write_mini_project(root)
@@ -325,8 +338,16 @@ def test_decisions_txt_stays_line_structured(summaries):
         issues = [json.loads(line) for line in issues_path.read_text().splitlines()]
         for issue, summary in zip(issues, summaries):
             issue["summary"] = summary
+        if broken_id is not None:
+            index, line_break = broken_id
+            issues[index]["id"] += line_break + "== v9 -> v10"
         issues_path.write_text("".join(json.dumps(issue) + "\n" for issue in issues))
         config = RunConfig.from_file(config_path)
+        if broken_id is not None:
+            with pytest.raises(RecordParseError, match=f"^record line {index + 1}: field 'id' .* must be one line$"):
+                run_pipeline(config)
+            assert not config.output_dir.exists()
+            return
         run_pipeline(config)
         text = (config.output_dir / "decisions.txt").read_bytes().decode("utf-8")
         lines = text.splitlines()
@@ -706,7 +727,7 @@ def test_streamed_chain_matches_a_baseless_parse(tmp_path, monkeypatch):
 
 
 def test_config_validation(tmp_path):
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError, match="^cannot read config "):
         RunConfig.from_file(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
@@ -731,8 +752,8 @@ def test_config_validation(tmp_path):
         RunConfig.from_file(bad)
 
 
-def test_config_path_the_os_cannot_open_is_a_config_error():
-    with pytest.raises(ConfigError, match="^cannot read config .*: embedded null byte$"):
+def test_config_path_the_os_cannot_open_is_an_input_error():
+    with pytest.raises(InputError, match="^cannot read config .*: embedded null byte$"):
         RunConfig.from_file("a\0b.json")
 
 
