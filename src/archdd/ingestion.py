@@ -157,14 +157,15 @@ def decode_json(text: str, error: Callable[[str], Exception]):
 
     Besides syntax errors this covers repeated keys, integers past the digit
     limit, nesting past the recursion limit, and strings holding an unpaired
-    surrogate escape, which no UTF-8 output could write. Only a text with a
-    ``\\u`` escape can hold a surrogate, so only such a text is re-encoded.
+    surrogate escape, which no UTF-8 output could write. Only a ``\\ud`` or
+    ``\\uD`` escape can write a surrogate, so only a text holding one is
+    re-encoded, by the same test ``_objects`` applies to each line.
     """
     try:
         if text.startswith("\ufeff"):  # json.loads checks this; the bare decoder does not
             raise ValueError("Unexpected UTF-8 BOM (decode using utf-8-sig)")
         obj = _DECODER.decode(text)
-        if "\\u" in text:
+        if "\\u" in text and ("\\ud" in text or "\\uD" in text):
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError:
         raise error("string holds an unpaired surrogate escape") from None

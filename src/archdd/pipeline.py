@@ -89,8 +89,8 @@ class RunConfig:
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
         raw_versions = obj.get("versions")
-        if not isinstance(raw_versions, list) or not raw_versions:
-            raise ConfigError("config needs a non-empty `versions` array")
+        if not isinstance(raw_versions, list):
+            raise ConfigError("config needs a `versions` array")
         versions = []
         seen: set[str] = set()
         for entry in raw_versions:

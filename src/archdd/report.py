@@ -146,9 +146,9 @@ def _read_change(obj: dict, version_pair: tuple[str, str]) -> dict:
     """One change of a document whose header names ``version_pair``, in the
     shape ``analyze_changes`` returns, its deltas de-duplicated and sorted.
 
-    A change carries at least one entity, names its source if it removes
-    one and its target if it adds one, and its versions and kind must match
-    the header and its endpoints.
+    A change carries at least one entity, removes none that it adds, names
+    its source if it removes one and its target if it adds one, and its
+    versions and kind must match the header and its endpoints.
     """
     entities = {"remove": set(), "add": set()}
     for delta in obj["deltas"]:
@@ -160,6 +160,9 @@ def _read_change(obj: dict, version_pair: tuple[str, str]) -> dict:
     target = _component(obj.get("target_component"))
     if not (entities["remove"] or entities["add"]):
         raise ValueError("a change must carry at least one entity")
+    shared = entities["remove"] & entities["add"]
+    if shared:
+        raise ValueError(f"a change must not remove and add the same entity: {min(shared)!r}")
     if entities["remove"] and source is None:
         raise ValueError("a change that removes entities must name its source")
     if entities["add"] and target is None:
@@ -553,24 +556,3 @@ def render_summary_txt(summary: dict, failures: list[dict]) -> str:
         lines.append("")
     return "\n".join(lines)
 
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "ISSUE_COUNT_CONVENTION",
-    "canonical_json",
-    "changes_doc",
-    "parse_changes_doc",
-    "impact_doc",
-    "parse_impact_doc",
-    "parse_run_summary",
-    "decisions_doc",
-    "build_pair_stats",
-    "build_run_summary",
-    "change_label",
-    "render_decision",
-    "render_summary_table",
-    "render_distribution_table",
-    "render_coverage_table",
-    "SECTIONS",
-    "render_summary_txt",
-]

@@ -32,8 +32,17 @@ def test_analyze_changes_text(tmp_path, capsys):
         "--label-b", "1.1.0",
     )
     assert code == 0
-    assert "changes 1.0.0 -> 1.1.0: 4" in out
-    assert "+ app.core.Cache" in out
+    assert out == (
+        "changes 1.0.0 -> 1.1.0: 4\n"
+        "  core modified (+1/-0 entities)\n"
+        "    + app.core.Cache\n"
+        "  io modified (+1/-0 entities)\n"
+        "    + app.util.Log\n"
+        "  metrics added (+1/-0 entities)\n"
+        "    + app.metrics.Meter\n"
+        "  web modified (+1/-0 entities)\n"
+        "    + thirdparty.jetty.Http\n"
+    )
 
 
 def test_analyze_changes_structured_and_extract_chain(tmp_path, capsys):
@@ -642,6 +651,13 @@ def test_extract_decisions_rejects_malformed_documents(tmp_path, capsys):
             {"deltas": [{"op": "remove", "entity": "app.X"}], "kind": "added",
              "source_component": None, "target_component": "core"},
             "a change that removes entities must name its source",
+        ),
+        (
+            {"deltas": [{"op": op, "entity": entity} for op, entity in (
+                ("remove", "app.Y"), ("add", "app.Y"), ("add", "app.X"), ("remove", "app.X"),
+                ("remove", "app.Z"),
+            )], "kind": "modified", "source_component": "core", "target_component": "io"},
+            "a change must not remove and add the same entity: 'app.X'",
         ),
     ):
         doc = json.loads(json.dumps(changes_doc))

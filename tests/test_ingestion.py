@@ -1,7 +1,6 @@
 import json
 import random
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -24,7 +23,7 @@ from archdd.ingestion import (
     serialize_commits,
 )
 
-from conftest import under_namespace, write_mini_project
+from conftest import under_namespace
 
 
 def issue(id, **kw):
@@ -104,6 +103,28 @@ def test_jsonl_lines_end_only_where_json_forbids_a_raw_line_end(char):
     with pytest.raises(RecordParseError) as excinfo:
         load_issues(text)
     assert excinfo.value.lineno == 3
+
+
+@pytest.mark.parametrize(
+    "escape, value",
+    [("caf\\u00e9", "caf\u00e9"), ("\\ud83d\\ude00", "\U0001f600"), ("\\ud800", None),
+     ("\\uDFFF", None)],
+)
+def test_only_an_unpaired_surrogate_escape_fails_to_decode(escape, value):
+    """Whole JSON texts and JSON Lines records apply one surrogate test."""
+    text = '{"id": "A-1", "summary": "' + escape + '"}'
+    if value is None:
+        with pytest.raises(ValueError) as excinfo:
+            ingestion.decode_json(text, ValueError)
+        assert str(excinfo.value) == "string holds an unpaired surrogate escape"
+        with pytest.raises(RecordParseError) as excinfo:
+            load_issues(text)
+        assert str(excinfo.value) == (
+            "record line 1: invalid JSON: string holds an unpaired surrogate escape"
+        )
+    else:
+        assert ingestion.decode_json(text, ValueError) == {"id": "A-1", "summary": value}
+        assert [record.summary for record in load_issues(text)] == [value]
 
 
 def test_select_issues_filters():
@@ -633,24 +654,6 @@ def test_convert_name_status_log_reads_crlf_and_cr_line_ends():
     assert convert_name_status_log(raw) == expected
     assert convert_name_status_log(raw.replace("\n", "\r\n")) == expected
     assert convert_name_status_log(raw.replace("\n", "\r")) == expected
-
-
-README = Path(__file__).resolve().parents[1] / "README.md"
-
-
-def test_readme_issue_side_example_builds_the_ledger_impact_list(tmp_path, monkeypatch):
-    """The README's "issue side from Python" block runs as written on the mini project."""
-    section = README.read_text(encoding="utf-8").split("### The issue side from Python\n", 1)[1]
-    block = section.split("```python\n", 1)[1].split("```", 1)[0]
-    write_mini_project(tmp_path)
-    monkeypatch.chdir(tmp_path)
-    namespace = {}
-    exec(compile(block, str(README), "exec"), namespace)
-    assert namespace["impact"]["entries"] == {
-        "APP-1": ["app.core.Cache", "app.core.Engine"],
-        "APP-2": ["app.core.Cache", "app.util.Log"],
-        "APP-3": ["app.metrics.Meter"],
-    }
 
 
 def test_default_rules_are_ordered_most_specific_first():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import archdd
 from archdd import report
 from archdd.changes import analyze_changes, change_id
 from archdd.decisions import classify, decision_id
@@ -260,11 +259,6 @@ def test_summary_round_trip_and_tables():
     assert "overall" in table and "v1 -> v2" in table
     assert render_coverage_table(summary).count("\n") >= 2
     assert "simple" in render_distribution_table(summary)
-
-
-@pytest.mark.parametrize("module", [archdd, report], ids=lambda module: module.__name__)
-def test_every_exported_name_resolves(module):
-    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 def test_change_label_names_both_components_of_a_renamed_match():
