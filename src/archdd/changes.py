@@ -27,8 +27,9 @@ A change has one shape, the plain dict a ``run.json`` entry's ``changes``
 list holds without its version fields: ``id`` (see ``change_id``), ``kind``
 (see ``change_kind``), ``source_component``, ``target_component`` and
 ``deltas``, one ``{"op", "entity"}`` per removed or added entity, sorted by
-(entity, op). ``analyze_changes`` returns a pair's changes in
-``change_order``. Delta names come from ``Component.entities``, which
+(entity, op). ``change_record`` is its one builder, for the analysis and
+the changes-document reader alike; ``analyze_changes`` returns a pair's
+changes in ``change_order``. Delta names come from ``Component.entities``, which
 ``parse_snapshot``'s whitespace split made, so they are not checked again.
 """
 
@@ -144,30 +145,23 @@ def change_id(
     return content_id("ch:", parts)
 
 
-def change_deltas(removed: Iterable[str], added: Iterable[str]) -> list[dict]:
-    """A change's ``deltas``: one ``{"op", "entity"}`` per entity, sorted by (entity, op)."""
-    ops = sorted([(e, "remove") for e in removed] + [(e, "add") for e in added])
-    return [{"op": op, "entity": entity} for entity, op in ops]
-
-
 def change_order(change: dict) -> tuple[str, str, str]:
     """The sort key of a change list: component (the target, else the source), kind, id."""
     return (change["target_component"] or change["source_component"], change["kind"], change["id"])
 
 
-def _change(
-    source: str | None,
-    target: str | None,
-    removed: Iterable[str],
-    added: Iterable[str],
-    version_pair: tuple[str, str],
+def change_record(
+    id_: str, source: str | None, target: str | None, removed: Iterable[str], added: Iterable[str]
 ) -> dict:
+    """The change ``id_``: its ``kind`` from the endpoints, and one delta per
+    removed or added entity, sorted by (entity, op)."""
+    ops = sorted([(e, "remove") for e in removed] + [(e, "add") for e in added])
     return {
-        "id": change_id(source, target, removed, added, version_pair),
+        "id": id_,
         "kind": change_kind(source, target),
         "source_component": source,
         "target_component": target,
-        "deltas": change_deltas(removed, added),
+        "deltas": [{"op": op, "entity": entity} for entity, op in ops],
     }
 
 
@@ -180,15 +174,12 @@ def get_change_instances(
     if entities_a == entities_b:
         return []
     if entities_a & entities_b:
-        removed = entities_a - entities_b
-        added = entities_b - entities_a
-        return [_change(c_a.name, c_b.name, removed, added, version_pair)]
-    out = []
-    if entities_a:
-        out.append(_change(c_a.name, None, entities_a, (), version_pair))
-    if entities_b:
-        out.append(_change(None, c_b.name, (), entities_b, version_pair))
-    return out
+        parts = [(c_a.name, c_b.name, entities_a - entities_b, entities_b - entities_a)]
+    else:
+        parts = [(c_a.name, None, entities_a, ())] if entities_a else []
+        if entities_b:
+            parts.append((None, c_b.name, (), entities_b))
+    return [change_record(change_id(*part, version_pair), *part) for part in parts]
 
 
 def analyze_changes(arch_a: ArchitectureSnapshot, arch_b: ArchitectureSnapshot) -> list[dict]:

@@ -33,6 +33,8 @@ list the same versions share one versions set.
 qualifying issues, mapping each distinct path and testing its entity
 against the exclusions once. Each list is a plain dict, the ``impact``
 object a ``run.json`` entry holds without its version fields.
+``impact_record`` is its one builder, for ``build_impact_lists`` and for
+the impact-document reader alike.
 
 ``is_excluded`` is the one third-party rule, for impact lists and for
 the cleanup, ``decisions.drop_external_changes``, alike.
@@ -46,7 +48,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from functools import cached_property
@@ -392,6 +394,27 @@ def load_path_rules(obj) -> list[PathRule]:
     return rules
 
 
+def impact_record(
+    entries: dict[str, Iterable[str]],
+    orphaned_refs: Iterable[tuple[str, str]],
+    skipped_paths: Iterable[str],
+    excluded_count: int,
+) -> dict:
+    """An impact list: each issue's entities, the (issue, commit) refs no
+    commit resolves and the skipped paths, each sorted, and the excluded count."""
+    return {
+        "entries": {issue_id: sorted(entities) for issue_id, entities in entries.items()},
+        "diagnostics": {
+            "orphaned_commit_refs": [
+                {"issue": issue_id, "commit": commit_id}
+                for issue_id, commit_id in sorted(orphaned_refs)
+            ],
+            "skipped_paths": sorted(skipped_paths),
+            "excluded_entity_count": excluded_count,
+        },
+    }
+
+
 def build_impact_lists(
     issues: list[IssueRecord],
     commits: dict[str, CommitRecord],
@@ -425,7 +448,7 @@ def build_impact_lists(
         orphaned: list[tuple[str, str]] = []
         skipped: set[str] = set()
         excluded_count = 0
-        entries: dict[str, list[str]] = {}
+        entries: dict[str, set[str]] = {}
         for issue in selected.get(version, ()):
             entities: set[str] = set()
             for commit_id in issue.commit_ids:
@@ -446,18 +469,8 @@ def build_impact_lists(
                         entities.add(entity)
             dropped = entities & excluded
             excluded_count += len(dropped)
-            entries[issue.id] = sorted(entities - dropped)
-        impacts[version] = {
-            "entries": entries,
-            "diagnostics": {
-                "orphaned_commit_refs": [
-                    {"issue": issue_id, "commit": commit_id}
-                    for issue_id, commit_id in sorted(orphaned)
-                ],
-                "skipped_paths": sorted(skipped),
-                "excluded_entity_count": excluded_count,
-            },
-        }
+            entries[issue.id] = entities - dropped
+        impacts[version] = impact_record(entries, orphaned, skipped, excluded_count)
     return impacts
 
 

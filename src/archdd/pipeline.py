@@ -74,11 +74,11 @@ class RunConfig:
     versions: list[tuple[str, Path]]
     issues_path: Path
     commits_path: Path
-    exclusions_path: Path | None = None
-    rules_path: Path | None = None
-    tractability_threshold: int = DEFAULT_TRACTABILITY_THRESHOLD
-    link_by_message: bool = False
-    output_dir: Path = Path("archdd-out")
+    exclusions_path: Path | None
+    rules_path: Path | None
+    tractability_threshold: int
+    link_by_message: bool
+    output_dir: Path
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":

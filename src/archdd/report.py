@@ -18,15 +18,15 @@ are its issue links and its covered changes its change links. The tables
 are drawn from those dicts, in the order ``SECTIONS`` gives summary.txt.
 
 An impact list has one shape too, the ``impact`` object of a ``run.json``
-entry without its version fields, as ``ingestion.build_impact_lists``
-returns it. ``impact_doc`` adds a standalone header, and
-``parse_impact_doc`` checks a document and returns the same shape.
+entry without its version fields, which ``ingestion.impact_record`` builds.
+``impact_doc`` adds a standalone header, and ``parse_impact_doc`` checks a
+document and builds the same shape.
 
 A change is the plain dict ``changes.analyze_changes`` returns, the
 ``changes`` object of a ``run.json`` entry without its version fields, and
 lists of changes are kept in ``changes.change_order``. ``changes_doc`` adds
-the version fields, and ``parse_changes_doc`` checks a document and returns
-the same shape, deltas de-duplicated and sorted and changes in order, so a
+the version fields, and ``parse_changes_doc`` checks a document and builds
+the same shape with ``changes.change_record``, changes in order, so a
 parsed document writes back as the canonical one.
 
 A decision is the plain dict ``decisions.find_decisions`` returns, the
@@ -41,11 +41,11 @@ from __future__ import annotations
 import json
 from math import gcd
 
-from .changes import change_deltas, change_kind, change_order
+from .changes import change_order, change_record
 from .decisions import KINDS
 from .errors import ConfigError
-from .ingestion import IssueRecord
-from .model import check_label
+from .ingestion import IssueRecord, impact_record
+from .model import check_label, check_line
 
 SCHEMA_VERSION = 1
 
@@ -122,16 +122,32 @@ def _header(version_pair: tuple[str | None, str | None], kind: str | None = None
     return header
 
 
-def _name(value, what: str, optional: bool = False):
-    """A document's version label or id: a non-empty string, or None where ``optional``."""
-    if not (isinstance(value, str) and value) and not (optional and value is None):
+def _string(value, what: str) -> str:
+    if not (isinstance(value, str) and value):
         raise TypeError(f"{what} must be a non-empty string, got {value!r}")
     return value
 
 
+def _name(value, what: str) -> str:
+    """A document's change or issue id: one line, as ``check_line`` rules record ids."""
+    return check_line(_string(value, what), what, ValueError)
+
+
+def _label(value, key: str) -> str:
+    """A document's version label: one UTF-8 line, as ``check_label`` rules labels."""
+    return check_label(_string(value, key), ValueError)
+
+
+def _count(value, key: str) -> int:
+    if type(value) is not int or value < 0:
+        raise TypeError(f"{key} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _check_name(value, what: str) -> str:
-    """A document's component or entity name: one a snapshot line could hold."""
-    name = _name(value, f"{what} name")
+    """A document's component or entity name: one a snapshot line could hold.
+    Every line break is whitespace to ``str.split``, so the name is one line."""
+    name = _string(value, f"{what} name")
     if name.split() != [name]:
         raise ValueError(f"{what} name must not contain whitespace: {name!r}")
     return name
@@ -169,18 +185,12 @@ def _read_change(obj: dict, version_pair: tuple[str, str]) -> dict:
         raise ValueError("a change that adds entities must name its target")
     if (obj["from_version"], obj["to_version"]) != version_pair:
         raise ValueError(f"change {id_} is not for the header's versions {version_pair}")
-    kind = change_kind(source, target)
-    if obj["kind"] != kind:
+    change = change_record(id_, source, target, entities["remove"], entities["add"])
+    if obj["kind"] != change["kind"]:
         raise ValueError(
-            f"change {id_} is {kind} by its endpoints, but declares kind {obj['kind']!r}"
+            f"change {id_} is {change['kind']} by its endpoints, but declares kind {obj['kind']!r}"
         )
-    return {
-        "id": id_,
-        "kind": kind,
-        "source_component": source,
-        "target_component": target,
-        "deltas": change_deltas(entities["remove"], entities["add"]),
-    }
+    return change
 
 
 def _list(value, what: str) -> list:
@@ -202,35 +212,24 @@ def _read_impact(obj: dict) -> tuple[tuple[str | None, str], dict]:
     sorted, orphaned refs and skipped paths sorted. A commit id or a path
     may be any string.
     """
+    from_version = obj.get("from_version")
     version_pair = (
-        _name(obj.get("from_version"), "from_version", True),
-        _name(obj["to_version"], "to_version"),
+        None if from_version is None else _label(from_version, "from_version"),
+        _label(obj["to_version"], "to_version"),
     )
     entries = {
-        _name(issue_id, "issue id"): sorted(
-            {_check_name(entity, "entity") for entity in _list(entities, "impact entities")}
-        )
+        _name(issue_id, "issue id"): {
+            _check_name(entity, "entity") for entity in _list(entities, "impact entities")
+        }
         for issue_id, entities in obj["entries"].items()
     }
     diagnostics = obj.get("diagnostics", {})
-    count = diagnostics.get("excluded_entity_count", 0)
-    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-        raise TypeError(f"excluded_entity_count must be a non-negative integer, got {count!r}")
+    count = _count(diagnostics.get("excluded_entity_count", 0), "excluded_entity_count")
     refs = _list(diagnostics.get("orphaned_commit_refs", []), "orphaned_commit_refs")
     ref_issues = [_name(ref["issue"], "orphaned ref issue") for ref in refs]
     ref_commits = _strings([ref["commit"] for ref in refs], "orphaned ref commits")
     skipped = _strings(diagnostics.get("skipped_paths", []), "skipped_paths")
-    return version_pair, {
-        "entries": entries,
-        "diagnostics": {
-            "orphaned_commit_refs": [
-                {"issue": issue_id, "commit": commit_id}
-                for issue_id, commit_id in sorted(zip(ref_issues, ref_commits))
-            ],
-            "skipped_paths": sorted(skipped),
-            "excluded_entity_count": count,
-        },
-    }
+    return version_pair, impact_record(entries, zip(ref_issues, ref_commits), skipped, count)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +268,7 @@ def changes_doc(version_pair: tuple[str, str], changes: list[dict]) -> dict:
 
 
 def _read_changes(doc: dict) -> tuple[tuple[str, str], list[dict]]:
-    version_pair = tuple(_name(doc[key], key) for key in ("from_version", "to_version"))
+    version_pair = tuple(_label(doc[key], key) for key in ("from_version", "to_version"))
     changes: dict[str, dict] = {}
     for entry in doc["changes"]:
         change = _read_change(entry, version_pair)
@@ -394,11 +393,8 @@ def _row_from_obj(obj: dict, version_pair: tuple[str | None, str | None]) -> dic
     and, decisions being disjoint, as many issues and covered changes as
     issue and change links.
     """
-    counts = {key: obj[key] for key in _COUNT_FIELDS}
-    kinds = {kind: obj["kind_distribution"][kind] for kind in KINDS}
-    for key, value in {**counts, **kinds}.items():
-        if type(value) is not int or value < 0:
-            raise TypeError(f"{key} must be a non-negative integer, got {value!r}")
+    counts = {key: _count(obj[key], key) for key in _COUNT_FIELDS}
+    kinds = {kind: _count(obj["kind_distribution"][kind], kind) for kind in KINDS}
     if sum(kinds.values()) != counts["decision_count"]:
         raise ValueError("kind_distribution does not sum to decision_count")
     covered, clean = counts["covered_change_count"], counts["clean_change_count"]
@@ -417,8 +413,7 @@ def _read_run_summary(doc: dict) -> dict:
     keys = ("from_version", "to_version")
     pairs = []
     for row in summary.get("pairs", []):
-        labels = (check_label(_name(row.get(key), key), ValueError) for key in keys)
-        pairs.append(_row_from_obj(row, tuple(labels)))
+        pairs.append(_row_from_obj(row, tuple(_label(row.get(key), key) for key in keys)))
     overall = summary["overall"]
     for key in keys:
         if overall.get(key) is not None:

@@ -618,6 +618,10 @@ def test_extract_decisions_rejects_malformed_documents(tmp_path, capsys):
     empty_source["changes"][0]["source_component"] = ""
     spaced_target = json.loads(json.dumps(changes_doc))
     spaced_target["changes"][0]["target_component"] = "a b"
+    # ids and labels are one line, so no message that names one splits
+    broken_id = json.loads(json.dumps(flipped_kind))
+    broken_id["changes"][0]["id"] = "ch:1\n== fake -> line"
+    broken_label = json.loads(json.dumps(changes_doc).replace('"1.1.0"', '"1.1.0\\n"'))
     # every change must be for the header's pair, which is the one the decisions are for
     other_header = dict(changes_doc, from_version="9.0", to_version="9.1")
     one_change_moved = json.loads(json.dumps(changes_doc))
@@ -627,7 +631,8 @@ def test_extract_decisions_rejects_malformed_documents(tmp_path, capsys):
     for doc in (
         no_kind, bad_entity, number_id, flipped_kind, unknown_op, number_version,
         number_component, dict(changes_doc, changes=5), other_header, one_change_moved,
-        number_header, empty_version, empty_id, empty_source, spaced_target, repeated_id,
+        number_header, empty_version, empty_id, empty_source, spaced_target, broken_id,
+        broken_label, repeated_id,
     ):
         broken.write_text(json.dumps(doc))
         code, _, err = run(
@@ -675,8 +680,10 @@ def test_extract_decisions_rejects_malformed_documents(tmp_path, capsys):
         for value in (5, [5], [""], ["a b"], "app.core.Cache")
     ]
     empty_issue_id = dict(impact_doc, entries=dict(impact_doc["entries"], **{"": ["app.util.Log"]}))
+    broken_issue_id = dict(impact_doc, entries={"APP\u20281": ["app.util.Log"]})
     for doc in (
-        *bad_entries, empty_issue_id, dict(impact_doc, entries=[]), dict(impact_doc, to_version=5),
+        *bad_entries, empty_issue_id, broken_issue_id, dict(impact_doc, entries=[]),
+        dict(impact_doc, to_version=5),
         dict(impact_doc, to_version=""), dict(impact_doc, from_version=""),
     ):
         broken.write_text(json.dumps(doc))
@@ -697,6 +704,7 @@ def test_extract_decisions_rejects_malformed_impact_diagnostics(tmp_path, capsys
         {"skipped_paths": [5]}, {"skipped_paths": "docs/a.md"},
         {"orphaned_commit_refs": [{"issue": 7, "commit": None}]},
         {"orphaned_commit_refs": [{"issue": "APP-1"}]},
+        {"orphaned_commit_refs": [{"issue": "APP\n1", "commit": "c9"}]},
         {"orphaned_commit_refs": {"issue": "APP-1", "commit": "c9"}},
     ):
         broken.write_text(json.dumps(dict(impact_doc, diagnostics=dict(diagnostics, **bad))))

@@ -232,6 +232,11 @@ def changes_document(*entries):
     changes=changes_document({"to_version": 5}, {"to_version": "3.0"}),
     impact=b'{"schema_version": 1, "kind": "impact", "to_version": "2.0", "entries": {}}',
 )
+# a line-broken change id once split the kind message over two lines
+@example(
+    changes=changes_document({"id": "ch:0\n== fake -> line", "kind": "modified"}),
+    impact=b'{"schema_version": 1, "kind": "impact", "to_version": "2.0", "entries": {}}',
+)
 def test_extract_decisions_never_leaks_a_traceback(changes, impact):
     with tempfile.TemporaryDirectory() as tmp:
         run_cli(["extract-decisions"], {"--changes": changes, "--impact": impact}, Path(tmp))

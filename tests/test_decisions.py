@@ -16,7 +16,7 @@ from archdd.decisions import (
 )
 from archdd.errors import InvariantViolation
 from archdd.changes import analyze_changes
-from archdd.changes import change_deltas, change_id, change_kind
+from archdd.changes import change_id, change_record
 from archdd.report import build_pair_stats
 
 from conftest import random_snapshot
@@ -30,14 +30,9 @@ def chg(component, entities, kind="modified"):
     of ``entities`` when ``kind`` is ``"removed"``, else an addition of them."""
     source = None if kind == "added" else component
     target = None if kind == "removed" else component
-    removed, added = (entities, []) if kind == "removed" else ([], entities)
-    return {
-        "id": change_id(source, target, removed, added, PAIR),
-        "kind": change_kind(source, target),
-        "source_component": source,
-        "target_component": target,
-        "deltas": change_deltas(set(removed), set(added)),
-    }
+    removed, added = (set(entities), ()) if kind == "removed" else ((), set(entities))
+    id_ = change_id(source, target, removed, added, PAIR)
+    return change_record(id_, source, target, removed, added)
 
 
 def impact(entries):

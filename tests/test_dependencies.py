@@ -21,6 +21,11 @@ one of two places: ``pipeline.load_json`` for a whole file, whose error
 names it, and ``ingestion._objects`` for a JSON Lines record, whose error
 names its line.
 
+And each record shape has one builder: only ``changes.change_record``
+spells out a change's ``deltas`` and only ``ingestion.impact_record`` an
+impact list's ``diagnostics``, so a document reader cannot drift from the
+stage that writes the document.
+
 And every name the bench's tracer wraps still exists, so a refactor that
 drops one fails here instead of only as a lost per-layer bench metric.
 """
@@ -351,6 +356,49 @@ def test_every_json_text_is_decoded_in_one_of_two_places():
         for scope in json_decodes(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     })
     assert found == ["ingestion.py: _objects", "pipeline.py: load_json"]
+
+
+def record_builds(tree, key):
+    """The enclosing function of each dict display, or ``dict(...)`` call,
+    that holds ``key``."""
+    return scopes_of(tree, lambda node: (
+        isinstance(node, ast.Dict)
+        and any(isinstance(k, ast.Constant) and k.value == key for k in node.keys)
+    ) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "dict"
+        and any(keyword.arg == key for keyword in node.keywords)
+    ))
+
+
+def test_record_build_finder_sees_every_spelling():
+    source = (
+        "def change(deltas):\n    return {'id': 'x', 'deltas': deltas}\n"
+        "class C:\n    def m(self, c):\n        return {**c, \"deltas\": []}\n"
+        "    def n(self):\n        return dict(deltas=[], kind='added')\n"
+        "def nested(d):\n    return [{'id': 'x', 'change': {'deltas': d}}]\n"
+        "module_level = {'deltas': []}\n"
+        "def quiet(c):\n    return c['deltas'], {'diagnostics': {}}, c.get('deltas'), {1: 2}\n"
+    )
+    assert list(record_builds(ast.parse(source), "deltas")) == [
+        "change", "C.m", "C.n", "nested", "<module>",
+    ]
+
+
+# The one builder of each record shape, by a key only that shape holds.
+RECORD_BUILDERS = {
+    "deltas": ["changes.py: change_record"],
+    "diagnostics": ["ingestion.py: impact_record"],
+}
+
+
+def test_each_record_is_built_in_one_place():
+    for key, builders in RECORD_BUILDERS.items():
+        found = sorted(
+            f"{path.relative_to(PACKAGE)}: {scope}"
+            for path in sorted(PACKAGE.rglob("*.py"))
+            for scope in record_builds(ast.parse(path.read_text(encoding="utf-8"), str(path)), key)
+        )
+        assert found == builders, key
 
 
 TRACE_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "trace_run.py"

@@ -730,8 +730,14 @@ def test_config_validation(tmp_path):
     with pytest.raises(InputError, match="^cannot read config "):
         RunConfig.from_file(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    with pytest.raises(ConfigError, match="^config must be a JSON object$"):
+        RunConfig.from_file(bad)
     bad.write_text("{}")
     with pytest.raises(ConfigError):
+        RunConfig.from_file(bad)
+    bad.write_text(json.dumps({"versions": [{"label": "a", "snapshot": "s"}, {"label": "b"}]}))
+    with pytest.raises(ConfigError, match="^each version needs `label` and `snapshot` fields$"):
         RunConfig.from_file(bad)
     bad.write_text(json.dumps({"versions": [{"label": "a", "snapshot": "s"}]}))
     with pytest.raises(ConfigError):
