@@ -3,7 +3,7 @@
 Subcommands mirror the pipeline stages so each can be run and inspected in
 isolation: analyze-changes, build-impact, extract-decisions, pipeline,
 convert-log, report. Exit codes: 0 success, 1 input error, 2 internal
-invariant violation.
+invariant violation, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -163,8 +163,6 @@ def main(argv=None) -> int:
     """Entry point with the documented exit-code mapping."""
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
     except click.Abort:
         click.echo("aborted", err=True)
         return 130

@@ -10,7 +10,8 @@ Input formats (all UTF-8):
 * exclusion list -- one namespace prefix per line, ``#`` comments on their
   own lines, its lines ended as the JSON Lines inputs' are;
 * path rules -- JSON object with an ordered ``rules`` array of
-  ``{match, strip_prefix, strip_suffix, separator_replacement}``.
+  ``{match, strip_prefix, strip_suffix, separator_replacement}``, each read
+  into a ``PathRule`` record with only the fields it sets.
 
 JSON Lines are read one line at a time, blank lines skipped, so every
 error names its line. A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only,
@@ -28,7 +29,9 @@ record's fields are then checked in order with exact type tests, the first
 bad field named, and the record is built by calling its class. Records are
 named tuples whose set fields are frozensets, which the constructor takes
 as given; every empty array field is one shared empty set, and issues that
-list the same versions share one versions set.
+list the same versions share one versions set. ``PathRule`` is a named
+tuple too, so its class holds the one default of each field and no rule
+gains state after it is built.
 ``build_impact_lists`` builds a whole run's impact lists from one index of
 qualifying issues, mapping each distinct path and testing its entity
 against the exclusions once. Each list is a plain dict, the ``impact``
@@ -49,9 +52,7 @@ import json
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ConfigError, RecordParseError
@@ -96,24 +97,22 @@ class CommitRecord(NamedTuple):
     issue_keys: frozenset[str] = _NO_STRINGS
 
 
-@dataclass(frozen=True)
-class PathRule:
-    """Derives an architectural entity name from a file path."""
+class PathRule(NamedTuple):
+    """Derives an architectural entity name from a file path.
+
+    A ``match`` holding ``*``, ``?`` or ``[`` is a glob; any other is a path prefix.
+    """
 
     match: str
     strip_prefix: str = ""
     strip_suffix: str = ""
     separator_replacement: tuple[str, str] = ("/", ".")
 
-    @cached_property
-    def _glob(self) -> bool:
-        """A pattern with a glob character is matched as a glob, else as a prefix."""
-        return any(ch in self.match for ch in "*?[")
-
     def matches(self, path: str) -> bool:
-        if self._glob:
-            return fnmatchcase(path, self.match)
-        return path.startswith(self.match)
+        match = self.match
+        if "*" in match or "?" in match or "[" in match:
+            return fnmatchcase(path, match)
+        return path.startswith(match)
 
     def derive(self, path: str) -> str | None:
         """Entity name for a matching path, or None if the derivation is empty."""
@@ -125,7 +124,7 @@ class PathRule:
         sep_from, sep_to = self.separator_replacement
         if sep_from:
             name = name.replace(sep_from, sep_to)
-        if not name or name.split() != [name]:
+        if name.split() != [name]:  # also rejects the empty name
             return None
         return name
 
@@ -377,20 +376,20 @@ def load_path_rules(obj) -> list[PathRule]:
             raise ConfigError(f"rule {index} must be an object with a `match` field")
         if not isinstance(entry["match"], str) or not entry["match"]:
             raise ConfigError(f"rule {index}: match must be a non-empty string")
+        fields = {key: entry[key] for key in PathRule._fields if key in entry}
         for key in ("strip_prefix", "strip_suffix"):
-            if not isinstance(entry.get(key, ""), str):
+            if key in fields and not isinstance(fields[key], str):
                 raise ConfigError(f"rule {index}: {key} must be a string")
-        replacement = entry.get("separator_replacement", ["/", "."])
-        if (
-            not isinstance(replacement, (list, tuple))
-            or len(replacement) != 2
-            or not all(isinstance(part, str) for part in replacement)
-        ):
-            raise ConfigError(f"rule {index}: separator_replacement must be a [from, to] pair")
-        rules.append(PathRule(
-            entry["match"], entry.get("strip_prefix", ""), entry.get("strip_suffix", ""),
-            tuple(replacement),
-        ))
+        if "separator_replacement" in fields:
+            replacement = fields["separator_replacement"]
+            if (
+                not isinstance(replacement, list)
+                or len(replacement) != 2
+                or not all(isinstance(part, str) for part in replacement)
+            ):
+                raise ConfigError(f"rule {index}: separator_replacement must be a [from, to] pair")
+            fields["separator_replacement"] = tuple(replacement)
+        rules.append(PathRule(**fields))
     return rules
 
 

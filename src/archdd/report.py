@@ -244,11 +244,9 @@ def _parse_doc(obj, kind: str, parse):
     """
     if not isinstance(obj, dict):
         raise ConfigError("document must be a JSON object")
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported schema_version {obj.get('schema_version')!r}, "
-            f"expected {SCHEMA_VERSION}"
-        )
+    version = obj.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # True == 1 == 1.0
+        raise ConfigError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
     if obj.get("kind") != kind:
         raise ConfigError(f"expected a {kind!r} document, got {obj.get('kind')!r}")
     try:

@@ -461,6 +461,16 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_an_interrupted_run_exits_130(tmp_path, capsys, monkeypatch):
+    config_path = write_mini_project(tmp_path)
+
+    def interrupt(config):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("archdd.cli.run_pipeline", interrupt)
+    assert run(capsys, "pipeline", "--config", str(config_path)) == (130, "", "\naborted\n")
+
+
 def test_partition_violation_exit_code(tmp_path, capsys):
     bad = tmp_path / "dup.rsf"
     bad.write_text("contain C1 a\ncontain C2 a\n")
@@ -564,6 +574,13 @@ def test_report_rejects_malformed_run_documents(tmp_path, capsys):
     assert err == (
         "error: malformed run document: overall change_count is 99, but the pairs sum to 4\n"
     )
+    # true and 1.0 equal 1 in Python, but only the integer 1 is schema_version 1
+    for version in (True, 1.0):
+        broken.write_text(json.dumps(dict(run_doc, schema_version=version)))
+        code, out, err = run(capsys, "report", "--in", str(broken), "--out", "summary")
+        assert (code, out, err) == (
+            1, "", f"error: unsupported schema_version {version!r}, expected 1\n"
+        )
 
 
 def test_report_rejects_a_document_that_is_not_an_object(tmp_path, capsys):
@@ -691,6 +708,25 @@ def test_extract_decisions_rejects_malformed_documents(tmp_path, capsys):
             capsys, "extract-decisions", "--changes", str(changes_path), "--impact", str(broken)
         )
         assert_one_line_input_error(code, err, "impact")
+
+    # true and 1.0 equal 1 in Python, but only the integer 1 is schema_version 1
+    for version in (True, 1.0):
+        for option, doc in (("--changes", changes_doc), ("--impact", impact_doc)):
+            broken.write_text(json.dumps(dict(doc, schema_version=version)))
+            inputs = {"--changes": changes_path, "--impact": impact_path, option: broken}
+            code, _, err = run(
+                capsys, "extract-decisions", *itertools.chain(*inputs.items()), "--out", str(out)
+            )
+            assert (code, err) == (
+                1, f"error: unsupported schema_version {version!r}, expected 1\n"
+            )
+            assert not out.exists()
+    code, _, err = run(
+        capsys, "extract-decisions", "--changes", str(impact_path), "--impact", str(impact_path),
+        "--out", str(out),
+    )
+    assert (code, err) == (1, "error: expected a 'changes' document, got 'impact'\n")
+    assert not out.exists()
 
 
 def test_extract_decisions_rejects_malformed_impact_diagnostics(tmp_path, capsys):

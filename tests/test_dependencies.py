@@ -12,7 +12,10 @@ And content ids come from one place: only ``model.py`` imports ``hashlib``,
 so a change id and a decision id cannot drift to different schemes.
 
 And every record is built by calling its class: no module reaches for
-``object.__new__`` to fill a record around its constructor.
+``object.__new__`` to fill a record around its constructor. Nor does a
+record fill in state after it is built: no module reaches for a
+``functools`` cache, so a shared record such as a default path rule holds
+the same fields before and after its first use.
 
 And every input file is read in one place: only ``pipeline.read_input``
 opens a file or reads standard input, so its byte order mark, NUL-byte and
@@ -249,6 +252,38 @@ def test_records_are_built_by_calling_their_class():
         f"{path.relative_to(PACKAGE)}:{lineno}"
         for path in sorted(PACKAGE.rglob("*.py"))
         for lineno in object_bypasses(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    )
+    assert found == []
+
+
+LAZY_CACHES = {
+    ("functools", "cached_property"), ("functools", "lru_cache"), ("functools", "cache"),
+}
+
+
+def lazy_caches(tree):
+    """Every ``functools`` cache in LAZY_CACHES a parsed module reaches, by any alias."""
+    return reached_attributes(tree, LAZY_CACHES)
+
+
+def test_lazy_cache_finder_sees_every_spelling():
+    source = (
+        "import functools as f\nfrom functools import cached_property\n"
+        "from functools import cache as memo, partial\n"
+        "f.lru_cache(maxsize=None)\nlazy = f.cached_property\n"
+        "f.reduce(max, [1])\npartial(print)\n"
+    )
+    assert sorted(lazy_caches(ast.parse(source))) == [
+        "functools.cache", "functools.cached_property", "functools.cached_property",
+        "functools.lru_cache",
+    ]
+
+
+def test_no_lazily_cached_state():
+    found = sorted(
+        f"{path.relative_to(PACKAGE)}: {cache}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for cache in lazy_caches(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     )
     assert found == []
 

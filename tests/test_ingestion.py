@@ -167,6 +167,18 @@ def test_path_rule_glob_and_prefix_matching():
     assert not prefix_rule.matches("src/vendor.java")
 
 
+def test_path_rule_with_no_separator_to_replace_keeps_the_path():
+    rule = PathRule("src/*.c", "src/", ".c", ("", "."))
+    assert rule.derive("src/a/b.c") == "a/b"
+
+
+def test_a_rules_file_gets_the_class_defaults():
+    assert load_path_rules({"rules": [{"match": "src/"}]}) == [PathRule("src/")]
+    # a rule holds only its fields, so using a shared default changes nothing
+    assert path_to_entity("src/a/B.java") == "a.B"
+    assert not hasattr(DEFAULT_PATH_RULES[0], "__dict__")
+
+
 def test_is_excluded_prefix_boundary():
     def kept(entities, prefixes):
         return {e for e in entities if not is_excluded(e, prefixes)}
