@@ -84,7 +84,7 @@ def build_impact_cmd(issues_path, commits_path, version, rules_path, exclusions_
         issues_path, commits_path, rules_path, exclusions_path, link_by_message
     )
     impact = build_impact_lists(issues, commits, [version], rules, exclusions)[version]
-    _emit(report.canonical_json(report.impact_doc(impact, (None, version))), out)
+    _emit(report.canonical_json(report.impact_doc((None, version), impact)), out)
 
 
 @cli.command("extract-decisions")

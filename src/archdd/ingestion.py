@@ -24,14 +24,14 @@ member, and it has no ``\\ud`` or ``\\uD`` escape (no surrogate). A colon,
 a brace or another ``\\u`` escape inside a string does not by itself send
 a line to the checked decoder. Only lines that fail the guard or the scanner
 reach ``decode_json``, which keeps the repeated-key, surrogate, digit-limit
-and nesting checks and raises the same line-numbered error as before. Each
-record's fields are then checked in order with exact type tests, the first
-bad field named, and the record is built by calling its class. Records are
-named tuples whose set fields are frozensets, which the constructor takes
-as given; every empty array field is one shared empty set, and issues that
-list the same versions share one versions set. ``PathRule`` is a named
-tuple too, so its class holds the one default of each field and no rule
-gains state after it is built.
+and nesting checks and raises ``RecordParseError``, one ``record line
+<n>: invalid JSON: <reason>`` line. Each record's fields are then checked
+in order with exact type tests, the first bad field named, and the record
+is built by calling its class. Records are named tuples whose set fields
+are frozensets, which the constructor takes as given; every empty array
+field is one shared empty set, and issues that list the same versions share
+one versions set. ``PathRule`` is a named tuple too, so its class holds the
+one default of each field and no rule gains state after it is built.
 ``build_impact_lists`` builds a whole run's impact lists from one index of
 qualifying issues, mapping each distinct path and testing its entity
 against the exclusions once. Each list is a plain dict, the ``impact``

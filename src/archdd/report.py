@@ -280,7 +280,7 @@ def parse_changes_doc(obj: dict) -> tuple[tuple[str, str], list[dict]]:
     return _parse_doc(obj, "changes", _read_changes)
 
 
-def impact_doc(impact: dict, version_pair: tuple[str | None, str]) -> dict:
+def impact_doc(version_pair: tuple[str | None, str], impact: dict) -> dict:
     return {**impact, **_header(version_pair, "impact")}
 
 
@@ -513,12 +513,8 @@ def _kind_cell(kind: str):
 
 def render_distribution_table(summary: dict) -> str:
     """Decision-kind counts and proportions per pair with decisions, then overall."""
-    scoped = sorted(
-        (row for row in summary["pairs"] if row["decision_count"] > 0),
-        key=lambda row: row["scope"],
-    )
-    columns = [(kind, _kind_cell(kind)) for kind in KINDS]
-    return _table("scope", scoped + [summary["overall"]], columns)
+    rows = [*(row for row in summary["pairs"] if row["decision_count"] > 0), summary["overall"]]
+    return _table("scope", rows, [(kind, _kind_cell(kind)) for kind in KINDS])
 
 
 def render_coverage_table(summary: dict) -> str:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from archdd.model import parse_snapshot
+from archdd.changes import balance
+from archdd.model import Component, parse_snapshot
 
 
 def contain_lines(components):
@@ -26,6 +28,29 @@ def under_namespace(entity, prefixes):
         entity[:end] for i, ch in enumerate(entity) if ch in "./$" for end in (i, i + 1)
     }
     return not cuts.isdisjoint(prefixes)
+
+
+def comp(name, entities=""):
+    return Component(name, frozenset(entities.split()))
+
+
+def delta_cost(c_a, c_b):
+    """Reference price of a pairing: the size of the entity symmetric difference."""
+    return len(c_a.entities ^ c_b.entities)
+
+
+def enumerate_best(components_a, components_b):
+    """Exhaustive oracle: (min total, lex-min b-name vector in a-name order)."""
+    a, b = balance(components_a, components_b)
+    a = sorted(a, key=lambda c: c.name)
+    b = sorted(b, key=lambda c: c.name)
+    best = None
+    for perm in itertools.permutations(range(len(b))):
+        total = sum(delta_cost(a[i], b[j]) for i, j in enumerate(perm))
+        names = tuple(b[j].name for j in perm)
+        if best is None or (total, names) < best:
+            best = (total, names)
+    return best
 
 
 def snap(version, components):
@@ -49,6 +74,29 @@ def random_snapshot(rng: random.Random, version, pool, max_components=6, max_ent
             chunk = [f"{version}.filler{index}"]
         components[f"comp{index:02d}"] = " ".join(chunk)
     return snap(version, components)
+
+
+def reachability_partition(edges, issues, changes):
+    """Independent oracle: fixpoint closure over the edge list, no union-find."""
+    nodes = {("i", i) for i in issues} | {("c", c) for c in changes}
+    neighbours = {node: set() for node in nodes}
+    for i, c in edges:
+        neighbours[("i", i)].add(("c", c))
+        neighbours[("c", c)].add(("i", i))
+    remaining = {node for node in nodes if neighbours[node]}
+    parts = set()
+    while remaining:
+        component = {next(iter(remaining))}
+        while True:
+            expanded = set(component)
+            for node in component:
+                expanded |= neighbours[node]
+            if expanded == component:
+                break
+            component = expanded
+        parts.add(frozenset(component))
+        remaining -= component
+    return parts
 
 
 MINI_SNAPSHOT_A = """\

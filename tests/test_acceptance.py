@@ -6,36 +6,21 @@ code paths they check (exhaustive enumeration for the matcher, fixpoint
 reachability for connected components).
 """
 
-import itertools
 import json
 import random
 import time
 from fractions import Fraction
 
-from archdd.changes import analyze_changes, balance, get_change_instances, min_cost_matching
+from archdd.changes import analyze_changes, get_change_instances, min_cost_matching
 from archdd.decisions import find_decisions
 from archdd.pipeline import RunConfig, run_pipeline
 
-from conftest import output_digests, random_snapshot, write_mini_project
+from conftest import (
+    delta_cost, enumerate_best, output_digests, random_snapshot, reachability_partition,
+    write_mini_project,
+)
 
 PASS = "ACCEPTANCE PASS:"
-
-
-def _delta_cost(c_a, c_b):
-    """Reference price of a pairing: the size of the entity symmetric difference."""
-    return len(c_a.entities ^ c_b.entities)
-
-
-def _exhaustive_minimum(components_a, components_b):
-    a, b = balance(components_a, components_b)
-    a = sorted(a, key=lambda c: c.name)
-    b = sorted(b, key=lambda c: c.name)
-    best = None
-    for perm in itertools.permutations(range(len(b))):
-        total = sum(_delta_cost(a[i], b[j]) for i, j in enumerate(perm))
-        if best is None or total < best:
-            best = total
-    return best
 
 
 def _matching_corpus(seed=20260811, pairs=200):
@@ -54,10 +39,10 @@ def test_matching_optimality_against_enumeration():
     checked = 0
     for snap_a, snap_b in _matching_corpus():
         chosen = min_cost_matching(snap_a, snap_b)
-        total = sum(_delta_cost(c_a, c_b) for c_a, c_b in chosen)
-        assert total == _exhaustive_minimum(
+        total = sum(delta_cost(c_a, c_b) for c_a, c_b in chosen)
+        assert total == enumerate_best(
             list(snap_a.components), list(snap_b.components)
-        ), f"suboptimal matching on pair {checked}"
+        )[0], f"suboptimal matching on pair {checked}"
         checked += 1
     elapsed = time.perf_counter() - started
     assert checked == 200
@@ -103,28 +88,6 @@ def test_self_comparison_is_empty():
     print(f"{PASS} self-comparison empty (100/100 snapshots)")
 
 
-def _reachability_partition(edges, issues, changes):
-    nodes = {("i", i) for i in issues} | {("c", c) for c in changes}
-    neighbours = {node: set() for node in nodes}
-    for issue_id, change_id in edges:
-        neighbours[("i", issue_id)].add(("c", change_id))
-        neighbours[("c", change_id)].add(("i", issue_id))
-    remaining = {node for node in nodes if neighbours[node]}
-    parts = set()
-    while remaining:
-        component = {next(iter(remaining))}
-        while True:
-            grown = set(component)
-            for node in component:
-                grown |= neighbours[node]
-            if grown == component:
-                break
-            component = grown
-        parts.add(frozenset(component))
-        remaining -= component
-    return parts
-
-
 def test_connected_component_oracle():
     """find_decisions matches brute-force reachability on 500 random graphs (<=30 nodes)."""
     rng = random.Random(2718281)
@@ -144,7 +107,7 @@ def test_connected_component_oracle():
             )
             for d in decisions
         }
-        expected = _reachability_partition(edges, issues, changes)
+        expected = reachability_partition(edges, issues, changes)
         assert got == expected, f"partition mismatch on trial {trial}"
         for decision in decisions:
             issue_count = len(decision["issue_ids"])

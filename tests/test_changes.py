@@ -13,14 +13,10 @@ from archdd.changes import (
     matching_cost,
     min_cost_matching,
 )
-from archdd.model import Component, entity_universe
+from archdd.model import entity_universe
 from archdd.report import canonical_json, changes_doc, parse_changes_doc
 
-from conftest import random_snapshot, snap
-
-
-def comp(name, entities=""):
-    return Component(name, frozenset(entities.split()))
+from conftest import comp, random_snapshot, snap
 
 
 def delta_set(change):

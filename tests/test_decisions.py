@@ -19,7 +19,7 @@ from archdd.changes import analyze_changes
 from archdd.changes import change_id, change_record
 from archdd.report import build_pair_stats
 
-from conftest import random_snapshot
+from conftest import random_snapshot, reachability_partition
 
 
 PAIR = ("v1", "v2")
@@ -198,29 +198,6 @@ def test_drop_external_changes_requires_all_entities_excluded():
     assert drop_external_changes([mixed, pure_external], ["ext.lib"]) == [pure_external["id"]]
     assert drop_external_changes([mixed], ["ext.lib", "app"]) == [mixed["id"]]
     assert drop_external_changes([mixed, pure_external], []) == []
-
-
-def reachability_partition(edges, issues, changes):
-    """Independent oracle: fixpoint closure over the edge list, no union-find."""
-    nodes = {("i", i) for i in issues} | {("c", c) for c in changes}
-    neighbours = {node: set() for node in nodes}
-    for i, c in edges:
-        neighbours[("i", i)].add(("c", c))
-        neighbours[("c", c)].add(("i", i))
-    remaining = {node for node in nodes if neighbours[node]}
-    parts = set()
-    while remaining:
-        component = {next(iter(remaining))}
-        while True:
-            expanded = set(component)
-            for node in component:
-                expanded |= neighbours[node]
-            if expanded == component:
-                break
-            component = expanded
-        parts.add(frozenset(component))
-        remaining -= component
-    return parts
 
 
 def test_connected_components_match_reachability_oracle():

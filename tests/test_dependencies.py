@@ -29,6 +29,8 @@ spells out a change's ``deltas`` and only ``ingestion.impact_record`` an
 impact list's ``diagnostics``, so a document reader cannot drift from the
 stage that writes the document.
 
+And no module, test modules included, imports a name it never uses.
+
 And every name the bench's tracer wraps still exists, so a refactor that
 drops one fails here instead of only as a lost per-layer bench metric.
 """
@@ -40,6 +42,7 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "archdd"
+TESTS = Path(__file__).resolve().parent
 ALLOWED = set(sys.stdlib_module_names) | {"click", "archdd"}
 
 
@@ -52,25 +55,63 @@ def imported_roots(tree):
             yield node.module.split(".")[0]
 
 
-def test_runtime_imports_are_stdlib_or_click():
-    modules = sorted(PACKAGE.rglob("*.py"))
-    assert len(modules) > 5
-    outside = sorted(
-        f"{path.relative_to(PACKAGE)}: {root}"
-        for path in modules
-        for root in imported_roots(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-        if root not in ALLOWED
+def package_hits(finder, *args, root=PACKAGE):
+    """Each ``<module>: <hit>`` that ``finder(tree, *args)`` yields for a
+    module under ``root``, sorted."""
+    return sorted(
+        f"{path.relative_to(root)}: {hit}"
+        for path in root.rglob("*.py")
+        for hit in finder(ast.parse(path.read_text(encoding="utf-8"), str(path)), *args)
     )
+
+
+def unused_imports(tree):
+    """Each name an import binds (``__future__`` aside) that the module
+    never reads and does not list in ``__all__``."""
+    used = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    } | {
+        element.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+        for element in getattr(node.value, "elts", ()) if isinstance(element, ast.Constant)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    yield name
+
+
+def test_unused_import_finder_sees_every_spelling():
+    source = (
+        "from __future__ import annotations\n"
+        "import a.b\nimport c.d\nimport x as y\nimport z as w\n"
+        "from m import n as k, p as q\nfrom m import public, hidden\n"
+        "__all__ = ['public']\n"
+        "c.d.f(w, q)\nhidden = 1\n"
+    )
+    assert sorted(unused_imports(ast.parse(source))) == ["a", "hidden", "k", "y"]
+
+
+def test_no_unused_imports():
+    assert package_hits(unused_imports) + package_hits(unused_imports, root=TESTS) == []
+
+
+def test_runtime_imports_are_stdlib_or_click():
+    assert len(list(PACKAGE.rglob("*.py"))) > 5
+    outside = [hit for hit in package_hits(imported_roots) if hit.split(": ")[1] not in ALLOWED]
     assert outside == []
 
 
 def test_only_the_model_hashes():
-    importers = sorted(
-        str(path.relative_to(PACKAGE))
-        for path in sorted(PACKAGE.rglob("*.py"))
-        if "hashlib" in imported_roots(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-    )
-    assert importers == ["model.py"]
+    importers = [hit for hit in package_hits(imported_roots) if hit.endswith(": hashlib")]
+    assert importers == ["model.py: hashlib"]
 
 
 GLOBAL_SWITCHES = {
@@ -116,12 +157,7 @@ def test_global_switch_finder_sees_every_spelling():
 
 
 def test_no_process_global_switches():
-    found = sorted(
-        f"{path.relative_to(PACKAGE)}: {switch}"
-        for path in sorted(PACKAGE.rglob("*.py"))
-        for switch in global_switches(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-    )
-    assert found == []
+    assert package_hits(global_switches) == []
 
 
 CONCURRENCY_MODULES = {"multiprocessing", "concurrent", "threading"}
@@ -146,12 +182,7 @@ def test_concurrency_finder_sees_every_spelling():
 
 
 def test_pairs_run_serially():
-    found = sorted(
-        f"{path.relative_to(PACKAGE)}: {name}"
-        for path in sorted(PACKAGE.rglob("*.py"))
-        for name in concurrency(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-    )
-    assert found == []
+    assert package_hits(concurrency) == []
 
 
 BROAD_ERRORS = {"ArchddError", "Exception", "BaseException"}
@@ -166,17 +197,15 @@ def broad_handlers(tree):
         for alias in node.names if alias.name in BROAD_ERRORS and alias.asname
     }
 
-    def walk(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ExceptHandler):
-                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
-                if any(c is None or getattr(c, "id", getattr(c, "attr", None)) in broad
-                       for c in caught):
-                    yield scope
-            functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-            yield from walk(child, child.name if isinstance(child, functions) else scope)
+    def catches_broadly(node):
+        if not isinstance(node, ast.ExceptHandler):
+            return False
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        return any(
+            c is None or getattr(c, "id", getattr(c, "attr", None)) in broad for c in caught
+        )
 
-    return walk(tree, "<module>")
+    return scopes_of(tree, catches_broadly)
 
 
 def test_broad_handler_finder_sees_every_spelling():
@@ -192,16 +221,11 @@ def test_broad_handler_finder_sees_every_spelling():
         "    try: pass\n    except Exception: pass\n"
         "    try: pass\n    except (KeyError, InvariantViolation): pass\n"
     )
-    assert list(broad_handlers(ast.parse(source))) == ["<module>", "f", "g", "g", "f"]
+    assert list(broad_handlers(ast.parse(source))) == ["<module>", "f", "f.g", "f.g", "f"]
 
 
 def test_only_the_cli_catches_errors_by_their_base_classes():
-    found = sorted(
-        f"{path.relative_to(PACKAGE)}: {scope}"
-        for path in sorted(PACKAGE.rglob("*.py"))
-        for scope in broad_handlers(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-    )
-    assert found == ["cli.py: main"]
+    assert package_hits(broad_handlers) == ["cli.py: main"]
 
 
 BYPASSES = {"__new__", "__setattr__"}
@@ -248,12 +272,7 @@ def test_object_new_finder_sees_every_spelling():
 
 
 def test_records_are_built_by_calling_their_class():
-    found = sorted(
-        f"{path.relative_to(PACKAGE)}:{lineno}"
-        for path in sorted(PACKAGE.rglob("*.py"))
-        for lineno in object_bypasses(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-    )
-    assert found == []
+    assert package_hits(object_bypasses) == []
 
 
 LAZY_CACHES = {
@@ -280,12 +299,7 @@ def test_lazy_cache_finder_sees_every_spelling():
 
 
 def test_no_lazily_cached_state():
-    found = sorted(
-        f"{path.relative_to(PACKAGE)}: {cache}"
-        for path in sorted(PACKAGE.rglob("*.py"))
-        for cache in lazy_caches(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-    )
-    assert found == []
+    assert package_hits(lazy_caches) == []
 
 
 READS = {"read_text", "read_bytes", "open"}
@@ -320,7 +334,7 @@ def input_reads(tree):
 
 
 def scopes_of(tree, hit):
-    """The enclosing function (``Class.method`` for a method) of each node ``hit`` accepts."""
+    """The enclosing function, dotted (``Class.method``, ``f.g``), of each node ``hit`` accepts."""
 
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -349,12 +363,7 @@ def test_input_read_finder_sees_every_spelling():
 
 
 def test_every_input_file_is_read_in_one_place():
-    found = sorted({
-        f"{path.relative_to(PACKAGE)}: {scope}"
-        for path in sorted(PACKAGE.rglob("*.py"))
-        for scope in input_reads(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-    })
-    assert found == ["pipeline.py: read_input"]
+    assert sorted(set(package_hits(input_reads))) == ["pipeline.py: read_input"]
 
 
 def json_decodes(tree):
@@ -385,12 +394,9 @@ def test_json_decode_finder_sees_every_spelling():
 
 
 def test_every_json_text_is_decoded_in_one_of_two_places():
-    found = sorted({
-        f"{path.relative_to(PACKAGE)}: {scope}"
-        for path in sorted(PACKAGE.rglob("*.py"))
-        for scope in json_decodes(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-    })
-    assert found == ["ingestion.py: _objects", "pipeline.py: load_json"]
+    assert sorted(set(package_hits(json_decodes))) == [
+        "ingestion.py: _objects", "pipeline.py: load_json",
+    ]
 
 
 def record_builds(tree, key):
@@ -428,12 +434,7 @@ RECORD_BUILDERS = {
 
 def test_each_record_is_built_in_one_place():
     for key, builders in RECORD_BUILDERS.items():
-        found = sorted(
-            f"{path.relative_to(PACKAGE)}: {scope}"
-            for path in sorted(PACKAGE.rglob("*.py"))
-            for scope in record_builds(ast.parse(path.read_text(encoding="utf-8"), str(path)), key)
-        )
-        assert found == builders, key
+        assert package_hits(record_builds, key) == builders, key
 
 
 TRACE_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "trace_run.py"

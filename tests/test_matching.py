@@ -14,32 +14,9 @@ from archdd.changes import (
     get_change_instances,
     min_cost_matching,
 )
-from archdd.model import Component, parse_snapshot
+from archdd.model import parse_snapshot
 
-from conftest import contain_lines, random_snapshot, snap
-
-
-def comp(name, entities=""):
-    return Component(name, frozenset(entities.split()))
-
-
-def delta_cost(c_a, c_b):
-    """Reference price of a pairing: the size of the entity symmetric difference."""
-    return len(c_a.entities ^ c_b.entities)
-
-
-def enumerate_best(components_a, components_b):
-    """Exhaustive oracle: (min total, lex-min b-name vector in a-name order)."""
-    a, b = balance(components_a, components_b)
-    a = sorted(a, key=lambda c: c.name)
-    b = sorted(b, key=lambda c: c.name)
-    best = None
-    for perm in itertools.permutations(range(len(b))):
-        total = sum(delta_cost(a[i], b[j]) for i, j in enumerate(perm))
-        names = tuple(b[j].name for j in perm)
-        if best is None or (total, names) < best:
-            best = (total, names)
-    return best
+from conftest import comp, contain_lines, delta_cost, enumerate_best, random_snapshot, snap
 
 
 def kinds(changes):

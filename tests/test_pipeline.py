@@ -17,7 +17,9 @@ from archdd.cli import main
 from archdd.errors import ConfigError, InputError, InvariantViolation, RecordParseError
 from archdd.pipeline import RunConfig, run_pipeline
 
-from conftest import output_digests, run_cli_with_hash_seed, under_namespace, write_mini_project
+from conftest import (
+    MINI_SNAPSHOT_B, output_digests, run_cli_with_hash_seed, under_namespace, write_mini_project,
+)
 
 
 def run_pairs(config):
@@ -420,7 +422,7 @@ def test_run_json_holds_the_decisions_find_decisions_returns(tmp_path, monkeypat
             "from_version": version_pair[0], "to_version": version_pair[1],
             "changes": pair["changes"],
         }), encoding="utf-8")
-        impact.write_text(report.canonical_json(report.impact_doc(pair["impact"], version_pair)),
+        impact.write_text(report.canonical_json(report.impact_doc(version_pair, pair["impact"])),
                           encoding="utf-8")
         assert main(["extract-decisions", "--changes", str(changes), "--impact", str(impact),
                      "--out", str(decisions)]) == 0
@@ -587,6 +589,41 @@ def test_pipeline_three_versions_two_pairs(tmp_path):
         ("1.0.0", "1.1.0"),
         ("1.1.0", "1.2.0"),
     ]
+
+
+def test_every_summary_table_lists_pairs_in_config_order(tmp_path):
+    # `1.10.0` sorts before `1.9.0` as text, so a table sorted by its scope
+    # would list the second pair first.
+    config_path = write_mini_project(tmp_path)
+    (tmp_path / "arch-1.2.0.rsf").write_text(MINI_SNAPSHOT_B.replace(" metrics ", " core "))
+    issues = tmp_path / "issues.jsonl"
+    issues.write_text(issues.read_text().replace('["1.1.0"]', '["1.10.0", "1.11.0"]'))
+    config_obj = json.loads(config_path.read_text())
+    config_obj["versions"] = [
+        {"label": label, "snapshot": f"arch-{snapshot}.rsf"}
+        for label, snapshot in (("1.9.0", "1.0.0"), ("1.10.0", "1.1.0"), ("1.11.0", "1.2.0"))
+    ]
+    config_path.write_text(json.dumps(config_obj))
+    config = RunConfig.from_file(config_path)
+    result = run_pipeline(config)
+    assert all(row["decision_count"] for row in result.summary["pairs"])
+    tables = (config.output_dir / "summary.txt").read_text(encoding="utf-8").split("\n\n")
+    assert len(tables) == len(report.SECTIONS)
+    for table in tables:
+        assert re.findall(r"^(\S+ -> \S+) ", table, re.MULTILINE) == [
+            "1.9.0 -> 1.10.0", "1.10.0 -> 1.11.0",
+        ], table
+
+
+def test_outputs_default_to_archdd_out_beside_the_config(tmp_path):
+    config_path = write_mini_project(tmp_path)
+    config_obj = json.loads(config_path.read_text())
+    del config_obj["output_dir"]
+    config_path.write_text(json.dumps(config_obj))
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    written = sorted(path.name for path in (tmp_path / "archdd-out").iterdir())
+    assert written == ["decisions.txt", "run.json", "summary.txt"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_pipeline_failure_isolation(tmp_path):

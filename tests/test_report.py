@@ -76,12 +76,12 @@ def test_impact_doc_round_trip():
             "excluded_entity_count": 3,
         },
     }
-    text = canonical_json(impact_doc(impact, (None, "v2")))
+    text = canonical_json(impact_doc((None, "v2"), impact))
     pair, parsed = parse_impact_doc(json.loads(text))
     assert pair == (None, "v2")
     assert parsed["entries"] == impact["entries"]
     assert parsed["diagnostics"]["orphaned_commit_refs"] == [{"issue": "A-1", "commit": "ghost"}]
-    assert canonical_json(impact_doc(parsed, pair)) == text
+    assert canonical_json(impact_doc(*parse_impact_doc(json.loads(text)))) == text
     assert parsed == impact  # the reader returns the shape build_impact_lists does
     # Entity lists come back de-duplicated and sorted, refs and paths sorted,
     # so writing a parsed document gives its canonical bytes.
@@ -203,10 +203,10 @@ def test_emit_distribution_proportions():
         (("v3", "v4"), later), (("v1", "v2"), decisions), (("v2", "v3"), [])
     )
     rows = [line.split() for line in render_distribution_table(summary).splitlines()[1:]]
-    # pairs without decisions are left out; the rest sort by scope, then overall
-    assert [row[0] for row in rows] == ["v1", "v3", "overall"]
-    assert rows[0][3:] == ["2", "(0.67)", "0", "(0.00)", "1", "(0.33)"]
-    assert rows[1][3:] == ["1", "(1.00)", "0", "(0.00)", "0", "(0.00)"]
+    # pairs without decisions are left out; the rest keep document order, then overall
+    assert [row[0] for row in rows] == ["v3", "v1", "overall"]
+    assert rows[0][3:] == ["1", "(1.00)", "0", "(0.00)", "0", "(0.00)"]
+    assert rows[1][3:] == ["2", "(0.67)", "0", "(0.00)", "1", "(0.33)"]
     assert rows[2][1:] == ["3", "(0.75)", "0", "(0.00)", "1", "(0.25)"]
 
 
